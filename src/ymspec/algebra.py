@@ -106,14 +106,6 @@ class SpatialAlgebraVector:
     def components(self) -> list[AlgebraElement]:
         return [AlgebraElement(self.basis, self.coeffs[k]) for k in range(3)]
 
-    @classmethod
-    def from_components(cls, comps) -> "SpatialAlgebraVector":
-        basis = comps[0].basis
-        for c in comps[1:]:
-            if not basis.same_as(c.basis):
-                raise DimensionMismatchError("components use different bases")
-        return cls(basis, np.stack([c.coeffs for c in comps]))
-
 
 # ---------------------------------------------------------------------------
 # construction
@@ -246,11 +238,6 @@ def scalar_product(x: AlgebraElement, y: AlgebraElement) -> float:
     """Ad-invariant scalar product; the Euclidean dot in these coordinates."""
     _check_shared_basis(x, y)
     return float(x.coeffs @ y.coeffs)
-
-
-def bracket_coeffs(basis: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized bracket on coefficient arrays of shape (dim_g, ...)."""
-    return np.einsum("kij,i...,j...->k...", basis.structure_constants, x, y)
 
 
 def quartic_contraction(a: SpatialAlgebraVector) -> float:

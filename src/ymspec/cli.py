@@ -7,7 +7,7 @@ Configuration is a single strict-schema JSON document; unknown keys are
 rejected by name.  Every run writes CSV data files whose bytes depend
 only on the configuration and seed, plus a JSON summary (the only place
 a timestamp appears).  Exit codes: 0 success, 1 physics assertion
-failed, 2 usage or schema error, 3 numerical failure.
+failed, 2 usage or schema error, 3 numerical or any other failure.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import dataclasses
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +40,6 @@ from .dynamics import CauchyState, cfl_bound, evolve
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
-    NumericalError,
     YmspecError,
 )
 from .fock import build_basis, quantize
@@ -54,7 +54,6 @@ from .lattice import (
 )
 from .spectrum import (
     ModelSpec,
-    assemble_hamiltonian,
     bosonic_spectrum,
     convergence_study,
     gap_analysis,
@@ -109,6 +108,8 @@ class ToleranceConfig:
     cg_tol: float = 1e-10
     constraint_tol: float = 1e-6
     level_tol: float = 1e-8
+    # accepted and validated, but inert: spectrum levels are exact by
+    # construction (see bosonic_spectrum), so nothing is compared against it
     convergence_rtol: float = 0.01
     step_tol: float = 1e-6
     margin_tol: float = 1e-8
@@ -154,17 +155,23 @@ class RunConfig:
             convention=self.model.convention,
             include_magnetic=self.model.include_magnetic,
             level_tol=self.tolerances.level_tol,
-            convergence_rtol=self.tolerances.convergence_rtol,
         )
 
 
-_POSITIVE_FIELDS = {
-    "lattice.n", "lattice.spacing", "evolution.T", "evolution.h",
-    "model.N_max", "tolerances.cg_tol", "tolerances.constraint_tol",
-    "tolerances.level_tol", "tolerances.convergence_rtol",
-    "tolerances.step_tol", "tolerances.margin_tol", "tolerances.algebra_tol",
+# key paths by required type and sign; bool never counts as a number
+_POSITIVE_INTEGERS = ("lattice.n", "model.N_max")
+_NONNEGATIVE_INTEGERS = ("random.max_mode", "seed")
+_POSITIVE_NUMBERS = (
+    "lattice.spacing", "evolution.T", "evolution.h", "tolerances.cg_tol",
+    "tolerances.constraint_tol", "tolerances.level_tol",
+    "tolerances.convergence_rtol", "tolerances.step_tol",
+    "tolerances.margin_tol", "tolerances.algebra_tol",
     "tolerances.ordering_tol", "random.amplitude",
-}
+)
+_OPTIONAL_GATES = (
+    "tolerances.energy_drift_gate", "tolerances.constraint_growth_gate",
+    "tolerances.convergence_gate",
+)
 
 
 _NESTED_SECTIONS = {
@@ -196,58 +203,60 @@ def _fill_dataclass(cls, doc: dict, path: str):
     return cls(**kwargs)
 
 
+def _lookup(config: RunConfig, key: str):
+    value = config
+    for part in key.split("."):
+        value = getattr(value, part)
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate(config: RunConfig):
     if config.command not in COMMANDS:
         raise ConfigurationError(
             f"unknown command '{config.command}'; expected one of {COMMANDS}"
         )
-    flat = {
-        "lattice.n": config.lattice.n,
-        "lattice.spacing": config.lattice.spacing,
-        "evolution.T": config.evolution.T,
-        "evolution.h": config.evolution.h,
-        "model.N_max": config.model.N_max,
-        "tolerances.cg_tol": config.tolerances.cg_tol,
-        "tolerances.constraint_tol": config.tolerances.constraint_tol,
-        "tolerances.level_tol": config.tolerances.level_tol,
-        "tolerances.convergence_rtol": config.tolerances.convergence_rtol,
-        "tolerances.step_tol": config.tolerances.step_tol,
-        "tolerances.margin_tol": config.tolerances.margin_tol,
-        "tolerances.algebra_tol": config.tolerances.algebra_tol,
-        "tolerances.ordering_tol": config.tolerances.ordering_tol,
-        "random.amplitude": config.random.amplitude,
-    }
-    for key, value in flat.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+    for key in _POSITIVE_INTEGERS + _NONNEGATIVE_INTEGERS:
+        value = _lookup(config, key)
+        if not _is_int(value):
+            raise ConfigurationError(f"'{key}' must be an integer, got {value!r}")
+    for key in _POSITIVE_NUMBERS:
+        value = _lookup(config, key)
+        if not _is_number(value):
             raise ConfigurationError(f"'{key}' must be a number, got {value!r}")
-        if key in _POSITIVE_FIELDS and value <= 0:
+    for key in _POSITIVE_INTEGERS + _POSITIVE_NUMBERS:
+        value = _lookup(config, key)
+        if value <= 0:
             raise ConfigurationError(f"'{key}' must be positive, got {value}")
-    for key, value in (
-        ("tolerances.energy_drift_gate", config.tolerances.energy_drift_gate),
-        ("tolerances.constraint_growth_gate",
-         config.tolerances.constraint_growth_gate),
-        ("tolerances.convergence_gate", config.tolerances.convergence_gate),
-    ):
-        if value is not None and (
-            not isinstance(value, (int, float)) or isinstance(value, bool)
-            or value <= 0
-        ):
+    for key in _NONNEGATIVE_INTEGERS:
+        value = _lookup(config, key)
+        if value < 0:
+            raise ConfigurationError(f"'{key}' must be >= 0, got {value}")
+    for key in _OPTIONAL_GATES:
+        value = _lookup(config, key)
+        if value is not None and (not _is_number(value) or value <= 0):
             raise ConfigurationError(f"'{key}' must be a positive number or null")
-    if not isinstance(config.lattice.n, int):
-        raise ConfigurationError("'lattice.n' must be an integer")
-    if config.random.max_mode < 0:
-        raise ConfigurationError("'random.max_mode' must be >= 0")
+    n_max = config.model.n_max
+    if n_max is not None and not _is_int(n_max):
+        raise ConfigurationError(
+            f"'model.n_max' must be an integer or null, got {n_max!r}"
+        )
+    if not isinstance(config.model.N_max_list, list) or not all(
+        _is_int(x) for x in config.model.N_max_list
+    ):
+        raise ConfigurationError("'model.N_max_list' must be a list of integers")
     if config.evolution.preset not in ("random", "abelian-wave"):
         raise ConfigurationError(
             f"'evolution.preset' must be random|abelian-wave, got "
             f"'{config.evolution.preset}'"
         )
-    if not isinstance(config.seed, int):
-        raise ConfigurationError("'seed' must be an integer")
-    if not isinstance(config.model.N_max_list, list) or not all(
-        isinstance(x, int) for x in config.model.N_max_list
-    ):
-        raise ConfigurationError("'model.N_max_list' must be a list of integers")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -520,8 +529,7 @@ def _run_spectrum(config: RunConfig, outdir: str) -> int:
     model = config.model_spec()
     report = bosonic_spectrum(model, n_max=model.n_max)
     analysis = gap_analysis(report, config.tolerances.margin_tol)
-    h = assemble_hamiltonian(model)
-    cstar = number_shift_bound(h)
+    cstar = number_shift_bound(report.hamiltonian)
     _write(outdir, "spectrum.csv", report.to_csv())
     _write(outdir, "spectrum_summary.json",
            spectrum_summary_json(report, analysis, {"number_shift_bound": cstar}))
@@ -590,6 +598,13 @@ def _emit_diagnostic(outdir: str | None, exc: Exception, code: int):
         "message": str(exc),
         "exit_code": code,
     }
+    if exc.__traceback__ is not None:
+        # where it was raised, so an unforeseen failure can be traced
+        # without printing a traceback
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        doc["raised_at"] = (
+            f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
+        )
     text = json.dumps(doc, indent=1, sort_keys=True)
     print(text, file=sys.stderr)
     if outdir and os.path.isdir(outdir):
@@ -616,7 +631,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _emit_diagnostic(None, exc, 2)
         return 2
 
@@ -639,7 +654,7 @@ def main(argv=None) -> int:
     except PhysicsAssertionError as exc:
         _emit_diagnostic(outdir, exc, 1)
         return 1
-    except NumericalError as exc:
+    except Exception as exc:  # NumericalError, or anything unforeseen
         _emit_diagnostic(outdir, exc, 3)
         return 3
 

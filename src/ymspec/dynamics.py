@@ -183,15 +183,22 @@ def evolve(
 ) -> tuple[CauchyState, EvolutionReport]:
     """Step the state to time t + T, recording energy and Gauss residual.
 
-    The initial residual must sit below constraint_tol relative to the
-    electric norm (zero fields pass trivially); non-finite fields abort
-    with the last finite state attached.
+    Takes steps of h; when T is not a whole number of them (to 1e-9
+    relative), a final shortened step lands exactly on t + T.  The initial
+    residual must sit below constraint_tol relative to the electric norm
+    (zero fields pass trivially); non-finite fields abort with the last
+    finite state attached.
     """
     if T < 0:
         raise ConfigurationError("evolution span T must be >= 0")
+    if h <= 0:
+        raise ConfigurationError("time step h must be positive")
     steps = int(round(T / h))
-    if abs(steps * h - T) > 1e-9 * max(1.0, abs(T)):
-        steps = int(np.ceil(T / h - 1e-12))
+    if abs(steps * h - T) <= 1e-9 * max(1.0, T):
+        sizes = [h] * steps
+    else:
+        steps = int(np.floor(T / h))
+        sizes = [h] * steps + [T - steps * h]
 
     r0 = constraint_residual(state.a, state.e)
     e_norm = field_norm(state.e)
@@ -205,9 +212,9 @@ def evolve(
     report = EvolutionReport()
     report.record(state.t, energy(state), r0)
     current = state
-    for step in range(steps):
+    for step, size in enumerate(sizes):
         previous = current
-        current = rk4_step(current, h)
+        current = rk4_step(current, size)
         if not (
             np.isfinite(current.a.data).all() and np.isfinite(current.e.data).all()
         ):

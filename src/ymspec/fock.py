@@ -84,9 +84,6 @@ class FockBasis:
     def degree_indices(self, n: int) -> np.ndarray:
         return np.flatnonzero(self.degrees == n)
 
-    def block_sizes(self) -> np.ndarray:
-        return np.bincount(self.degrees, minlength=self.N_max + 1)
-
 
 def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
     """Enumerate all occupation states with |mu| <= N_max."""
@@ -138,9 +135,6 @@ class FockOperator:
             self.basis.D != other.basis.D or self.basis.N_max != other.basis.N_max
         ):
             raise DimensionMismatchError("operators live on different bases")
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.basis, self.matrix.conj().T.tocsr())
 
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.conj().T

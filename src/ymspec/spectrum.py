@@ -32,10 +32,16 @@ from .fock import (
     build_basis,
     number_operator,
     quantize,
+    safe_block_indices,
 )
 from .symbols import ModeMap, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
+# compressions up to this many rows are diagonalized densely; larger ones
+# by Lanczos (a dense complex matrix of this size takes 64 MB)
+DENSE_LIMIT = 2000
+# levels Lanczos finds on a larger block, which caps its reported multiplicity
+LANCZOS_LEVELS = 24
 
 
 @dataclass
@@ -50,9 +56,6 @@ class ModelSpec:
     convention: str = "antinormal"
     include_magnetic: bool = True
     level_tol: float = 1e-8
-    convergence_rtol: float = 0.01
-    dense_threshold: int = 6000
-    basis_cap: int = 5_000_000
 
     def __post_init__(self):
         if self.momentum != "zero":
@@ -89,10 +92,14 @@ class SpectrumReport:
     ns: list
     lambdas: list
     multiplicities: list
-    converged: list        # bool per level, or None when not checked
+    converged: list        # bool per level
     N_max: int
     D: int
-    refined_lambdas: list | None = None
+    # the operator the levels were computed from (None on a report built
+    # by hand)
+    hamiltonian: FockOperator | None = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def gap(self) -> float:
@@ -114,8 +121,7 @@ class SpectrumReport:
         for n, lam, mult, conv in zip(
             self.ns, self.lambdas, self.multiplicities, self.converged
         ):
-            flag = "" if conv is None else str(int(conv))
-            buf.write(f"{n},{lam:.17g},{mult},{flag}\n")
+            buf.write(f"{n},{lam:.17g},{mult},{int(conv)}\n")
         return buf.getvalue()
 
 
@@ -131,8 +137,7 @@ def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOper
         raise ConfigurationError("model retains zero modes; nothing to quantize")
     sym = energy_symbol(algebra_basis, mode_map, model.include_magnetic)
     basis = build_basis(
-        mode_map.num_modes, N_max if N_max is not None else model.N_max,
-        cap=model.basis_cap,
+        mode_map.num_modes, N_max if N_max is not None else model.N_max
     )
     return quantize(sym, model.convention, basis)
 
@@ -144,56 +149,52 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
             f"block degree {n} outside 0..{q.basis.N_max}"
         )
     idx = q.basis.degree_indices(n)
-    block = q.matrix[np.ix_(idx, idx)].toarray()
-    return block
+    return q.matrix[np.ix_(idx, idx)].toarray()
 
 
-def _block_lowest(block: np.ndarray, level_tol: float, dense_threshold: int):
-    """(lambda_min, multiplicity) of a Hermitian block."""
-    dim = block.shape[0]
-    herm_defect = np.abs(block - block.conj().T).max() if dim else 0.0
-    if dim and herm_defect > 1e-10 * max(1.0, np.abs(block).max()):
+def _lowest_eigenvalues(
+    matrix, idx: np.ndarray, count: int = LANCZOS_LEVELS
+) -> np.ndarray:
+    """Ascending lowest eigenvalues of the Hermitian compression
+    matrix[idx, idx]: all of them up to DENSE_LIMIT rows, else the lowest
+    count (Lanczos time grows with count)."""
+    sub = matrix[np.ix_(idx, idx)]
+    dim = idx.size
+    herm_defect = abs(sub - sub.conj().T).max()
+    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
         raise NumericalError(
             f"block is not Hermitian (defect {herm_defect:.3e})"
         )
     try:
-        if dim <= dense_threshold:
-            vals = la.eigh(block, eigvals_only=True)
-        else:
-            import scipy.sparse as sp
-
-            k = min(dim - 1, 24)
-            vals = np.sort(
-                spla.eigsh(sp.csr_matrix(block), k=k, which="SA",
-                           return_eigenvectors=False)
-            )
-    except la.LinAlgError as exc:
+        if dim <= DENSE_LIMIT:
+            return la.eigh(sub.toarray(), eigvals_only=True)
+        vals = spla.eigsh(sub, k=min(dim - 1, count), which="SA",
+                          return_eigenvectors=False)
+    except (la.LinAlgError, spla.ArpackError) as exc:
         raise NumericalError(f"eigensolver failed on a {dim}-dim block: {exc}")
-    lam = float(vals[0])
-    mult = int(np.sum(vals <= lam + level_tol))
-    return lam, mult
+    return np.sort(vals)
 
 
 def _spectrum_levels(h: FockOperator, n_values, model: ModelSpec):
     lams, mults = [], []
     for n in n_values:
-        block = n_boson_block(h, n)
-        lam, mult = _block_lowest(block, model.level_tol, model.dense_threshold)
+        vals = _lowest_eigenvalues(h.matrix, h.basis.degree_indices(n))
+        lam = float(vals[0])
         lams.append(lam)
-        mults.append(mult)
+        mults.append(int(np.sum(vals <= lam + model.level_tol)))
     return lams, mults
 
 
-def bosonic_spectrum(
-    model: ModelSpec,
-    n_max: int | None = None,
-    refine_check: bool = True,
-) -> SpectrumReport:
-    """lambda_n for n = 0..n_max with multiplicities and convergence flags.
+def bosonic_spectrum(model: ModelSpec, n_max: int | None = None) -> SpectrumReport:
+    """lambda_n for n = 0..n_max with multiplicities, from one assembly of H.
 
-    Convergence of each level is judged by rebuilding the operator at
-    N_max + 2 and comparing; disable with refine_check=False when an
-    external truncation study covers it.
+    Every reported level is flagged converged because it equals the level
+    of the untruncated operator exactly: the degree-n block sees only the
+    number-conserving monomials of the quartic energy symbol, whose ladder
+    paths (under any ordering convention) pass through degrees
+    <= n + DEGREE_MARGIN, and n_max is capped at N_max - DEGREE_MARGIN, so
+    no path meets the cutoff.  The operator is kept on the report as
+    ``hamiltonian``.
     """
     n_top = model.default_n_max() if n_max is None else n_max
     if n_top > model.N_max - DEGREE_MARGIN:
@@ -205,25 +206,14 @@ def bosonic_spectrum(
     ns = list(range(n_top + 1))
     h = assemble_hamiltonian(model)
     lams, mults = _spectrum_levels(h, ns, model)
-
-    refined = None
-    flags = [None] * len(ns)
-    if refine_check:
-        h2 = assemble_hamiltonian(model, N_max=model.N_max + 2)
-        refined, _ = _spectrum_levels(h2, ns, model)
-        flags = [
-            abs(l2 - l1) <= model.convergence_rtol * max(abs(l1), 1e-12)
-            for l1, l2 in zip(lams, refined)
-        ]
-
     return SpectrumReport(
         ns=ns,
         lambdas=lams,
         multiplicities=mults,
-        converged=flags,
+        converged=[True] * len(ns),
         N_max=model.N_max,
         D=model.num_modes,
-        refined_lambdas=refined,
+        hamiltonian=h,
     )
 
 
@@ -256,15 +246,15 @@ class GapAnalysis:
 def gap_analysis(report: SpectrumReport, margin_tol: float = 1e-8) -> GapAnalysis:
     """Gap and arithmetic-growth certificate of a spectrum report.
 
-    Uses the converged levels only (all levels when flags were not
-    computed).  The slope comes from the least-squares line; the bound
-    constant is the largest C with lambda_n >= slope * n + C on those
-    levels, and the margin re-evaluates that inequality.
+    Uses the levels flagged converged only.  The slope comes from the
+    least-squares line; the bound constant is the largest C with
+    lambda_n >= slope * n + C on those levels, and the margin re-evaluates
+    that inequality.
     """
     pairs = [
         (n, lam)
         for n, lam, conv in zip(report.ns, report.lambdas, report.converged)
-        if conv is None or conv
+        if conv
     ]
     if len(pairs) < 3:
         raise InsufficientDataError(
@@ -296,19 +286,11 @@ def number_shift_bound(
     Every state psi supported on degrees <= N_max - margin_degree then
     satisfies <H> >= <N> + C*.
     """
-    basis = h.basis
-    nop = number_operator(basis)
-    diff = h.matrix - nop.matrix
-    idx = np.flatnonzero(basis.degrees <= basis.N_max - margin_degree)
-    sub = diff[np.ix_(idx, idx)]
-    dim = idx.size
-    if dim == 0:
+    idx = safe_block_indices(h.basis, margin_degree)
+    if idx.size == 0:
         raise ConfigurationError("safe block is empty at this truncation")
-    if dim <= 2000:
-        vals = la.eigh(sub.toarray(), eigvals_only=True)
-        return float(vals[0])
-    val = spla.eigsh(sub.tocsc(), k=1, which="SA", return_eigenvectors=False)
-    return float(val[0])
+    shifted = h.matrix - number_operator(h.basis).matrix
+    return float(_lowest_eigenvalues(shifted, idx, count=1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +357,7 @@ def spectrum_summary_json(
         "N_max": report.N_max,
         "lambdas": [float(x) for x in report.lambdas],
         "multiplicities": [int(m) for m in report.multiplicities],
-        "converged": [None if c is None else bool(c) for c in report.converged],
+        "converged": [bool(c) for c in report.converged],
     }
     doc.update(analysis.as_dict())
     if extra:

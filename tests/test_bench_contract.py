@@ -1,0 +1,59 @@
+"""The traced benchmark run wraps ymspec's layer functions by name and binds
+their arguments by parameter name (bench/spans.py).  These runs of
+bench/child.py fail when a rename or signature change in src/ breaks that
+contract; bench/ itself is only read."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CONFIGS = {
+    "spectrum": {
+        "command": "spectrum", "algebra": "su2",
+        "model": {"sector": "abelian", "N_max": 4},
+    },
+    "evolve": {
+        "command": "evolve", "algebra": "su2",
+        "lattice": {"n": 4, "spacing": 1.0},
+        "evolution": {"T": 0.2, "h": 0.1},
+        "random": {"amplitude": 0.01, "max_mode": 1},
+    },
+}
+
+
+def traced_run(tmp_path, command) -> dict:
+    config = tmp_path / f"{command}.json"
+    config.write_text(json.dumps(CONFIGS[command]))
+    record = tmp_path / f"{command}-record.json"
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "child.py"), str(record), "1",
+         "contract", command, "--config", str(config),
+         "--out", str(tmp_path / command)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(record.read_text())
+
+
+@pytest.mark.parametrize("command,expected", [
+    ("spectrum", {"spectrum.number_shift_bound", "fock.quantize",
+                  "spectrum.assemble_hamiltonian"}),
+    ("evolve", {"dynamics.rk4_step"}),
+])
+def test_traced_child_records_layer_spans(tmp_path, command, expected):
+    names = [span[0] for span in traced_run(tmp_path, command)["spans"]]
+    assert expected <= set(names)
+    if command == "spectrum":
+        # one operator per spectrum run, reused for C*
+        assert names.count("spectrum.assemble_hamiltonian") == 1
+        assert names.count("fock.quantize") == 1

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ymspec import cli
 from ymspec.cli import (
     abelian_wave_state,
     main,
@@ -126,6 +127,34 @@ class TestMainExitCodes:
     def test_unknown_cli_command(self, tmp_path):
         path = write_config(tmp_path, {"command": "evolve"})
         assert main(["dance", "--config", path]) == 2
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"model": {"n_max": "x"}}, "model.n_max"),
+        ({"model": {"N_max": 3.5}}, "model.N_max"),
+        ({"random": {"max_mode": "2"}}, "random.max_mode"),
+        ({"seed": True}, "seed"),
+        ({"lattice": {"n": True}}, "lattice.n"),
+        ({"model": {"N_max_list": [4, True]}}, "model.N_max_list"),
+    ])
+    def test_mistyped_integer_named(self, tmp_path, doc, key):
+        path = write_config(tmp_path, {"command": "spectrum", **doc})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ConfigurationError"
+        assert f"'{key}'" in diag["message"]
+
+    def test_unexpected_error_is_diagnosed(self, tmp_path, monkeypatch):
+        def broken(config, outdir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "check-algebra", broken)
+        path = write_config(tmp_path, {"command": "check-algebra"})
+        assert main(["check-algebra", "--config", path, "--out", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "RuntimeError"
+        assert diag["exit_code"] == 3
+        assert diag["raised_at"].startswith("test_cli.py:")
+        assert diag["raised_at"].endswith(" in broken")
 
 
 class TestRunners:

@@ -172,6 +172,11 @@ class TestEvolve:
         assert all(en == 0.0 for en in report.energy)
         assert np.abs(final.a.data).max() == 0.0
 
+    def test_final_step_shortened_to_land_on_T(self, su2, lat8):
+        final, report = evolve(zero_state(lat8, su2), 1.0, 0.3)
+        assert report.times == pytest.approx([0.0, 0.3, 0.6, 0.9, 1.0], abs=1e-15)
+        assert final.t == pytest.approx(1.0, abs=1e-15)
+
     def test_abelian_wave_closed_form(self, su2):
         lat = LatticeSpec(n=16, spacing=1.0)
         amp, T = 0.3, 1.0

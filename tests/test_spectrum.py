@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse.linalg as spla
 
+from ymspec import spectrum
 from ymspec.errors import (
     ConfigurationError,
     InsufficientDataError,
+    NumericalError,
 )
-from ymspec.fock import FockVector, build_basis, expectation, number_operator
+from ymspec.fock import (
+    FockOperator,
+    FockVector,
+    build_basis,
+    expectation,
+    number_operator,
+)
 from ymspec.spectrum import (
     ModelSpec,
     SpectrumReport,
@@ -108,7 +117,7 @@ class TestBlocks:
 class TestBosonicSpectrum:
     def test_abelian_closed_form(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=8, n_max=6)
-        rep = bosonic_spectrum(model, refine_check=False)
+        rep = bosonic_spectrum(model)
         D = 3
         for n, lam in zip(rep.ns, rep.lambdas):
             assert abs(lam - (n + D) / 2.0) < 1e-6
@@ -155,13 +164,17 @@ class TestBosonicSpectrum:
     def test_n_max_margin_enforced(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4)
         with pytest.raises(ConfigurationError):
-            bosonic_spectrum(model, n_max=3, refine_check=False)
+            bosonic_spectrum(model, n_max=3)
 
-    def test_refine_flags_all_converged(self):
-        model = ModelSpec(algebra="su2", sector="abelian", N_max=6, n_max=4)
-        rep = bosonic_spectrum(model, refine_check=True)
-        assert all(rep.converged)
-        assert rep.refined_lambdas is not None
+    def test_every_level_flagged_converged(self):
+        model = ModelSpec(algebra="su2", N_max=6, n_max=4)
+        rep = bosonic_spectrum(model)
+        assert rep.converged == [True] * 5
+        assert rep.hamiltonian.basis.N_max == 6
+        assert rep.to_csv().splitlines()[1:] == [
+            f"{n},{lam:.17g},{mult},1"
+            for n, lam, mult in zip(rep.ns, rep.lambdas, rep.multiplicities)
+        ]
 
 
 class TestGapAnalysis:
@@ -233,6 +246,34 @@ class TestSafeBlockTruncationConvergence:
 
 
 class TestNumberShiftBound:
+    def test_non_hermitian_operator_rejected(self):
+        basis = build_basis(2, 4)
+        skew = number_operator(basis).matrix.tolil()
+        skew[0, 1] = 1.0
+        with pytest.raises(NumericalError):
+            number_shift_bound(FockOperator(basis, skew.tocsr()))
+
+    def test_lanczos_matches_dense(self, monkeypatch):
+        model = ModelSpec(algebra="su2", N_max=5)
+        h = assemble_hamiltonian(model)
+        dense = number_shift_bound(h)
+        dense_levels = spectrum._spectrum_levels(h, range(3), model)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)  # n = 2 block: 45 rows
+        assert abs(number_shift_bound(h) - dense) < 1e-10 * abs(dense)
+        lams, mults = spectrum._spectrum_levels(h, range(3), model)
+        assert lams == pytest.approx(dense_levels[0], rel=1e-10)
+        assert mults == dense_levels[1]
+
+    def test_arpack_failure_is_numerical(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", [], [])
+
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=5))
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
+        monkeypatch.setattr(spectrum.spla, "eigsh", no_convergence)
+        with pytest.raises(NumericalError):
+            number_shift_bound(h)
+
     def test_inequality_on_safe_block(self, su2_hamiltonian_nmax8, rng):
         h = su2_hamiltonian_nmax8
         cstar = number_shift_bound(h)
@@ -261,11 +302,20 @@ class TestConvergenceStudy:
         study = convergence_study(model, [4, 6, 8])
         assert study.max_rel_change() < 1e-10
 
-    def test_su2_interior_blocks_are_truncation_exact(self):
-        # for n <= N_max - 2 every anti-normal path stays inside the cutoff,
-        # so refining N_max does not move interior levels at all
-        model = ModelSpec(algebra="su2", N_max=6, n_max=4)
-        study = convergence_study(model, [6, 8])
+    @pytest.mark.parametrize("algebra,convention,N_max", [
+        ("su2", "antinormal", 6),
+        ("su2", "normal", 6),
+        ("su2", "weyl", 6),
+        ("so4", "antinormal", 3),
+    ])
+    def test_interior_blocks_are_truncation_exact(self, algebra, convention,
+                                                  N_max):
+        # for n <= N_max - 2 every ladder path of a number-conserving quartic
+        # monomial stays inside the cutoff, so refining N_max does not move
+        # interior levels at all; bosonic_spectrum's converged flags rely on it
+        model = ModelSpec(algebra=algebra, N_max=N_max, n_max=N_max - 2,
+                          convention=convention)
+        study = convergence_study(model, [N_max, N_max + 2])
         assert study.max_rel_change() < 1e-12
 
     def test_su2_edge_block_grows_toward_exact_value(self, su2_model_nmax8,
