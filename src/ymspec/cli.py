@@ -3,8 +3,13 @@
 Usage: ymspec <command> --config <path> [--out <dir>]
 
 Commands: check-algebra, project, evolve, transform, spectrum, converge.
-Configuration is a single strict-schema JSON document; unknown keys are
-rejected by name.  Every run writes CSV data files whose bytes depend
+Configuration is a single strict-schema JSON document, checked against
+the annotations of the config dataclasses below: unknown or duplicate
+keys and mistyped values are rejected by key path.  Numbers are finite
+(NaN and Infinity are rejected) and positive, except ``seed``,
+``random.max_mode`` and ``model.n_max``, which may be zero; ``bool``
+never counts as a number.  There is no ``output`` key: ``--out`` names
+the output directory.  Every run writes CSV data files whose bytes depend
 only on the configuration and seed, plus a JSON summary (the only place
 a timestamp appears).  Exit codes: 0 success, 1 physics assertion
 failed, 2 usage or schema error, 3 numerical or any other failure.
@@ -21,10 +26,12 @@ if os.environ.get("YMSPEC_THREADS"):
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
 import traceback
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,7 +107,7 @@ class ModelConfig:
     n_max: int | None = None
     convention: str = "antinormal"
     include_magnetic: bool = True
-    N_max_list: list = field(default_factory=lambda: [4, 6])
+    N_max_list: list[int] = field(default_factory=lambda: [4, 6])
 
 
 @dataclass
@@ -137,7 +144,6 @@ class RunConfig:
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     random: RandomConfig = field(default_factory=RandomConfig)
     seed: int = 0
-    output: str | None = None
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -158,118 +164,95 @@ class RunConfig:
         )
 
 
-# key paths by required type and sign; bool never counts as a number
-_POSITIVE_INTEGERS = ("lattice.n", "model.N_max")
-_NONNEGATIVE_INTEGERS = ("random.max_mode", "seed")
-_POSITIVE_NUMBERS = (
-    "lattice.spacing", "evolution.T", "evolution.h", "tolerances.cg_tol",
-    "tolerances.constraint_tol", "tolerances.level_tol",
-    "tolerances.convergence_rtol", "tolerances.step_tol",
-    "tolerances.margin_tol", "tolerances.algebra_tol",
-    "tolerances.ordering_tol", "random.amplitude",
-)
-_OPTIONAL_GATES = (
-    "tolerances.energy_drift_gate", "tolerances.constraint_growth_gate",
-    "tolerances.convergence_gate",
-)
+# The constraint table: every number is positive except the key paths in
+# _NONNEGATIVE, which may also be zero; the keys in _CHOICES take one of
+# the listed strings.  Types come from the dataclass annotations above.
+_NONNEGATIVE = ("seed", "random.max_mode", "model.n_max")
+_CHOICES = {"command": COMMANDS, "evolution.preset": ("random", "abelian-wave")}
 
-
-_NESTED_SECTIONS = {
-    "lattice": LatticeConfig,
-    "evolution": EvolutionConfig,
-    "model": ModelConfig,
-    "tolerances": ToleranceConfig,
-    "random": RandomConfig,
+# per annotated scalar type: the JSON value types it accepts, and its name
+_SCALARS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+    str: ((str,), "a string"),
 }
 
 
+# resolving the string annotations costs more than the whole check
+_type_hints = functools.cache(typing.get_type_hints)
+
+
 def _fill_dataclass(cls, doc: dict, path: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    hints = _type_hints(cls)
     for key in doc:
-        if key not in fields:
+        if key not in hints:
             raise ConfigurationError(f"unknown configuration key '{path}{key}'")
-    kwargs = {}
-    for name in fields:
-        if name not in doc:
-            continue
-        value = doc[name]
-        full = f"{path}{name}"
-        if name in _NESTED_SECTIONS and path == "":
-            if not isinstance(value, dict):
-                raise ConfigurationError(f"'{full}' must be an object")
-            kwargs[name] = _fill_dataclass(_NESTED_SECTIONS[name], value, full + ".")
-            continue
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**{
+        name: _checked(hints[name], doc[name], path + name)
+        for name in hints if name in doc
+    })
 
 
-def _lookup(config: RunConfig, key: str):
-    value = config
-    for part in key.split("."):
-        value = getattr(value, part)
+def _checked(tp, value, key: str, item: str = ""):
+    """Check ``value``, read at key path ``key``, against the field
+    annotation ``tp`` and the constraint table, and return it; ``item``
+    names a list entry in error messages."""
+    name = f"'{key}'{item}"
+    args = typing.get_args(tp)
+    optional = type(None) in args
+    if optional:
+        if value is None:
+            return None
+        (tp,) = (t for t in args if t is not type(None))
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{name} must be an object, got {value!r}")
+        return _fill_dataclass(tp, value, key + ".")
+    if typing.get_origin(tp) is list:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{name} must be a list, got {value!r}")
+        return [
+            _checked(typing.get_args(tp)[0], x, key, f" item {i}")
+            for i, x in enumerate(value)
+        ]
+    accepted, noun = _SCALARS[tp]
+    # bool is a subclass of int in Python, but never counts as a number
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+        null = " or null" if optional else ""
+        raise ConfigurationError(f"{name} must be {noun}{null}, got {value!r}")
+    if tp in (int, float):
+        # finite as a double: rejects NaN, +-Infinity and ints past its range
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
+        if value < 0 or (value == 0 and key not in _NONNEGATIVE):
+            bound = ">= 0" if key in _NONNEGATIVE else "positive"
+            raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ConfigurationError(
+            f"{name} must be one of {_CHOICES[key]}, got {value!r}"
+        )
     return value
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _validate(config: RunConfig):
-    if config.command not in COMMANDS:
-        raise ConfigurationError(
-            f"unknown command '{config.command}'; expected one of {COMMANDS}"
-        )
-    for key in _POSITIVE_INTEGERS + _NONNEGATIVE_INTEGERS:
-        value = _lookup(config, key)
-        if not _is_int(value):
-            raise ConfigurationError(f"'{key}' must be an integer, got {value!r}")
-    for key in _POSITIVE_NUMBERS:
-        value = _lookup(config, key)
-        if not _is_number(value):
-            raise ConfigurationError(f"'{key}' must be a number, got {value!r}")
-    for key in _POSITIVE_INTEGERS + _POSITIVE_NUMBERS:
-        value = _lookup(config, key)
-        if value <= 0:
-            raise ConfigurationError(f"'{key}' must be positive, got {value}")
-    for key in _NONNEGATIVE_INTEGERS:
-        value = _lookup(config, key)
-        if value < 0:
-            raise ConfigurationError(f"'{key}' must be >= 0, got {value}")
-    for key in _OPTIONAL_GATES:
-        value = _lookup(config, key)
-        if value is not None and (not _is_number(value) or value <= 0):
-            raise ConfigurationError(f"'{key}' must be a positive number or null")
-    n_max = config.model.n_max
-    if n_max is not None and not _is_int(n_max):
-        raise ConfigurationError(
-            f"'model.n_max' must be an integer or null, got {n_max!r}"
-        )
-    if not isinstance(config.model.N_max_list, list) or not all(
-        _is_int(x) for x in config.model.N_max_list
-    ):
-        raise ConfigurationError("'model.N_max_list' must be a list of integers")
-    if config.evolution.preset not in ("random", "abelian-wave"):
-        raise ConfigurationError(
-            f"'evolution.preset' must be random|abelian-wave, got "
-            f"'{config.evolution.preset}'"
-        )
+def _unique_keys(pairs) -> dict:
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigurationError(f"duplicate configuration key '{key}'")
+        doc[key] = value
+    return doc
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigurationError(f"configuration is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigurationError("configuration must be a JSON object")
-    config = _fill_dataclass(RunConfig, doc, "")
-    _validate(config)
-    return config
+    return _fill_dataclass(RunConfig, doc, "")
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +510,7 @@ def _run_transform(config: RunConfig, outdir: str) -> int:
 
 def _run_spectrum(config: RunConfig, outdir: str) -> int:
     model = config.model_spec()
-    report = bosonic_spectrum(model, n_max=model.n_max)
+    report = bosonic_spectrum(model)
     analysis = gap_analysis(report, config.tolerances.margin_tol)
     cstar = number_shift_bound(report.hamiltonian)
     _write(outdir, "spectrum.csv", report.to_csv())
@@ -642,13 +625,9 @@ def main(argv=None) -> int:
                 f"config file declares command '{config.command}' but "
                 f"'{args.command}' was requested"
             )
-        os.makedirs(outdir, exist_ok=True)
         run(config, outdir)
         return 0
-    except ConfigurationError as exc:
-        _emit_diagnostic(outdir, exc, 2)
-        return 2
-    except InsufficientDataError as exc:
+    except (ConfigurationError, InsufficientDataError) as exc:
         _emit_diagnostic(outdir, exc, 2)
         return 2
     except PhysicsAssertionError as exc:

@@ -83,8 +83,10 @@ class ModelSpec:
     def num_modes(self) -> int:
         return self.mode_map().num_modes
 
-    def default_n_max(self) -> int:
-        return self.N_max - DEGREE_MARGIN
+    @property
+    def n_top(self) -> int:
+        """Highest boson number reported: n_max, or N_max - DEGREE_MARGIN."""
+        return self.N_max - DEGREE_MARGIN if self.n_max is None else self.n_max
 
 
 @dataclass
@@ -185,8 +187,8 @@ def _spectrum_levels(h: FockOperator, n_values, model: ModelSpec):
     return lams, mults
 
 
-def bosonic_spectrum(model: ModelSpec, n_max: int | None = None) -> SpectrumReport:
-    """lambda_n for n = 0..n_max with multiplicities, from one assembly of H.
+def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
+    """lambda_n for n = 0..model.n_top with multiplicities, from one assembly of H.
 
     Every reported level is flagged converged because it equals the level
     of the untruncated operator exactly: the degree-n block sees only the
@@ -196,7 +198,7 @@ def bosonic_spectrum(model: ModelSpec, n_max: int | None = None) -> SpectrumRepo
     no path meets the cutoff.  The operator is kept on the report as
     ``hamiltonian``.
     """
-    n_top = model.default_n_max() if n_max is None else n_max
+    n_top = model.n_top
     if n_top > model.N_max - DEGREE_MARGIN:
         raise ConfigurationError(
             f"n_max={n_top} exceeds N_max - {DEGREE_MARGIN} = "
@@ -328,7 +330,7 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
         raise ConfigurationError("N_max list must be non-empty")
     if any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("N_max list must be strictly increasing")
-    n_top = model.default_n_max() if model.n_max is None else model.n_max
+    n_top = model.n_top
     if n_top > min(levels) - DEGREE_MARGIN:
         raise ConfigurationError(
             f"n_max={n_top} too large for the smallest truncation "

@@ -1,9 +1,19 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from ymspec.algebra import build_algebra
 from ymspec.lattice import LatticeSpec
 from ymspec.spectrum import ModelSpec, assemble_hamiltonian
+
+# Hypothesis caches source constants and unicode tables on disk even with
+# database=None, from test collection on; keep that cache out of the tree
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY",
+    os.path.join(tempfile.gettempdir(), "ymspec-hypothesis"),
+)
 
 
 @pytest.fixture(scope="session")

@@ -308,7 +308,7 @@ def test_criterion_7_abelian_control(su2):
     with criterion(7, 60.0, "abelian oscillator linearity, no quartic term"):
         cfg = load_config("criterion7_abelian_control.json")
         model = cfg.model_spec()
-        report = bosonic_spectrum(model, n_max=cfg.model.n_max)
+        report = bosonic_spectrum(model)
         D = model.num_modes
         for n, lam in zip(report.ns, report.lambdas):
             assert abs(lam - (n + D) / 2.0) < 1e-6

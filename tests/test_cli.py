@@ -1,10 +1,15 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ymspec import cli
 from ymspec.cli import (
+    RunConfig,
     abelian_wave_state,
     main,
     parse_config,
@@ -41,6 +46,11 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError):
             parse_config("{not json")
 
+    def test_overlong_integer_is_a_schema_error(self):
+        # json.loads raises a plain ValueError past Python's digit limit
+        with pytest.raises(ConfigurationError):
+            parse_config('{"seed": ' + "9" * 5000 + "}")
+
     def test_overrides_and_round_trip(self):
         doc = {
             "command": "spectrum",
@@ -53,6 +63,63 @@ class TestParseConfig:
         assert cfg.algebra == "su3"
         again = parse_config(cfg.to_json())
         assert again == cfg
+
+    def test_output_key_unknown(self):
+        with pytest.raises(ConfigurationError) as info:
+            parse_config('{"command": "spectrum", "output": null}')
+        assert "'output'" in str(info.value)
+
+    def test_readme_schema_block_is_the_defaults(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(
+            r"Configuration schema \(defaults shown\)\s*```json\n(.*?)```",
+            readme, re.S,
+        ).group(1)
+        cfg = parse_config(block)
+        # to_json also tells 1 from 1.0
+        assert cfg.to_json() == RunConfig(command=cfg.command).to_json()
+
+
+def _leaf_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+# numbers json.loads yields (from NaN, Infinity, 1e999 or long digit
+# strings) that are no finite double, so no config may hold them
+_OUT_OF_RANGE = st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                 | _OUT_OF_RANGE | st.text())
+# mostly scalars, which is where type and range mistakes hide
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(leaf=st.sampled_from(sorted(_leaf_paths(RunConfig().to_dict()))),
+       value=_JSON_VALUES)
+def test_one_leaf_replaced_parses_or_is_named(leaf, value):
+    doc = RunConfig().to_dict()
+    *sections, name = leaf.split(".")
+    node = doc
+    for section in sections:
+        node = node[section]
+    node[name] = value
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except ConfigurationError as exc:
+        assert f"'{leaf}'" in str(exc)
+    else:
+        # nothing accepted is NaN or Infinity, which strict JSON refuses
+        json.dumps(cfg.to_dict(), allow_nan=False)
+        assert parse_config(cfg.to_json()) == cfg
 
 
 class TestSeededState:
@@ -135,6 +202,13 @@ class TestMainExitCodes:
         ({"seed": True}, "seed"),
         ({"lattice": {"n": True}}, "lattice.n"),
         ({"model": {"N_max_list": [4, True]}}, "model.N_max_list"),
+        ({"algebra": 5}, "algebra"),
+        ({"model": {"include_magnetic": "no"}}, "model.include_magnetic"),
+        ({"evolution": {"T": float("inf")}}, "evolution.T"),
+        ({"tolerances": {"cg_tol": float("nan")}}, "tolerances.cg_tol"),
+        ({"model": {"n_max": -1}}, "model.n_max"),
+        ({"model": {"N_max_list": [4, 0]}}, "model.N_max_list"),
+        ({"lattice": {"spacing": 10**400}}, "lattice.spacing"),
     ])
     def test_mistyped_integer_named(self, tmp_path, doc, key):
         path = write_config(tmp_path, {"command": "spectrum", **doc})
@@ -142,6 +216,15 @@ class TestMainExitCodes:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "ConfigurationError"
         assert f"'{key}'" in diag["message"]
+
+    def test_duplicate_key_exits_2(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"command": "spectrum", "seed": 1, "seed": 2}')
+        args = ["spectrum", "--config", str(path), "--out", str(tmp_path)]
+        assert main(args) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ConfigurationError"
+        assert "'seed'" in diag["message"]
 
     def test_unexpected_error_is_diagnosed(self, tmp_path, monkeypatch):
         def broken(config, outdir):

@@ -162,9 +162,15 @@ class TestBosonicSpectrum:
             assert quotients.min() >= lam - 1e-8
 
     def test_n_max_margin_enforced(self):
-        model = ModelSpec(algebra="su2", sector="abelian", N_max=4)
+        model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=3)
         with pytest.raises(ConfigurationError):
-            bosonic_spectrum(model, n_max=3)
+            bosonic_spectrum(model)
+
+    def test_model_n_max_sets_top_level(self):
+        model = ModelSpec(algebra="su2", sector="abelian", N_max=8, n_max=3)
+        rep = bosonic_spectrum(model)
+        assert rep.ns == [0, 1, 2, 3]
+        assert len(rep.lambdas) == 4
 
     def test_every_level_flagged_converged(self):
         model = ModelSpec(algebra="su2", N_max=6, n_max=4)
