@@ -33,11 +33,15 @@ class LieAlgebraBasis:
         c[k, i, j] with [b_i, b_j] = sum_k c[k, i, j] b_k.
     matrix_basis : (dim_g, d, d) array
         Real skew-symmetric matrices realizing the basis.
+    bracket_terms : tuple of dim_g tuples of (i, j, c)
+        Entry k lists the nonzero c = c[k, i, j] with i < j, from which
+        the lattice bracket is summed; derived, not passed in.
     """
 
     name: str
     structure_constants: np.ndarray
     matrix_basis: np.ndarray
+    bracket_terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c = np.asarray(self.structure_constants, dtype=float)
@@ -53,6 +57,14 @@ class LieAlgebraBasis:
             )
         object.__setattr__(self, "structure_constants", c)
         object.__setattr__(self, "matrix_basis", m)
+        # a bracket sees only the part of c antisymmetric in (i, j), which
+        # is c itself for every algebra build_algebra returns
+        anti = 0.5 * (c - c.transpose(0, 2, 1))
+        object.__setattr__(self, "bracket_terms", tuple(
+            tuple((int(i), int(j), float(row[i, j]))
+                  for i, j in zip(*np.nonzero(np.triu(row))))
+            for row in anti
+        ))
 
     @property
     def dim_g(self) -> int:
@@ -176,44 +188,45 @@ def _normalized_adjoint(c_seed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _SO_MIN, _SO_MAX = 3, 5
 
 
-def _canonical_name(name: str) -> str:
-    s = name.strip().lower().replace(" ", "")
-    s = s.replace("(", "").replace(")", "")
-    return s
-
-
-def build_algebra(name: str) -> LieAlgebraBasis:
-    """Construct the trace-orthonormal basis for a supported algebra.
-
-    Supported identifiers: "su2", "su3", and "so(n)" for 3 <= n <= 5
-    (also accepted without parentheses).  Abelian or otherwise
-    non-semi-simple requests are rejected.
+def algebra_name(name: str) -> str:
+    """Canonical identifier of a supported algebra: "su2", "su3", or
+    "so<n>" for 3 <= n <= 5, read in any case, with spaces and with
+    "so(n)" parentheses.  Abelian or otherwise non-semi-simple requests
+    are rejected with a ConfigurationError saying why.
     """
-    key = _canonical_name(name)
+    key = name.strip().lower().replace(" ", "").replace("(", "").replace(")", "")
     if key in ("u1", "so2"):
         raise ConfigurationError(
             f"algebra '{name}' is abelian, not semi-simple; no mass-term "
             "mechanism exists for it"
         )
-    if key.startswith("su") and key[2:].isdigit():
-        n = int(key[2:])
-        if n < 2:
-            raise ConfigurationError(f"algebra '{name}' is not semi-simple")
-        if n > 3:
-            raise ConfigurationError(
-                f"su({n}) is not enabled at desk scale; supported: su2, su3, so3..so{_SO_MAX}"
-            )
+    family, digits = key[:2], key[2:]
+    if family not in ("su", "so") or not digits.isdigit():
+        raise ConfigurationError(f"unknown algebra identifier '{name}'")
+    n = int(digits)
+    if family == "su" and n < 2:
+        raise ConfigurationError(f"algebra '{name}' is not semi-simple")
+    if family == "su" and n > 3:
+        raise ConfigurationError(
+            f"su({n}) is not enabled at desk scale; supported: su2, su3, so3..so{_SO_MAX}"
+        )
+    if family == "so" and not _SO_MIN <= n <= _SO_MAX:
+        raise ConfigurationError(
+            f"so({n}) outside supported range so({_SO_MIN})..so({_SO_MAX})"
+        )
+    return f"{family}{n}"
+
+
+def build_algebra(name: str) -> LieAlgebraBasis:
+    """Construct the trace-orthonormal basis for a supported algebra
+    (identifiers as in algebra_name)."""
+    key = algebra_name(name)
+    n = int(key[2:])
+    if key.startswith("su"):
         c, mats = _normalized_adjoint(_su_n_structure(n))
-        return LieAlgebraBasis(name=f"su{n}", structure_constants=c, matrix_basis=mats)
-    if key.startswith("so") and key[2:].isdigit():
-        n = int(key[2:])
-        if n < _SO_MIN or n > _SO_MAX:
-            raise ConfigurationError(
-                f"so({n}) outside supported range so({_SO_MIN})..so({_SO_MAX})"
-            )
+    else:
         c, mats = _so_n_basis(n)
-        return LieAlgebraBasis(name=f"so{n}", structure_constants=c, matrix_basis=mats)
-    raise ConfigurationError(f"unknown algebra identifier '{name}'")
+    return LieAlgebraBasis(name=key, structure_constants=c, matrix_basis=mats)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ the annotations of the config dataclasses below: unknown or duplicate
 keys and mistyped values are rejected by key path.  Numbers are finite
 (NaN and Infinity are rejected) and positive, except ``seed``,
 ``random.max_mode`` and ``model.n_max``, which may be zero; ``bool``
-never counts as a number.  There is no ``output`` key: ``--out`` names
-the output directory.  Every run writes CSV data files whose bytes depend
+never counts as a number.  The algebra identifier, the model choices
+and the truncation levels are checked too, also by key path.  There is
+no ``output`` key: ``--out`` names the output directory.  Every run writes CSV data files whose bytes depend
 only on the configuration and seed, plus a JSON summary (the only place
 a timestamp appears).  Exit codes: 0 success, 1 physics assertion
 failed, 2 usage or schema error, 3 numerical or any other failure.
@@ -37,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    algebra_name,
     build_algebra,
     check_structure,
     quartic_contraction,
@@ -60,6 +62,8 @@ from .lattice import (
     transversal_project,
 )
 from .spectrum import (
+    DEGREE_MARGIN,
+    SECTORS,
     ModelSpec,
     bosonic_spectrum,
     convergence_study,
@@ -68,6 +72,7 @@ from .spectrum import (
     spectrum_summary_json,
 )
 from .symbols import (
+    ORDERINGS,
     ModeMap,
     PolynomialSymbol,
     convert,
@@ -118,7 +123,6 @@ class ToleranceConfig:
     # accepted and validated, but inert: spectrum levels are exact by
     # construction (see bosonic_spectrum), so nothing is compared against it
     convergence_rtol: float = 0.01
-    step_tol: float = 1e-6
     margin_tol: float = 1e-8
     algebra_tol: float = 1e-10
     ordering_tol: float = 1e-10
@@ -166,9 +170,16 @@ class RunConfig:
 
 # The constraint table: every number is positive except the key paths in
 # _NONNEGATIVE, which may also be zero; the keys in _CHOICES take one of
-# the listed strings.  Types come from the dataclass annotations above.
+# the listed strings.  Types come from the dataclass annotations above;
+# what involves more than one key is checked by _check_values.
 _NONNEGATIVE = ("seed", "random.max_mode", "model.n_max")
-_CHOICES = {"command": COMMANDS, "evolution.preset": ("random", "abelian-wave")}
+_CHOICES = {
+    "command": COMMANDS,
+    "evolution.preset": ("random", "abelian-wave"),
+    "model.momentum": ("zero",),
+    "model.sector": SECTORS,
+    "model.convention": ORDERINGS,
+}
 
 # per annotated scalar type: the JSON value types it accepts, and its name
 _SCALARS = {
@@ -235,6 +246,33 @@ def _checked(tp, value, key: str, item: str = ""):
     return value
 
 
+def _check_values(config: RunConfig) -> RunConfig:
+    """The checks the constraint table cannot express, each naming its
+    key path: the algebra identifier and the truncation levels."""
+    try:
+        algebra_name(config.algebra)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"'algebra': {exc}") from None
+    model = config.model
+    if model.N_max < DEGREE_MARGIN:
+        raise ConfigurationError(
+            f"'model.N_max' must be at least {DEGREE_MARGIN}, got {model.N_max}"
+        )
+    if model.n_max is not None and model.n_max > model.N_max - DEGREE_MARGIN:
+        raise ConfigurationError(
+            f"'model.n_max' must be at most N_max - {DEGREE_MARGIN} = "
+            f"{model.N_max - DEGREE_MARGIN}, got {model.n_max}; "
+            "truncation-edge blocks are not trustworthy"
+        )
+    levels = model.N_max_list
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError(
+            "'model.N_max_list' must be non-empty and strictly increasing, "
+            f"got {levels}"
+        )
+    return config
+
+
 def _unique_keys(pairs) -> dict:
     doc = {}
     for key, value in pairs:
@@ -252,7 +290,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(f"configuration is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigurationError("configuration must be a JSON object")
-    return _fill_dataclass(RunConfig, doc, "")
+    return _check_values(_fill_dataclass(RunConfig, doc, ""))
 
 
 # ---------------------------------------------------------------------------

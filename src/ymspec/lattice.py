@@ -178,12 +178,42 @@ def field_norm(x) -> float:
 
 
 def _diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Central difference with periodic wrap."""
-    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+    """Central difference along axis with periodic wrap.
+
+    On the flattened array, one subtraction of the entries one axis
+    stride before and after each entry gives every interior row; the two
+    end rows, whose neighbours wrap around, are then overwritten.
+    """
+    arr = np.ascontiguousarray(arr)
+    out = np.empty_like(arr)
+    step = arr.strides[axis] // arr.itemsize
+    flat, flat_out = arr.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
+    lead = (slice(None),) * (axis % arr.ndim)
+    np.subtract(arr[lead + (1,)], arr[lead + (-1,)], out=out[lead + (0,)])
+    np.subtract(arr[lead + (0,)], arr[lead + (-2,)], out=out[lead + (-1,)])
+    out *= 0.5 / spacing
+    return out
 
 
 def _bracket(basis: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.einsum("kij,i...,j...->k...", basis.structure_constants, x, y)
+    """[x, y] for coefficient arrays with the algebra index leading:
+    out_k is the sum of c (x_i y_j - x_j y_i) over basis.bracket_terms[k]."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
+    prod, cross = np.empty(out.shape[1:]), np.empty(out.shape[1:])
+    for row, terms in zip(out, basis.bracket_terms):
+        if not terms:
+            row.fill(0.0)
+        for n, (i, j, c) in enumerate(terms):
+            np.multiply(x[i], y[j], out=prod)
+            np.multiply(x[j], y[i], out=cross)
+            prod -= cross
+            if n == 0:
+                np.multiply(prod, c, out=row)
+            else:
+                prod *= c
+                row += prod
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +226,8 @@ def gauged_grad(a: VectorAlgebraField, u: ScalarAlgebraField) -> VectorAlgebraFi
     h = a.lattice.spacing
     out = np.empty_like(a.data)
     for k in range(3):
-        out[k] = _diff(u.data, 1 + k, h) - _bracket(a.basis, a.data[k], u.data)
+        np.subtract(_diff(u.data, 1 + k, h), _bracket(a.basis, a.data[k], u.data),
+                    out=out[k])
     return VectorAlgebraField(a.lattice, a.basis, out)
 
 
@@ -206,7 +237,8 @@ def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField) -> ScalarAlgebraFie
     h = a.lattice.spacing
     out = np.zeros_like(e.data[0])
     for k in range(3):
-        out += _diff(e.data[k], 1 + k, h) - _bracket(a.basis, a.data[k], e.data[k])
+        out += _diff(e.data[k], 1 + k, h)
+        out -= _bracket(a.basis, a.data[k], e.data[k])
     return ScalarAlgebraField(a.lattice, a.basis, out)
 
 

@@ -37,6 +37,7 @@ from .fock import (
 from .symbols import ModeMap, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
+SECTORS = ("full", "abelian")
 # compressions up to this many rows are diagonalized densely; larger ones
 # by Lanczos (a dense complex matrix of this size takes 64 MB)
 DENSE_LIMIT = 2000
@@ -63,9 +64,9 @@ class ModelSpec:
                 f"momentum truncation '{self.momentum}' is not available; the "
                 "desk-scale model retains the spatially-constant sector only"
             )
-        if self.sector not in ("full", "abelian"):
+        if self.sector not in SECTORS:
             raise ConfigurationError(
-                f"sector must be 'full' or 'abelian', got '{self.sector}'"
+                f"sector must be one of {SECTORS}, got '{self.sector}'"
             )
         validate_ordering(self.convention)
         if self.N_max < DEGREE_MARGIN:

@@ -1,10 +1,12 @@
 """Independent reference computations used by the test suite.
 
 Each oracle deliberately avoids the code path it checks: brackets via
-dense matrix commutators, the Helmholtz projector via FFT symbols, the
-Gaussian smoothing via finite-difference stencils on point evaluations,
-quantization via explicit ladder-matrix products, and wave evolution
-via the dispersion relation of the spatially discrete system.
+dense matrix commutators, the lattice kernels and the RK4 step via the
+dense einsum bracket and np.roll differences they replaced, the
+Helmholtz projector via FFT symbols, the Gaussian smoothing via
+finite-difference stencils on point evaluations, quantization via
+explicit ladder-matrix products, and wave evolution via the dispersion
+relation of the spatially discrete system.
 """
 
 import numpy as np
@@ -40,6 +42,54 @@ def quartic_via_matrices(basis, a_coeffs):
             comm = mats[j] @ mats[k] - mats[k] @ mats[j]
             total += float(np.trace(comm.T @ comm))
     return total
+
+
+# ---------------------------------------------------------------------------
+# lattice kernels and RK4 step as first written
+# ---------------------------------------------------------------------------
+
+def einsum_bracket(basis, x, y):
+    """[x, y] on (dim_g, ...) coefficient arrays by dense contraction with
+    every structure constant, zeros included."""
+    return np.einsum("kij,i...,j...->k...", basis.structure_constants, x, y)
+
+
+def roll_diff(arr, axis, spacing):
+    """Periodic central difference from two rolled copies."""
+    return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2.0 * spacing)
+
+
+def reference_force(basis, spacing, a):
+    """de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]), all nine F_jk computed
+    from their definition (no antisymmetry used)."""
+    f = np.zeros((3,) + a.shape)
+    for j in range(3):
+        for k in range(3):
+            if j != k:
+                f[j, k] = (roll_diff(a[k], 1 + j, spacing)
+                           - roll_diff(a[j], 1 + k, spacing)
+                           - einsum_bracket(basis, a[j], a[k]))
+    out = np.zeros_like(a)
+    for k in range(3):
+        for j in range(3):
+            if j != k:
+                out[k] += (roll_diff(f[j, k], 1 + j, spacing)
+                           - einsum_bracket(basis, a[j], f[j, k]))
+    return out
+
+
+def reference_rk4_step(basis, spacing, a0, e0, h):
+    """Classical RK4 on the pair (a, e) with every stage of both fields;
+    returns the new (a, e) arrays."""
+    def deriv(a, e):
+        return e, reference_force(basis, spacing, a)
+
+    k1a, k1e = deriv(a0, e0)
+    k2a, k2e = deriv(a0 + 0.5 * h * k1a, e0 + 0.5 * h * k1e)
+    k3a, k3e = deriv(a0 + 0.5 * h * k2a, e0 + 0.5 * h * k2e)
+    k4a, k4e = deriv(a0 + h * k3a, e0 + h * k3e)
+    return (a0 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
+            e0 + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e))
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +279,10 @@ def maxwell_energy(lattice, a_data, e_data):
     """(1/2) sum (E^2 + B^2) for a single-algebra-direction configuration,
     evaluated with scalar central differences only."""
     h = lattice.spacing
-
-    def d(arr, axis):
-        return (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * h)
-
     b2 = 0.0
     for j in range(3):
         for k in range(j + 1, 3):
-            f = d(a_data[k], j) - d(a_data[j], k)
+            f = roll_diff(a_data[k], j, h) - roll_diff(a_data[j], k, h)
             b2 += np.sum(f * f)
     e2 = np.sum(e_data * e_data)
     return 0.5 * lattice.volume_factor * (b2 + e2)

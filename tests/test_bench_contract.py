@@ -57,3 +57,9 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         # one operator per spectrum run, reused for C*
         assert names.count("spectrum.assemble_hamiltonian") == 1
         assert names.count("fock.quantize") == 1
+    else:
+        # the curvature of each accepted state gives its energy and the
+        # next step's first stage: three more stages per step, plus t = 0
+        steps = names.count("dynamics.rk4_step")
+        assert steps == 2
+        assert names.count("dynamics.curvature_magnetic") == 4 * steps + 1

@@ -209,6 +209,11 @@ class TestMainExitCodes:
         ({"model": {"n_max": -1}}, "model.n_max"),
         ({"model": {"N_max_list": [4, 0]}}, "model.N_max_list"),
         ({"lattice": {"spacing": 10**400}}, "lattice.spacing"),
+        ({"model": {"sector": "x"}}, "model.sector"),
+        ({"algebra": "foo"}, "algebra"),
+        ({"model": {"N_max": 1}}, "model.N_max"),
+        ({"model": {"n_max": 3, "N_max": 4}}, "model.n_max"),
+        ({"model": {"N_max_list": [6, 4]}}, "model.N_max_list"),
     ])
     def test_mistyped_integer_named(self, tmp_path, doc, key):
         path = write_config(tmp_path, {"command": "spectrum", **doc})
@@ -216,6 +221,19 @@ class TestMainExitCodes:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "ConfigurationError"
         assert f"'{key}'" in diag["message"]
+
+    def test_oversized_evolve_refused_before_stepping(self, tmp_path):
+        # 2e10 steps of 6^3 su2 sites; refused before the first step
+        path = write_config(tmp_path, {
+            "command": "evolve", "algebra": "su2", "lattice": {"n": 6},
+            "evolution": {"T": 1e9, "h": 0.05, "preset": "abelian-wave"},
+        })
+        assert main(["evolve", "--config", path, "--out", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ResourceError"
+        assert "1.296e+13" in diag["message"]
+        assert "1.0e+10" in diag["message"]
+        assert not (tmp_path / "evolution.csv").exists()
 
     def test_duplicate_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ymspec.algebra import AlgebraElement, bracket
+from ymspec.algebra import AlgebraElement, bracket, build_algebra
 from ymspec.dynamics import (
     CauchyState,
     cfl_bound,
@@ -23,7 +23,7 @@ from ymspec.lattice import (
     transversal_project,
 )
 
-from oracles import abelian_wave, maxwell_energy
+from oracles import abelian_wave, maxwell_energy, reference_rk4_step
 
 
 def zero_state(lat, basis):
@@ -102,6 +102,7 @@ class TestEnergy:
         )
         oracle = maxwell_energy(lat, a_data[:, 0], e_data[:, 0])
         assert abs(energy(st) - oracle) < 1e-12 * oracle
+        assert energy(st, curvature_magnetic(st.a)) == energy(st)
 
     def test_gauge_invariance_order(self, su2):
         errs = []
@@ -128,6 +129,23 @@ class TestRK4:
         assert np.abs(out.a.data).max() == 0.0
         assert np.abs(out.e.data).max() == 0.0
         assert out.t == 0.1
+
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    def test_matches_reference_step(self, name, rng):
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=6, spacing=0.7)
+        a = random_vector_field(rng, lat, basis, amplitude=0.5)
+        e = random_vector_field(rng, lat, basis, amplitude=0.5)
+        st, h = CauchyState(a, e), 0.2
+        a_ref, e_ref = reference_rk4_step(basis, lat.spacing, a.data, e.data, h)
+        scale = max(np.abs(a_ref).max(), np.abs(e_ref).max())
+        out = rk4_step(st, h)
+        assert np.abs(out.a.data - a_ref).max() <= 1e-13 * scale
+        assert np.abs(out.e.data - e_ref).max() <= 1e-13 * scale
+        # a supplied first-stage curvature changes nothing
+        again = rk4_step(st, h, curvature_magnetic(a))
+        assert np.array_equal(again.a.data, out.a.data)
+        assert np.array_equal(again.e.data, out.e.data)
 
     def test_cfl_rejection(self, su2, lat8):
         with pytest.raises(StabilityError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ymspec.algebra import build_algebra
 from ymspec.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -11,6 +12,8 @@ from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
     VectorAlgebraField,
+    _bracket,
+    _diff,
     adjoint_transform,
     constraint_residual,
     exp_gauge,
@@ -32,7 +35,7 @@ from ymspec.lattice import (
     transversal_project,
 )
 
-from oracles import fft_longitudinal
+from oracles import einsum_bracket, fft_longitudinal, roll_diff
 
 TOL = 1e-10
 
@@ -86,6 +89,36 @@ class TestLatticeSpec:
             LatticeSpec(n=1, spacing=1.0)
         with pytest.raises(ConfigurationError):
             LatticeSpec(n=4, spacing=0.0)
+
+
+class TestKernelsMatchOracles:
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5"])
+    def test_bracket(self, name, rng):
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=5, spacing=0.7)
+        a = random_vector_field(rng, lat, basis)
+        u = random_scalar_field(rng, lat, basis)
+        # gauged_grad brackets a_k with a scalar field, _force a_j with a
+        # curvature component: both (dim_g, n, n, n)
+        for x, y in ((a.data[0], u.data), (a.data[1], a.data[2])):
+            want = einsum_bracket(basis, x, y)
+            got = _bracket(basis, x, y)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_diff_every_axis(self, n, rng):
+        # scalar, vector and gauge-group (n, n, n, d, d) layouts, and a
+        # non-contiguous view
+        arrays = [rng.normal(size=(3, n, n, n)),
+                  rng.normal(size=(3, 3, n, n, n)),
+                  rng.normal(size=(n, n, n, 4, 4)),
+                  rng.normal(size=(n, n, n, 3)).transpose(3, 0, 1, 2)]
+        for arr in arrays:
+            for axis in range(arr.ndim):
+                np.testing.assert_allclose(
+                    _diff(arr, axis, 0.7), roll_diff(arr, axis, 0.7),
+                    rtol=1e-15, atol=0,
+                )
 
 
 class TestGaugedCalculus:
