@@ -446,13 +446,14 @@ def _run_evolve(config: RunConfig, outdir: str) -> int:
               "constraint_final": report.constraint[-1],
               "constraint_growth": report.constraint_growth,
               "constraint_growth_relative": growth_rel}, config)
+    # written as "not <=" so that a NaN value fails its gate
     gate = config.tolerances.energy_drift_gate
-    if gate is not None and report.energy_drift > gate:
+    if gate is not None and not report.energy_drift <= gate:
         raise PhysicsAssertionError(
             f"energy drift {report.energy_drift:.3e} exceeds gate {gate:.1e}"
         )
     gate = config.tolerances.constraint_growth_gate
-    if gate is not None and growth_rel > gate:
+    if gate is not None and not growth_rel <= gate:
         raise PhysicsAssertionError(
             f"relative constraint growth {growth_rel:.3e} exceeds gate {gate:.1e}"
         )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,18 +68,24 @@ class EvolutionReport:
 
     @property
     def energy_drift(self) -> float:
-        """Max relative deviation of the energy from its initial value."""
+        """Max relative deviation of the energy from its initial value;
+        NaN when any recorded energy is not finite."""
         if not self.energy:
             return 0.0
+        if not all(map(math.isfinite, self.energy)):
+            return math.nan
         e0 = self.energy[0]
         scale = abs(e0) if e0 != 0 else 1.0
         return max(abs(e - e0) for e in self.energy) / scale
 
     @property
     def constraint_growth(self) -> float:
-        """Max increase of the residual over its initial value."""
+        """Max increase of the residual over its initial value; NaN when
+        any recorded residual is not finite."""
         if not self.constraint:
             return 0.0
+        if not all(map(math.isfinite, self.constraint)):
+            return math.nan
         r0 = self.constraint[0]
         return max(r - r0 for r in self.constraint)
 
@@ -225,6 +232,9 @@ def rk4_step(
 # dim_g): about 400 times criterion 3's 2.4e7, over an hour of RK4 steps
 # at 20^3 su2 speed on one 2-vCPU machine
 EVOLVE_COST_CAP = 10 ** 10
+# largest evolve request in steps, whatever the lattice: the report keeps
+# three floats per step, and criterion 3 takes 1,000 steps
+EVOLVE_STEP_CAP = 10 ** 6
 
 
 def evolve(
@@ -237,10 +247,11 @@ def evolve(
 
     Takes steps of h; when T is not a whole number of them (to 1e-9
     relative), a final shortened step lands exactly on t + T.  A run of
-    more than EVOLVE_COST_CAP site-component updates is refused before
-    any step.  The initial residual must sit below constraint_tol
-    relative to the electric norm (zero fields pass trivially);
-    non-finite fields abort with the last finite state attached.
+    more than EVOLVE_STEP_CAP steps or EVOLVE_COST_CAP site-component
+    updates is refused before any step.  The initial residual must sit
+    below constraint_tol relative to the electric norm (zero fields pass
+    trivially); non-finite fields abort with the last finite state
+    attached.
 
     The curvature of each accepted state is computed once: it gives the
     recorded energy and the first RK4 stage of the next step.
@@ -255,12 +266,18 @@ def evolve(
         steps = int(np.floor(T / h))
         last = [T - steps * h]
     sizes = itertools.chain(itertools.repeat(h, steps), last)
-    cost = (steps + len(last)) * state.lattice.sites() * state.a.basis.dim_g
+    total = steps + len(last)
+    cost = total * state.lattice.sites() * state.a.basis.dim_g
     if cost > EVOLVE_COST_CAP:
         raise ResourceError(
             f"evolve needs {cost:.3e} site-component updates "
-            f"({steps + len(last)} steps), above the cap of "
+            f"({total} steps), above the cap of "
             f"{EVOLVE_COST_CAP:.1e}; shorten T or enlarge h"
+        )
+    if total > EVOLVE_STEP_CAP:
+        raise ResourceError(
+            f"evolve needs {total} steps, above the cap of "
+            f"{EVOLVE_STEP_CAP:.0e}; shorten T or enlarge h"
         )
 
     r0 = constraint_residual(state.a, state.e)

@@ -12,6 +12,7 @@ states inside the cutoff.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,16 +28,6 @@ from .errors import (
 from .symbols import PolynomialSymbol, convert, validate_ordering
 
 DEFAULT_BASIS_CAP = 5_000_000
-
-
-def _compositions(total: int, parts: int):
-    """Nonnegative integer tuples of given length summing to total, lex order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass
@@ -96,10 +87,17 @@ def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
         raise ResourceError(
             f"basis size {size} for D={D}, N_max={N_max} exceeds cap {cap}"
         )
-    rows = []
+    # stars and bars: the degree-n states are the gaps between D - 1 bars
+    # placed among n + D - 1 slots; bars in lexicographic order give the
+    # states in lexicographic order
+    shells = []
     for n in range(N_max + 1):
-        rows.extend(_compositions(n, D))
-    states = np.array(rows, dtype=np.int64).reshape(size, D)
+        count = math.comb(n + D - 1, D - 1)
+        combos = itertools.combinations(range(n + D - 1), D - 1)
+        bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64,
+                           count * (D - 1)).reshape(count, D - 1)
+        shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
+    states = np.concatenate(shells)
     degrees = states.sum(axis=1)
     return FockBasis(D=D, N_max=N_max, states=states, degrees=degrees)
 
@@ -214,39 +212,43 @@ def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndar
 
 
 def _monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention."""
-    states = basis.states
-    degrees = basis.degrees
-    da, db = sum(alpha), sum(beta)
+    """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention.
+
+    Normal ordering annihilates first, so only its final state can leave
+    the cutoff; anti-normal ordering creates first, so its intermediate
+    state must stay inside.  Either degree bound selects a prefix of the
+    basis; in it, a source state holds at least ``need`` quanta on each
+    mode where ``need`` is positive.
+    """
     alpha_arr = np.array(alpha, dtype=np.int64)
     beta_arr = np.array(beta, dtype=np.int64)
-
-    if convention == "normal":
-        # annihilate first, then create; only the final state can leave the cutoff
-        mask = (degrees - db + da <= basis.N_max) & np.all(
-            states >= beta_arr, axis=1
-        )
-        src = np.flatnonzero(mask)
-        if src.size == 0:
-            return None
-        lowered = states[src] - beta_arr
-        amp = _ladder_amplitudes(states[src], beta, raise_op=False)
-        amp *= _ladder_amplitudes(lowered, alpha, raise_op=True)
-        final = lowered + alpha_arr
-    else:  # antinormal: create first (may leave the cutoff), then annihilate
-        mask = (degrees + da <= basis.N_max) & np.all(
-            states + alpha_arr >= beta_arr, axis=1
-        )
-        src = np.flatnonzero(mask)
-        if src.size == 0:
-            return None
-        raised = states[src] + alpha_arr
-        amp = _ladder_amplitudes(states[src], alpha, raise_op=True)
-        amp *= _ladder_amplitudes(raised, beta, raise_op=False)
-        final = raised - beta_arr
-
-    rows = basis.index_of(final)
+    normal = convention == "normal"
+    if normal:
+        bound, need = basis.N_max + sum(beta) - sum(alpha), beta_arr
+    else:
+        bound, need = basis.N_max - sum(alpha), beta_arr - alpha_arr
+    end = np.searchsorted(basis.degrees, bound, side="right")
+    support = np.flatnonzero(need > 0)
+    src = np.flatnonzero(
+        np.all(basis.states[:end, support] >= need[support], axis=1)
+    )
+    if src.size == 0:
+        return None
+    occ = basis.states[src]
+    if normal:
+        amp = _ladder_amplitudes(occ, beta, raise_op=False)
+        amp *= _ladder_amplitudes(occ - beta_arr, alpha, raise_op=True)
+    else:
+        amp = _ladder_amplitudes(occ, alpha, raise_op=True)
+        amp *= _ladder_amplitudes(occ + alpha_arr, beta, raise_op=False)
+    rows = basis.index_of(occ + (alpha_arr - beta_arr))
     return rows, src, amp
+
+
+def _chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
+    """Sum of the (rows, cols, vals) entry lists as one CSR matrix."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*chunks))
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
 
 
 def quantize(
@@ -268,35 +270,18 @@ def quantize(
 
     size = basis.size
     total = sparse.csr_matrix((size, size), dtype=complex)
-    chunk_rows, chunk_cols, chunk_vals = [], [], []
-    pending = 0
+    chunks, pending = [], 0
     for (alpha, beta), coeff in s.terms.items():
         entries = _monomial_entries(basis, alpha, beta, convention)
         if entries is None:
             continue
         rows, cols, amp = entries
-        chunk_rows.append(rows)
-        chunk_cols.append(cols)
-        chunk_vals.append(amp * coeff)
+        chunks.append((rows, cols, amp * coeff))
         pending += rows.size
         if pending >= 4_000_000:
-            total = total + sparse.coo_matrix(
-                (
-                    np.concatenate(chunk_vals),
-                    (np.concatenate(chunk_rows), np.concatenate(chunk_cols)),
-                ),
-                shape=(size, size),
-            ).tocsr()
-            chunk_rows, chunk_cols, chunk_vals = [], [], []
-            pending = 0
+            total, chunks, pending = total + _chunk_matrix(chunks, size), [], 0
     if pending:
-        total = total + sparse.coo_matrix(
-            (
-                np.concatenate(chunk_vals),
-                (np.concatenate(chunk_rows), np.concatenate(chunk_cols)),
-            ),
-            shape=(size, size),
-        ).tocsr()
+        total = total + _chunk_matrix(chunks, size)
     total.sum_duplicates()
     return FockOperator(basis, total)
 

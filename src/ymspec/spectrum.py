@@ -39,7 +39,7 @@ from .symbols import ModeMap, energy_symbol, validate_ordering
 DEGREE_MARGIN = 2
 SECTORS = ("full", "abelian")
 # compressions up to this many rows are diagonalized densely; larger ones
-# by Lanczos (a dense complex matrix of this size takes 64 MB)
+# by Lanczos (a dense complex matrix of this size takes 64 MB, a real one 32)
 DENSE_LIMIT = 2000
 # levels Lanczos finds on a larger block, which caps its reported multiplicity
 LANCZOS_LEVELS = 24
@@ -160,7 +160,8 @@ def _lowest_eigenvalues(
 ) -> np.ndarray:
     """Ascending lowest eigenvalues of the Hermitian compression
     matrix[idx, idx]: all of them up to DENSE_LIMIT rows, else the lowest
-    count (Lanczos time grows with count)."""
+    count (Lanczos time grows with count).  A compression whose stored
+    entries are all real is solved as a real symmetric matrix."""
     sub = matrix[np.ix_(idx, idx)]
     dim = idx.size
     herm_defect = abs(sub - sub.conj().T).max()
@@ -168,6 +169,8 @@ def _lowest_eigenvalues(
         raise NumericalError(
             f"block is not Hermitian (defect {herm_defect:.3e})"
         )
+    if not sub.data.imag.any():
+        sub = sub.real
     try:
         if dim <= DENSE_LIMIT:
             return la.eigh(sub.toarray(), eigvals_only=True)

@@ -5,8 +5,9 @@ dense matrix commutators, the lattice kernels and the RK4 step via the
 dense einsum bracket and np.roll differences they replaced, the
 Helmholtz projector via FFT symbols, the Gaussian smoothing via
 finite-difference stencils on point evaluations, quantization via
-explicit ladder-matrix products, and wave evolution via the dispersion
-relation of the spatially discrete system.
+explicit ladder-matrix products and via the full-width feasibility mask
+it replaced, the Fock basis via recursive enumeration, and wave
+evolution via the dispersion relation of the spatially discrete system.
 """
 
 import numpy as np
@@ -202,7 +203,8 @@ def smoothed_value_fd(symbol, z_point, t, h=0.5):
 
 
 # ---------------------------------------------------------------------------
-# quantization via explicit ladder-matrix products
+# quantization via explicit ladder-matrix products or the full-width
+# feasibility mask; the Fock basis by recursive enumeration
 # ---------------------------------------------------------------------------
 
 def ladder_quantize(symbol, convention, basis):
@@ -234,6 +236,63 @@ def ladder_quantize(symbol, convention, basis):
             raise ValueError("ladder oracle supports normal/antinormal only")
         total = total + coeff * op
     return total
+
+
+def full_width_monomial_entries(basis, alpha, beta, convention):
+    """(rows, cols, vals) of one monomial, as fock._monomial_entries first
+    computed them: the cutoff and occupation tests on every basis state
+    and every mode, one branch per convention."""
+    from ymspec.fock import _ladder_amplitudes
+
+    states = basis.states
+    degrees = basis.degrees
+    da, db = sum(alpha), sum(beta)
+    alpha_arr = np.array(alpha, dtype=np.int64)
+    beta_arr = np.array(beta, dtype=np.int64)
+
+    if convention == "normal":
+        # annihilate first, then create; only the final state can leave the cutoff
+        mask = (degrees - db + da <= basis.N_max) & np.all(
+            states >= beta_arr, axis=1
+        )
+        src = np.flatnonzero(mask)
+        if src.size == 0:
+            return None
+        lowered = states[src] - beta_arr
+        amp = _ladder_amplitudes(states[src], beta, raise_op=False)
+        amp *= _ladder_amplitudes(lowered, alpha, raise_op=True)
+        final = lowered + alpha_arr
+    else:  # antinormal: create first (may leave the cutoff), then annihilate
+        mask = (degrees + da <= basis.N_max) & np.all(
+            states + alpha_arr >= beta_arr, axis=1
+        )
+        src = np.flatnonzero(mask)
+        if src.size == 0:
+            return None
+        raised = states[src] + alpha_arr
+        amp = _ladder_amplitudes(states[src], alpha, raise_op=True)
+        amp *= _ladder_amplitudes(raised, beta, raise_op=False)
+        final = raised - beta_arr
+
+    rows = basis.index_of(final)
+    return rows, src, amp
+
+
+def recursive_compositions(total, parts):
+    """Nonnegative integer tuples of given length summing to total, lex order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in recursive_compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def recursive_basis_states(D, N_max):
+    """(size, D) occupation rows, degree-major then lexicographic, from the
+    recursive enumeration."""
+    rows = [c for n in range(N_max + 1) for c in recursive_compositions(n, D)]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), D)
 
 
 def random_symbol(rng, D, degree, hermitian=False, n_terms=10):

@@ -286,6 +286,43 @@ class TestRunners:
         summary = json.loads((tmp_path / "evolution_summary.json").read_text())
         assert summary["energy_drift"] < 1e-6
 
+    @pytest.mark.parametrize("series,phrase", [
+        ("energy", "energy drift nan"),
+        ("constraint", "relative constraint growth nan"),
+    ])
+    def test_nan_record_fails_evolve_gate(self, tmp_path, monkeypatch,
+                                          series, phrase):
+        def evolve_with_nan(*args, **kwargs):
+            final, report = cli_evolve(*args, **kwargs)
+            getattr(report, series)[1] = math.nan
+            return final, report
+
+        cli_evolve = cli.evolve
+        monkeypatch.setattr(cli, "evolve", evolve_with_nan)
+        path = write_config(tmp_path, {
+            "command": "evolve", "algebra": "su2",
+            "lattice": {"n": 4, "spacing": 1.0},
+            "evolution": {"T": 0.2, "h": 0.05, "preset": "abelian-wave"},
+            "tolerances": {"energy_drift_gate": 1e-6,
+                           "constraint_growth_gate": 1e-6},
+        })
+        assert main(["evolve", "--config", path, "--out", str(tmp_path)]) == 1
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "PhysicsAssertionError"
+        assert phrase in diag["message"]
+
+    def test_so5_spectrum(self, tmp_path):
+        # D = 30 modes: the basis index goes through the bytes-keyed lookup
+        path = write_config(tmp_path, {
+            "command": "spectrum", "algebra": "so5", "model": {"N_max": 4},
+        })
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "spectrum_summary.json").read_text())
+        assert summary["D"] == 30
+        assert len(summary["lambdas"]) == 3
+        assert summary["gap"] > 0
+        assert summary["arithmetic_growth"] is True
+
     def test_project_outputs(self, tmp_path):
         path = write_config(tmp_path, {
             "command": "project", "algebra": "su2",

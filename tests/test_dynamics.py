@@ -1,16 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
+from ymspec import dynamics
 from ymspec.algebra import AlgebraElement, bracket, build_algebra
 from ymspec.dynamics import (
     CauchyState,
+    EvolutionReport,
     cfl_bound,
     curvature_magnetic,
     energy,
     evolve,
     rk4_step,
 )
-from ymspec.errors import ConfigurationError, DivergenceError, StabilityError
+from ymspec.errors import (
+    ConfigurationError,
+    DivergenceError,
+    ResourceError,
+    StabilityError,
+)
 from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
@@ -287,3 +296,43 @@ class TestEvolve:
 
     def test_cfl_bound_value(self, lat8):
         assert cfl_bound(lat8) == lat8.spacing / 2
+
+    def test_step_cap_refused_before_stepping(self, su2, monkeypatch):
+        # 2e6 steps on 2^3 sites: far under the cost cap, over the step cap
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step was started")
+
+        monkeypatch.setattr(dynamics, "rk4_step", no_step)
+        lat = LatticeSpec(n=2, spacing=1.0)
+        with pytest.raises(ResourceError, match="2000000 steps"):
+            evolve(zero_state(lat, su2), 2e4, 0.01)
+
+    def test_step_cap_is_inclusive(self, su2, monkeypatch):
+        monkeypatch.setattr(dynamics, "EVOLVE_STEP_CAP", 3)
+        lat = LatticeSpec(n=2, spacing=1.0)
+        _, report = evolve(zero_state(lat, su2), 0.3, 0.1)
+        assert len(report.times) == 4
+        with pytest.raises(ResourceError):
+            evolve(zero_state(lat, su2), 0.35, 0.1)  # 3 steps + a short one
+
+
+class TestEvolutionReport:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_gives_nan(self, bad):
+        report = EvolutionReport()
+        for t, value in enumerate([1.0, bad, 1.0]):
+            report.record(float(t), value, value)
+        assert math.isnan(report.energy_drift)
+        assert math.isnan(report.constraint_growth)
+
+    def test_finite_records(self):
+        report = EvolutionReport()
+        for t, value in enumerate([2.0, 2.5, 1.0]):
+            report.record(float(t), value, value)
+        assert report.energy_drift == 0.5
+        assert report.constraint_growth == 0.5
+
+    def test_empty_report(self):
+        report = EvolutionReport()
+        assert report.energy_drift == 0.0
+        assert report.constraint_growth == 0.0

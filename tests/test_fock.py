@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from ymspec import fock
+from ymspec.algebra import build_algebra
 from ymspec.errors import ConfigurationError, DimensionMismatchError, ResourceError
 from ymspec.fock import (
     FockVector,
@@ -16,9 +18,14 @@ from ymspec.fock import (
     quantize,
     safe_block_indices,
 )
-from ymspec.symbols import PolynomialSymbol, convert
+from ymspec.symbols import ModeMap, PolynomialSymbol, convert, energy_symbol
 
-from oracles import ladder_quantize, random_symbol
+from oracles import (
+    full_width_monomial_entries,
+    ladder_quantize,
+    random_symbol,
+    recursive_basis_states,
+)
 
 
 def zz(D=1, mode=0):
@@ -56,6 +63,16 @@ class TestBasis:
         b = build_basis(3, 5)
         idx = b.index_of(b.states)
         assert np.array_equal(idx, np.arange(b.size))
+
+    @pytest.mark.parametrize("D,N_max", [
+        (1, 0), (1, 6), (2, 0), (2, 7), (3, 5), (9, 4), (30, 2),
+    ])
+    def test_matches_recursive_enumeration(self, D, N_max):
+        b = build_basis(D, N_max)
+        expected = recursive_basis_states(D, N_max)
+        assert b.states.dtype == expected.dtype
+        assert np.array_equal(b.states, expected)
+        assert np.array_equal(b.degrees, expected.sum(axis=1))
 
 
 class TestLadder:
@@ -99,6 +116,20 @@ class TestLadder:
             ladder(b, 0, "destroy")
 
 
+def assert_full_width_identical(monkeypatch, s, basis):
+    """quantize gives the same CSR arrays, bit for bit, as with the
+    full-width feasibility mask, under every convention."""
+    for conv in ("normal", "antinormal", "weyl"):
+        fast = quantize(s, conv, basis).matrix
+        with monkeypatch.context() as m:
+            m.setattr(fock, "_monomial_entries", full_width_monomial_entries)
+            slow = quantize(s, conv, basis).matrix
+        assert fast.nnz > 0
+        assert np.array_equal(fast.indptr, slow.indptr)
+        assert np.array_equal(fast.indices, slow.indices)
+        assert np.array_equal(fast.data, slow.data)
+
+
 class TestQuantize:
     def test_normal_number(self):
         b = build_basis(1, 6)
@@ -131,6 +162,21 @@ class TestQuantize:
                 fast = quantize(s, conv, b).matrix
                 slow = ladder_quantize(s, conv, b)
                 assert (abs(fast - slow)).max() < 1e-12
+
+    @pytest.mark.parametrize("name,N_max", [
+        ("su2", 4), ("su3", 2), ("so4", 3), ("so5", 2),
+    ])
+    def test_energy_symbol_matches_full_width_mask(self, monkeypatch, name,
+                                                   N_max):
+        algebra = build_algebra(name)
+        s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
+        assert_full_width_identical(monkeypatch, s, build_basis(s.num_modes, N_max))
+
+    def test_complex_symbols_match_full_width_mask(self, monkeypatch, rng):
+        b = build_basis(3, 5)
+        for _ in range(5):
+            s = random_symbol(rng, 3, 4, n_terms=12)
+            assert_full_width_identical(monkeypatch, s, b)
 
     def test_antinormal_route_equivalence(self, rng):
         # direct anti-normal ordering vs flow to normal form, on the safe block

@@ -15,6 +15,8 @@ from ymspec.fock import (
     build_basis,
     expectation,
     number_operator,
+    quantize,
+    safe_block_indices,
 )
 from ymspec.spectrum import (
     ModelSpec,
@@ -28,7 +30,7 @@ from ymspec.spectrum import (
 )
 from ymspec.symbols import ModeMap, energy_symbol
 
-from oracles import ladder_quantize, smoothed_value_fd
+from oracles import ladder_quantize, random_symbol, smoothed_value_fd
 
 
 class TestModelSpec:
@@ -230,6 +232,59 @@ class TestNonAbelianGaps:
             lams.append(la.eigh(n_boson_block(h, n), eigvals_only=True)[0])
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert lams[1] - lams[0] > 0.1
+
+
+def solver_dtypes(monkeypatch):
+    """Record the dtype of every matrix handed to the dense or the
+    Lanczos eigensolver."""
+    seen = []
+
+    def spy(solver):
+        def wrapped(a, *args, **kwargs):
+            seen.append(a.dtype)
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectrum.la, "eigh", spy(la.eigh))
+    monkeypatch.setattr(spectrum.spla, "eigsh", spy(spla.eigsh))
+    return seen
+
+
+class TestRealEigensolve:
+    def test_real_hamiltonian_solved_real(self, monkeypatch):
+        model = ModelSpec(algebra="su2", N_max=6)
+        h = assemble_hamiltonian(model)
+        assert not h.matrix.data.imag.any()
+        complex_levels = [
+            np.linalg.eigvalsh(n_boson_block(h, n))[0] for n in range(5)
+        ]
+        seen = solver_dtypes(monkeypatch)
+        lams, _ = spectrum._spectrum_levels(h, range(5), model)
+        number_shift_bound(h)  # C*: N is stored complex, H - N is real
+        assert seen == [np.dtype(float)] * 6
+        assert lams == pytest.approx(complex_levels, rel=1e-12)
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
+        lanczos, _ = spectrum._spectrum_levels(h, range(5), model)
+        assert seen[6:] == [np.dtype(float)] * 5
+        assert lanczos == pytest.approx(complex_levels, rel=1e-10)
+
+    def test_complex_symbol_takes_complex_path(self, monkeypatch, rng):
+        b = build_basis(3, 8)  # the safe block has 35 states
+        q = quantize(random_symbol(rng, 3, 4, hermitian=True, n_terms=12),
+                     "normal", b)
+        idx = safe_block_indices(b, 4)
+        block = q.matrix.toarray()[np.ix_(idx, idx)]
+        assert np.abs(block.imag).max() > 0.1
+        expected = np.linalg.eigvalsh(block)
+        scale = np.abs(expected).max()
+        seen = solver_dtypes(monkeypatch)
+        dense = spectrum._lowest_eigenvalues(q.matrix, idx)
+        assert seen == [np.dtype(complex)]
+        assert np.abs(dense - expected).max() < 1e-12 * scale
+        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
+        lanczos = spectrum._lowest_eigenvalues(q.matrix, idx, count=3)
+        assert seen[1:] == [np.dtype(complex)]
+        assert np.abs(lanczos - expected[:3]).max() < 1e-10 * scale
 
 
 class TestSafeBlockTruncationConvergence:
