@@ -550,8 +550,8 @@ def _run_transform(config: RunConfig, outdir: str) -> int:
 def _run_spectrum(config: RunConfig, outdir: str) -> int:
     model = config.model_spec()
     report = bosonic_spectrum(model)
-    analysis = gap_analysis(report, config.tolerances.margin_tol)
     cstar = number_shift_bound(report.hamiltonian)
+    analysis = gap_analysis(report, cstar, config.tolerances.margin_tol)
     _write(outdir, "spectrum.csv", report.to_csv())
     _write(outdir, "spectrum_summary.json",
            spectrum_summary_json(report, analysis, {"number_shift_bound": cstar}))

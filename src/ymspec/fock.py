@@ -23,6 +23,7 @@ import scipy.sparse as sparse
 from .errors import (
     ConfigurationError,
     DimensionMismatchError,
+    NumericalError,
     ResourceError,
 )
 from .symbols import PolynomialSymbol, convert, validate_ordering
@@ -40,19 +41,18 @@ class FockBasis:
     degrees: np.ndarray  # (size,) int64
 
     def __post_init__(self):
-        self._lookup_key = None
-        self._lookup_dict = None
-        base = self.N_max + 1
-        if self.D * math.log(base) < 62 * math.log(2):
-            powers = base ** np.arange(self.D, dtype=np.int64)
-            self._powers = powers
-            keys = self.states @ powers
-            order = np.argsort(keys, kind="stable")
-            self._lookup_key = (keys[order], order)
-        else:
-            self._lookup_dict = {
-                row.tobytes(): i for i, row in enumerate(self.states)
-            }
+        # mixed-radix key wrapping in uint64; the radix is odd because the
+        # powers of an even one reach 0 mod 2**64, dropping the later modes
+        radix = self.N_max + 1 + self.N_max % 2
+        self._powers = np.uint64(radix) ** np.arange(self.D, dtype=np.uint64)
+        keys = self.states.astype(np.uint64) @ self._powers
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        if np.any(sorted_keys[1:] == sorted_keys[:-1]):
+            raise NumericalError(
+                f"occupation keys collide for D={self.D}, N_max={self.N_max}"
+            )
+        self._lookup_key = (sorted_keys, order)
 
     @property
     def size(self) -> int:
@@ -60,17 +60,9 @@ class FockBasis:
 
     def index_of(self, states: np.ndarray) -> np.ndarray:
         """Indices of occupation rows assumed to lie in the basis."""
-        states = np.asarray(states, dtype=np.int64)
-        if self._lookup_key is not None:
-            keys = states @ self._powers
-            sorted_keys, order = self._lookup_key
-            pos = np.searchsorted(sorted_keys, keys)
-            return order[pos]
-        return np.fromiter(
-            (self._lookup_dict[row.tobytes()] for row in states),
-            dtype=np.int64,
-            count=states.shape[0],
-        )
+        keys = np.asarray(states).astype(np.uint64) @ self._powers
+        sorted_keys, order = self._lookup_key
+        return order[np.searchsorted(sorted_keys, keys)]
 
     def degree_indices(self, n: int) -> np.ndarray:
         return np.flatnonzero(self.degrees == n)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg as la
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .algebra import build_algebra
@@ -38,11 +37,6 @@ from .symbols import ModeMap, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
 SECTORS = ("full", "abelian")
-# compressions up to this many rows are diagonalized densely; larger ones
-# by Lanczos (a dense complex matrix of this size takes 64 MB, a real one 32)
-DENSE_LIMIT = 2000
-# levels Lanczos finds on a larger block, which caps its reported multiplicity
-LANCZOS_LEVELS = 24
 
 
 @dataclass
@@ -105,12 +99,6 @@ class SpectrumReport:
     )
 
     @property
-    def gap(self) -> float:
-        if len(self.lambdas) < 2:
-            raise InsufficientDataError("need at least two levels for a gap")
-        return self.lambdas[1] - self.lambdas[0]
-
-    @property
     def growth_fit(self) -> tuple[float, float]:
         """Least-squares (slope, intercept) of lambda_n against n."""
         ns = np.asarray(self.ns, dtype=float)
@@ -155,13 +143,32 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
     return q.matrix[np.ix_(idx, idx)].toarray()
 
 
-def _lowest_eigenvalues(
-    matrix, idx: np.ndarray, count: int = LANCZOS_LEVELS
-) -> np.ndarray:
-    """Ascending lowest eigenvalues of the Hermitian compression
-    matrix[idx, idx]: all of them up to DENSE_LIMIT rows, else the lowest
-    count (Lanczos time grows with count).  A compression whose stored
-    entries are all real is solved as a real symmetric matrix."""
+def _count_below(sub, sigma: float) -> int:
+    """Number of eigenvalues of the Hermitian sparse matrix sub below sigma:
+    by Sylvester's law of inertia, the negative pivots of a symmetric
+    factorization P (sub - sigma) P^T = L D L^H.  A factor that pivoted
+    off the diagonal, or a singular one, proves nothing."""
+    shifted = (sub - sigma * sparse.identity(sub.shape[0], sub.dtype)).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericalError(f"inertia factor at {sigma!r} failed: {exc}")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError(f"inertia factor at {sigma!r} pivoted")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
+    """Lowest eigenvalue lam of the Hermitian compression matrix[idx, idx]
+    and its multiplicity, the number of eigenvalues <= lam + tol.
+
+    Lanczos finds lam from a fixed start vector with seeded restarts (a
+    block with few distinct eigenvalues exhausts its Krylov space), so the
+    digits repeat run to run.  Inertia counts certify it: none below
+    lam - tol, the multiplicity below lam + tol.  A compression whose
+    stored entries are all real is solved as a real symmetric matrix.
+    """
     sub = matrix[np.ix_(idx, idx)]
     dim = idx.size
     herm_defect = abs(sub - sub.conj().T).max()
@@ -171,24 +178,28 @@ def _lowest_eigenvalues(
         )
     if not sub.data.imag.any():
         sub = sub.real
-    try:
-        if dim <= DENSE_LIMIT:
-            return la.eigh(sub.toarray(), eigvals_only=True)
-        vals = spla.eigsh(sub, k=min(dim - 1, count), which="SA",
-                          return_eigenvectors=False)
-    except (la.LinAlgError, spla.ArpackError) as exc:
-        raise NumericalError(f"eigensolver failed on a {dim}-dim block: {exc}")
-    return np.sort(vals)
+    if dim == 1:  # Lanczos needs k < dim
+        lam = float(sub[0, 0].real)
+    else:
+        try:
+            lam = float(spla.eigsh(sub, k=1, which="SA", v0=np.ones(dim),
+                                   rng=0, return_eigenvectors=False)[0])
+        except spla.ArpackError as exc:
+            raise NumericalError(
+                f"eigensolver failed on a {dim}-dim block: {exc}")
+    below = _count_below(sub, lam - tol)
+    if below:
+        raise NumericalError(
+            f"{below} eigenvalues of a {dim}-dim block lie below the "
+            f"Lanczos minimum {lam!r} by more than {tol}"
+        )
+    return lam, _count_below(sub, lam + tol)
 
 
 def _spectrum_levels(h: FockOperator, n_values, model: ModelSpec):
-    lams, mults = [], []
-    for n in n_values:
-        vals = _lowest_eigenvalues(h.matrix, h.basis.degree_indices(n))
-        lam = float(vals[0])
-        lams.append(lam)
-        mults.append(int(np.sum(vals <= lam + model.level_tol)))
-    return lams, mults
+    levels = [_lowest_level(h.matrix, h.basis.degree_indices(n),
+                            model.level_tol) for n in n_values]
+    return [lam for lam, _ in levels], [mult for _, mult in levels]
 
 
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
@@ -231,56 +242,42 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
 class GapAnalysis:
     gap: float
     slope: float
-    intercept_lsq: float
+    intercept: float
     bound_constant: float
     margin: float
     arithmetic_growth: bool
     levels_used: int
 
-    def as_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "slope": self.slope,
-            "intercept": self.intercept_lsq,
-            "bound_constant": self.bound_constant,
-            "margin": self.margin,
-            "arithmetic_growth": self.arithmetic_growth,
-            "levels_used": self.levels_used,
-        }
 
-
-def gap_analysis(report: SpectrumReport, margin_tol: float = 1e-8) -> GapAnalysis:
+def gap_analysis(
+    report: SpectrumReport, cstar: float, margin_tol: float = 1e-8
+) -> GapAnalysis:
     """Gap and arithmetic-growth certificate of a spectrum report.
 
     Uses the levels flagged converged only.  The slope comes from the
-    least-squares line; the bound constant is the largest C with
-    lambda_n >= slope * n + C on those levels, and the margin re-evaluates
-    that inequality.
+    least-squares line and the bound constant is the largest C with
+    lambda_n >= slope * n + C on those levels.  The margin
+    min_n (lambda_n - n) - C* checks the levels against the number-shift
+    bound C* (number_shift_bound), an independent solve: every reported
+    block lies in C*'s safe block, so the margin is >= 0 up to roundoff.
     """
-    pairs = [
-        (n, lam)
-        for n, lam, conv in zip(report.ns, report.lambdas, report.converged)
-        if conv
-    ]
-    if len(pairs) < 3:
+    used = np.asarray(report.converged, dtype=bool)
+    ns = np.asarray(report.ns, dtype=float)[used]
+    lam = np.asarray(report.lambdas, dtype=float)[used]
+    if ns.size < 3:
         raise InsufficientDataError(
-            f"gap analysis needs at least 3 converged levels, have {len(pairs)}"
+            f"gap analysis needs at least 3 converged levels, have {ns.size}"
         )
-    ns = np.array([p[0] for p in pairs], dtype=float)
-    lam = np.array([p[1] for p in pairs], dtype=float)
     slope, intercept = np.polyfit(ns, lam, 1)
-    residuals = lam - slope * ns
-    bound_constant = float(residuals.min())
-    margin = float((lam - slope * ns - bound_constant).min())
-    growth = bool(slope > 0 and margin >= -margin_tol)
+    margin = float((lam - ns).min() - cstar)
     return GapAnalysis(
-        gap=float(lam[1] - lam[0]) if len(lam) > 1 else math.nan,
+        gap=float(lam[1] - lam[0]),
         slope=float(slope),
-        intercept_lsq=float(intercept),
-        bound_constant=bound_constant,
+        intercept=float(intercept),
+        bound_constant=float((lam - slope * ns).min()),
         margin=margin,
-        arithmetic_growth=growth,
-        levels_used=len(pairs),
+        arithmetic_growth=bool(slope > 0 and margin >= -margin_tol),
+        levels_used=int(ns.size),
     )
 
 
@@ -296,7 +293,7 @@ def number_shift_bound(
     if idx.size == 0:
         raise ConfigurationError("safe block is empty at this truncation")
     shifted = h.matrix - number_operator(h.basis).matrix
-    return float(_lowest_eigenvalues(shifted, idx, count=1)[0])
+    return _lowest_level(shifted, idx, ModelSpec.level_tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def spectrum_summary_json(
         "multiplicities": [int(m) for m in report.multiplicities],
         "converged": [bool(c) for c in report.converged],
     }
-    doc.update(analysis.as_dict())
+    doc.update(asdict(analysis))
     if extra:
         doc.update(extra)
     return json.dumps(doc, indent=1, sort_keys=True)

@@ -6,11 +6,14 @@ dense einsum bracket and np.roll differences they replaced, the
 Helmholtz projector via FFT symbols, the Gaussian smoothing via
 finite-difference stencils on point evaluations, quantization via
 explicit ladder-matrix products and via the full-width feasibility mask
-it replaced, the Fock basis via recursive enumeration, and wave
-evolution via the dispersion relation of the spatially discrete system.
+it replaced, the Fock basis via recursive enumeration and its state
+index via a dictionary of occupation rows, the lowest block levels and
+their multiplicities via the full dense spectrum, and wave evolution via
+the dispersion relation of the spatially discrete system.
 """
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sparse
 
 
@@ -204,7 +207,8 @@ def smoothed_value_fd(symbol, z_point, t, h=0.5):
 
 # ---------------------------------------------------------------------------
 # quantization via explicit ladder-matrix products or the full-width
-# feasibility mask; the Fock basis by recursive enumeration
+# feasibility mask; the Fock basis by recursive enumeration, its index by
+# a dictionary
 # ---------------------------------------------------------------------------
 
 def ladder_quantize(symbol, convention, basis):
@@ -295,6 +299,14 @@ def recursive_basis_states(D, N_max):
     return np.array(rows, dtype=np.int64).reshape(len(rows), D)
 
 
+def dict_index_of(basis, states):
+    """Basis indices of occupation rows by a dictionary keyed on the raw
+    bytes of every basis row, as wide bases were first indexed."""
+    lookup = {row.tobytes(): i for i, row in enumerate(basis.states)}
+    rows = np.asarray(states, dtype=np.int64)
+    return np.array([lookup[row.tobytes()] for row in rows], dtype=np.int64)
+
+
 def random_symbol(rng, D, degree, hermitian=False, n_terms=10):
     """Random sparse polynomial symbol for round-trip and oracle tests."""
     from ymspec.symbols import PolynomialSymbol
@@ -310,6 +322,21 @@ def random_symbol(rng, D, degree, hermitian=False, n_terms=10):
     if hermitian:
         s = (s + s.conjugate()) * 0.5
     return s
+
+
+# ---------------------------------------------------------------------------
+# lowest level of a Hermitian compression from its whole dense spectrum
+# ---------------------------------------------------------------------------
+
+def dense_lowest_level(matrix, idx, tol):
+    """(lam, multiplicity) of the compression matrix[idx, idx]: the lowest
+    of all its eigenvalues by dense eigh, and how many lie <= lam + tol.
+    A compression with no imaginary part is solved as a real matrix."""
+    sub = matrix[np.ix_(idx, idx)].toarray()
+    if not sub.imag.any():
+        sub = sub.real
+    vals = la.eigh(sub, eigvals_only=True)
+    return float(vals[0]), int(np.sum(vals <= vals[0] + tol))
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,19 @@ class TestRunners:
         assert summary["slope"] > 0
         assert summary["margin"] >= -1e-8
 
+    def test_number_shift_bound_bit_identical(self, tmp_path):
+        path = write_config(tmp_path, {
+            "command": "spectrum", "algebra": "su2",
+            "model": {"N_max": 8, "n_max": 5},
+        })
+        bounds = []
+        for tag in ("one", "two"):
+            out = tmp_path / tag
+            assert main(["spectrum", "--config", path, "--out", str(out)]) == 0
+            summary = json.loads((out / "spectrum_summary.json").read_text())
+            bounds.append(summary["number_shift_bound"])
+        assert bounds[0] == bounds[1]
+
     def test_evolve_outputs(self, tmp_path):
         path = write_config(tmp_path, {
             "command": "evolve", "algebra": "su2",
@@ -312,7 +325,7 @@ class TestRunners:
         assert phrase in diag["message"]
 
     def test_so5_spectrum(self, tmp_path):
-        # D = 30 modes: the basis index goes through the bytes-keyed lookup
+        # D = 30 modes: the basis index key wraps in uint64
         path = write_config(tmp_path, {
             "command": "spectrum", "algebra": "so5", "model": {"N_max": 4},
         })

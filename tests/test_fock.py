@@ -6,8 +6,14 @@ import scipy.sparse as sparse
 
 from ymspec import fock
 from ymspec.algebra import build_algebra
-from ymspec.errors import ConfigurationError, DimensionMismatchError, ResourceError
+from ymspec.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    NumericalError,
+    ResourceError,
+)
 from ymspec.fock import (
+    FockBasis,
     FockVector,
     build_basis,
     expectation,
@@ -21,6 +27,7 @@ from ymspec.fock import (
 from ymspec.symbols import ModeMap, PolynomialSymbol, convert, energy_symbol
 
 from oracles import (
+    dict_index_of,
     full_width_monomial_entries,
     ladder_quantize,
     random_symbol,
@@ -63,6 +70,24 @@ class TestBasis:
         b = build_basis(3, 5)
         idx = b.index_of(b.states)
         assert np.array_equal(idx, np.arange(b.size))
+
+    @pytest.mark.parametrize("D,N_max", [
+        (1, 6), (2, 7), (3, 5), (9, 8), (24, 5), (30, 3), (45, 2),
+    ])
+    def test_index_matches_dict_oracle(self, D, N_max, rng):
+        b = build_basis(D, N_max)
+        radix = N_max + 1 + N_max % 2
+        # the uint64 key wraps for the three widest bases
+        assert (radix ** D >= 2 ** 64) == (D >= 24)
+        rows = rng.permutation(b.size)[:5000]
+        queries = b.states[np.concatenate([rows, rows[:7]])]
+        assert np.array_equal(b.index_of(queries), dict_index_of(b, queries))
+        assert np.array_equal(b.index_of(b.states), np.arange(b.size))
+
+    def test_colliding_keys_refused(self):
+        states = np.array([[0, 0], [1, 0], [0, 1], [1, 0]])
+        with pytest.raises(NumericalError, match="D=2, N_max=1"):
+            FockBasis(D=2, N_max=1, states=states, degrees=states.sum(axis=1))
 
     @pytest.mark.parametrize("D,N_max", [
         (1, 0), (1, 6), (2, 0), (2, 7), (3, 5), (9, 4), (30, 2),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from ymspec import spectrum
@@ -30,7 +31,12 @@ from ymspec.spectrum import (
 )
 from ymspec.symbols import ModeMap, energy_symbol
 
-from oracles import ladder_quantize, random_symbol, smoothed_value_fd
+from oracles import (
+    dense_lowest_level,
+    ladder_quantize,
+    random_symbol,
+    smoothed_value_fd,
+)
 
 
 class TestModelSpec:
@@ -195,7 +201,7 @@ class TestGapAnalysis:
             N_max=6,
             D=3,
         )
-        ga = gap_analysis(rep)
+        ga = gap_analysis(rep, 0.0)  # C* of the number operator
         assert abs(ga.slope - 1.0) < 1e-12
         assert abs(ga.bound_constant) < 1e-12
         assert abs(ga.margin) < 1e-12
@@ -207,7 +213,7 @@ class TestGapAnalysis:
             converged=[True, True], N_max=4, D=2,
         )
         with pytest.raises(InsufficientDataError):
-            gap_analysis(rep)
+            gap_analysis(rep, 0.0)
 
     def test_unconverged_levels_excluded(self):
         rep = SpectrumReport(
@@ -217,9 +223,40 @@ class TestGapAnalysis:
             converged=[True, True, True, False],
             N_max=6, D=2,
         )
-        ga = gap_analysis(rep)
+        ga = gap_analysis(rep, 0.0)
         assert ga.levels_used == 3
         assert abs(ga.slope - 1.0) < 1e-12
+
+    def test_levels_below_number_shift_bound_fail(self):
+        # lambda_n = n + 0.5 fits a line exactly, so the fitted-line margin
+        # is 0; against C* = 1 every level lies 0.5 below n + C*
+        rep = SpectrumReport(
+            ns=list(range(4)),
+            lambdas=[n + 0.5 for n in range(4)],
+            multiplicities=[1] * 4,
+            converged=[True] * 4,
+            N_max=6, D=3,
+        )
+        ga = gap_analysis(rep, 1.0)
+        assert ga.slope > 0
+        assert ga.margin == pytest.approx(-0.5, abs=1e-12)
+        assert not ga.arithmetic_growth
+        assert gap_analysis(rep, 0.5).arithmetic_growth
+
+    def test_su2_margin_positive(self, su2_model_nmax8, su2_hamiltonian_nmax8):
+        lams, mults = spectrum._spectrum_levels(
+            su2_hamiltonian_nmax8, range(6), su2_model_nmax8
+        )
+        rep = SpectrumReport(ns=list(range(6)), lambdas=lams,
+                             multiplicities=mults, converged=[True] * 6,
+                             N_max=8, D=9)
+        cstar = number_shift_bound(su2_hamiltonian_nmax8)
+        ga = gap_analysis(rep, cstar)
+        assert ga.margin == pytest.approx(
+            min(lam - n for n, lam in enumerate(lams)) - cstar, abs=1e-12
+        )
+        assert ga.margin > 1.0  # lambda_0 - C* = 13.5 - 10.536...
+        assert ga.arithmetic_growth
 
 
 class TestNonAbelianGaps:
@@ -235,8 +272,8 @@ class TestNonAbelianGaps:
 
 
 def solver_dtypes(monkeypatch):
-    """Record the dtype of every matrix handed to the dense or the
-    Lanczos eigensolver."""
+    """Record the dtype of every matrix handed to the Lanczos solver or
+    to the inertia factorization."""
     seen = []
 
     def spy(solver):
@@ -245,8 +282,8 @@ def solver_dtypes(monkeypatch):
             return solver(a, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(spectrum.la, "eigh", spy(la.eigh))
     monkeypatch.setattr(spectrum.spla, "eigsh", spy(spla.eigsh))
+    monkeypatch.setattr(spectrum.spla, "splu", spy(spla.splu))
     return seen
 
 
@@ -261,12 +298,9 @@ class TestRealEigensolve:
         seen = solver_dtypes(monkeypatch)
         lams, _ = spectrum._spectrum_levels(h, range(5), model)
         number_shift_bound(h)  # C*: N is stored complex, H - N is real
-        assert seen == [np.dtype(float)] * 6
+        # Lanczos on the blocks n = 1..4 and on C*; two factors per level
+        assert seen.count(np.dtype(float)) == len(seen) == 5 + 2 * 6
         assert lams == pytest.approx(complex_levels, rel=1e-12)
-        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
-        lanczos, _ = spectrum._spectrum_levels(h, range(5), model)
-        assert seen[6:] == [np.dtype(float)] * 5
-        assert lanczos == pytest.approx(complex_levels, rel=1e-10)
 
     def test_complex_symbol_takes_complex_path(self, monkeypatch, rng):
         b = build_basis(3, 8)  # the safe block has 35 states
@@ -278,13 +312,67 @@ class TestRealEigensolve:
         expected = np.linalg.eigvalsh(block)
         scale = np.abs(expected).max()
         seen = solver_dtypes(monkeypatch)
-        dense = spectrum._lowest_eigenvalues(q.matrix, idx)
-        assert seen == [np.dtype(complex)]
-        assert np.abs(dense - expected).max() < 1e-12 * scale
-        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
-        lanczos = spectrum._lowest_eigenvalues(q.matrix, idx, count=3)
-        assert seen[1:] == [np.dtype(complex)]
-        assert np.abs(lanczos - expected[:3]).max() < 1e-10 * scale
+        lam, mult = spectrum._lowest_level(q.matrix, idx, 1e-8)
+        assert seen == [np.dtype(complex)] * 3
+        assert abs(lam - expected[0]) < 1e-12 * scale
+        assert mult == dense_lowest_level(q.matrix, idx, 1e-8)[1]
+
+
+class TestLowestLevel:
+    def test_su2_levels_closed_form_and_dense_multiplicities(self):
+        # n = 6 is a 3,003-row block, where a capped Lanczos count reported
+        # 15 or 19 copies of the 26-fold level
+        rep = bosonic_spectrum(ModelSpec(algebra="su2", N_max=8, n_max=6))
+        closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in rep.ns]
+        assert rep.lambdas == pytest.approx(closed_form, rel=1e-12, abs=0)
+        h = rep.hamiltonian
+        oracle = [dense_lowest_level(h.matrix, h.basis.degree_indices(n), 1e-8)
+                  for n in rep.ns]
+        assert rep.multiplicities == [mult for _, mult in oracle]
+        assert rep.multiplicities == [1, 9, 10, 51, 19, 66, 26]
+        assert rep.lambdas == pytest.approx([lam for lam, _ in oracle],
+                                            rel=1e-12)
+
+    def test_repeat_solves_bit_identical(self, su2_hamiltonian_nmax8):
+        # the n = 3 block has 6 distinct eigenvalues, so Lanczos exhausts
+        # its Krylov space and restarts; unseeded restarts moved the digits
+        idx = su2_hamiltonian_nmax8.basis.degree_indices(3)
+        runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
+                for _ in range(4)}
+        assert len(runs) == 1
+
+    def test_vacuum_block_read_directly(self, su2_hamiltonian_nmax8):
+        h = su2_hamiltonian_nmax8
+        lam, mult = spectrum._lowest_level(h.matrix, np.array([0]), 1e-8)
+        assert (lam, mult) == (h.matrix[0, 0].real, 1)
+
+    def test_wrong_minimum_is_numerical(self, monkeypatch,
+                                        su2_hamiltonian_nmax8):
+        # a Lanczos value above the true minimum fails the inertia check
+        idx = su2_hamiltonian_nmax8.basis.degree_indices(3)  # lambda = 20.5
+        monkeypatch.setattr(spectrum.spla, "eigsh",
+                            lambda *args, **kwargs: np.array([21.0]))
+        with pytest.raises(NumericalError, match="51 eigenvalues"):
+            spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
+
+    def test_count_below_is_inertia(self, rng):
+        vals = np.array([-2.0, -1.0, 0.5, 0.5, 3.0])
+        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+        a = sparse.csr_matrix((q * vals) @ q.T)
+        counts = [spectrum._count_below(a, s) for s in (-3, -1.5, 0, 1, 4)]
+        assert counts == [0, 1, 2, 4, 5]
+
+    def test_pivoted_factor_is_numerical(self):
+        # a zero diagonal forces SuperLU off the diagonal, which breaks the
+        # symmetric factorization the inertia count relies on
+        swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(NumericalError, match="pivoted"):
+            spectrum._count_below(swap, 0.0)
+
+    def test_singular_factor_is_numerical(self):
+        diag = sparse.diags([1.0, 2.0]).tocsr()
+        with pytest.raises(NumericalError, match="failed"):
+            spectrum._count_below(diag, 1.0)
 
 
 class TestSafeBlockTruncationConvergence:
@@ -314,23 +402,24 @@ class TestNumberShiftBound:
         with pytest.raises(NumericalError):
             number_shift_bound(FockOperator(basis, skew.tocsr()))
 
-    def test_lanczos_matches_dense(self, monkeypatch):
+    def test_lanczos_matches_dense(self):
         model = ModelSpec(algebra="su2", N_max=5)
         h = assemble_hamiltonian(model)
-        dense = number_shift_bound(h)
-        dense_levels = spectrum._spectrum_levels(h, range(3), model)
-        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)  # n = 2 block: 45 rows
+        shifted = h.matrix - number_operator(h.basis).matrix
+        dense, _ = dense_lowest_level(shifted, safe_block_indices(h.basis, 2),
+                                      model.level_tol)
         assert abs(number_shift_bound(h) - dense) < 1e-10 * abs(dense)
-        lams, mults = spectrum._spectrum_levels(h, range(3), model)
-        assert lams == pytest.approx(dense_levels[0], rel=1e-10)
-        assert mults == dense_levels[1]
+        oracle = [dense_lowest_level(h.matrix, h.basis.degree_indices(n),
+                                     model.level_tol) for n in range(4)]
+        lams, mults = spectrum._spectrum_levels(h, range(4), model)
+        assert lams == pytest.approx([lam for lam, _ in oracle], rel=1e-10)
+        assert mults == [mult for _, mult in oracle]
 
     def test_arpack_failure_is_numerical(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
         h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=5))
-        monkeypatch.setattr(spectrum, "DENSE_LIMIT", 10)
         monkeypatch.setattr(spectrum.spla, "eigsh", no_convergence)
         with pytest.raises(NumericalError):
             number_shift_bound(h)
