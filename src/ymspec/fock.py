@@ -1,13 +1,13 @@
 """Truncated bosonic Fock space over D modes with total-degree cutoff.
 
-States are occupation multi-indices mu with |mu| <= N_max, enumerated by
-total degree and then lexicographically.  Operators are sparse matrices
-on that enumeration.  Quantization of a polynomial symbol places ladder
-operators according to the requested ordering convention; compositions
-are taken on the truncated space (creation paths leaving the basis are
-dropped), so assertions about operator identities are made on the
-truncation-safe sub-block of states whose degree keeps all intermediate
-states inside the cutoff.
+States are occupation multi-indices mu with |mu| <= depth <= N_max in
+degree-major, lexicographic order; N_max bounds the ladder paths.
+Operators are sparse matrices on that enumeration.  Quantization places
+ladder operators according to the requested ordering convention;
+compositions are taken on the truncated space (creation paths leaving
+the basis are dropped), so assertions about operator identities are
+made on the truncation-safe sub-block of states whose degree keeps all
+intermediate states inside the cutoff.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ class FockBasis:
     N_max: int
     states: np.ndarray  # (size, D) int64
     degrees: np.ndarray  # (size,) int64
+    depth: int | None = None  # enumerated degree <= N_max; None: N_max
 
     def __post_init__(self):
+        if self.depth is None:
+            self.depth = self.N_max
         # mixed-radix key wrapping in uint64; the radix is odd because the
         # powers of an even one reach 0 mod 2**64, dropping the later modes
         radix = self.N_max + 1 + self.N_max % 2
@@ -68,22 +71,24 @@ class FockBasis:
         return np.flatnonzero(self.degrees == n)
 
 
-def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
-    """Enumerate all occupation states with |mu| <= N_max."""
+def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
+                depth: int | None = None) -> FockBasis:
+    """Enumerate the occupation states with |mu| <= depth (default N_max)."""
+    depth = N_max if depth is None else depth
     if D < 1:
         raise ConfigurationError("mode count D must be >= 1")
-    if N_max < 0:
-        raise ConfigurationError("N_max must be >= 0")
-    size = math.comb(D + N_max, D)
+    if not 0 <= depth <= N_max:
+        raise ConfigurationError(f"need 0 <= depth={depth} <= N_max={N_max}")
+    size = math.comb(D + depth, D)
     if size > cap:
         raise ResourceError(
-            f"basis size {size} for D={D}, N_max={N_max} exceeds cap {cap}"
+            f"basis size {size} for D={D}, depth={depth} exceeds cap {cap}"
         )
     # stars and bars: the degree-n states are the gaps between D - 1 bars
     # placed among n + D - 1 slots; bars in lexicographic order give the
     # states in lexicographic order
     shells = []
-    for n in range(N_max + 1):
+    for n in range(depth + 1):
         count = math.comb(n + D - 1, D - 1)
         combos = itertools.combinations(range(n + D - 1), D - 1)
         bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64,
@@ -91,7 +96,7 @@ def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP) -> FockBasis:
         shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
     states = np.concatenate(shells)
     degrees = states.sum(axis=1)
-    return FockBasis(D=D, N_max=N_max, states=states, degrees=degrees)
+    return FockBasis(D, N_max, states, degrees, depth)
 
 
 @dataclass
@@ -121,9 +126,9 @@ class FockOperator:
         return FockOperator(self.basis, (self.matrix @ other.matrix).tocsr())
 
     def _check(self, other):
-        if self.basis is not other.basis and (
-            self.basis.D != other.basis.D or self.basis.N_max != other.basis.N_max
-        ):
+        mine, theirs = self.basis, other.basis
+        if mine is not theirs and (mine.D, mine.N_max, mine.depth) != (
+                theirs.D, theirs.N_max, theirs.depth):
             raise DimensionMismatchError("operators live on different bases")
 
     def hermiticity_defect(self) -> float:
@@ -159,7 +164,7 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
     """Creation or annihilation operator for one mode.
 
     Creation maps |mu> to sqrt(mu_m + 1)|mu + e_m>, dropping states that
-    leave the cutoff; annihilation is its adjoint.
+    leave the enumerated basis; annihilation is its adjoint.
     """
     if not 0 <= mode < basis.D:
         raise ConfigurationError(
@@ -167,7 +172,7 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
         )
     if kind not in ("create", "annihilate"):
         raise ConfigurationError(f"ladder kind must be create|annihilate, got '{kind}'")
-    ok = basis.degrees < basis.N_max
+    ok = basis.degrees < basis.depth
     src = np.flatnonzero(ok)
     targets = basis.states[src].copy()
     targets[:, mode] += 1
@@ -208,9 +213,9 @@ def _monomial_entries(basis, alpha, beta, convention):
 
     Normal ordering annihilates first, so only its final state can leave
     the cutoff; anti-normal ordering creates first, so its intermediate
-    state must stay inside.  Either degree bound selects a prefix of the
-    basis; in it, a source state holds at least ``need`` quanta on each
-    mode where ``need`` is positive.
+    state must stay inside; either way the final state has degree <= depth.
+    The degree bounds select a prefix of the basis; in it, a source state
+    holds at least ``need`` quanta on each mode where ``need`` is positive.
     """
     alpha_arr = np.array(alpha, dtype=np.int64)
     beta_arr = np.array(beta, dtype=np.int64)
@@ -219,6 +224,7 @@ def _monomial_entries(basis, alpha, beta, convention):
         bound, need = basis.N_max + sum(beta) - sum(alpha), beta_arr
     else:
         bound, need = basis.N_max - sum(alpha), beta_arr - alpha_arr
+    bound = min(bound, basis.depth - sum(alpha) + sum(beta))
     end = np.searchsorted(basis.degrees, bound, side="right")
     support = np.flatnonzero(need > 0)
     src = np.flatnonzero(
@@ -300,9 +306,9 @@ def safe_block_indices(basis: FockBasis, operator_degree: int) -> np.ndarray:
 
 def operator_to_text(q: FockOperator, convention: str | None = None) -> str:
     """Coordinate-list text export with a JSON header line."""
-    header = json.dumps(
-        {"D": q.basis.D, "N_max": q.basis.N_max, "convention": convention}
-    )
+    b = q.basis
+    header = json.dumps({"D": b.D, "N_max": b.N_max, "depth": b.depth,
+                         "convention": convention})
     coo = q.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
     lines = [header]
@@ -318,7 +324,8 @@ def operator_from_text(text: str, basis: FockBasis | None = None):
     lines = text.strip().split("\n")
     header = json.loads(lines[0])
     if basis is None:
-        basis = build_basis(header["D"], header["N_max"])
+        basis = build_basis(header["D"], header["N_max"],
+                            depth=header.get("depth"))
     rows, cols, vals = [], [], []
     for line in lines[1:]:
         r, c, re, im = line.split()

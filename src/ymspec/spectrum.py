@@ -121,23 +121,25 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 
 def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
-    """Quantize the energy-mass symbol on the truncated basis."""
-    algebra_basis = build_algebra(model.algebra)
+    """Quantize the energy-mass symbol under the path cutoff N_max on the
+    safe basis, degree <= N_max - DEGREE_MARGIN, which the levels and C*
+    read; the basis cap is checked before the symbol is built."""
     mode_map = model.mode_map()
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
-    sym = energy_symbol(algebra_basis, mode_map, model.include_magnetic)
-    basis = build_basis(
-        mode_map.num_modes, N_max if N_max is not None else model.N_max
-    )
+    N_max = model.N_max if N_max is None else N_max
+    basis = build_basis(mode_map.num_modes, N_max,
+                        depth=N_max - DEGREE_MARGIN)
+    sym = energy_symbol(build_algebra(model.algebra), mode_map,
+                        model.include_magnetic)
     return quantize(sym, model.convention, basis)
 
 
 def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
     """Dense compression of the operator onto the degree-n subspace."""
-    if not 0 <= n <= q.basis.N_max:
+    if not 0 <= n <= q.basis.depth:
         raise ConfigurationError(
-            f"block degree {n} outside 0..{q.basis.N_max}"
+            f"block degree {n} outside 0..{q.basis.depth}"
         )
     idx = q.basis.degree_indices(n)
     return q.matrix[np.ix_(idx, idx)].toarray()
@@ -159,15 +161,15 @@ def _count_below(sub, sigma: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal().real < 0))
 
 
-def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
-    """Lowest eigenvalue lam of the Hermitian compression matrix[idx, idx]
-    and its multiplicity, the number of eigenvalues <= lam + tol.
+def _certified_minimum(matrix, idx: np.ndarray, tol: float):
+    """(lam, sub): lowest eigenvalue of the Hermitian compression
+    sub = matrix[idx, idx], certified by a zero inertia count below lam - tol.
 
     Lanczos finds lam from a fixed start vector with seeded restarts (a
     block with few distinct eigenvalues exhausts its Krylov space), so the
-    digits repeat run to run.  Inertia counts certify it: none below
-    lam - tol, the multiplicity below lam + tol.  A compression whose
-    stored entries are all real is solved as a real symmetric matrix.
+    digits repeat run to run; a block of at most two rows, below
+    Lanczos's reach, is read densely.  A compression whose stored entries
+    are all real is solved as a real symmetric matrix.
     """
     sub = matrix[np.ix_(idx, idx)]
     dim = idx.size
@@ -178,8 +180,8 @@ def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
         )
     if not sub.data.imag.any():
         sub = sub.real
-    if dim == 1:  # Lanczos needs k < dim
-        lam = float(sub[0, 0].real)
+    if dim <= 2:  # eigsh needs k < dim - 1 for complex blocks
+        lam = float(np.linalg.eigvalsh(sub.toarray())[0])
     else:
         try:
             lam = float(spla.eigsh(sub, k=1, which="SA", v0=np.ones(dim),
@@ -193,6 +195,13 @@ def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
             f"{below} eigenvalues of a {dim}-dim block lie below the "
             f"Lanczos minimum {lam!r} by more than {tol}"
         )
+    return lam, sub
+
+
+def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
+    """Certified lowest eigenvalue lam of matrix[idx, idx] and its
+    multiplicity, the inertia count of eigenvalues below lam + tol."""
+    lam, sub = _certified_minimum(matrix, idx, tol)
     return lam, _count_below(sub, lam + tol)
 
 
@@ -293,7 +302,7 @@ def number_shift_bound(
     if idx.size == 0:
         raise ConfigurationError("safe block is empty at this truncation")
     shifted = h.matrix - number_operator(h.basis).matrix
-    return _lowest_level(shifted, idx, ModelSpec.level_tol)[0]
+    return _certified_minimum(shifted, idx, ModelSpec.level_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -268,12 +268,14 @@ def test_criterion_6_spectrum_theorem_desk_check(
         assert gap > 0
         assert all(m >= 1 for m in mults)
 
-        # growth certificate: positive fitted slope, bound margin >= -1e-8
+        # growth certificate: positive fitted slope, and the levels against
+        # the number-shift bound, margin min_n (lambda_n - n) - C* >= -1e-8
         ns = np.arange(6, dtype=float)
         slope = np.polyfit(ns, lams8, 1)[0]
         assert slope > 0
-        bound_c = min(l - slope * n for n, l in zip(ns, lams8))
-        margin = min(l - slope * n - bound_c for n, l in zip(ns, lams8))
+        cstar = number_shift_bound(h8)
+        assert np.isfinite(cstar)
+        margin = min(l - n for n, l in zip(ns, lams8)) - cstar
         assert margin >= -1e-8
 
         # every level changes < 1% under truncation refinement:
@@ -286,8 +288,6 @@ def test_criterion_6_spectrum_theorem_desk_check(
             assert abs(l10 - l8) < 0.01 * abs(l8)
 
         # expectation inequality <H> >= <N> + C* on 10^3 random safe states
-        cstar = number_shift_bound(h8)
-        assert np.isfinite(cstar)
         rng = np.random.default_rng(6)
         basis = h8.basis
         safe = np.flatnonzero(basis.degrees <= basis.N_max - 2)

@@ -65,6 +65,22 @@ class TestBasis:
             build_basis(0, 3)
         with pytest.raises(ConfigurationError):
             build_basis(2, -1)
+        for depth in (-1, 4):
+            with pytest.raises(ConfigurationError):
+                build_basis(2, 3, depth=depth)
+
+    def test_depth_is_full_basis_prefix(self):
+        full = build_basis(3, 6)
+        reduced = build_basis(3, 6, depth=4)
+        assert (reduced.N_max, reduced.depth, full.depth) == (6, 4, 6)
+        assert reduced.size == math.comb(3 + 4, 3)
+        assert np.array_equal(reduced.states, full.states[:reduced.size])
+        assert full.degrees[reduced.size - 1] == 4 < full.degrees[reduced.size]
+
+    def test_cap_applies_to_depth(self):
+        assert build_basis(9, 40, cap=5005, depth=6).size == 5005
+        with pytest.raises(ResourceError):
+            build_basis(9, 40, cap=5004, depth=6)
 
     def test_index_lookup_round_trip(self):
         b = build_basis(3, 5)
@@ -133,6 +149,15 @@ class TestLadder:
         a = ladder(b, 1, "annihilate")
         assert (abs(c.matrix - a.matrix.conj().T)).max() < 1e-15
 
+    def test_reduced_depth_is_full_restricted(self):
+        full, reduced = build_basis(3, 5), build_basis(3, 5, depth=3)
+        keep = np.arange(reduced.size)
+        for m in range(3):
+            for kind in ("create", "annihilate"):
+                want = ladder(full, m, kind).matrix[np.ix_(keep, keep)]
+                got = ladder(reduced, m, kind).matrix
+                assert abs(got - want).max() == 0.0
+
     def test_invalid_mode(self):
         b = build_basis(2, 2)
         with pytest.raises(ConfigurationError):
@@ -156,6 +181,19 @@ def assert_full_width_identical(monkeypatch, s, basis):
 
 
 class TestQuantize:
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_reduced_depth_is_full_restricted(self, convention, rng):
+        # on a basis of degree <= depth < N_max, each entry is the one the
+        # full basis gives, because N_max alone bounds the ladder paths
+        full, reduced = build_basis(3, 6), build_basis(3, 6, depth=4)
+        keep = np.arange(reduced.size)
+        for _ in range(5):
+            s = random_symbol(rng, 3, 4, n_terms=12)
+            want = quantize(s, convention, full).matrix[np.ix_(keep, keep)]
+            got = quantize(s, convention, reduced).matrix
+            assert got.nnz > 0
+            assert abs(got - want).max() < 1e-13
+
     def test_normal_number(self):
         b = build_basis(1, 6)
         q = quantize(zz(), "normal", b)
@@ -250,6 +288,15 @@ class TestNumberOperatorAndExpectation:
         q = quantize(s, "normal", b)
         assert (abs(q.matrix - number_operator(b).matrix)).max() < 1e-13
 
+    def test_bases_differing_in_depth_refused(self):
+        full = number_operator(build_basis(2, 4))
+        reduced = number_operator(build_basis(2, 4, depth=2))
+        for op in ("__add__", "__sub__", "__matmul__"):
+            with pytest.raises(DimensionMismatchError, match="different bases"):
+                getattr(full, op)(reduced)
+        same = number_operator(build_basis(2, 4, depth=2))
+        assert (reduced + same).matrix.shape == (6, 6)
+
     def test_trace_small_block(self):
         b = build_basis(1, 3)
         assert number_operator(b).matrix.diagonal().sum() == 6.0
@@ -278,4 +325,12 @@ class TestOperatorSerialization:
         q2, header = operator_from_text(text)
         assert header["convention"] == "antinormal"
         assert header["D"] == 2 and header["N_max"] == 4
+        assert (abs(q.matrix - q2.matrix)).max() < 1e-16
+
+    def test_round_trip_keeps_depth(self, rng):
+        b = build_basis(2, 4, depth=2)
+        q = quantize(random_symbol(rng, 2, 2), "normal", b)
+        q2, header = operator_from_text(operator_to_text(q))
+        assert header["depth"] == q2.basis.depth == 2
+        assert q2.basis.size == b.size
         assert (abs(q.matrix - q2.matrix)).max() < 1e-16

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -5,10 +8,12 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from ymspec import spectrum
+from ymspec.algebra import build_algebra
 from ymspec.errors import (
     ConfigurationError,
     InsufficientDataError,
     NumericalError,
+    ResourceError,
 )
 from ymspec.fock import (
     FockOperator,
@@ -56,11 +61,48 @@ class TestModelSpec:
 
 class TestAssemble:
     def test_abelian_matches_ladder_oracle(self, su2):
+        # H lives on the safe basis, the degree <= N_max - 2 prefix of the
+        # full basis, on which the oracle multiplies ladder matrices
         model = ModelSpec(algebra="su2", sector="abelian", N_max=6)
         h = assemble_hamiltonian(model)
+        full = build_basis(3, 6)
+        safe = safe_block_indices(full, 2)
+        assert np.array_equal(full.states[safe], h.basis.states)
         sym = energy_symbol(su2, ModeMap.abelian(3))
-        oracle = ladder_quantize(sym, "antinormal", h.basis)
+        oracle = ladder_quantize(sym, "antinormal", full)[np.ix_(safe, safe)]
         assert (abs(h.matrix - oracle)).max() < 1e-12
+
+    @pytest.mark.parametrize("algebra,N_max", [
+        ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
+    ])
+    def test_safe_basis_matches_full_basis(self, algebra, N_max):
+        # the safe basis holds only the states the levels and C* read; on
+        # them, H equals the full-basis quantization entry by entry
+        model = ModelSpec(algebra=algebra, N_max=N_max)
+        h = assemble_hamiltonian(model)
+        D = model.num_modes
+        assert h.basis.size == math.comb(D + N_max - 2, D)
+        sym = energy_symbol(build_algebra(algebra), model.mode_map())
+        full = quantize(sym, "antinormal", build_basis(D, N_max))
+        safe = safe_block_indices(full.basis, 2)
+        assert np.array_equal(full.basis.states[safe], h.basis.states)
+        assert abs(h.matrix - full.matrix[np.ix_(safe, safe)]).max() < 1e-13
+        ns = range(N_max - 1)
+        lams, mults = spectrum._spectrum_levels(h, ns, model)
+        full_lams, full_mults = spectrum._spectrum_levels(full, ns, model)
+        assert lams == pytest.approx(full_lams, rel=1e-12, abs=0)
+        assert mults == full_mults
+        assert number_shift_bound(h) == pytest.approx(
+            number_shift_bound(full), rel=1e-12, abs=0)
+
+    def test_oversize_refused_before_symbol(self, monkeypatch):
+        # so5 at N_max = 12: the safe basis has C(40, 10) ~ 8.5e8 states
+        calls = []
+        monkeypatch.setattr(spectrum, "energy_symbol",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ResourceError):
+            assemble_hamiltonian(ModelSpec(algebra="so5", N_max=12))
+        assert calls == []
 
     def test_su2_vacuum_expectation_positive(self, su2_hamiltonian_nmax8):
         h = su2_hamiltonian_nmax8
@@ -120,6 +162,13 @@ class TestBlocks:
     def test_out_of_range(self, su2_hamiltonian_nmax8):
         with pytest.raises(ConfigurationError):
             n_boson_block(su2_hamiltonian_nmax8, 9)
+
+    def test_beyond_depth_refused(self, su2_hamiltonian_nmax8):
+        # degrees 7 and 8 lie inside the cutoff but outside the safe basis
+        assert su2_hamiltonian_nmax8.basis.depth == 6
+        for n in (7, 8):
+            with pytest.raises(ConfigurationError, match="outside 0..6"):
+                n_boson_block(su2_hamiltonian_nmax8, n)
 
 
 class TestBosonicSpectrum:
@@ -298,8 +347,9 @@ class TestRealEigensolve:
         seen = solver_dtypes(monkeypatch)
         lams, _ = spectrum._spectrum_levels(h, range(5), model)
         number_shift_bound(h)  # C*: N is stored complex, H - N is real
-        # Lanczos on the blocks n = 1..4 and on C*; two factors per level
-        assert seen.count(np.dtype(float)) == len(seen) == 5 + 2 * 6
+        # Lanczos on the blocks n = 1..4 and on C*; two factors per level,
+        # one for C*, whose multiplicity is not counted
+        assert seen.count(np.dtype(float)) == len(seen) == 5 + 2 * 5 + 1
         assert lams == pytest.approx(complex_levels, rel=1e-12)
 
     def test_complex_symbol_takes_complex_path(self, monkeypatch, rng):
@@ -340,6 +390,20 @@ class TestLowestLevel:
         runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
                 for _ in range(4)}
         assert len(runs) == 1
+
+    @pytest.mark.parametrize("block", [
+        np.array([[2.0, -1.0], [-1.0, 3.0]]),
+        np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]),
+    ])
+    def test_two_row_blocks_read_densely(self, block):
+        # ARPACK needs k < N - 1 on a complex block, so eigsh would pass a
+        # 2-row one to eigs, which warns; such blocks are read densely
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, mult = spectrum._lowest_level(sparse.csr_matrix(block),
+                                               np.arange(2), 1e-8)
+        assert abs(lam - np.linalg.eigvalsh(block)[0]) < 1e-12
+        assert mult == 1
 
     def test_vacuum_block_read_directly(self, su2_hamiltonian_nmax8):
         h = su2_hamiltonian_nmax8
@@ -438,6 +502,14 @@ class TestNumberShiftBound:
             rhs = expectation(n_op, psi).real + cstar
             assert lhs >= rhs - 1e-9
 
+    def test_repeat_bit_identical(self, su2_model_nmax8,
+                                  su2_hamiltonian_nmax8):
+        # C* lands in spectrum_summary.json, so its digits must repeat
+        fresh = assemble_hamiltonian(su2_model_nmax8)
+        runs = {number_shift_bound(h)
+                for h in (su2_hamiltonian_nmax8, fresh, fresh)}
+        assert len(runs) == 1
+
     def test_stability_under_refinement(
         self, su2_hamiltonian_nmax8, su2_hamiltonian_nmax10
     ):
@@ -468,12 +540,14 @@ class TestConvergenceStudy:
         study = convergence_study(model, [N_max, N_max + 2])
         assert study.max_rel_change() < 1e-12
 
-    def test_su2_edge_block_grows_toward_exact_value(self, su2_model_nmax8,
+    def test_su2_edge_block_grows_toward_exact_value(self, su2,
                                                      su2_hamiltonian_nmax8):
         # at the truncation edge the dropped creation paths are positive
-        # contributions, so the truncated level sits below the exact one
-        model6 = ModelSpec(algebra="su2", N_max=6)
-        h6 = assemble_hamiltonian(model6)
+        # contributions, so the truncated level sits below the exact one;
+        # the edge block n = 5 of N_max = 6 lies outside the safe basis
+        # that assemble_hamiltonian builds, so it is quantized in full
+        sym = energy_symbol(su2, ModeMap.zero_momentum(3))
+        h6 = quantize(sym, "antinormal", build_basis(9, 6))
         lam6 = la.eigh(n_boson_block(h6, 5), eigvals_only=True)[0]
         lam8 = la.eigh(n_boson_block(su2_hamiltonian_nmax8, 5), eigvals_only=True)[0]
         assert lam6 < lam8
