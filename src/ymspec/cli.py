@@ -248,11 +248,15 @@ def _checked(tp, value, key: str, item: str = ""):
 
 def _check_values(config: RunConfig) -> RunConfig:
     """The checks the constraint table cannot express, each naming its
-    key path: the algebra identifier and the truncation levels."""
+    key path: the algebra identifier, lattice size and truncation levels."""
     try:
         algebra_name(config.algebra)
     except ConfigurationError as exc:
         raise ConfigurationError(f"'algebra': {exc}") from None
+    if config.lattice.n < 2:
+        raise ConfigurationError(
+            f"'lattice.n' must be at least 2 sites, got {config.lattice.n}"
+        )
     model = config.model
     if model.N_max < DEGREE_MARGIN:
         raise ConfigurationError(
@@ -263,6 +267,12 @@ def _check_values(config: RunConfig) -> RunConfig:
             f"'model.n_max' must be at most N_max - {DEGREE_MARGIN} = "
             f"{model.N_max - DEGREE_MARGIN}, got {model.n_max}; "
             "truncation-edge blocks are not trustworthy"
+        )
+    if config.command == "spectrum" and config.model_spec().n_top < 2:
+        key = "N_max" if model.n_max is None else "n_max"
+        raise ConfigurationError(
+            f"'model.{key}' must leave the gap analysis at least 3 levels "
+            f"(n = 0..2), got {getattr(model, key)}"
         )
     levels = model.N_max_list
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
@@ -433,9 +443,20 @@ def _run_evolve(config: RunConfig, outdir: str) -> int:
         constraint_tol=config.tolerances.constraint_tol,
     )
     growth_rel = report.constraint_growth / e_scale
+    tol = config.tolerances
+    # written as "not <=" so that a NaN value fails its gate
+    failed = [
+        f"{name} {value:.3e} exceeds gate {gate:.1e}"
+        for name, value, gate in (
+            ("energy drift", report.energy_drift, tol.energy_drift_gate),
+            ("relative constraint growth", growth_rel,
+             tol.constraint_growth_gate),
+        )
+        if gate is not None and not value <= gate
+    ]
     _write(outdir, "evolution.csv", report.to_csv())
     _summary(outdir, "evolution_summary.json",
-             {"status": "ok",
+             {"status": "violated" if failed else "ok",
               "steps": len(report.times) - 1,
               "cfl_bound": bound,
               "final_time": final.t,
@@ -446,17 +467,8 @@ def _run_evolve(config: RunConfig, outdir: str) -> int:
               "constraint_final": report.constraint[-1],
               "constraint_growth": report.constraint_growth,
               "constraint_growth_relative": growth_rel}, config)
-    # written as "not <=" so that a NaN value fails its gate
-    gate = config.tolerances.energy_drift_gate
-    if gate is not None and not report.energy_drift <= gate:
-        raise PhysicsAssertionError(
-            f"energy drift {report.energy_drift:.3e} exceeds gate {gate:.1e}"
-        )
-    gate = config.tolerances.constraint_growth_gate
-    if gate is not None and not growth_rel <= gate:
-        raise PhysicsAssertionError(
-            f"relative constraint growth {growth_rel:.3e} exceeds gate {gate:.1e}"
-        )
+    if failed:
+        raise PhysicsAssertionError("; ".join(failed))
     return 0
 
 
@@ -550,7 +562,7 @@ def _run_transform(config: RunConfig, outdir: str) -> int:
 def _run_spectrum(config: RunConfig, outdir: str) -> int:
     model = config.model_spec()
     report = bosonic_spectrum(model)
-    cstar = number_shift_bound(report.hamiltonian)
+    cstar = number_shift_bound(report.hamiltonian, tol=model.level_tol)
     analysis = gap_analysis(report, cstar, config.tolerances.margin_tol)
     _write(outdir, "spectrum.csv", report.to_csv())
     _write(outdir, "spectrum_summary.json",

@@ -51,9 +51,6 @@ class CauchyState:
     def lattice(self) -> LatticeSpec:
         return self.a.lattice
 
-    def copy(self) -> "CauchyState":
-        return CauchyState(self.a.copy(), self.e.copy(), self.t)
-
 
 @dataclass
 class EvolutionReport:
@@ -106,21 +103,16 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def curvature_magnetic(a: VectorAlgebraField) -> np.ndarray:
-    """Antisymmetric curvature F_jk = D_j a_k - D_k a_j - [a_j, a_k].
-
-    Returned as an array of shape (3, 3, dim_g, n, n, n) with exact
-    antisymmetry in the two leading indices: the pairs j < k are
-    computed, the rest copied with the sign flipped or set to zero.
-    """
+    """Magnetic curvature F_jk = D_j a_k - D_k a_j - [a_j, a_k] on its
+    independent pairs: an array of shape (3, dim_g, n, n, n) holding F_01,
+    F_02 and F_12 in _PAIRS order.  The rest follow from F_kj = -F_jk and
+    F_jj = 0."""
     h = a.lattice.spacing
-    f = np.empty((3,) + a.data.shape)
-    for j, k in _PAIRS:
+    f = np.empty((len(_PAIRS),) + a.data.shape[1:])
+    for p, (j, k) in enumerate(_PAIRS):
         np.subtract(_diff(a.data[k], 1 + j, h), _diff(a.data[j], 1 + k, h),
-                    out=f[j, k])
-        f[j, k] -= _bracket(a.basis, a.data[j], a.data[k])
-        np.negative(f[j, k], out=f[k, j])
-    for j in range(3):
-        f[j, j] = 0.0
+                    out=f[p])
+        f[p] -= _bracket(a.basis, a.data[j], a.data[k])
     return f
 
 
@@ -132,8 +124,8 @@ def energy(state: CauchyState, curvature: np.ndarray | None = None) -> float:
     f = curvature_magnetic(state.a) if curvature is None else curvature
     vol = state.lattice.volume_factor
     magnetic = 0.0
-    for j, k in _PAIRS:
-        magnetic += float(np.sum(f[j, k] * f[j, k]))
+    for f_p in f:
+        magnetic += float(np.sum(f_p * f_p))
     electric = float(np.sum(state.e.data * state.e.data))
     return 0.5 * vol * (magnetic + electric)
 
@@ -143,22 +135,20 @@ def energy(state: CauchyState, curvature: np.ndarray | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def _force(a: VectorAlgebraField, f: np.ndarray) -> np.ndarray:
-    """de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]) for the curvature f of a,
-    read from its pairs j < k only (F_kj = -F_jk)."""
+    """de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]) for the curvature pairs f
+    of a: pair p = (j, k) adds D_j F_p - [a_j, F_p] to de_k/dt and, since
+    F_kj = -F_jk, subtracts D_k F_p - [a_k, F_p] from de_j/dt."""
     h = a.lattice.spacing
 
-    def part(j, k, m):  # D_m F_jk - [a_m, F_jk]
-        term = _diff(f[j, k], 1 + m, h)
-        term -= _bracket(a.basis, a.data[m], f[j, k])
+    def part(p, m):  # D_m F_p - [a_m, F_p]
+        term = _diff(f[p], 1 + m, h)
+        term -= _bracket(a.basis, a.data[m], f[p])
         return term
 
-    out = np.empty_like(a.data)
-    np.negative(part(0, 1, 1), out=out[0])
-    out[0] -= part(0, 2, 2)
-    out[1] = part(0, 1, 0)
-    out[1] -= part(1, 2, 2)
-    out[2] = part(0, 2, 0)
-    out[2] += part(1, 2, 1)
+    out = np.zeros_like(a.data)
+    for p, (j, k) in enumerate(_PAIRS):
+        out[k] += part(p, j)
+        out[j] -= part(p, k)
     return out
 
 
@@ -260,25 +250,24 @@ def evolve(
         raise ConfigurationError("evolution span T must be >= 0")
     if h <= 0:
         raise ConfigurationError("time step h must be positive")
-    steps = int(round(T / h))
-    last = []
-    if abs(steps * h - T) > 1e-9 * max(1.0, T):
-        steps = int(np.floor(T / h))
-        last = [T - steps * h]
-    sizes = itertools.chain(itertools.repeat(h, steps), last)
-    total = steps + len(last)
+    ratio = T / h  # kept a float until under the caps: it may be inf
+    whole = abs(np.rint(ratio) * h - T) <= 1e-9 * max(1.0, T)
+    total = float(np.rint(ratio) if whole else np.floor(ratio) + 1)
     cost = total * state.lattice.sites() * state.a.basis.dim_g
     if cost > EVOLVE_COST_CAP:
         raise ResourceError(
             f"evolve needs {cost:.3e} site-component updates "
-            f"({total} steps), above the cap of "
+            f"({total:.3e} steps), above the cap of "
             f"{EVOLVE_COST_CAP:.1e}; shorten T or enlarge h"
         )
     if total > EVOLVE_STEP_CAP:
         raise ResourceError(
-            f"evolve needs {total} steps, above the cap of "
+            f"evolve needs {total:.0f} steps, above the cap of "
             f"{EVOLVE_STEP_CAP:.0e}; shorten T or enlarge h"
         )
+    steps = int(total) - (not whole)
+    last = [] if whole else [T - steps * h]
+    sizes = itertools.chain(itertools.repeat(h, steps), last)
 
     r0 = constraint_residual(state.a, state.e)
     e_norm = field_norm(state.e)

@@ -205,12 +205,6 @@ def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
     return lam, _count_below(sub, lam + tol)
 
 
-def _spectrum_levels(h: FockOperator, n_values, model: ModelSpec):
-    levels = [_lowest_level(h.matrix, h.basis.degree_indices(n),
-                            model.level_tol) for n in n_values]
-    return [lam for lam, _ in levels], [mult for _, mult in levels]
-
-
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     """lambda_n for n = 0..model.n_top with multiplicities, from one assembly of H.
 
@@ -229,13 +223,14 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
             f"{model.N_max - DEGREE_MARGIN}; truncation-edge blocks are not "
             "trustworthy"
         )
-    ns = list(range(n_top + 1))
     h = assemble_hamiltonian(model)
-    lams, mults = _spectrum_levels(h, ns, model)
+    ns = list(range(n_top + 1))
+    levels = [_lowest_level(h.matrix, h.basis.degree_indices(n),
+                            model.level_tol) for n in ns]
     return SpectrumReport(
         ns=ns,
-        lambdas=lams,
-        multiplicities=mults,
+        lambdas=[lam for lam, _ in levels],
+        multiplicities=[mult for _, mult in levels],
         converged=[True] * len(ns),
         N_max=model.N_max,
         D=model.num_modes,
@@ -291,9 +286,11 @@ def gap_analysis(
 
 
 def number_shift_bound(
-    h: FockOperator, margin_degree: int = DEGREE_MARGIN
+    h: FockOperator, margin_degree: int = DEGREE_MARGIN,
+    tol: float = ModelSpec.level_tol,
 ) -> float:
-    """C* = min spectrum of (H - N) compressed to the truncation-safe block.
+    """C* = min spectrum of (H - N) compressed to the truncation-safe block,
+    certified to tol like the block levels.
 
     Every state psi supported on degrees <= N_max - margin_degree then
     satisfies <H> >= <N> + C*.
@@ -302,7 +299,7 @@ def number_shift_bound(
     if idx.size == 0:
         raise ConfigurationError("safe block is empty at this truncation")
     shifted = h.matrix - number_operator(h.basis).matrix
-    return _certified_minimum(shifted, idx, ModelSpec.level_tol)[0]
+    return _certified_minimum(shifted, idx, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -346,12 +343,13 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
             f"n_max={n_top} too large for the smallest truncation "
             f"N_max={min(levels)}"
         )
-    ns = list(range(n_top + 1))
     lambdas = {}
     for N in levels:
         h = assemble_hamiltonian(model, N_max=N)
-        lams, _ = _spectrum_levels(h, ns, model)
-        lambdas[N] = lams
+        lambdas[N] = [_certified_minimum(h.matrix, h.basis.degree_indices(n),
+                                         model.level_tol)[0]
+                      for n in range(n_top + 1)]
+    ns = list(range(n_top + 1))
     study = ConvergenceStudy(N_max_list=levels, ns=ns, lambdas=lambdas)
     for a, b in zip(levels, levels[1:]):
         study.rel_changes[(a, b)] = [

@@ -3,13 +3,14 @@
 Each oracle deliberately avoids the code path it checks: brackets via
 dense matrix commutators, the lattice kernels and the RK4 step via the
 dense einsum bracket and np.roll differences they replaced, the
-Helmholtz projector via FFT symbols, the Gaussian smoothing via
-finite-difference stencils on point evaluations, quantization via
-explicit ladder-matrix products and via the full-width feasibility mask
-it replaced, the Fock basis via recursive enumeration and its state
-index via a dictionary of occupation rows, the lowest block levels and
-their multiplicities via the full dense spectrum, and wave evolution via
-the dispersion relation of the spatially discrete system.
+curvature pairs via the nine-block antisymmetric layout, the Helmholtz
+projector via FFT symbols, the Gaussian smoothing via finite-difference
+stencils on point evaluations, quantization via explicit ladder-matrix
+products and via the full-width feasibility mask it replaced, the Fock
+basis via recursive enumeration and its state index via a dictionary of
+occupation rows, the lowest block levels and their multiplicities via
+the full dense spectrum, and wave evolution via the dispersion relation
+of the spatially discrete system.
 """
 
 import numpy as np
@@ -80,6 +81,16 @@ def reference_force(basis, spacing, a):
                 out[k] += (roll_diff(f[j, k], 1 + j, spacing)
                            - einsum_bracket(basis, a[j], f[j, k]))
     return out
+
+
+def expand_pairs(f):
+    """The nine-block curvature (3, 3, ...) from its pairs F_01, F_02,
+    F_12, with F_kj = -F_jk and F_jj = 0."""
+    full = np.zeros((3, 3) + f.shape[1:])
+    for p, (j, k) in enumerate(((0, 1), (0, 2), (1, 2))):
+        full[j, k] = f[p]
+        full[k, j] = -f[p]
+    return full
 
 
 def reference_rk4_step(basis, spacing, a0, e0, h):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ymspec import cli
+from ymspec import cli, spectrum
 from ymspec.cli import (
     RunConfig,
     abelian_wave_state,
@@ -214,6 +214,9 @@ class TestMainExitCodes:
         ({"model": {"N_max": 1}}, "model.N_max"),
         ({"model": {"n_max": 3, "N_max": 4}}, "model.n_max"),
         ({"model": {"N_max_list": [6, 4]}}, "model.N_max_list"),
+        ({"lattice": {"n": 1}}, "lattice.n"),
+        ({"model": {"N_max": 3}}, "model.N_max"),
+        ({"model": {"N_max": 8, "n_max": 1}}, "model.n_max"),
     ])
     def test_mistyped_integer_named(self, tmp_path, doc, key):
         path = write_config(tmp_path, {"command": "spectrum", **doc})
@@ -234,6 +237,29 @@ class TestMainExitCodes:
         assert "1.296e+13" in diag["message"]
         assert "1.0e+10" in diag["message"]
         assert not (tmp_path / "evolution.csv").exists()
+
+    @pytest.mark.parametrize("command,doc,csv", [
+        # T / h far past any integer a step loop takes, and infinite
+        ("evolve", {"lattice": {"n": 4},
+                    "evolution": {"T": 1e300, "h": 0.05,
+                                  "preset": "abelian-wave"}},
+         "evolution.csv"),
+        ("evolve", {"lattice": {"n": 4},
+                    "evolution": {"T": 1e300, "h": 1e-300,
+                                  "preset": "abelian-wave"}},
+         "evolution.csv"),
+        # n = 0..N_max - 2 is never listed: the basis cap refuses first
+        ("spectrum", {"model": {"N_max": 10**12}}, "spectrum.csv"),
+        ("converge", {"model": {"N_max": 10**12, "N_max_list": [10**12]}},
+         "convergence.csv"),
+    ])
+    def test_oversize_request_is_resource_error(self, tmp_path, command, doc,
+                                                csv):
+        path = write_config(tmp_path, {"command": command, **doc})
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ResourceError"
+        assert not (tmp_path / csv).exists()
 
     def test_duplicate_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"
@@ -323,6 +349,38 @@ class TestRunners:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "PhysicsAssertionError"
         assert phrase in diag["message"]
+
+    def test_failed_gate_marks_evolve_summary(self, tmp_path):
+        path = write_config(tmp_path, {
+            "command": "evolve", "algebra": "su2",
+            "lattice": {"n": 4, "spacing": 1.0},
+            "evolution": {"T": 0.2, "h": 0.05},
+            "random": {"amplitude": 0.01},
+            "tolerances": {"energy_drift_gate": 1e-300},
+        })
+        assert main(["evolve", "--config", path, "--out", str(tmp_path)]) == 1
+        summary = json.loads((tmp_path / "evolution_summary.json").read_text())
+        assert summary["status"] == "violated"
+        assert summary["energy_drift"] > 1e-300
+
+    def test_level_tol_certifies_number_shift_bound(self, tmp_path,
+                                                    monkeypatch):
+        tols = []
+
+        def spy(matrix, idx, tol):
+            tols.append(tol)
+            return certified_minimum(matrix, idx, tol)
+
+        certified_minimum = spectrum._certified_minimum
+        monkeypatch.setattr(spectrum, "_certified_minimum", spy)
+        path = write_config(tmp_path, {
+            "command": "spectrum", "algebra": "su2",
+            "model": {"N_max": 4, "n_max": 2},
+            "tolerances": {"level_tol": 1e-6},
+        })
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
+        # three blocks and C*
+        assert tols == [1e-6] * 4
 
     def test_so5_spectrum(self, tmp_path):
         # D = 30 modes: the basis index key wraps in uint64

@@ -32,7 +32,14 @@ from ymspec.lattice import (
     transversal_project,
 )
 
-from oracles import abelian_wave, maxwell_energy, reference_rk4_step
+from oracles import (
+    abelian_wave,
+    einsum_bracket,
+    expand_pairs,
+    maxwell_energy,
+    reference_rk4_step,
+    roll_diff,
+)
 
 
 def zero_state(lat, basis):
@@ -59,21 +66,21 @@ def smooth_profile(lat, basis, amplitude, shift=0.0):
 class TestCurvature:
     def test_zero(self, su2, lat8):
         a = VectorAlgebraField.zeros(lat8, su2)
-        assert np.abs(curvature_magnetic(a)).max() == 0.0
+        assert np.abs(expand_pairs(curvature_magnetic(a))).max() == 0.0
 
     def test_constant_aligned(self, su2, lat8):
         data = np.zeros((3, 3, 8, 8, 8))
         for k in range(3):
             data[k, 0] = 0.5 * (k + 1)  # all spatial components along b_1
         a = VectorAlgebraField(lat8, su2, data)
-        assert np.abs(curvature_magnetic(a)).max() < 1e-14
+        assert np.abs(expand_pairs(curvature_magnetic(a))).max() < 1e-14
 
     def test_constant_su2_pair(self, su2, lat8):
         data = np.zeros((3, 3, 8, 8, 8))
         data[0, 0] = 1.0  # a_1 = b_1
         data[1, 1] = 1.0  # a_2 = b_2
         a = VectorAlgebraField(lat8, su2, data)
-        f = curvature_magnetic(a)
+        f = expand_pairs(curvature_magnetic(a))
         expected = -bracket(
             AlgebraElement(su2, np.eye(3)[0]), AlgebraElement(su2, np.eye(3)[1])
         ).coeffs
@@ -82,10 +89,22 @@ class TestCurvature:
 
     def test_antisymmetry(self, su2, lat8, rng):
         a = random_vector_field(rng, lat8, su2)
-        f = curvature_magnetic(a)
+        f = expand_pairs(curvature_magnetic(a))
         for j in range(3):
             for k in range(3):
                 assert np.abs(f[j, k] + f[k, j]).max() == 0.0
+
+    def test_pairs_match_definition(self, su2, lat8, rng):
+        # one block per pair j < k, in the order (0, 1), (0, 2), (1, 2)
+        a = random_vector_field(rng, lat8, su2)
+        f = curvature_magnetic(a)
+        assert f.shape == (3, 3, 8, 8, 8)
+        h = lat8.spacing
+        for p, (j, k) in enumerate(((0, 1), (0, 2), (1, 2))):
+            ref = (roll_diff(a.data[k], 1 + j, h)
+                   - roll_diff(a.data[j], 1 + k, h)
+                   - einsum_bracket(su2, a.data[j], a.data[k]))
+            assert np.abs(f[p] - ref).max() < 1e-13
 
 
 class TestEnergy:
@@ -283,7 +302,7 @@ class TestEvolve:
         )
         T = 2.0
         final, _ = evolve(st, T, lat.spacing / 10)
-        f_final = curvature_magnetic(final.a)
+        f_final = expand_pairs(curvature_magnetic(final.a))
         dens = 0.5 * (
             np.sum(final.e.data ** 2, axis=(0, 1))
             + 0.5 * np.sum(f_final ** 2, axis=(0, 1, 2))

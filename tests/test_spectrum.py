@@ -44,6 +44,13 @@ from oracles import (
 )
 
 
+def block_levels(h, ns, tol):
+    """Certified lowest levels and multiplicities of the degree-n blocks."""
+    levels = [spectrum._lowest_level(h.matrix, h.basis.degree_indices(n), tol)
+              for n in ns]
+    return [lam for lam, _ in levels], [mult for _, mult in levels]
+
+
 class TestModelSpec:
     def test_lowest_shell_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -88,8 +95,8 @@ class TestAssemble:
         assert np.array_equal(full.basis.states[safe], h.basis.states)
         assert abs(h.matrix - full.matrix[np.ix_(safe, safe)]).max() < 1e-13
         ns = range(N_max - 1)
-        lams, mults = spectrum._spectrum_levels(h, ns, model)
-        full_lams, full_mults = spectrum._spectrum_levels(full, ns, model)
+        lams, mults = block_levels(h, ns, model.level_tol)
+        full_lams, full_mults = block_levels(full, ns, model.level_tol)
         assert lams == pytest.approx(full_lams, rel=1e-12, abs=0)
         assert mults == full_mults
         assert number_shift_bound(h) == pytest.approx(
@@ -188,10 +195,8 @@ class TestBosonicSpectrum:
         assert quartic.is_zero(0.0)
 
     def test_su2_gap_and_monotonicity(self, su2_model_nmax8, su2_hamiltonian_nmax8):
-        from ymspec.spectrum import _spectrum_levels
-
-        lams, mults = _spectrum_levels(
-            su2_hamiltonian_nmax8, range(6), su2_model_nmax8
+        lams, mults = block_levels(
+            su2_hamiltonian_nmax8, range(6), su2_model_nmax8.level_tol
         )
         assert all(b > a for a, b in zip(lams, lams[1:]))
         assert lams[1] - lams[0] > 0.5
@@ -293,8 +298,8 @@ class TestGapAnalysis:
         assert gap_analysis(rep, 0.5).arithmetic_growth
 
     def test_su2_margin_positive(self, su2_model_nmax8, su2_hamiltonian_nmax8):
-        lams, mults = spectrum._spectrum_levels(
-            su2_hamiltonian_nmax8, range(6), su2_model_nmax8
+        lams, mults = block_levels(
+            su2_hamiltonian_nmax8, range(6), su2_model_nmax8.level_tol
         )
         rep = SpectrumReport(ns=list(range(6)), lambdas=lams,
                              multiplicities=mults, converged=[True] * 6,
@@ -345,7 +350,7 @@ class TestRealEigensolve:
             np.linalg.eigvalsh(n_boson_block(h, n))[0] for n in range(5)
         ]
         seen = solver_dtypes(monkeypatch)
-        lams, _ = spectrum._spectrum_levels(h, range(5), model)
+        lams, _ = block_levels(h, range(5), model.level_tol)
         number_shift_bound(h)  # C*: N is stored complex, H - N is real
         # Lanczos on the blocks n = 1..4 and on C*; two factors per level,
         # one for C*, whose multiplicity is not counted
@@ -475,7 +480,7 @@ class TestNumberShiftBound:
         assert abs(number_shift_bound(h) - dense) < 1e-10 * abs(dense)
         oracle = [dense_lowest_level(h.matrix, h.basis.degree_indices(n),
                                      model.level_tol) for n in range(4)]
-        lams, mults = spectrum._spectrum_levels(h, range(4), model)
+        lams, mults = block_levels(h, range(4), model.level_tol)
         assert lams == pytest.approx([lam for lam, _ in oracle], rel=1e-10)
         assert mults == [mult for _, mult in oracle]
 
@@ -551,6 +556,20 @@ class TestConvergenceStudy:
         lam6 = la.eigh(n_boson_block(h6, 5), eigvals_only=True)[0]
         lam8 = la.eigh(n_boson_block(su2_hamiltonian_nmax8, 5), eigvals_only=True)[0]
         assert lam6 < lam8
+
+    def test_one_inertia_count_per_level(self, monkeypatch):
+        # the study reports levels only, so no multiplicity is counted
+        calls = []
+
+        def spy(sub, sigma):
+            calls.append(sigma)
+            return count_below(sub, sigma)
+
+        count_below = spectrum._count_below
+        monkeypatch.setattr(spectrum, "_count_below", spy)
+        model = ModelSpec(algebra="su2", N_max=4, n_max=2)
+        convergence_study(model, [4, 6])
+        assert len(calls) == 3 * 2
 
     def test_single_entry_list(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
