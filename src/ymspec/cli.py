@@ -45,7 +45,7 @@ from .algebra import (
     quartic_contraction_via_brackets,
     SpatialAlgebraVector,
 )
-from .dynamics import CauchyState, cfl_bound, evolve
+from .dynamics import CauchyState, cfl_bound, evolve, step_sizes
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -432,6 +432,9 @@ def _run_project(config: RunConfig, outdir: str) -> int:
 
 
 def _run_evolve(config: RunConfig, outdir: str) -> int:
+    # an oversize run is refused before its start state is built
+    step_sizes(config.evolution.T, config.evolution.h,
+               config.lattice.n ** 3 * build_algebra(config.algebra).dim_g)
     if config.evolution.preset == "abelian-wave":
         state = abelian_wave_state(config)
     else:

@@ -227,25 +227,11 @@ EVOLVE_COST_CAP = 10 ** 10
 EVOLVE_STEP_CAP = 10 ** 6
 
 
-def evolve(
-    state: CauchyState,
-    T: float,
-    h: float,
-    constraint_tol: float = 1e-6,
-) -> tuple[CauchyState, EvolutionReport]:
-    """Step the state to time t + T, recording energy and Gauss residual.
-
-    Takes steps of h; when T is not a whole number of them (to 1e-9
-    relative), a final shortened step lands exactly on t + T.  A run of
-    more than EVOLVE_STEP_CAP steps or EVOLVE_COST_CAP site-component
-    updates is refused before any step.  The initial residual must sit
-    below constraint_tol relative to the electric norm (zero fields pass
-    trivially); non-finite fields abort with the last finite state
-    attached.
-
-    The curvature of each accepted state is computed once: it gives the
-    recorded energy and the first RK4 stage of the next step.
-    """
+def step_sizes(T: float, h: float, updates_per_step: int):
+    """Steps of h over T, the last one shortened to land exactly on T when
+    T is not a whole number of them (to 1e-9 relative).  A run of more
+    than EVOLVE_STEP_CAP steps or EVOLVE_COST_CAP site-component updates
+    (steps x updates_per_step) is refused with a ResourceError."""
     if T < 0:
         raise ConfigurationError("evolution span T must be >= 0")
     if h <= 0:
@@ -253,7 +239,7 @@ def evolve(
     ratio = T / h  # kept a float until under the caps: it may be inf
     whole = abs(np.rint(ratio) * h - T) <= 1e-9 * max(1.0, T)
     total = float(np.rint(ratio) if whole else np.floor(ratio) + 1)
-    cost = total * state.lattice.sites() * state.a.basis.dim_g
+    cost = total * updates_per_step
     if cost > EVOLVE_COST_CAP:
         raise ResourceError(
             f"evolve needs {cost:.3e} site-component updates "
@@ -267,7 +253,22 @@ def evolve(
         )
     steps = int(total) - (not whole)
     last = [] if whole else [T - steps * h]
-    sizes = itertools.chain(itertools.repeat(h, steps), last)
+    return itertools.chain(itertools.repeat(h, steps), last)
+
+
+def evolve(
+    state: CauchyState,
+    T: float,
+    h: float,
+    constraint_tol: float = 1e-6,
+) -> tuple[CauchyState, EvolutionReport]:
+    """Step the state to time t + T in the steps of step_sizes, recording
+    energy and Gauss residual.  The initial residual must sit below
+    constraint_tol relative to the electric norm (zero fields pass
+    trivially); non-finite fields abort with the last finite state
+    attached.  The curvature of each accepted state is computed once: it
+    gives the recorded energy and the first RK4 stage of the next step."""
+    sizes = step_sizes(T, h, state.lattice.sites() * state.a.basis.dim_g)
 
     r0 = constraint_residual(state.a, state.e)
     e_norm = field_norm(state.e)

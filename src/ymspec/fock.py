@@ -244,9 +244,16 @@ def _monomial_entries(basis, alpha, beta, convention):
 
 
 def _chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
-    """Sum of the (rows, cols, vals) entry lists as one CSR matrix."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*chunks))
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    """Sum of the (keys, vals) entry lists, key = row * size + col, as one
+    CSR matrix; a stable sort adds each entry's duplicates in list order."""
+    keys, vals = (np.concatenate(part) for part in zip(*chunks))
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    indptr = np.searchsorted(keys[first], np.arange(size + 1) * size)
+    return sparse.csr_matrix(
+        (np.add.reduceat(vals, first), keys[first] % size, indptr),
+        shape=(size, size))
 
 
 def quantize(
@@ -257,7 +264,8 @@ def quantize(
     normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
     antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
     weyl:       convert the symbol to normal form, then quantize normally.
-    """
+    Terms are summed in sorted key order: the matrix depends only on the
+    symbol's content."""
     validate_ordering(convention)
     if s.num_modes != basis.D:
         raise DimensionMismatchError(
@@ -269,18 +277,17 @@ def quantize(
     size = basis.size
     total = sparse.csr_matrix((size, size), dtype=complex)
     chunks, pending = [], 0
-    for (alpha, beta), coeff in s.terms.items():
+    for (alpha, beta), coeff in sorted(s.terms.items()):
         entries = _monomial_entries(basis, alpha, beta, convention)
         if entries is None:
             continue
         rows, cols, amp = entries
-        chunks.append((rows, cols, amp * coeff))
+        chunks.append((rows * size + cols, amp * coeff))
         pending += rows.size
         if pending >= 4_000_000:
             total, chunks, pending = total + _chunk_matrix(chunks, size), [], 0
     if pending:
         total = total + _chunk_matrix(chunks, size)
-    total.sum_duplicates()
     return FockOperator(basis, total)
 
 

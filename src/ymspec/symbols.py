@@ -14,6 +14,7 @@ normal is t = +1), not by trusting any printed sign convention.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -296,22 +297,16 @@ class ModeMap:
         return cls(dim_g, tuple((j, direction) for j in range(3)))
 
 
-_SQRT2 = math.sqrt(2.0)
-
-
-def _field_symbols(mode_map: ModeMap) -> tuple[list, list]:
-    """Per-(j, p) symbols for a and e; zero symbol for dropped modes."""
-    D = mode_map.num_modes
-    a_sym = [[PolynomialSymbol.zero(D) for _ in range(mode_map.dim_g)]
-             for _ in range(3)]
-    e_sym = [[PolynomialSymbol.zero(D) for _ in range(mode_map.dim_g)]
-             for _ in range(3)]
-    for m, (j, p) in enumerate(mode_map.labels):
-        zs = PolynomialSymbol.zstar(D, m)
-        z = PolynomialSymbol.z(D, m)
-        a_sym[j][p] = (z + zs) * (1.0 / _SQRT2)
-        e_sym[j][p] = (z - zs) * (-1j / _SQRT2)
-    return a_sym, e_sym
+def _expand(num_modes, factors, coeff, terms):
+    """Add coeff * prod (s z*_m + c z_m) over the factors (m, s, c) into
+    the coefficient map terms, one term per choice of z* or z per factor."""
+    for stars in itertools.product((True, False), repeat=len(factors)):
+        alpha, beta, value = [0] * num_modes, [0] * num_modes, coeff
+        for (m, s, c), star in zip(factors, stars):
+            (alpha if star else beta)[m] += 1
+            value *= s if star else c
+        key = (tuple(alpha), tuple(beta))
+        terms[key] = terms.get(key, 0) + value
 
 
 def energy_symbol(
@@ -321,11 +316,12 @@ def energy_symbol(
 ) -> PolynomialSymbol:
     """Energy-mass functional as a degree-4 symbol over the retained modes.
 
-    Substitutes a = (z + z*)/sqrt(2), e = (z - z*)/(i sqrt(2)) into
-    (1/2)(quartic self-interaction + e.e).  In the spatially-constant
-    sector the derivative part of the magnetic energy is absent; the
-    quartic is the whole magnetic term and can be switched off to obtain
-    the exactly solvable quadratic model.
+    Substitutes a = x(z* + z), e = ix(z* - z) with x = 1/sqrt(2) into
+    (1/2) e.e + sum_{j<k} |[a_j, a_k]|^2, each square expanded as a
+    product of linear forms.  In the spatially-constant sector the
+    derivative part of the magnetic energy is absent; the quartic is the
+    whole magnetic term and can be switched off to obtain the exactly
+    solvable quadratic model.
     """
     if mode_map.dim_g != basis.dim_g:
         raise DimensionMismatchError(
@@ -333,36 +329,27 @@ def energy_symbol(
             f"dim_g={basis.dim_g}"
         )
     D = mode_map.num_modes
-    if D == 0:
-        return PolynomialSymbol.zero(0)
-    a_sym, e_sym = _field_symbols(mode_map)
-
-    h = PolynomialSymbol.zero(D)
-    for j in range(3):
-        for p in range(basis.dim_g):
-            e = e_sym[j][p]
-            if e.terms:
-                h = h + e * e
+    x = 1.0 / math.sqrt(2.0)
+    terms = {}
+    for m in range(D):
+        _expand(D, ((m, 1j * x, -1j * x),) * 2, 0.5, terms)
 
     if include_magnetic:
-        c = basis.structure_constants
-        for j in range(3):
-            for k in range(3):
-                if j == k:
-                    continue
-                for m in range(basis.dim_g):
-                    br = PolynomialSymbol.zero(D)
-                    for p in range(basis.dim_g):
-                        if not a_sym[j][p].terms:
-                            continue
-                        for q in range(basis.dim_g):
-                            coef = c[m, p, q]
-                            if coef != 0.0 and a_sym[k][q].terms:
-                                br = br + (a_sym[j][p] * a_sym[k][q]) * coef
-                    if br.terms:
-                        h = h + br * br
+        index = {label: m for m, label in enumerate(mode_map.labels)}
+        # [a_k, a_j] = -[a_j, a_k], so the pairs j < k carry the sum
+        for j, k in ((0, 1), (0, 2), (1, 2)):
+            for row in basis.structure_constants:
+                # component row of [a_j, a_k] = sum_pq c_pq a_j^p a_k^q
+                entries = [
+                    (float(row[p, q]), (index[j, p], x, x), (index[k, q], x, x))
+                    for p, q in zip(*np.nonzero(row))
+                    if (j, p) in index and (k, q) in index
+                ]
+                for c1, a1, b1 in entries:
+                    for c2, a2, b2 in entries:
+                        _expand(D, (a1, b1, a2, b2), c1 * c2, terms)
 
-    return h * 0.5
+    return PolynomialSymbol(D, terms)
 
 
 def number_symbol(num_modes: int, convention: str) -> PolynomialSymbol:
@@ -375,9 +362,8 @@ def number_symbol(num_modes: int, convention: str) -> PolynomialSymbol:
     if num_modes < 1:
         raise ConfigurationError("number_symbol requires at least one mode")
     validate_ordering(convention)
-    s = PolynomialSymbol.zero(num_modes)
-    for m in range(num_modes):
-        s = s + PolynomialSymbol.zstar(num_modes, m) * PolynomialSymbol.z(num_modes, m)
+    units = [tuple(int(i == m) for i in range(num_modes)) for m in range(num_modes)]
+    s = PolynomialSymbol(num_modes, {(e, e): 1.0 for e in units})
     return convert(s, "normal", convention)
 
 

@@ -5,13 +5,16 @@ dense matrix commutators, the lattice kernels and the RK4 step via the
 dense einsum bracket and np.roll differences they replaced, the
 curvature pairs via the nine-block antisymmetric layout, the Helmholtz
 projector via FFT symbols, the Gaussian smoothing via finite-difference
-stencils on point evaluations, quantization via explicit ladder-matrix
+stencils on point evaluations, the energy symbol via products and sums
+in the symbol ring, quantization via explicit ladder-matrix
 products and via the full-width feasibility mask it replaced, the Fock
 basis via recursive enumeration and its state index via a dictionary of
 occupation rows, the lowest block levels and their multiplicities via
 the full dense spectrum, and wave evolution via the dispersion relation
 of the spatially discrete system.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg as la
@@ -333,6 +336,75 @@ def random_symbol(rng, D, degree, hermitian=False, n_terms=10):
     if hermitian:
         s = (s + s.conjugate()) * 0.5
     return s
+
+
+# ---------------------------------------------------------------------------
+# energy symbol through the dict-backed symbol ring
+# ---------------------------------------------------------------------------
+
+_SQRT2 = math.sqrt(2.0)
+
+
+def _field_symbols(mode_map):
+    """Per-(j, p) symbols for a and e; zero symbol for dropped modes."""
+    from ymspec.symbols import PolynomialSymbol
+
+    D = mode_map.num_modes
+    a_sym = [[PolynomialSymbol.zero(D) for _ in range(mode_map.dim_g)]
+             for _ in range(3)]
+    e_sym = [[PolynomialSymbol.zero(D) for _ in range(mode_map.dim_g)]
+             for _ in range(3)]
+    for m, (j, p) in enumerate(mode_map.labels):
+        zs = PolynomialSymbol.zstar(D, m)
+        z = PolynomialSymbol.z(D, m)
+        a_sym[j][p] = (z + zs) * (1.0 / _SQRT2)
+        e_sym[j][p] = (z - zs) * (-1j / _SQRT2)
+    return a_sym, e_sym
+
+
+def ring_energy_symbol(basis, mode_map, include_magnetic=True):
+    """symbols.energy_symbol as first written: per-field symbols multiplied
+    and added in the symbol ring, both orders of each pair j != k summed
+    and halved."""
+    from ymspec.errors import DimensionMismatchError
+    from ymspec.symbols import PolynomialSymbol
+
+    if mode_map.dim_g != basis.dim_g:
+        raise DimensionMismatchError(
+            f"mode map dim_g={mode_map.dim_g} does not match basis "
+            f"dim_g={basis.dim_g}"
+        )
+    D = mode_map.num_modes
+    if D == 0:
+        return PolynomialSymbol.zero(0)
+    a_sym, e_sym = _field_symbols(mode_map)
+
+    h = PolynomialSymbol.zero(D)
+    for j in range(3):
+        for p in range(basis.dim_g):
+            e = e_sym[j][p]
+            if e.terms:
+                h = h + e * e
+
+    if include_magnetic:
+        c = basis.structure_constants
+        for j in range(3):
+            for k in range(3):
+                if j == k:
+                    continue
+                for m in range(basis.dim_g):
+                    br = PolynomialSymbol.zero(D)
+                    for p in range(basis.dim_g):
+                        if not a_sym[j][p].terms:
+                            continue
+                        for q in range(basis.dim_g):
+                            coef = c[m, p, q]
+                            if coef != 0.0 and a_sym[k][q].terms:
+                                br = br + (a_sym[j][p] * a_sym[k][q]) * coef
+                    if br.terms:
+                        h = h + br * br
+
+    return h * 0.5
 
 
 # ---------------------------------------------------------------------------

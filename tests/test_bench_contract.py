@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from ymspec.algebra import build_algebra
+from ymspec.spectrum import ModelSpec
+from ymspec.symbols import energy_symbol
+
 ROOT = Path(__file__).resolve().parent.parent
 
 CONFIGS = {
@@ -51,12 +55,18 @@ def traced_run(tmp_path, command) -> dict:
     ("evolve", {"dynamics.rk4_step"}),
 ])
 def test_traced_child_records_layer_spans(tmp_path, command, expected):
-    names = [span[0] for span in traced_run(tmp_path, command)["spans"]]
+    spans = traced_run(tmp_path, command)["spans"]
+    names = [span[0] for span in spans]
     assert expected <= set(names)
     if command == "spectrum":
         # one operator per spectrum run, reused for C*
         assert names.count("spectrum.assemble_hamiltonian") == 1
         assert names.count("fock.quantize") == 1
+        # one symbol, whose term count the span reads from its result
+        (symbol_span,) = [s for s in spans if s[0] == "symbols.energy_symbol"]
+        model = ModelSpec(algebra="su2", sector="abelian", N_max=4)
+        symbol = energy_symbol(build_algebra("su2"), model.mode_map())
+        assert symbol_span[5]["terms"] == len(symbol.terms) == 9
     else:
         # the curvature of each accepted state gives its energy and the
         # next step's first stage: three more stages per step, plus t = 0

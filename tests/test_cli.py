@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import os
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ymspec import cli, spectrum
 from ymspec.cli import (
+    COMMANDS,
     RunConfig,
     abelian_wave_state,
     main,
@@ -120,6 +125,61 @@ def test_one_leaf_replaced_parses_or_is_named(leaf, value):
         # nothing accepted is NaN or Infinity, which strict JSON refuses
         json.dumps(cfg.to_dict(), allow_nan=False)
         assert parse_config(cfg.to_json()) == cfg
+
+
+# a small fixed value set, so no document that passes validation asks for
+# a large lattice, basis or run: so5 and su3 are left out because their
+# default spectrum (N_max = 6) quantizes 46,376 and 20,475 states
+_FUZZ_VALUES = st.sampled_from([
+    -1, 0, 1, 2, 3, 0.5, 1e300, True, None, "su2", "so3", "su4", "x",
+    "abelian", "abelian-wave", "weyl", [], {}, [2, 3],
+])
+
+
+# key paths an edit may set: every schema leaf, whole sections (replaced
+# by a non-object value) and unknown keys
+_FUZZ_KEYS = st.sampled_from(
+    sorted(_leaf_paths(RunConfig().to_dict()))
+    + ["lattice", "evolution", "model", "tolerances", "random"]
+    + ["bogus", "model.bogus"]
+)
+
+
+def _set_path(doc: dict, key: str, value):
+    *sections, name = key.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+        if not isinstance(node, dict):
+            return  # an earlier edit replaced the section
+    node[name] = value
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(command=st.sampled_from(COMMANDS),
+       edits=st.dictionaries(_FUZZ_KEYS, _FUZZ_VALUES, max_size=3))
+def test_whole_document_exits_with_a_diagnosis(command, edits):
+    # the document declares the command run, unless an edit replaces it
+    doc = {"command": command}
+    for key, value in edits.items():
+        _set_path(doc, key, value)
+    with tempfile.TemporaryDirectory() as outdir:
+        path = os.path.join(outdir, "config.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path, "--out", outdir])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        diagnostics = os.path.join(outdir, "diagnostics.json")
+        if code:
+            with open(diagnostics) as fh:
+                text = fh.read()
+            assert text in err.getvalue()
+            assert json.loads(text)["exit_code"] == code
+        else:
+            assert not os.path.exists(diagnostics)
 
 
 class TestSeededState:
@@ -237,6 +297,26 @@ class TestMainExitCodes:
         assert "1.296e+13" in diag["message"]
         assert "1.0e+10" in diag["message"]
         assert not (tmp_path / "evolution.csv").exists()
+
+    def test_oversize_evolve_refused_before_start_state(self, tmp_path,
+                                                        monkeypatch):
+        # the caps are checked before the random start is built and projected
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return project(*args, **kwargs)
+
+        project = cli.transversal_project
+        monkeypatch.setattr(cli, "transversal_project", spy)
+        path = write_config(tmp_path, {
+            "command": "evolve", "algebra": "su2", "lattice": {"n": 4},
+            "evolution": {"T": 1e300, "h": 0.05},
+        })
+        assert main(["evolve", "--config", path, "--out", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ResourceError"
+        assert calls == []
 
     @pytest.mark.parametrize("command,doc,csv", [
         # T / h far past any integer a step loop takes, and infinite

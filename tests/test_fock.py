@@ -24,7 +24,14 @@ from ymspec.fock import (
     quantize,
     safe_block_indices,
 )
-from ymspec.symbols import ModeMap, PolynomialSymbol, convert, energy_symbol
+from ymspec.symbols import (
+    ModeMap,
+    PolynomialSymbol,
+    convert,
+    energy_symbol,
+    symbol_from_json,
+    symbol_to_json,
+)
 
 from oracles import (
     dict_index_of,
@@ -32,6 +39,7 @@ from oracles import (
     ladder_quantize,
     random_symbol,
     recursive_basis_states,
+    ring_energy_symbol,
 )
 
 
@@ -234,6 +242,27 @@ class TestQuantize:
         algebra = build_algebra(name)
         s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
         assert_full_width_identical(monkeypatch, s, build_basis(s.num_modes, N_max))
+
+    def test_independent_of_term_order(self, su2):
+        # duplicate (row, col) entries are summed in sorted term order, so
+        # the JSON round trip and a reversed copy give the same bits
+        s = energy_symbol(su2, ModeMap.zero_momentum(3))
+        basis = build_basis(9, 8, depth=6)
+        h = quantize(s, "antinormal", basis).matrix
+        for copy in (symbol_from_json(symbol_to_json(s)),
+                     PolynomialSymbol(9, dict(reversed(s.terms.items())))):
+            assert list(copy.terms) != list(s.terms)
+            other = quantize(copy, "antinormal", basis).matrix
+            assert (h != other).nnz == 0
+
+    def test_energy_symbol_quantizes_as_ring_oracle(self, su2):
+        # su2 N_max = 8 safe basis: the expanded symbol and the ring-built
+        # one quantize to the same bits
+        mm = ModeMap.zero_momentum(3)
+        basis = build_basis(9, 8, depth=6)
+        new = quantize(energy_symbol(su2, mm), "antinormal", basis).matrix
+        old = quantize(ring_energy_symbol(su2, mm), "antinormal", basis).matrix
+        assert (new != old).nnz == 0
 
     def test_complex_symbols_match_full_width_mask(self, monkeypatch, rng):
         b = build_basis(3, 5)

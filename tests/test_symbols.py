@@ -14,7 +14,7 @@ from ymspec.symbols import (
     weierstrass_flow,
 )
 
-from oracles import random_symbol, smoothed_value_fd
+from oracles import random_symbol, ring_energy_symbol, smoothed_value_fd
 
 
 def zz(D=1, mode=0):
@@ -139,6 +139,25 @@ class TestEnergySymbol:
     def test_mode_map_mismatch(self, su2):
         with pytest.raises(DimensionMismatchError):
             energy_symbol(su2, ModeMap.zero_momentum(8))
+
+    @pytest.mark.parametrize("include_magnetic", [True, False])
+    @pytest.mark.parametrize("sector", ["zero", "abelian", "partial", "empty"])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4", "so5"])
+    def test_matches_ring_oracle(self, name, sector, include_magnetic):
+        basis = build_algebra(name)
+        full = ModeMap.zero_momentum(basis.dim_g)
+        mode_map = {
+            "zero": full,
+            "abelian": ModeMap.abelian(basis.dim_g),
+            # every other mode dropped: brackets lose some of their terms
+            "partial": ModeMap(basis.dim_g, full.labels[::2]),
+            "empty": ModeMap(basis.dim_g, ()),
+        }[sector]
+        new = energy_symbol(basis, mode_map, include_magnetic)
+        old = ring_energy_symbol(basis, mode_map, include_magnetic)
+        assert new.num_modes == old.num_modes == mode_map.num_modes
+        assert set(new.terms) == set(old.terms)
+        assert new.max_coefficient_diff(old) <= 1e-15
 
 
 class TestEmergentMassTerm:
