@@ -112,7 +112,7 @@ class ModelConfig:
     n_max: int | None = None
     convention: str = "antinormal"
     include_magnetic: bool = True
-    N_max_list: list[int] = field(default_factory=lambda: [4, 6])
+    N_max_list: list[int] = field(default_factory=lambda: [6, 8])
 
 
 @dataclass
@@ -248,7 +248,8 @@ def _checked(tp, value, key: str, item: str = ""):
 
 def _check_values(config: RunConfig) -> RunConfig:
     """The checks the constraint table cannot express, each naming its
-    key path: the algebra identifier, lattice size and truncation levels."""
+    key path: the algebra identifier, lattice size, truncation levels and
+    the CG tolerance."""
     try:
         algebra_name(config.algebra)
     except ConfigurationError as exc:
@@ -268,7 +269,8 @@ def _check_values(config: RunConfig) -> RunConfig:
             f"{model.N_max - DEGREE_MARGIN}, got {model.n_max}; "
             "truncation-edge blocks are not trustworthy"
         )
-    if config.command == "spectrum" and config.model_spec().n_top < 2:
+    n_top = config.model_spec().n_top
+    if config.command == "spectrum" and n_top < 2:
         key = "N_max" if model.n_max is None else "n_max"
         raise ConfigurationError(
             f"'model.{key}' must leave the gap analysis at least 3 levels "
@@ -279,6 +281,16 @@ def _check_values(config: RunConfig) -> RunConfig:
         raise ConfigurationError(
             "'model.N_max_list' must be non-empty and strictly increasing, "
             f"got {levels}"
+        )
+    if config.command == "converge" and n_top > levels[0] - DEGREE_MARGIN:
+        raise ConfigurationError(
+            f"'model.N_max_list' must start at n_max + {DEGREE_MARGIN} = "
+            f"{n_top + DEGREE_MARGIN} or above, got {levels}"
+        )
+    if config.tolerances.cg_tol >= 1:
+        # a relative residual tolerance of 1 accepts x = 0
+        raise ConfigurationError(
+            f"'tolerances.cg_tol' must be below 1, got {config.tolerances.cg_tol}"
         )
     return config
 
@@ -565,7 +577,7 @@ def _run_transform(config: RunConfig, outdir: str) -> int:
 def _run_spectrum(config: RunConfig, outdir: str) -> int:
     model = config.model_spec()
     report = bosonic_spectrum(model)
-    cstar = number_shift_bound(report.hamiltonian, tol=model.level_tol)
+    cstar = number_shift_bound(report.hamiltonian)
     analysis = gap_analysis(report, cstar, config.tolerances.margin_tol)
     _write(outdir, "spectrum.csv", report.to_csv())
     _write(outdir, "spectrum_summary.json",

@@ -245,7 +245,8 @@ def _monomial_entries(basis, alpha, beta, convention):
 
 def _chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
     """Sum of the (keys, vals) entry lists, key = row * size + col, as one
-    CSR matrix; a stable sort adds each entry's duplicates in list order."""
+    CSR matrix; a stable sort keeps each entry's duplicates in list order,
+    and reduceat sums them in an order fixed by that run alone."""
     keys, vals = (np.concatenate(part) for part in zip(*chunks))
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]

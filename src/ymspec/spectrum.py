@@ -17,14 +17,14 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .algebra import build_algebra
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
     NumericalError,
+    ResourceError,
 )
 from .fock import (
     FockOperator,
@@ -36,6 +36,9 @@ from .fock import (
 from .symbols import ModeMap, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
+# rows of the largest block component diagonalized densely: a component of
+# d rows takes 8 d^2 bytes (16 d^2 if complex), 512 MB real at the cap
+DENSE_COMPONENT_CAP = 8_000
 SECTORS = ("full", "abelian")
 
 
@@ -145,34 +148,18 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
     return q.matrix[np.ix_(idx, idx)].toarray()
 
 
-def _count_below(sub, sigma: float) -> int:
-    """Number of eigenvalues of the Hermitian sparse matrix sub below sigma:
-    by Sylvester's law of inertia, the negative pivots of a symmetric
-    factorization P (sub - sigma) P^T = L D L^H.  A factor that pivoted
-    off the diagonal, or a singular one, proves nothing."""
-    shifted = (sub - sigma * sparse.identity(sub.shape[0], sub.dtype)).tocsc()
-    try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise NumericalError(f"inertia factor at {sigma!r} failed: {exc}")
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NumericalError(f"inertia factor at {sigma!r} pivoted")
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+def _block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
+    """All eigenvalues, ascending, of the Hermitian compression
+    sub = matrix[idx, idx].
 
-
-def _certified_minimum(matrix, idx: np.ndarray, tol: float):
-    """(lam, sub): lowest eigenvalue of the Hermitian compression
-    sub = matrix[idx, idx], certified by a zero inertia count below lam - tol.
-
-    Lanczos finds lam from a fixed start vector with seeded restarts (a
-    block with few distinct eigenvalues exhausts its Krylov space), so the
-    digits repeat run to run; a block of at most two rows, below
-    Lanczos's reach, is read densely.  A compression whose stored entries
-    are all real is solved as a real symmetric matrix.
+    H has no entry between its symmetry sectors, so sub splits into the
+    connected components of its sparsity graph.  Permuted once into
+    component-major order, sub is block diagonal, and dense LAPACK
+    diagonalizes each block completely: the result needs no start vector
+    and no certificate.  A compression whose stored entries are all real
+    is solved as a real symmetric matrix.
     """
     sub = matrix[np.ix_(idx, idx)]
-    dim = idx.size
     herm_defect = abs(sub - sub.conj().T).max()
     if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
         raise NumericalError(
@@ -180,29 +167,30 @@ def _certified_minimum(matrix, idx: np.ndarray, tol: float):
         )
     if not sub.data.imag.any():
         sub = sub.real
-    if dim <= 2:  # eigsh needs k < dim - 1 for complex blocks
-        lam = float(np.linalg.eigvalsh(sub.toarray())[0])
-    else:
-        try:
-            lam = float(spla.eigsh(sub, k=1, which="SA", v0=np.ones(dim),
-                                   rng=0, return_eigenvectors=False)[0])
-        except spla.ArpackError as exc:
-            raise NumericalError(
-                f"eigensolver failed on a {dim}-dim block: {exc}")
-    below = _count_below(sub, lam - tol)
-    if below:
-        raise NumericalError(
-            f"{below} eigenvalues of a {dim}-dim block lie below the "
-            f"Lanczos minimum {lam!r} by more than {tol}"
+    # the pattern, not the values: a complex graph is cast with a warning
+    _, labels = connected_components(sub != 0, directed=False)
+    sizes = np.bincount(labels)
+    if sizes.max() > DENSE_COMPONENT_CAP:
+        raise ResourceError(
+            f"a {idx.size}-dim block has a {sizes.max()}-dim component, "
+            f"past the dense cap of {DENSE_COMPONENT_CAP} rows"
         )
-    return lam, sub
+    order = np.argsort(labels, kind="stable")
+    sub = sub[np.ix_(order, order)]
+    ends = np.cumsum(sizes)
+    vals = np.concatenate([
+        np.linalg.eigvalsh(sub[a:b, a:b].toarray())
+        for a, b in zip(ends - sizes, ends)
+    ])
+    vals.sort()
+    return vals
 
 
 def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
-    """Certified lowest eigenvalue lam of matrix[idx, idx] and its
-    multiplicity, the inertia count of eigenvalues below lam + tol."""
-    lam, sub = _certified_minimum(matrix, idx, tol)
-    return lam, _count_below(sub, lam + tol)
+    """Lowest eigenvalue lam of matrix[idx, idx] and its multiplicity, the
+    number of eigenvalues at most lam + tol."""
+    vals = _block_eigenvalues(matrix, idx)
+    return float(vals[0]), int(np.count_nonzero(vals <= vals[0] + tol))
 
 
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
@@ -285,12 +273,9 @@ def gap_analysis(
     )
 
 
-def number_shift_bound(
-    h: FockOperator, margin_degree: int = DEGREE_MARGIN,
-    tol: float = ModelSpec.level_tol,
-) -> float:
-    """C* = min spectrum of (H - N) compressed to the truncation-safe block,
-    certified to tol like the block levels.
+def number_shift_bound(h: FockOperator,
+                       margin_degree: int = DEGREE_MARGIN) -> float:
+    """C* = min spectrum of (H - N) compressed to the truncation-safe block.
 
     Every state psi supported on degrees <= N_max - margin_degree then
     satisfies <H> >= <N> + C*.
@@ -299,7 +284,7 @@ def number_shift_bound(
     if idx.size == 0:
         raise ConfigurationError("safe block is empty at this truncation")
     shifted = h.matrix - number_operator(h.basis).matrix
-    return _certified_minimum(shifted, idx, tol)[0]
+    return float(_block_eigenvalues(shifted, idx)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +331,8 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     lambdas = {}
     for N in levels:
         h = assemble_hamiltonian(model, N_max=N)
-        lambdas[N] = [_certified_minimum(h.matrix, h.basis.degree_indices(n),
-                                         model.level_tol)[0]
+        lambdas[N] = [float(_block_eigenvalues(h.matrix,
+                                               h.basis.degree_indices(n))[0])
                       for n in range(n_top + 1)]
     ns = list(range(n_top + 1))
     study = ConvergenceStudy(N_max_list=levels, ns=ns, lambdas=lambdas)

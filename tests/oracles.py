@@ -10,8 +10,9 @@ in the symbol ring, quantization via explicit ladder-matrix
 products and via the full-width feasibility mask it replaced, the Fock
 basis via recursive enumeration and its state index via a dictionary of
 occupation rows, the lowest block levels and their multiplicities via
-the full dense spectrum, and wave evolution via the dispersion relation
-of the spatially discrete system.
+the full dense spectrum and via Lanczos with a Sylvester inertia
+certificate from a symmetric sparse LU, and wave evolution via the
+dispersion relation of the spatially discrete system.
 """
 
 import math
@@ -19,6 +20,9 @@ import math
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sparse
+import scipy.sparse.linalg as spla
+
+from ymspec.errors import NumericalError
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +412,70 @@ def ring_energy_symbol(basis, mode_map, include_magnetic=True):
 
 
 # ---------------------------------------------------------------------------
-# lowest level of a Hermitian compression from its whole dense spectrum
+# lowest level of a Hermitian compression by Lanczos, certified by a
+# Sylvester inertia count (the solver the component-wise dense solve
+# replaced), and from its whole dense spectrum
 # ---------------------------------------------------------------------------
+
+def count_below(sub, sigma: float) -> int:
+    """Number of eigenvalues of the Hermitian sparse matrix sub below sigma:
+    by Sylvester's law of inertia, the negative pivots of a symmetric
+    factorization P (sub - sigma) P^T = L D L^H.  A factor that pivoted
+    off the diagonal, or a singular one, proves nothing."""
+    shifted = (sub - sigma * sparse.identity(sub.shape[0], sub.dtype)).tocsc()
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise NumericalError(f"inertia factor at {sigma!r} failed: {exc}")
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NumericalError(f"inertia factor at {sigma!r} pivoted")
+    return int(np.count_nonzero(lu.U.diagonal().real < 0))
+
+
+def certified_minimum(matrix, idx: np.ndarray, tol: float):
+    """(lam, sub): lowest eigenvalue of the Hermitian compression
+    sub = matrix[idx, idx], certified by a zero inertia count below lam - tol.
+
+    Lanczos finds lam from a fixed start vector with seeded restarts (a
+    block with few distinct eigenvalues exhausts its Krylov space), so the
+    digits repeat run to run; a block of at most two rows, below
+    Lanczos's reach, is read densely.  A compression whose stored entries
+    are all real is solved as a real symmetric matrix.
+    """
+    sub = matrix[np.ix_(idx, idx)]
+    dim = idx.size
+    herm_defect = abs(sub - sub.conj().T).max()
+    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
+        raise NumericalError(
+            f"block is not Hermitian (defect {herm_defect:.3e})"
+        )
+    if not sub.data.imag.any():
+        sub = sub.real
+    if dim <= 2:  # eigsh needs k < dim - 1 for complex blocks
+        lam = float(np.linalg.eigvalsh(sub.toarray())[0])
+    else:
+        try:
+            lam = float(spla.eigsh(sub, k=1, which="SA", v0=np.ones(dim),
+                                   rng=0, return_eigenvectors=False)[0])
+        except spla.ArpackError as exc:
+            raise NumericalError(
+                f"eigensolver failed on a {dim}-dim block: {exc}")
+    below = count_below(sub, lam - tol)
+    if below:
+        raise NumericalError(
+            f"{below} eigenvalues of a {dim}-dim block lie below the "
+            f"Lanczos minimum {lam!r} by more than {tol}"
+        )
+    return lam, sub
+
+
+def lanczos_lowest_level(matrix, idx: np.ndarray, tol: float):
+    """Certified lowest eigenvalue lam of matrix[idx, idx] and its
+    multiplicity, the inertia count of eigenvalues below lam + tol."""
+    lam, sub = certified_minimum(matrix, idx, tol)
+    return lam, count_below(sub, lam + tol)
+
 
 def dense_lowest_level(matrix, idx, tol):
     """(lam, multiplicity) of the compression matrix[idx, idx]: the lowest

@@ -341,6 +341,55 @@ class TestMainExitCodes:
         assert diag["error_type"] == "ResourceError"
         assert not (tmp_path / csv).exists()
 
+    def test_oversize_block_component_refused_before_eigensolve(
+            self, tmp_path, monkeypatch):
+        # a cap of 0 rows refuses the first block, the 1-row vacuum, before
+        # any component is made dense
+        calls = []
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(spectrum, "DENSE_COMPONENT_CAP", 0)
+        path = write_config(tmp_path, {"command": "spectrum",
+                                       "model": {"N_max": 4}})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 3
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ResourceError"
+        assert "1-dim component" in diag["message"]
+        assert calls == []
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    def test_bare_converge_runs_on_its_defaults(self, tmp_path):
+        path = write_config(tmp_path, {"command": "converge"})
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "convergence_summary.json").read_text())
+        assert summary["N_max_list"] == [6, 8]
+        assert summary["max_rel_change"] < 1e-12
+
+    def test_converge_list_below_levels_named(self, tmp_path):
+        # N_max = 6 reports n = 0..4, which N_max = 4 cannot hold safely
+        path = write_config(tmp_path, {"command": "converge",
+                                       "model": {"N_max_list": [4, 6]}})
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ConfigurationError"
+        assert "'model.N_max_list'" in diag["message"]
+
+    @pytest.mark.parametrize("cg_tol", [1, 1e300])
+    def test_cg_tol_of_one_or_more_named(self, tmp_path, cg_tol):
+        # a relative residual of 1 is met by x = 0; 1e300 overflowed the
+        # squared CG target
+        path = write_config(tmp_path, {"command": "evolve",
+                                       "tolerances": {"cg_tol": cg_tol}})
+        assert main(["evolve", "--config", path, "--out", str(tmp_path)]) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "ConfigurationError"
+        assert "'tolerances.cg_tol'" in diag["message"]
+
     def test_duplicate_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"command": "spectrum", "seed": 1, "seed": 2}')
@@ -443,24 +492,23 @@ class TestRunners:
         assert summary["status"] == "violated"
         assert summary["energy_drift"] > 1e-300
 
-    def test_level_tol_certifies_number_shift_bound(self, tmp_path,
-                                                    monkeypatch):
+    def test_level_tol_sets_multiplicity_window(self, tmp_path, monkeypatch):
         tols = []
 
         def spy(matrix, idx, tol):
             tols.append(tol)
-            return certified_minimum(matrix, idx, tol)
+            return lowest_level(matrix, idx, tol)
 
-        certified_minimum = spectrum._certified_minimum
-        monkeypatch.setattr(spectrum, "_certified_minimum", spy)
+        lowest_level = spectrum._lowest_level
+        monkeypatch.setattr(spectrum, "_lowest_level", spy)
         path = write_config(tmp_path, {
             "command": "spectrum", "algebra": "su2",
             "model": {"N_max": 4, "n_max": 2},
             "tolerances": {"level_tol": 1e-6},
         })
         assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
-        # three blocks and C*
-        assert tols == [1e-6] * 4
+        # one multiplicity count per block; C* counts none
+        assert tols == [1e-6] * 3
 
     def test_so5_spectrum(self, tmp_path):
         # D = 30 modes: the basis index key wraps in uint64

@@ -37,15 +37,18 @@ from ymspec.spectrum import (
 from ymspec.symbols import ModeMap, energy_symbol
 
 from oracles import (
+    certified_minimum,
+    count_below,
     dense_lowest_level,
     ladder_quantize,
+    lanczos_lowest_level,
     random_symbol,
     smoothed_value_fd,
 )
 
 
 def block_levels(h, ns, tol):
-    """Certified lowest levels and multiplicities of the degree-n blocks."""
+    """Lowest levels and multiplicities of the degree-n blocks."""
     levels = [spectrum._lowest_level(h.matrix, h.basis.degree_indices(n), tol)
               for n in ns]
     return [lam for lam, _ in levels], [mult for _, mult in levels]
@@ -327,18 +330,15 @@ class TestNonAbelianGaps:
 
 
 def solver_dtypes(monkeypatch):
-    """Record the dtype of every matrix handed to the Lanczos solver or
-    to the inertia factorization."""
+    """Record the dtype of every dense matrix handed to the eigensolver."""
     seen = []
 
-    def spy(solver):
-        def wrapped(a, *args, **kwargs):
-            seen.append(a.dtype)
-            return solver(a, *args, **kwargs)
-        return wrapped
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum.spla, "eigsh", spy(spla.eigsh))
-    monkeypatch.setattr(spectrum.spla, "splu", spy(spla.splu))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return seen
 
 
@@ -353,9 +353,8 @@ class TestRealEigensolve:
         seen = solver_dtypes(monkeypatch)
         lams, _ = block_levels(h, range(5), model.level_tol)
         number_shift_bound(h)  # C*: N is stored complex, H - N is real
-        # Lanczos on the blocks n = 1..4 and on C*; two factors per level,
-        # one for C*, whose multiplicity is not counted
-        assert seen.count(np.dtype(float)) == len(seen) == 5 + 2 * 5 + 1
+        # at least one component per block and one for C*, all real
+        assert seen.count(np.dtype(float)) == len(seen) >= 5 + 1
         assert lams == pytest.approx(complex_levels, rel=1e-12)
 
     def test_complex_symbol_takes_complex_path(self, monkeypatch, rng):
@@ -369,6 +368,7 @@ class TestRealEigensolve:
         scale = np.abs(expected).max()
         seen = solver_dtypes(monkeypatch)
         lam, mult = spectrum._lowest_level(q.matrix, idx, 1e-8)
+        # the random symbol couples 33 of the 35 states; two are isolated
         assert seen == [np.dtype(complex)] * 3
         assert abs(lam - expected[0]) < 1e-12 * scale
         assert mult == dense_lowest_level(q.matrix, idx, 1e-8)[1]
@@ -390,8 +390,7 @@ class TestLowestLevel:
                                             rel=1e-12)
 
     def test_repeat_solves_bit_identical(self, su2_hamiltonian_nmax8):
-        # the n = 3 block has 6 distinct eigenvalues, so Lanczos exhausts
-        # its Krylov space and restarts; unseeded restarts moved the digits
+        # the levels land in spectrum.csv, so their digits must repeat
         idx = su2_hamiltonian_nmax8.basis.degree_indices(3)
         runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
                 for _ in range(4)}
@@ -402,8 +401,8 @@ class TestLowestLevel:
         np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]),
     ])
     def test_two_row_blocks_read_densely(self, block):
-        # ARPACK needs k < N - 1 on a complex block, so eigsh would pass a
-        # 2-row one to eigs, which warns; such blocks are read densely
+        # the components are labelled from the sparsity pattern: labelling
+        # the complex values would cast them and warn
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lam, mult = spectrum._lowest_level(sparse.csr_matrix(block),
@@ -416,20 +415,23 @@ class TestLowestLevel:
         lam, mult = spectrum._lowest_level(h.matrix, np.array([0]), 1e-8)
         assert (lam, mult) == (h.matrix[0, 0].real, 1)
 
+    # the Lanczos oracle's certificate: a wrong minimum, a pivoted or
+    # singular inertia factor are each a NumericalError
+
     def test_wrong_minimum_is_numerical(self, monkeypatch,
                                         su2_hamiltonian_nmax8):
         # a Lanczos value above the true minimum fails the inertia check
         idx = su2_hamiltonian_nmax8.basis.degree_indices(3)  # lambda = 20.5
-        monkeypatch.setattr(spectrum.spla, "eigsh",
+        monkeypatch.setattr(spla, "eigsh",
                             lambda *args, **kwargs: np.array([21.0]))
         with pytest.raises(NumericalError, match="51 eigenvalues"):
-            spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
+            lanczos_lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
 
     def test_count_below_is_inertia(self, rng):
         vals = np.array([-2.0, -1.0, 0.5, 0.5, 3.0])
         q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
         a = sparse.csr_matrix((q * vals) @ q.T)
-        counts = [spectrum._count_below(a, s) for s in (-3, -1.5, 0, 1, 4)]
+        counts = [count_below(a, s) for s in (-3, -1.5, 0, 1, 4)]
         assert counts == [0, 1, 2, 4, 5]
 
     def test_pivoted_factor_is_numerical(self):
@@ -437,12 +439,63 @@ class TestLowestLevel:
         # symmetric factorization the inertia count relies on
         swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(NumericalError, match="pivoted"):
-            spectrum._count_below(swap, 0.0)
+            count_below(swap, 0.0)
 
     def test_singular_factor_is_numerical(self):
         diag = sparse.diags([1.0, 2.0]).tocsr()
         with pytest.raises(NumericalError, match="failed"):
-            spectrum._count_below(diag, 1.0)
+            count_below(diag, 1.0)
+
+    def test_su2_multiplicities_pinned(self, su2_hamiltonian_nmax10):
+        lams, mults = block_levels(su2_hamiltonian_nmax10, range(9), 1e-8)
+        closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in range(9)]
+        assert lams == pytest.approx(closed_form, rel=1e-12, abs=0)
+        assert mults == [1, 9, 10, 51, 19, 66, 26, 90, 34]
+
+
+# the dense whole-block oracle is run on blocks of at most 2,002 rows, to
+# keep the suite fast: on su2 N_max = 8 that leaves out the n = 6 block,
+# 3,003 rows, which test_su2_levels_closed_form_and_dense_multiplicities
+# reads densely, and C*'s 5,005-row safe block (about 14 s dense)
+_DENSE_ORACLE_ROWS = 2002
+
+
+def _against_oracles(matrix, idx, tol):
+    lam, mult = spectrum._lowest_level(matrix, idx, tol)
+    oracles = [lanczos_lowest_level(matrix, idx, tol)]
+    if idx.size <= _DENSE_ORACLE_ROWS:
+        oracles.append(dense_lowest_level(matrix, idx, tol))
+    for ref_lam, ref_mult in oracles:
+        assert lam == pytest.approx(ref_lam, rel=1e-12, abs=0)
+        assert mult == ref_mult
+    return lam
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("algebra,N_max", [
+        ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
+    ])
+    def test_levels_and_cstar(self, algebra, N_max):
+        model = ModelSpec(algebra=algebra, N_max=N_max)
+        h = assemble_hamiltonian(model)
+        for n in range(N_max - 1):
+            _against_oracles(h.matrix, h.basis.degree_indices(n),
+                             model.level_tol)
+        shifted = h.matrix - number_operator(h.basis).matrix
+        cstar = _against_oracles(shifted, safe_block_indices(h.basis, 2),
+                                 model.level_tol)
+        assert number_shift_bound(h) == cstar
+
+    def test_complex_symbol(self, rng):
+        b = build_basis(3, 8)
+        q = quantize(random_symbol(rng, 3, 4, hermitian=True, n_terms=12),
+                     "normal", b)
+        assert q.matrix.data.imag.any()
+        for n in range(5):
+            _against_oracles(q.matrix, b.degree_indices(n), 1e-8)
+        shifted = q.matrix - number_operator(b).matrix
+        cstar = _against_oracles(shifted, safe_block_indices(b, 4), 1e-8)
+        assert number_shift_bound(q, margin_degree=4) == cstar
 
 
 class TestSafeBlockTruncationConvergence:
@@ -486,13 +539,15 @@ class TestNumberShiftBound:
         assert mults == [mult for _, mult in oracle]
 
     def test_arpack_failure_is_numerical(self, monkeypatch):
+        # in the Lanczos oracle
         def no_convergence(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
         h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=5))
-        monkeypatch.setattr(spectrum.spla, "eigsh", no_convergence)
+        shifted = h.matrix - number_operator(h.basis).matrix
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
         with pytest.raises(NumericalError):
-            number_shift_bound(h)
+            certified_minimum(shifted, safe_block_indices(h.basis, 2), 1e-8)
 
     def test_inequality_on_safe_block(self, su2_hamiltonian_nmax8, rng):
         h = su2_hamiltonian_nmax8
@@ -558,19 +613,23 @@ class TestConvergenceStudy:
         lam8 = la.eigh(n_boson_block(su2_hamiltonian_nmax8, 5), eigvals_only=True)[0]
         assert lam6 < lam8
 
-    def test_one_inertia_count_per_level(self, monkeypatch):
-        # the study reports levels only, so no multiplicity is counted
+    def test_one_eigensolve_per_level(self, monkeypatch):
+        # one block solve per (N_max, n); no multiplicity is counted
         calls = []
 
-        def spy(sub, sigma):
-            calls.append(sigma)
-            return count_below(sub, sigma)
+        def spy(matrix, idx):
+            calls.append(idx.size)
+            return block_eigenvalues(matrix, idx)
 
-        count_below = spectrum._count_below
-        monkeypatch.setattr(spectrum, "_count_below", spy)
+        def no_count(*args):
+            raise AssertionError("convergence_study counted a multiplicity")
+
+        block_eigenvalues = spectrum._block_eigenvalues
+        monkeypatch.setattr(spectrum, "_block_eigenvalues", spy)
+        monkeypatch.setattr(spectrum, "_lowest_level", no_count)
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         convergence_study(model, [4, 6])
-        assert len(calls) == 3 * 2
+        assert calls == [1, 9, 45] * 2
 
     def test_single_entry_list(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
