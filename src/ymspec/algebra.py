@@ -9,7 +9,8 @@ self-interaction reduces to structure-constant contractions with unit
 prefactors.
 
 Production arithmetic works on coefficient vectors; the matrix basis is
-kept for oracle checks (commutators, traces, gauge-group exponentials).
+kept for the structure check and for oracle checks (commutators, traces,
+the gauge action in the test suite).
 """
 
 from __future__ import annotations
@@ -69,10 +70,6 @@ class LieAlgebraBasis:
     @property
     def dim_g(self) -> int:
         return self.structure_constants.shape[0]
-
-    @property
-    def matrix_dim(self) -> int:
-        return self.matrix_basis.shape[1]
 
     def same_as(self, other: "LieAlgebraBasis") -> bool:
         return self is other or (
@@ -274,16 +271,6 @@ def quartic_contraction_via_brackets(a: SpatialAlgebraVector) -> float:
     return total
 
 
-def adjoint_rotation(basis: LieAlgebraBasis, direction: np.ndarray) -> np.ndarray:
-    """Orthogonal dim_g x dim_g matrix exp(ad(phi)) acting on coefficients,
-    phi = sum_i direction[i] b_i."""
-    from scipy.linalg import expm
-
-    ad = np.einsum("i,kij->kj", np.asarray(direction, dtype=float),
-                   basis.structure_constants)
-    return expm(ad)
-
-
 @dataclass
 class StructureReport:
     """Maximum violations of the basis invariants."""
@@ -298,9 +285,6 @@ class StructureReport:
     def max_violation(self) -> float:
         return max(self.orthonormality, self.skew_symmetry, self.closure,
                    self.total_antisymmetry, self.jacobi)
-
-    def ok(self, tol: float = 1e-12) -> bool:
-        return self.max_violation() < tol
 
     def as_dict(self) -> dict:
         return {

@@ -319,17 +319,22 @@ def parse_config(text: str) -> RunConfig:
 # seeded data
 # ---------------------------------------------------------------------------
 
-def seeded_random_state(config: RunConfig) -> CauchyState:
-    """Deterministic band-limited Cauchy data with projected electric field."""
+def _seeded_fields(config: RunConfig):
+    """The seeded band-limited pair (a, e_raw), drawn in that order."""
     basis = build_algebra(config.algebra)
     lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
     rng = np.random.default_rng(config.seed)
-    a = random_vector_field(
-        rng, lattice, basis, config.random.amplitude, config.random.max_mode
+    return tuple(
+        random_vector_field(
+            rng, lattice, basis, config.random.amplitude, config.random.max_mode
+        )
+        for _ in range(2)
     )
-    e_raw = random_vector_field(
-        rng, lattice, basis, config.random.amplitude, config.random.max_mode
-    )
+
+
+def seeded_random_state(config: RunConfig) -> CauchyState:
+    """Deterministic band-limited Cauchy data with projected electric field."""
+    a, e_raw = _seeded_fields(config)
     e = transversal_project(a, e_raw, config.tolerances.cg_tol)
     return CauchyState(a, e, 0.0)
 
@@ -407,15 +412,7 @@ def _run_check_algebra(config: RunConfig, outdir: str) -> int:
 
 
 def _run_project(config: RunConfig, outdir: str) -> int:
-    basis = build_algebra(config.algebra)
-    lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
-    rng = np.random.default_rng(config.seed)
-    a = random_vector_field(
-        rng, lattice, basis, config.random.amplitude, config.random.max_mode
-    )
-    e_raw = random_vector_field(
-        rng, lattice, basis, config.random.amplitude, config.random.max_mode
-    )
+    a, e_raw = _seeded_fields(config)
     before = constraint_residual(a, e_raw)
     e = transversal_project(a, e_raw, config.tolerances.cg_tol)
     after = constraint_residual(a, e)

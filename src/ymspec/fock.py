@@ -113,24 +113,6 @@ class FockOperator:
                 f"{self.basis.size}"
             )
 
-    def __add__(self, other):
-        self._check(other)
-        return FockOperator(self.basis, (self.matrix + other.matrix).tocsr())
-
-    def __sub__(self, other):
-        self._check(other)
-        return FockOperator(self.basis, (self.matrix - other.matrix).tocsr())
-
-    def __matmul__(self, other):
-        self._check(other)
-        return FockOperator(self.basis, (self.matrix @ other.matrix).tocsr())
-
-    def _check(self, other):
-        mine, theirs = self.basis, other.basis
-        if mine is not theirs and (mine.D, mine.N_max, mine.depth) != (
-                theirs.D, theirs.N_max, theirs.depth):
-            raise DimensionMismatchError("operators live on different bases")
-
     def hermiticity_defect(self) -> float:
         d = self.matrix - self.matrix.conj().T
         return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())

@@ -14,7 +14,7 @@ generically empty and slow CG convergence is surfaced as a solver error
 rather than hidden.
 
 Array layout: scalar fields (dim_g, n, n, n), vector fields
-(3, dim_g, n, n, n), gauge-group fields (n, n, n, d, d).
+(3, dim_g, n, n, n).
 """
 
 from __future__ import annotations
@@ -73,9 +73,6 @@ class ScalarAlgebraField:
                 f"(dim_g, n, n, n) = ({self.basis.dim_g}, {n}, {n}, {n})"
             )
 
-    def copy(self) -> "ScalarAlgebraField":
-        return ScalarAlgebraField(self.lattice, self.basis, self.data.copy())
-
     @classmethod
     def zeros(cls, lattice, basis) -> "ScalarAlgebraField":
         n = lattice.n
@@ -97,63 +94,10 @@ class VectorAlgebraField:
                 f"(3, dim_g, n, n, n) = (3, {self.basis.dim_g}, {n}, {n}, {n})"
             )
 
-    def copy(self) -> "VectorAlgebraField":
-        return VectorAlgebraField(self.lattice, self.basis, self.data.copy())
-
     @classmethod
     def zeros(cls, lattice, basis) -> "VectorAlgebraField":
         n = lattice.n
         return cls(lattice, basis, np.zeros((3, basis.dim_g, n, n, n)))
-
-
-@dataclass
-class GaugeGroupField:
-    """Site-wise orthogonal matrices acting on the matrix representation."""
-
-    lattice: LatticeSpec
-    basis: LieAlgebraBasis
-    data: np.ndarray  # (n, n, n, d, d)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        n, d = self.lattice.n, self.basis.matrix_dim
-        if self.data.shape != (n, n, n, d, d):
-            raise DimensionMismatchError(
-                f"gauge field shape {self.data.shape} does not match "
-                f"(n, n, n, d, d) = ({n}, {n}, {n}, {d}, {d})"
-            )
-
-    def orthogonality_defect(self) -> float:
-        d = self.basis.matrix_dim
-        gtg = np.matmul(self.data.swapaxes(-1, -2), self.data)
-        return float(np.abs(gtg - np.eye(d)).max())
-
-    def validate(self, tol: float = 1e-10):
-        defect = self.orthogonality_defect()
-        if defect > tol:
-            raise ConfigurationError(
-                f"gauge field is not orthogonal (defect {defect:.3e} > {tol:.0e})"
-            )
-        dets = np.linalg.det(self.data)
-        if np.any(dets < 0.5):
-            raise ConfigurationError("gauge field has determinant != +1 somewhere")
-
-    @classmethod
-    def identity(cls, lattice, basis) -> "GaugeGroupField":
-        n, d = lattice.n, basis.matrix_dim
-        data = np.broadcast_to(np.eye(d), (n, n, n, d, d)).copy()
-        return cls(lattice, basis, data)
-
-    def compose(self, other: "GaugeGroupField") -> "GaugeGroupField":
-        """Pointwise product self(x) other(x)."""
-        return GaugeGroupField(
-            self.lattice, self.basis, np.matmul(self.data, other.data)
-        )
-
-    def inverse(self) -> "GaugeGroupField":
-        return GaugeGroupField(
-            self.lattice, self.basis, self.data.swapaxes(-1, -2).copy()
-        )
 
 
 def _same_geometry(x, y):
@@ -245,15 +189,6 @@ def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField) -> ScalarAlgebraFie
 def gauged_laplacian(a: VectorAlgebraField, u: ScalarAlgebraField) -> ScalarAlgebraField:
     """div_a grad_a u; negative semidefinite in the lattice inner product."""
     return gauged_div(a, gauged_grad(a, u))
-
-
-def ordinary_divergence(a: VectorAlgebraField) -> ScalarAlgebraField:
-    """sum_k D_k a_k without bracket terms."""
-    h = a.lattice.spacing
-    out = np.zeros_like(a.data[0])
-    for k in range(3):
-        out += _diff(a.data[k], 1 + k, h)
-    return ScalarAlgebraField(a.lattice, a.basis, out)
 
 
 def stencil_eigenvalue(lattice: LatticeSpec, mode: tuple) -> float:
@@ -401,169 +336,6 @@ def transversal_project(
 def constraint_residual(a: VectorAlgebraField, e: VectorAlgebraField) -> float:
     """L2 norm of the Gauss-law violation div_a e."""
     return field_norm(gauged_div(a, e))
-
-
-# ---------------------------------------------------------------------------
-# gauge transformations
-# ---------------------------------------------------------------------------
-
-def _expm_skew(mats: np.ndarray) -> np.ndarray:
-    """Batched matrix exponential by scaling-and-squaring Taylor series."""
-    norm = np.abs(mats).sum(axis=-1).max() if mats.size else 0.0
-    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
-    x = mats / (2.0 ** squarings)
-    d = mats.shape[-1]
-    eye = np.broadcast_to(np.eye(d), mats.shape)
-    result = eye + x
-    term = x
-    for k in range(2, 15):
-        term = np.matmul(term, x) / k
-        result = result + term
-    for _ in range(squarings):
-        result = np.matmul(result, result)
-    return result
-
-
-def exp_gauge(phi: ScalarAlgebraField) -> GaugeGroupField:
-    """Pointwise exponential of an algebra-valued field into the gauge group."""
-    mats = np.einsum(
-        "cxyz,cab->xyzab", phi.data, phi.basis.matrix_basis, optimize=True
-    )
-    return GaugeGroupField(phi.lattice, phi.basis, _expm_skew(mats))
-
-
-def _to_matrix_field(x: np.ndarray, basis: LieAlgebraBasis) -> np.ndarray:
-    """(..., dim_g, n, n, n) coefficients -> (..., n, n, n, d, d) matrices."""
-    return np.einsum("...cxyz,cab->...xyzab", x, basis.matrix_basis, optimize=True)
-
-
-def _to_coefficients(m: np.ndarray, basis: LieAlgebraBasis) -> np.ndarray:
-    """Trace-project matrices back onto the orthonormal basis."""
-    return np.einsum("iab,...xyzab->...ixyz", basis.matrix_basis, m, optimize=True)
-
-
-def adjoint_transform(g: GaugeGroupField, field):
-    """Pointwise adjoint action g X g^-1 on a scalar or vector field."""
-    _same_geometry(g, field)
-    mats = _to_matrix_field(field.data, field.basis)
-    gt = g.data.swapaxes(-1, -2)
-    rotated = np.matmul(np.matmul(g.data, mats), gt)
-    coeffs = _to_coefficients(rotated, field.basis)
-    return type(field)(field.lattice, field.basis, coeffs)
-
-
-def gauge_transform(
-    g: GaugeGroupField, a: VectorAlgebraField, validate: bool = True
-) -> VectorAlgebraField:
-    """Affine gauge action a_k -> Ad(g) a_k + (D_k g) g^-1.
-
-    The inhomogeneous sign is fixed by covariance with the gauged
-    derivative D_k - ad(a_k): with it, grad/div/Laplacian intertwine
-    with the adjoint action and the Gauss residual is gauge invariant
-    up to discretization error.
-    """
-    _same_geometry(g, a)
-    if validate:
-        g.validate()
-    h = a.lattice.spacing
-    gt = g.data.swapaxes(-1, -2)
-    a_mats = _to_matrix_field(a.data, a.basis)  # (3, n, n, n, d, d)
-    out = np.matmul(np.matmul(g.data, a_mats), gt)
-    for k in range(3):
-        dg = _diff(g.data, k, h)
-        out[k] += np.matmul(dg, gt)
-    return VectorAlgebraField(a.lattice, a.basis, _to_coefficients(out, a.basis))
-
-
-# ---------------------------------------------------------------------------
-# gauge-orbit norm minimization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OrbitMinimizeResult:
-    field: VectorAlgebraField
-    gauge: GaugeGroupField
-    converged: bool
-    iterations: int
-    norm_ratio: float
-    divergence_ratio: float
-
-
-def minimize_orbit_norm(
-    a: VectorAlgebraField,
-    step_tol: float = 1e-6,
-    max_iters: int = 500,
-) -> OrbitMinimizeResult:
-    """Descend the L2 norm over the gauge orbit of a.
-
-    Iterates g -> exp(eps * phi) g with descent direction phi = sum_k
-    D_k a_k, along which the first variation of |a^g|^2 is -2 |div a|^2.
-    The step size starts from the minimizer of the linearized cost and
-    is halved, from 0.1 at most, until the exponential update actually
-    decreases the norm.  Stops when the ordinary divergence of the
-    iterate falls below step_tol relative to its norm, or when no
-    further first-order decrease exists; hitting the iteration cap
-    returns the best iterate flagged non-converged.
-    """
-    if step_tol <= 0 or max_iters < 1:
-        raise ConfigurationError("step_tol and max_iters must be positive")
-    lattice, basis = a.lattice, a.basis
-    g_total = GaugeGroupField.identity(lattice, basis)
-    current = a.copy()
-    norm0 = field_norm(a)
-    floor = 1e-13 * max(norm0, 1.0)
-    cost = field_norm(current) ** 2
-    div = ordinary_divergence(current)
-    div0 = max(field_norm(div), 1e-300)
-    h = lattice.spacing
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        dnorm = field_norm(div)
-        if dnorm <= step_tol * max(field_norm(current), floor):
-            converged = True
-            break
-        # change of a under phi = +div, per unit step: w_k = [phi, a_k] + D_k phi;
-        # at the identity this is the exact discrete first variation, and its
-        # pairing with a gives -|div a|^2, so phi is a strict descent direction
-        phi_dir = div.data
-        w = np.empty_like(current.data)
-        for k in range(3):
-            w[k] = _bracket(basis, phi_dir, current.data[k]) + _diff(phi_dir, 1 + k, h)
-        w_field = VectorAlgebraField(lattice, basis, w)
-        slope = field_dot(current, w_field)
-        curvature = field_norm(w_field) ** 2
-        eps = min(0.1, -slope / curvature) if curvature > 0 else 0.1
-
-        stepped = False
-        while eps > 1e-14:
-            phi = ScalarAlgebraField(lattice, basis, eps * phi_dir)
-            g_trial = exp_gauge(phi).compose(g_total)
-            a_trial = gauge_transform(g_trial, a, validate=False)
-            trial_cost = field_norm(a_trial) ** 2
-            if trial_cost < cost:
-                g_total = g_trial
-                current, cost = a_trial, trial_cost
-                div = ordinary_divergence(current)
-                stepped = True
-                break
-            eps *= 0.5
-        if not stepped:
-            # no exponential step decreases the cost: stationary at the
-            # discretization floor of the composed-transform landscape
-            converged = True
-            break
-
-    final_div = field_norm(ordinary_divergence(current))
-    return OrbitMinimizeResult(
-        field=current,
-        gauge=g_total,
-        converged=converged,
-        iterations=iterations,
-        norm_ratio=field_norm(current) / max(norm0, 1e-300),
-        divergence_ratio=final_div / div0,
-    )
 
 
 # ---------------------------------------------------------------------------

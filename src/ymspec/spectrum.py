@@ -101,14 +101,6 @@ class SpectrumReport:
         default=None, repr=False, compare=False
     )
 
-    @property
-    def growth_fit(self) -> tuple[float, float]:
-        """Least-squares (slope, intercept) of lambda_n against n."""
-        ns = np.asarray(self.ns, dtype=float)
-        lam = np.asarray(self.lambdas, dtype=float)
-        slope, intercept = np.polyfit(ns, lam, 1)
-        return float(slope), float(intercept)
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("n,lambda,multiplicity,converged\n")
@@ -221,7 +213,7 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
         multiplicities=[mult for _, mult in levels],
         converged=[True] * len(ns),
         N_max=model.N_max,
-        D=model.num_modes,
+        D=h.basis.D,
         hamiltonian=h,
     )
 

@@ -280,12 +280,6 @@ class ModeMap:
     def num_modes(self) -> int:
         return len(self.labels)
 
-    def index(self, j: int, p: int) -> int | None:
-        try:
-            return self.labels.index((j, p))
-        except ValueError:
-            return None
-
     @classmethod
     def zero_momentum(cls, dim_g: int) -> "ModeMap":
         """All 3*dim_g spatially-constant modes."""

@@ -2,27 +2,33 @@
 
 Each oracle deliberately avoids the code path it checks: brackets via
 dense matrix commutators, the lattice kernels and the RK4 step via the
-dense einsum bracket and np.roll differences they replaced, the
-curvature pairs via the nine-block antisymmetric layout, the Helmholtz
-projector via FFT symbols, the Gaussian smoothing via finite-difference
-stencils on point evaluations, the energy symbol via products and sums
-in the symbol ring, quantization via explicit ladder-matrix
-products and via the full-width feasibility mask it replaced, the Fock
-basis via recursive enumeration and its state index via a dictionary of
-occupation rows, the lowest block levels and their multiplicities via
-the full dense spectrum and via Lanczos with a Sylvester inertia
-certificate from a symmetric sparse LU, and wave evolution via the
-dispersion relation of the spatially discrete system.
+dense einsum bracket and np.roll differences they replaced, the gauge
+action (no command transforms a field, so only the tests carry it) via
+site-wise orthogonal matrices, np.roll differences and a scipy matrix
+exponential of ad(phi), so the covariance tests share no kernel with the
+stencils they check, the curvature pairs via the nine-block
+antisymmetric layout, the Helmholtz projector via FFT symbols, the
+Gaussian smoothing via finite-difference stencils on point evaluations,
+the energy symbol via products and sums in the symbol ring, quantization
+via explicit ladder-matrix products and via the full-width feasibility
+mask it replaced, the Fock basis via recursive enumeration and its state
+index via a dictionary of occupation rows, the lowest block levels and
+their multiplicities via the full dense spectrum and via Lanczos with a
+Sylvester inertia certificate from a symmetric sparse LU, and wave
+evolution via the dispersion relation of the spatially discrete system.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from ymspec.errors import NumericalError
+from ymspec.algebra import LieAlgebraBasis
+from ymspec.errors import ConfigurationError, DimensionMismatchError, NumericalError
+from ymspec.lattice import LatticeSpec, VectorAlgebraField, _same_geometry
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +49,14 @@ def trace_product(basis, x_coeffs, y_coeffs):
     xm = np.einsum("i,iab->ab", x_coeffs, mats)
     ym = np.einsum("i,iab->ab", y_coeffs, mats)
     return float(np.trace(xm.T @ ym))
+
+
+def adjoint_rotation(basis, direction):
+    """Orthogonal dim_g x dim_g matrix exp(ad(phi)) acting on coefficients,
+    phi = sum_i direction[i] b_i."""
+    ad = np.einsum("i,kij->kj", np.asarray(direction, dtype=float),
+                   basis.structure_constants)
+    return la.expm(ad)
 
 
 def quartic_via_matrices(basis, a_coeffs):
@@ -112,6 +126,129 @@ def reference_rk4_step(basis, spacing, a0, e0, h):
     k4a, k4e = deriv(a0 + h * k3a, e0 + h * k3e)
     return (a0 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
             e0 + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e))
+
+
+# ---------------------------------------------------------------------------
+# gauge action: group-valued fields and the affine action on connections
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GaugeGroupField:
+    """Site-wise orthogonal matrices acting on the matrix representation."""
+
+    lattice: LatticeSpec
+    basis: LieAlgebraBasis
+    data: np.ndarray  # (n, n, n, d, d)
+
+    def __post_init__(self):
+        self.data = np.asarray(self.data, dtype=float)
+        n, d = self.lattice.n, self.basis.matrix_basis.shape[1]
+        if self.data.shape != (n, n, n, d, d):
+            raise DimensionMismatchError(
+                f"gauge field shape {self.data.shape} does not match "
+                f"(n, n, n, d, d) = ({n}, {n}, {n}, {d}, {d})"
+            )
+
+    def orthogonality_defect(self) -> float:
+        d = self.basis.matrix_basis.shape[1]
+        gtg = np.matmul(self.data.swapaxes(-1, -2), self.data)
+        return float(np.abs(gtg - np.eye(d)).max())
+
+    def validate(self, tol: float = 1e-10):
+        defect = self.orthogonality_defect()
+        if defect > tol:
+            raise ConfigurationError(
+                f"gauge field is not orthogonal (defect {defect:.3e} > {tol:.0e})"
+            )
+        dets = np.linalg.det(self.data)
+        if np.any(dets < 0.5):
+            raise ConfigurationError("gauge field has determinant != +1 somewhere")
+
+    @classmethod
+    def identity(cls, lattice, basis) -> "GaugeGroupField":
+        n, d = lattice.n, basis.matrix_basis.shape[1]
+        data = np.broadcast_to(np.eye(d), (n, n, n, d, d)).copy()
+        return cls(lattice, basis, data)
+
+    def compose(self, other: "GaugeGroupField") -> "GaugeGroupField":
+        """Pointwise product self(x) other(x)."""
+        return GaugeGroupField(
+            self.lattice, self.basis, np.matmul(self.data, other.data)
+        )
+
+    def inverse(self) -> "GaugeGroupField":
+        return GaugeGroupField(
+            self.lattice, self.basis, self.data.swapaxes(-1, -2).copy()
+        )
+
+
+def _expm_skew(mats: np.ndarray) -> np.ndarray:
+    """Batched matrix exponential by scaling-and-squaring Taylor series."""
+    norm = np.abs(mats).sum(axis=-1).max() if mats.size else 0.0
+    squarings = max(0, int(np.ceil(np.log2(max(norm, 1e-300) / 0.25))))
+    x = mats / (2.0 ** squarings)
+    d = mats.shape[-1]
+    eye = np.broadcast_to(np.eye(d), mats.shape)
+    result = eye + x
+    term = x
+    for k in range(2, 15):
+        term = np.matmul(term, x) / k
+        result = result + term
+    for _ in range(squarings):
+        result = np.matmul(result, result)
+    return result
+
+
+def exp_gauge(phi) -> GaugeGroupField:
+    """Pointwise exponential of an algebra-valued field into the gauge group."""
+    mats = np.einsum(
+        "cxyz,cab->xyzab", phi.data, phi.basis.matrix_basis, optimize=True
+    )
+    return GaugeGroupField(phi.lattice, phi.basis, _expm_skew(mats))
+
+
+def _to_matrix_field(x: np.ndarray, basis) -> np.ndarray:
+    """(..., dim_g, n, n, n) coefficients -> (..., n, n, n, d, d) matrices."""
+    return np.einsum("...cxyz,cab->...xyzab", x, basis.matrix_basis, optimize=True)
+
+
+def _to_coefficients(m: np.ndarray, basis) -> np.ndarray:
+    """Trace-project matrices back onto the orthonormal basis."""
+    return np.einsum("iab,...xyzab->...ixyz", basis.matrix_basis, m, optimize=True)
+
+
+def adjoint_transform(g: GaugeGroupField, field):
+    """Pointwise adjoint action g X g^-1 on a scalar or vector field."""
+    _same_geometry(g, field)
+    mats = _to_matrix_field(field.data, field.basis)
+    gt = g.data.swapaxes(-1, -2)
+    rotated = np.matmul(np.matmul(g.data, mats), gt)
+    coeffs = _to_coefficients(rotated, field.basis)
+    return type(field)(field.lattice, field.basis, coeffs)
+
+
+def gauge_transform(
+    g: GaugeGroupField, a: VectorAlgebraField, validate: bool = True
+) -> VectorAlgebraField:
+    """Affine gauge action a_k -> Ad(g) a_k + (D_k g) g^-1.
+
+    The inhomogeneous sign is fixed by covariance with the gauged
+    derivative D_k - ad(a_k): with it, grad/div/Laplacian intertwine
+    with the adjoint action and the Gauss residual is gauge invariant
+    up to discretization error.  D_k g is the rolled central difference,
+    not the lattice stencil under test.
+    """
+    _same_geometry(g, a)
+    if validate:
+        g.validate()
+    h = a.lattice.spacing
+    gt = g.data.swapaxes(-1, -2)
+    a_mats = _to_matrix_field(a.data, a.basis)  # (3, n, n, n, d, d)
+    out = np.matmul(np.matmul(g.data, a_mats), gt)
+    for k in range(3):
+        dg = roll_diff(g.data, k, h)
+        out[k] += np.matmul(dg, gt)
+    return VectorAlgebraField(a.lattice, a.basis, _to_coefficients(out, a.basis))
 
 
 # ---------------------------------------------------------------------------

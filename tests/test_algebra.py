@@ -5,7 +5,6 @@ from ymspec.algebra import (
     AlgebraElement,
     LieAlgebraBasis,
     SpatialAlgebraVector,
-    adjoint_rotation,
     bracket,
     build_algebra,
     check_structure,
@@ -15,7 +14,12 @@ from ymspec.algebra import (
 )
 from ymspec.errors import ConfigurationError, DimensionMismatchError
 
-from oracles import commutator_bracket, quartic_via_matrices, trace_product
+from oracles import (
+    adjoint_rotation,
+    commutator_bracket,
+    quartic_via_matrices,
+    trace_product,
+)
 
 ALGEBRAS = ["su2", "su3", "so3", "so4", "so5"]
 

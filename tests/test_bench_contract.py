@@ -62,6 +62,8 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         # one operator per spectrum run, reused for C*
         assert names.count("spectrum.assemble_hamiltonian") == 1
         assert names.count("fock.quantize") == 1
+        # the algebra is built for the mode map and for the symbol only
+        assert names.count("algebra.build_algebra") == 2
         # one symbol, whose term count the span reads from its result
         (symbol_span,) = [s for s in spans if s[0] == "symbols.energy_symbol"]
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4)

@@ -21,7 +21,7 @@ from ymspec.cli import (
     seeded_random_state,
 )
 from ymspec.errors import ConfigurationError
-from ymspec.lattice import constraint_residual, field_norm
+from ymspec.lattice import constraint_residual, field_norm, load_field
 
 
 class TestParseConfig:
@@ -530,6 +530,18 @@ class TestRunners:
         assert main(["project", "--config", path, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "gauge_field.bin").exists()
         assert (tmp_path / "electric_field.bin").exists()
+
+    def test_project_fields_are_the_seeded_state(self, tmp_path):
+        # project and evolve's random preset draw the same seeded pair
+        doc = {"command": "project", "algebra": "su2",
+               "lattice": {"n": 6}, "seed": 11}
+        path = write_config(tmp_path, doc)
+        assert main(["project", "--config", path, "--out", str(tmp_path)]) == 0
+        state = seeded_random_state(parse_config(json.dumps(doc)))
+        a = load_field(tmp_path / "gauge_field.bin")
+        e = load_field(tmp_path / "electric_field.bin")
+        assert np.array_equal(a.data, state.a.data)
+        assert np.array_equal(e.data, state.e.data)
 
     def test_transform_outputs(self, tmp_path):
         path = write_config(tmp_path, {"command": "transform", "algebra": "su2"})

@@ -24,18 +24,18 @@ from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
     VectorAlgebraField,
-    adjoint_transform,
-    exp_gauge,
     field_norm,
-    gauge_transform,
     random_vector_field,
     transversal_project,
 )
 
 from oracles import (
     abelian_wave,
+    adjoint_transform,
     einsum_bracket,
+    exp_gauge,
     expand_pairs,
+    gauge_transform,
     maxwell_energy,
     reference_rk4_step,
     roll_diff,

@@ -317,15 +317,6 @@ class TestNumberOperatorAndExpectation:
         q = quantize(s, "normal", b)
         assert (abs(q.matrix - number_operator(b).matrix)).max() < 1e-13
 
-    def test_bases_differing_in_depth_refused(self):
-        full = number_operator(build_basis(2, 4))
-        reduced = number_operator(build_basis(2, 4, depth=2))
-        for op in ("__add__", "__sub__", "__matmul__"):
-            with pytest.raises(DimensionMismatchError, match="different bases"):
-                getattr(full, op)(reduced)
-        same = number_operator(build_basis(2, 4, depth=2))
-        assert (reduced + same).matrix.shape == (6, 6)
-
     def test_trace_small_block(self):
         b = build_basis(1, 3)
         assert number_operator(b).matrix.diagonal().sum() == 6.0

@@ -8,26 +8,20 @@ from ymspec.errors import (
     DimensionMismatchError,
 )
 from ymspec.lattice import (
-    GaugeGroupField,
     LatticeSpec,
     ScalarAlgebraField,
     VectorAlgebraField,
     _bracket,
     _diff,
-    adjoint_transform,
     constraint_residual,
-    exp_gauge,
     field_dot,
     field_norm,
-    gauge_transform,
     gauged_div,
     gauged_grad,
     gauged_laplacian,
     invert_laplacian,
     load_field,
     longitudinal_project,
-    minimize_orbit_norm,
-    ordinary_divergence,
     random_scalar_field,
     random_vector_field,
     save_field,
@@ -35,7 +29,15 @@ from ymspec.lattice import (
     transversal_project,
 )
 
-from oracles import einsum_bracket, fft_longitudinal, roll_diff
+from oracles import (
+    GaugeGroupField,
+    adjoint_transform,
+    einsum_bracket,
+    exp_gauge,
+    fft_longitudinal,
+    gauge_transform,
+    roll_diff,
+)
 
 TOL = 1e-10
 
@@ -158,7 +160,9 @@ class TestGaugedCalculus:
     def test_div_brackets_cancel_for_equal_fields(self, su2, lat8, rng):
         a = random_vector_field(rng, lat8, su2)
         div_full = gauged_div(a, a)
-        div_plain = ordinary_divergence(a)
+        div_plain = ScalarAlgebraField(
+            lat8, su2, sum(roll_diff(a.data[k], 1 + k, lat8.spacing) for k in range(3))
+        )
         assert diff_norm(div_full, div_plain) < 1e-13
 
     def test_adjointness(self, su2, lat8, rng):
@@ -379,38 +383,6 @@ class TestGaugeTransform:
             errs.append(abs(r1 - r2) / r1)
         assert errs[1] < errs[0] / 2.0
         assert errs[0] < 0.2
-
-
-class TestOrbitMinimization:
-    def test_divergence_free_unchanged(self, su2, lat8, rng):
-        e = random_vector_field(rng, lat8, su2)
-        t = transversal_project(VectorAlgebraField.zeros(lat8, su2), e, 1e-11)
-        res = minimize_orbit_norm(t, step_tol=1e-6, max_iters=50)
-        assert res.converged
-        assert np.abs(res.field.data - t.data).max() == 0.0
-        identity = GaugeGroupField.identity(lat8, su2)
-        assert np.abs(res.gauge.data - identity.data).max() == 0.0
-
-    def test_pure_gauge_descends_to_zero(self, su2, lat8, rng):
-        phi = random_scalar_field(rng, lat8, su2, amplitude=0.3, max_mode=1)
-        g = exp_gauge(phi)
-        pure = gauge_transform(g, VectorAlgebraField.zeros(lat8, su2))
-        res = minimize_orbit_norm(pure, step_tol=1e-5, max_iters=600)
-        assert res.norm_ratio < 1e-3
-
-    def test_divergence_reduction(self, su2, lat8, rng):
-        a = random_vector_field(rng, lat8, su2, amplitude=0.05)
-        res = minimize_orbit_norm(a, step_tol=1e-6, max_iters=800)
-        assert res.divergence_ratio < 1e-3
-        assert field_norm(res.field) <= field_norm(a)
-        # returned pair is exactly consistent
-        recomputed = gauge_transform(res.gauge, a)
-        assert np.abs(recomputed.data - res.field.data).max() < 1e-12
-
-    def test_invalid_args(self, su2, lat8):
-        a = VectorAlgebraField.zeros(lat8, su2)
-        with pytest.raises(ConfigurationError):
-            minimize_orbit_norm(a, step_tol=-1.0)
 
 
 class TestFieldSerialization:

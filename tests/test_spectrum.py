@@ -189,9 +189,9 @@ class TestBosonicSpectrum:
         D = 3
         for n, lam in zip(rep.ns, rep.lambdas):
             assert abs(lam - (n + D) / 2.0) < 1e-6
-        slope, intercept = rep.growth_fit
-        assert abs(slope - 0.5) < 1e-6
-        assert abs(intercept - D / 2.0) < 1e-6
+        fit = gap_analysis(rep, number_shift_bound(rep.hamiltonian))
+        assert abs(fit.slope - 0.5) < 1e-6
+        assert abs(fit.intercept - D / 2.0) < 1e-6
 
     def test_abelian_quartic_is_zero(self, su2):
         mm = ModeMap.abelian(3)
