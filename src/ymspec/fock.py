@@ -18,7 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
+# the bare package, not scipy.sparse: scipy loads a submodule on first
+# attribute access, so `ymspec.cli`, which imports every layer because the
+# benchmark tracer wraps them all, loads no scipy.sparse for the commands
+# that build no sparse operator; the benchmark probe still finds
+# sys.modules["scipy"]
+import scipy
 
 from .errors import (
     ConfigurationError,
@@ -104,7 +109,7 @@ class FockOperator:
     """Sparse operator on a FockBasis enumeration."""
 
     basis: FockBasis
-    matrix: sparse.csr_matrix
+    matrix: scipy.sparse.csr_matrix
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.size, self.basis.size):
@@ -161,11 +166,11 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
     tgt = basis.index_of(targets)
     vals = np.sqrt(basis.states[src, mode] + 1.0)
     if kind == "create":
-        mat = sparse.coo_matrix(
+        mat = scipy.sparse.coo_matrix(
             (vals, (tgt, src)), shape=(basis.size, basis.size), dtype=complex
         )
     else:
-        mat = sparse.coo_matrix(
+        mat = scipy.sparse.coo_matrix(
             (vals, (src, tgt)), shape=(basis.size, basis.size), dtype=complex
         )
     return FockOperator(basis, mat.tocsr())
@@ -173,7 +178,7 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
 
 def number_operator(basis: FockBasis) -> FockOperator:
     """Diagonal operator counting total occupation |mu|."""
-    mat = sparse.diags(basis.degrees.astype(complex)).tocsr()
+    mat = scipy.sparse.diags(basis.degrees.astype(complex)).tocsr()
     return FockOperator(basis, mat)
 
 
@@ -225,7 +230,7 @@ def _monomial_entries(basis, alpha, beta, convention):
     return rows, src, amp
 
 
-def _chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
+def _chunk_matrix(chunks, size: int) -> scipy.sparse.csr_matrix:
     """Sum of the (keys, vals) entry lists, key = row * size + col, as one
     CSR matrix; a stable sort keeps each entry's duplicates in list order,
     and reduceat sums them in an order fixed by that run alone."""
@@ -234,7 +239,7 @@ def _chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
     keys, vals = keys[order], vals[order]
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     indptr = np.searchsorted(keys[first], np.arange(size + 1) * size)
-    return sparse.csr_matrix(
+    return scipy.sparse.csr_matrix(
         (np.add.reduceat(vals, first), keys[first] % size, indptr),
         shape=(size, size))
 
@@ -258,7 +263,7 @@ def quantize(
         return quantize(convert(s, "weyl", "normal"), "normal", basis)
 
     size = basis.size
-    total = sparse.csr_matrix((size, size), dtype=complex)
+    total = scipy.sparse.csr_matrix((size, size), dtype=complex)
     chunks, pending = [], 0
     for (alpha, beta), coeff in sorted(s.terms.items()):
         entries = _monomial_entries(basis, alpha, beta, convention)
@@ -322,7 +327,7 @@ def operator_from_text(text: str, basis: FockBasis | None = None):
         rows.append(int(r))
         cols.append(int(c))
         vals.append(complex(float(re), float(im)))
-    mat = sparse.coo_matrix(
+    mat = scipy.sparse.coo_matrix(
         (vals, (rows, cols)), shape=(basis.size, basis.size)
     ).tocsr()
     return FockOperator(basis, mat), header

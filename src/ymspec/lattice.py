@@ -108,14 +108,8 @@ def _same_geometry(x, y):
 
 
 # ---------------------------------------------------------------------------
-# inner products and stencils
+# norms and stencils
 # ---------------------------------------------------------------------------
-
-def field_dot(x, y) -> float:
-    """Volume-weighted inner product summing sites, components, algebra."""
-    _same_geometry(x, y)
-    return float(x.lattice.volume_factor * np.sum(x.data * y.data))
-
 
 def field_norm(x) -> float:
     return float(np.sqrt(x.lattice.volume_factor * np.sum(x.data * x.data)))
@@ -189,12 +183,6 @@ def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField) -> ScalarAlgebraFie
 def gauged_laplacian(a: VectorAlgebraField, u: ScalarAlgebraField) -> ScalarAlgebraField:
     """div_a grad_a u; negative semidefinite in the lattice inner product."""
     return gauged_div(a, gauged_grad(a, u))
-
-
-def stencil_eigenvalue(lattice: LatticeSpec, mode: tuple) -> float:
-    """Fourier eigenvalue of the composed central-difference Laplacian."""
-    n, h = lattice.n, lattice.spacing
-    return -sum(np.sin(2.0 * np.pi * m / n) ** 2 for m in mode) / h ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +338,6 @@ def _band_limited(rng, shape_head: tuple, n: int, max_mode: int) -> np.ndarray:
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     fhat *= mask
     return np.real(np.fft.ifftn(fhat, axes=(-3, -2, -1)))
-
-
-def random_scalar_field(
-    rng, lattice: LatticeSpec, basis: LieAlgebraBasis,
-    amplitude: float = 1.0, max_mode: int = 2,
-) -> ScalarAlgebraField:
-    data = _band_limited(rng, (basis.dim_g,), lattice.n, max_mode)
-    rms = np.sqrt(np.mean(data * data))
-    if rms > 0:
-        data *= amplitude / rms
-    return ScalarAlgebraField(lattice, basis, data)
 
 
 def random_vector_field(

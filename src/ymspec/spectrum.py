@@ -17,9 +17,12 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
+# the bare package, not scipy.sparse.csgraph, for the benchmark tracer and
+# probe as in fock.py; `cli.run` loads the submodule for the commands that
+# use it
+import scipy
 
-from .algebra import build_algebra
+from .algebra import LieAlgebraBasis, build_algebra
 from .errors import (
     ConfigurationError,
     InsufficientDataError,
@@ -71,8 +74,11 @@ class ModelSpec:
                 f"N_max must be at least {DEGREE_MARGIN}, got {self.N_max}"
             )
 
-    def mode_map(self) -> ModeMap:
-        basis = build_algebra(self.algebra)
+    def mode_map(self, basis: LieAlgebraBasis | None = None) -> ModeMap:
+        """The retained modes; ``basis`` is this model's algebra if it is
+        already built."""
+        if basis is None:
+            basis = build_algebra(self.algebra)
         if self.sector == "abelian":
             return ModeMap.abelian(basis.dim_g)
         return ModeMap.zero_momentum(basis.dim_g)
@@ -119,14 +125,14 @@ def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOper
     """Quantize the energy-mass symbol under the path cutoff N_max on the
     safe basis, degree <= N_max - DEGREE_MARGIN, which the levels and C*
     read; the basis cap is checked before the symbol is built."""
-    mode_map = model.mode_map()
+    algebra = build_algebra(model.algebra)
+    mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
     N_max = model.N_max if N_max is None else N_max
     basis = build_basis(mode_map.num_modes, N_max,
                         depth=N_max - DEGREE_MARGIN)
-    sym = energy_symbol(build_algebra(model.algebra), mode_map,
-                        model.include_magnetic)
+    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
     return quantize(sym, model.convention, basis)
 
 
@@ -160,7 +166,9 @@ def _block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
     if not sub.data.imag.any():
         sub = sub.real
     # the pattern, not the values: a complex graph is cast with a warning
-    _, labels = connected_components(sub != 0, directed=False)
+    _, labels = scipy.sparse.csgraph.connected_components(
+        sub != 0, directed=False
+    )
     sizes = np.bincount(labels)
     if sizes.max() > DENSE_COMPONENT_CAP:
         raise ResourceError(

@@ -16,6 +16,8 @@ index via a dictionary of occupation rows, the lowest block levels and
 their multiplicities via the full dense spectrum and via Lanczos with a
 Sylvester inertia certificate from a symmetric sparse LU, and wave
 evolution via the dispersion relation of the spatially discrete system.
+It also holds the lattice helpers that only tests use: the inner product
+field_dot, the stencil's Fourier eigenvalues and random scalar fields.
 """
 
 import math
@@ -28,7 +30,13 @@ import scipy.sparse.linalg as spla
 
 from ymspec.algebra import LieAlgebraBasis
 from ymspec.errors import ConfigurationError, DimensionMismatchError, NumericalError
-from ymspec.lattice import LatticeSpec, VectorAlgebraField, _same_geometry
+from ymspec.lattice import (
+    LatticeSpec,
+    ScalarAlgebraField,
+    VectorAlgebraField,
+    _band_limited,
+    _same_geometry,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +257,34 @@ def gauge_transform(
         dg = roll_diff(g.data, k, h)
         out[k] += np.matmul(dg, gt)
     return VectorAlgebraField(a.lattice, a.basis, _to_coefficients(out, a.basis))
+
+
+# ---------------------------------------------------------------------------
+# lattice test helpers (no command needs them)
+# ---------------------------------------------------------------------------
+
+def field_dot(x, y) -> float:
+    """Volume-weighted inner product summing sites, components, algebra."""
+    _same_geometry(x, y)
+    return float(x.lattice.volume_factor * np.sum(x.data * y.data))
+
+
+def stencil_eigenvalue(lattice: LatticeSpec, mode: tuple) -> float:
+    """Fourier eigenvalue of the composed central-difference Laplacian."""
+    n, h = lattice.n, lattice.spacing
+    return -sum(np.sin(2.0 * np.pi * m / n) ** 2 for m in mode) / h ** 2
+
+
+def random_scalar_field(
+    rng, lattice: LatticeSpec, basis: LieAlgebraBasis,
+    amplitude: float = 1.0, max_mode: int = 2,
+) -> ScalarAlgebraField:
+    """Band-limited random scalar field, scaled to RMS ``amplitude``."""
+    data = _band_limited(rng, (basis.dim_g,), lattice.n, max_mode)
+    rms = np.sqrt(np.mean(data * data))
+    if rms > 0:
+        data *= amplitude / rms
+    return ScalarAlgebraField(lattice, basis, data)
 
 
 # ---------------------------------------------------------------------------

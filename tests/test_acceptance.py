@@ -26,12 +26,10 @@ from ymspec.fock import (
 from ymspec.lattice import (
     LatticeSpec,
     VectorAlgebraField,
-    field_dot,
     field_norm,
     gauged_div,
     gauged_grad,
     longitudinal_project,
-    random_scalar_field,
     random_vector_field,
 )
 from ymspec.spectrum import (
@@ -53,6 +51,8 @@ from ymspec.symbols import (
 from oracles import (
     abelian_wave,
     fft_projector_dense,
+    field_dot,
+    random_scalar_field,
     random_symbol,
     smoothed_value_fd,
 )

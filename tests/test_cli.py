@@ -4,6 +4,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -583,3 +585,57 @@ class TestDeterminism:
             outs.append([outdir / c for c in csvs])
         for f1, f2 in zip(*outs):
             assert f1.read_bytes() == f2.read_bytes()
+
+
+# Runs one command through main in a fresh interpreter (the test process has
+# scipy.sparse loaded already) with its runner wrapped, and reports whether
+# scipy.sparse.csgraph was loaded when the runner was entered and whether
+# scipy.sparse was loaded when main returned.
+_IMPORT_PROBE = """
+import json, sys
+from ymspec import cli
+command = sys.argv[1]
+runner = cli._RUNNERS[command]
+seen = {}
+def wrapped(config, outdir):
+    seen["on_entry"] = "scipy.sparse.csgraph" in sys.modules
+    return runner(config, outdir)
+cli._RUNNERS[command] = wrapped
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "on_entry": seen.get("on_entry"),
+                  "after": "scipy.sparse" in sys.modules}))
+"""
+
+_IMPORT_DOCS = {
+    "check-algebra": {"command": "check-algebra", "algebra": "su2"},
+    "project": {"command": "project", "algebra": "su2", "lattice": {"n": 4}},
+    "evolve": {"command": "evolve", "algebra": "su2", "lattice": {"n": 4},
+               "evolution": {"T": 0.2, "h": 0.1},
+               "random": {"amplitude": 0.01, "max_mode": 1}},
+    "transform": {"command": "transform", "algebra": "su2"},
+    "spectrum": {"command": "spectrum", "algebra": "su2",
+                 "model": {"sector": "abelian", "N_max": 4}},
+    "converge": {"command": "converge", "algebra": "su2",
+                 "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 6],
+                           "sector": "abelian"}},
+}
+
+
+class TestImportContract:
+    """Only the commands that build sparse operators load scipy.sparse, and
+    they load it before the runner is entered, so the import is set-up."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_sparse_loaded_only_for_sparse_commands(self, tmp_path, command):
+        path = write_config(tmp_path, _IMPORT_DOCS[command])
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, command, "--config", path,
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        sparse = command in ("transform", "spectrum", "converge")
+        assert result == {"code": 0, "on_entry": sparse, "after": sparse}

@@ -14,7 +14,6 @@ from ymspec.lattice import (
     _bracket,
     _diff,
     constraint_residual,
-    field_dot,
     field_norm,
     gauged_div,
     gauged_grad,
@@ -22,10 +21,8 @@ from ymspec.lattice import (
     invert_laplacian,
     load_field,
     longitudinal_project,
-    random_scalar_field,
     random_vector_field,
     save_field,
-    stencil_eigenvalue,
     transversal_project,
 )
 
@@ -35,8 +32,11 @@ from oracles import (
     einsum_bracket,
     exp_gauge,
     fft_longitudinal,
+    field_dot,
     gauge_transform,
+    random_scalar_field,
     roll_diff,
+    stencil_eigenvalue,
 )
 
 TOL = 1e-10

@@ -136,7 +136,7 @@ class TestAssemble:
         model = ModelSpec(algebra="su2", N_max=4)
 
         class Empty(ModelSpec):
-            def mode_map(self):
+            def mode_map(self, basis=None):
                 return ModeMap(dim_g=3, labels=())
 
         empty = Empty(algebra="su2", N_max=4)
