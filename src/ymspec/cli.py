@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    LieAlgebraBasis,
     algebra_name,
     build_algebra,
     check_structure,
@@ -321,9 +322,11 @@ def parse_config(text: str) -> RunConfig:
 # seeded data
 # ---------------------------------------------------------------------------
 
-def _seeded_fields(config: RunConfig):
-    """The seeded band-limited pair (a, e_raw), drawn in that order."""
-    basis = build_algebra(config.algebra)
+def _seeded_fields(config: RunConfig, basis: LieAlgebraBasis | None = None):
+    """The seeded band-limited pair (a, e_raw), drawn in that order, over
+    ``basis``, the config's algebra (built here if None)."""
+    if basis is None:
+        basis = build_algebra(config.algebra)
     lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
     rng = np.random.default_rng(config.seed)
     return tuple(
@@ -334,16 +337,20 @@ def _seeded_fields(config: RunConfig):
     )
 
 
-def seeded_random_state(config: RunConfig) -> CauchyState:
+def seeded_random_state(config: RunConfig,
+                        basis: LieAlgebraBasis | None = None) -> CauchyState:
     """Deterministic band-limited Cauchy data with projected electric field."""
-    a, e_raw = _seeded_fields(config)
+    a, e_raw = _seeded_fields(config, basis)
     e = transversal_project(a, e_raw, config.tolerances.cg_tol)
     return CauchyState(a, e, 0.0)
 
 
-def abelian_wave_state(config: RunConfig) -> CauchyState:
-    """Standing abelian wave: one polarization, one algebra direction."""
-    basis = build_algebra(config.algebra)
+def abelian_wave_state(config: RunConfig,
+                       basis: LieAlgebraBasis | None = None) -> CauchyState:
+    """Standing abelian wave: one polarization, one algebra direction, over
+    ``basis``, the config's algebra (built here if None)."""
+    if basis is None:
+        basis = build_algebra(config.algebra)
     lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
     n = lattice.n
     x = np.arange(n)
@@ -443,13 +450,14 @@ def _run_project(config: RunConfig, outdir: str) -> int:
 
 
 def _run_evolve(config: RunConfig, outdir: str) -> int:
+    basis = build_algebra(config.algebra)
     # an oversize run is refused before its start state is built
     step_sizes(config.evolution.T, config.evolution.h,
-               config.lattice.n ** 3 * build_algebra(config.algebra).dim_g)
+               config.lattice.n ** 3 * basis.dim_g)
     if config.evolution.preset == "abelian-wave":
-        state = abelian_wave_state(config)
+        state = abelian_wave_state(config, basis)
     else:
-        state = seeded_random_state(config)
+        state = seeded_random_state(config, basis)
     bound = cfl_bound(state.lattice)
     e_scale = max(field_norm(state.e), 1e-300)
     final, report = evolve(
@@ -635,7 +643,7 @@ def run(config: RunConfig, outdir: str = ".") -> int:
     if config.command in _SPARSE_COMMANDS:
         # imported here, before the runner is entered, so the import
         # counts as set-up and not as the command's solve
-        import scipy.sparse.csgraph  # noqa: F401
+        import scipy.sparse  # noqa: F401
     return _RUNNERS[config.command](config, outdir)
 
 

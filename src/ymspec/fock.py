@@ -2,7 +2,9 @@
 
 States are occupation multi-indices mu with |mu| <= depth <= N_max in
 degree-major, lexicographic order; N_max bounds the ladder paths.
-Operators are sparse matrices on that enumeration.  Quantization places
+Operators are sparse matrices on that enumeration; the basis's raise
+tables (the index of mu + e_m, per mode) give the ladder operators and
+the rows and columns of every quantized monomial.  Quantization places
 ladder operators according to the requested ordering convention;
 compositions are taken on the truncated space (creation paths leaving
 the basis are dropped), so assertions about operator identities are
@@ -12,6 +14,7 @@ intermediate states inside the cutoff.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -74,6 +77,15 @@ class FockBasis:
 
     def degree_indices(self, n: int) -> np.ndarray:
         return np.flatnonzero(self.degrees == n)
+
+    @functools.cached_property
+    def raised(self) -> np.ndarray:
+        """Raise tables: raised[m, i] is the index of states[i] + e_m, for
+        the states of degree below depth, a prefix of the basis."""
+        below = self.states[:np.searchsorted(self.degrees, self.depth - 1,
+                                             side="right")]
+        return np.stack([self.index_of(below + e)
+                         for e in np.eye(self.D, dtype=np.int64)])
 
 
 def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
@@ -159,11 +171,8 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
         )
     if kind not in ("create", "annihilate"):
         raise ConfigurationError(f"ladder kind must be create|annihilate, got '{kind}'")
-    ok = basis.degrees < basis.depth
-    src = np.flatnonzero(ok)
-    targets = basis.states[src].copy()
-    targets[:, mode] += 1
-    tgt = basis.index_of(targets)
+    tgt = basis.raised[mode]
+    src = np.arange(tgt.size)
     vals = np.sqrt(basis.states[src, mode] + 1.0)
     if kind == "create":
         mat = scipy.sparse.coo_matrix(
@@ -187,7 +196,8 @@ def number_operator(basis: FockBasis) -> FockOperator:
 # ---------------------------------------------------------------------------
 
 def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndarray:
-    """Product of ladder factors over modes; occ is (S, D)."""
+    """Product of ladder factors over modes; occ is (S, len(multi)), one
+    column per mode of multi."""
     amp = np.ones(occ.shape[0])
     for m, power in enumerate(multi):
         for r in range(power):
@@ -196,38 +206,46 @@ def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndar
 
 
 def _monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention.
+    """(rows, cols, amplitudes) of one monomial z*^alpha z^beta under a
+    convention.
 
     Normal ordering annihilates first, so only its final state can leave
     the cutoff; anti-normal ordering creates first, so its intermediate
     state must stay inside; either way the final state has degree <= depth.
-    The degree bounds select a prefix of the basis; in it, a source state
-    holds at least ``need`` quanta on each mode where ``need`` is positive.
+    The sources are the states holding at least ``lift`` quanta, lift = beta
+    (normal) or max(beta - alpha, 0) (anti-normal), of degree <= bound:
+    states[:end] + lift, with end covering degree bound - |lift|.  Their
+    targets are states[:end] + tlift, tlift = alpha or max(alpha - beta, 0),
+    so both index arrays come from the raise tables, in basis order.
     """
-    alpha_arr = np.array(alpha, dtype=np.int64)
-    beta_arr = np.array(beta, dtype=np.int64)
+    # only the modes the monomial acts on
+    modes = [m for m, pair in enumerate(zip(alpha, beta)) if any(pair)]
+    a = np.array([alpha[m] for m in modes], dtype=np.int64)
+    b = np.array([beta[m] for m in modes], dtype=np.int64)
     normal = convention == "normal"
     if normal:
-        bound, need = basis.N_max + sum(beta) - sum(alpha), beta_arr
+        bound, lift, tlift = basis.N_max + b.sum() - a.sum(), b, a
     else:
-        bound, need = basis.N_max - sum(alpha), beta_arr - alpha_arr
-    bound = min(bound, basis.depth - sum(alpha) + sum(beta))
-    end = np.searchsorted(basis.degrees, bound, side="right")
-    support = np.flatnonzero(need > 0)
-    src = np.flatnonzero(
-        np.all(basis.states[:end, support] >= need[support], axis=1)
-    )
-    if src.size == 0:
+        bound = basis.N_max - a.sum()
+        lift, tlift = np.maximum(b - a, 0), np.maximum(a - b, 0)
+    bound = min(bound, basis.depth - a.sum() + b.sum(), basis.depth)
+    end = np.searchsorted(basis.degrees, bound - lift.sum(), side="right")
+    if end == 0:
         return None
-    occ = basis.states[src]
+    src, tgt = np.arange(end), np.arange(end)
+    for m, up, down in zip(modes, lift, tlift):
+        for _ in range(up):
+            src = basis.raised[m, src]
+        for _ in range(down):
+            tgt = basis.raised[m, tgt]
+    occ = basis.states[:end, modes] + lift
     if normal:
-        amp = _ladder_amplitudes(occ, beta, raise_op=False)
-        amp *= _ladder_amplitudes(occ - beta_arr, alpha, raise_op=True)
+        amp = _ladder_amplitudes(occ, b, raise_op=False)
+        amp *= _ladder_amplitudes(occ - b, a, raise_op=True)
     else:
-        amp = _ladder_amplitudes(occ, alpha, raise_op=True)
-        amp *= _ladder_amplitudes(occ + alpha_arr, beta, raise_op=False)
-    rows = basis.index_of(occ + (alpha_arr - beta_arr))
-    return rows, src, amp
+        amp = _ladder_amplitudes(occ, a, raise_op=True)
+        amp *= _ladder_amplitudes(occ + a, b, raise_op=False)
+    return tgt, src, amp
 
 
 def _chunk_matrix(chunks, size: int) -> scipy.sparse.csr_matrix:
@@ -252,8 +270,11 @@ def quantize(
     normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
     antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
     weyl:       convert the symbol to normal form, then quantize normally.
-    Terms are summed in sorted key order: the matrix depends only on the
-    symbol's content."""
+    Terms are taken in sorted key order, so the matrix depends only on the
+    symbol's content: the diagonal terms (a == b) add into one dense
+    vector in that order, and the duplicates of each other entry, lined
+    up in that order by a stable sort, are summed by reduceat.  Entries
+    that cancel to exactly 0 are dropped."""
     validate_ordering(convention)
     if s.num_modes != basis.D:
         raise DimensionMismatchError(
@@ -263,6 +284,7 @@ def quantize(
         return quantize(convert(s, "weyl", "normal"), "normal", basis)
 
     size = basis.size
+    diagonal = np.zeros(size, dtype=complex)
     total = scipy.sparse.csr_matrix((size, size), dtype=complex)
     chunks, pending = [], 0
     for (alpha, beta), coeff in sorted(s.terms.items()):
@@ -270,12 +292,17 @@ def quantize(
         if entries is None:
             continue
         rows, cols, amp = entries
+        if alpha == beta:
+            diagonal[cols] += amp * coeff
+            continue
         chunks.append((rows * size + cols, amp * coeff))
         pending += rows.size
         if pending >= 4_000_000:
             total, chunks, pending = total + _chunk_matrix(chunks, size), [], 0
     if pending:
         total = total + _chunk_matrix(chunks, size)
+    # the sparse sum drops the zeros of both operands
+    total = total + scipy.sparse.diags(diagonal, format="csr")
     return FockOperator(basis, total)
 
 

@@ -17,9 +17,8 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# the bare package, not scipy.sparse.csgraph, for the benchmark tracer and
-# probe as in fock.py; `cli.run` loads the submodule for the commands that
-# use it
+# the bare package, not scipy.sparse, for the benchmark tracer and probe as
+# in fock.py; `cli.run` loads the submodule for the commands that use it
 import scipy
 
 from .algebra import LieAlgebraBasis, build_algebra
@@ -121,14 +120,21 @@ class SpectrumReport:
 # operator assembly and block extraction
 # ---------------------------------------------------------------------------
 
-def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
-    """Quantize the energy-mass symbol under the path cutoff N_max on the
-    safe basis, degree <= N_max - DEGREE_MARGIN, which the levels and C*
-    read; the basis cap is checked before the symbol is built."""
+def _retained_modes(model: ModelSpec):
+    """The model's algebra and its retained modes, refusing a model that
+    retains none."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
+    return algebra, mode_map
+
+
+def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
+    """Quantize the energy-mass symbol under the path cutoff N_max on the
+    safe basis, degree <= N_max - DEGREE_MARGIN, which the levels and C*
+    read; the basis cap is checked before the symbol is built."""
+    algebra, mode_map = _retained_modes(model)
     N_max = model.N_max if N_max is None else N_max
     basis = build_basis(mode_map.num_modes, N_max,
                         depth=N_max - DEGREE_MARGIN)
@@ -144,6 +150,29 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
         )
     idx = q.basis.degree_indices(n)
     return q.matrix[np.ix_(idx, idx)].toarray()
+
+
+def _component_labels(sub) -> np.ndarray:
+    """Connected component of each row of the square sparse matrix sub, on
+    the symmetric pattern of sub != 0, numbered in the order of each
+    component's smallest row.
+
+    Every row starts with its own index as label.  Each round, a row takes
+    the smallest label among itself and its neighbours, then the label of
+    that label (pointer jumping).  A label is always a row of the same
+    component, no larger than the row, so the labels stop changing exactly
+    when each row holds its component's smallest row.
+    """
+    pattern = sub != 0
+    graph = (pattern + pattern.T + scipy.sparse.identity(
+        sub.shape[0], dtype=bool, format="csr")).tocsr()
+    labels = np.arange(sub.shape[0])
+    while True:
+        new = np.minimum.reduceat(labels[graph.indices], graph.indptr[:-1])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
 
 
 def _block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
@@ -165,10 +194,7 @@ def _block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
         )
     if not sub.data.imag.any():
         sub = sub.real
-    # the pattern, not the values: a complex graph is cast with a warning
-    _, labels = scipy.sparse.csgraph.connected_components(
-        sub != 0, directed=False
-    )
+    labels = _component_labels(sub)
     sizes = np.bincount(labels)
     if sizes.max() > DENSE_COMPONENT_CAP:
         raise ResourceError(
@@ -316,7 +342,8 @@ class ConvergenceStudy:
 
 def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     """lambda_n per truncation level with relative changes between
-    consecutive levels."""
+    consecutive levels, from one energy symbol quantized on the safe basis
+    of each level."""
     levels = list(N_max_list)
     if not levels:
         raise ConfigurationError("N_max list must be non-empty")
@@ -328,9 +355,15 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
             f"n_max={n_top} too large for the smallest truncation "
             f"N_max={min(levels)}"
         )
+    algebra, mode_map = _retained_modes(model)
+    # the symbol does not depend on N_max, so it is built once, after every
+    # basis has passed the cap
+    bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN)
+             for N in levels]
+    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
     lambdas = {}
-    for N in levels:
-        h = assemble_hamiltonian(model, N_max=N)
+    for N, basis in zip(levels, bases):
+        h = quantize(sym, model.convention, basis)
         lambdas[N] = [float(_block_eigenvalues(h.matrix,
                                                h.basis.degree_indices(n))[0])
                       for n in range(n_top + 1)]

@@ -473,6 +473,98 @@ def full_width_monomial_entries(basis, alpha, beta, convention):
     return rows, src, amp
 
 
+def _keyed_monomial_entries(basis, alpha, beta, convention):
+    """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention,
+    as fock._monomial_entries computed them before the raise tables: a
+    per-term occupation mask on the degree prefix, and the target rows
+    looked up by key.
+
+    Normal ordering annihilates first, so only its final state can leave
+    the cutoff; anti-normal ordering creates first, so its intermediate
+    state must stay inside; either way the final state has degree <= depth.
+    The degree bounds select a prefix of the basis; in it, a source state
+    holds at least ``need`` quanta on each mode where ``need`` is positive.
+    """
+    from ymspec.fock import _ladder_amplitudes
+
+    alpha_arr = np.array(alpha, dtype=np.int64)
+    beta_arr = np.array(beta, dtype=np.int64)
+    normal = convention == "normal"
+    if normal:
+        bound, need = basis.N_max + sum(beta) - sum(alpha), beta_arr
+    else:
+        bound, need = basis.N_max - sum(alpha), beta_arr - alpha_arr
+    bound = min(bound, basis.depth - sum(alpha) + sum(beta))
+    end = np.searchsorted(basis.degrees, bound, side="right")
+    support = np.flatnonzero(need > 0)
+    src = np.flatnonzero(
+        np.all(basis.states[:end, support] >= need[support], axis=1)
+    )
+    if src.size == 0:
+        return None
+    occ = basis.states[src]
+    if normal:
+        amp = _ladder_amplitudes(occ, beta, raise_op=False)
+        amp *= _ladder_amplitudes(occ - beta_arr, alpha, raise_op=True)
+    else:
+        amp = _ladder_amplitudes(occ, alpha, raise_op=True)
+        amp *= _ladder_amplitudes(occ + alpha_arr, beta, raise_op=False)
+    rows = basis.index_of(occ + (alpha_arr - beta_arr))
+    return rows, src, amp
+
+
+def _keyed_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
+    """Sum of the (keys, vals) entry lists, key = row * size + col, as one
+    CSR matrix; a stable sort keeps each entry's duplicates in list order,
+    and reduceat sums them in an order fixed by that run alone."""
+    keys, vals = (np.concatenate(part) for part in zip(*chunks))
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    indptr = np.searchsorted(keys[first], np.arange(size + 1) * size)
+    return sparse.csr_matrix(
+        (np.add.reduceat(vals, first), keys[first] % size, indptr),
+        shape=(size, size))
+
+
+def keyed_quantize(s, convention, basis):
+    """fock.quantize before the raise tables and the dense diagonal: every
+    term, diagonal ones included, goes through the key sort and reduceat,
+    and its target rows through FockBasis.index_of.  Returns the FockOperator.
+
+    normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
+    antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
+    weyl:       convert the symbol to normal form, then quantize normally.
+    Terms are summed in sorted key order: the matrix depends only on the
+    symbol's content."""
+    from ymspec.fock import FockOperator
+    from ymspec.symbols import convert, validate_ordering
+
+    validate_ordering(convention)
+    if s.num_modes != basis.D:
+        raise DimensionMismatchError(
+            f"symbol has {s.num_modes} modes but basis has D={basis.D}"
+        )
+    if convention == "weyl":
+        return keyed_quantize(convert(s, "weyl", "normal"), "normal", basis)
+
+    size = basis.size
+    total = sparse.csr_matrix((size, size), dtype=complex)
+    chunks, pending = [], 0
+    for (alpha, beta), coeff in sorted(s.terms.items()):
+        entries = _keyed_monomial_entries(basis, alpha, beta, convention)
+        if entries is None:
+            continue
+        rows, cols, amp = entries
+        chunks.append((rows * size + cols, amp * coeff))
+        pending += rows.size
+        if pending >= 4_000_000:
+            total, chunks, pending = total + _keyed_chunk_matrix(chunks, size), [], 0
+    if pending:
+        total = total + _keyed_chunk_matrix(chunks, size)
+    return FockOperator(basis, total)
+
+
 def recursive_compositions(total, parts):
     """Nonnegative integer tuples of given length summing to total, lex order."""
     if parts == 1:

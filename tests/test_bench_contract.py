@@ -91,6 +91,8 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
     else:
         # the curvature of each accepted state gives its energy and the
         # next step's first stage: three more stages per step, plus t = 0
+        # the algebra is built once, for the step cap and the start state
+        assert names.count("algebra.build_algebra") == 1
         steps = names.count("dynamics.rk4_step")
         assert steps == 2
         assert names.count("dynamics.curvature_magnetic") == 4 * steps + 1

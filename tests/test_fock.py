@@ -36,6 +36,7 @@ from ymspec.symbols import (
 from oracles import (
     dict_index_of,
     full_width_monomial_entries,
+    keyed_quantize,
     ladder_quantize,
     random_symbol,
     recursive_basis_states,
@@ -124,6 +125,19 @@ class TestBasis:
         assert np.array_equal(b.degrees, expected.sum(axis=1))
 
 
+class TestRaiseTables:
+    @pytest.mark.parametrize("D,N_max,depth", [
+        (1, 4, 4), (3, 5, 5), (3, 6, 4), (9, 6, 4), (2, 3, 0),
+    ])
+    def test_matches_dict_oracle(self, D, N_max, depth):
+        b = build_basis(D, N_max, depth=depth)
+        below = b.states[b.degrees < depth]
+        assert b.raised.shape == (D, below.shape[0])
+        for m in range(D):
+            want = dict_index_of(b, below + np.eye(D, dtype=np.int64)[m])
+            assert np.array_equal(b.raised[m], want)
+
+
 class TestLadder:
     def test_annihilate_vacuum(self):
         b = build_basis(2, 3)
@@ -188,6 +202,13 @@ def assert_full_width_identical(monkeypatch, s, basis):
         assert np.array_equal(fast.data, slow.data)
 
 
+def assert_matches_keyed(got, want):
+    """Same stored entries, and values within 1e-13 of the largest."""
+    assert got.nnz == want.nnz > 0
+    assert not (got.data == 0).any()
+    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
 class TestQuantize:
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
     def test_reduced_depth_is_full_restricted(self, convention, rng):
@@ -242,6 +263,30 @@ class TestQuantize:
         algebra = build_algebra(name)
         s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
         assert_full_width_identical(monkeypatch, s, build_basis(s.num_modes, N_max))
+
+    @pytest.mark.parametrize("name,N_max", [
+        ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
+    ])
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_energy_symbol_matches_keyed_oracle(self, name, N_max,
+                                                convention):
+        # the diagonal terms are summed in another order than the keyed
+        # path's reduceat, so entries agree to roundoff: su3 at N_max = 6
+        # differs by 1.9e-13 at an entry of modulus 47.7
+        algebra = build_algebra(name)
+        s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
+        basis = build_basis(s.num_modes, N_max, depth=N_max - 2)
+        got = quantize(s, convention, basis).matrix
+        want = keyed_quantize(s, convention, basis).matrix
+        assert_matches_keyed(got, want)
+
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_complex_symbols_match_keyed_oracle(self, convention, rng):
+        for basis in (build_basis(3, 5), build_basis(3, 6, depth=4)):
+            for _ in range(5):
+                s = random_symbol(rng, 3, 4, n_terms=12)
+                assert_matches_keyed(quantize(s, convention, basis).matrix,
+                                     keyed_quantize(s, convention, basis).matrix)
 
     def test_independent_of_term_order(self, su2):
         # duplicate (row, col) entries are summed in sorted term order, so

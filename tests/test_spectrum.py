@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sparse
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from ymspec import spectrum
 from ymspec.algebra import build_algebra
@@ -401,8 +403,8 @@ class TestLowestLevel:
         np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]),
     ])
     def test_two_row_blocks_read_densely(self, block):
-        # the components are labelled from the sparsity pattern: labelling
-        # the complex values would cast them and warn
+        # the components are labelled from the sparsity pattern, so a
+        # complex block is labelled without a cast or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lam, mult = spectrum._lowest_level(sparse.csr_matrix(block),
@@ -451,6 +453,66 @@ class TestLowestLevel:
         closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in range(9)]
         assert lams == pytest.approx(closed_form, rel=1e-12, abs=0)
         assert mults == [1, 9, 10, 51, 19, 66, 26, 90, 34]
+
+
+def csgraph_labels(sub):
+    """The reference labelling: connected components of the pattern of
+    sub != 0, made symmetric."""
+    return csgraph.connected_components(sub != 0, directed=False)[1]
+
+
+@st.composite
+def sparse_patterns(draw):
+    """A square sparse matrix with asymmetric entries, explicitly stored
+    zeros (not edges), duplicate entries summed, complex values and rows
+    with no entry at all."""
+    n = draw(st.integers(1, 40))
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                      st.sampled_from([0.0, 1.0, -2.5, 1j, 0.5 - 0.5j]))
+    entries = draw(st.lists(cells, max_size=3 * n))
+    rows = [r for r, _, _ in entries]
+    cols = [c for _, c, _ in entries]
+    vals = np.array([v for _, _, v in entries], dtype=complex)
+    if draw(st.booleans()):
+        vals = vals.real
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+class TestComponentLabels:
+    @settings(database=None, derandomize=True, deadline=None, max_examples=200)
+    @given(sub=sparse_patterns())
+    def test_matches_csgraph(self, sub):
+        labels = spectrum._component_labels(sub)
+        assert labels.dtype.kind == "i"
+        assert np.array_equal(labels, csgraph_labels(sub))
+
+    def test_stored_zero_is_not_an_edge(self):
+        sub = sparse.csr_matrix((np.array([0.0, 0.0]), ([0, 1], [1, 0])),
+                                shape=(2, 2))
+        assert sub.nnz == 2
+        assert spectrum._component_labels(sub).tolist() == [0, 1]
+
+    def test_one_sided_entry_joins_both_rows(self):
+        sub = sparse.csr_matrix(([1j], ([2], [0])), shape=(3, 3))
+        assert spectrum._component_labels(sub).tolist() == [0, 1, 0]
+
+    def test_long_path_in_reverse_order(self):
+        # a path whose labels must travel its whole length
+        n = 200
+        order = np.arange(n)[::-1]
+        sub = sparse.csr_matrix((np.ones(n - 1), (order[:-1], order[1:])),
+                                shape=(n, n))
+        assert np.array_equal(spectrum._component_labels(sub), np.zeros(n))
+
+    @pytest.mark.parametrize("N_max", [8, 10])
+    def test_su2_number_shift_block(self, N_max, su2_hamiltonian_nmax8,
+                                    su2_hamiltonian_nmax10):
+        h = {8: su2_hamiltonian_nmax8, 10: su2_hamiltonian_nmax10}[N_max]
+        idx = safe_block_indices(h.basis, 2)
+        sub = (h.matrix - number_operator(h.basis).matrix)[np.ix_(idx, idx)]
+        labels = spectrum._component_labels(sub)
+        assert labels.max() + 1 == 32
+        assert np.array_equal(labels, csgraph_labels(sub))
 
 
 # the dense whole-block oracle is run on blocks of at most 2,002 rows, to
@@ -630,6 +692,34 @@ class TestConvergenceStudy:
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         convergence_study(model, [4, 6])
         assert calls == [1, 9, 45] * 2
+
+    def test_one_symbol_for_every_level(self, monkeypatch):
+        # the energy symbol does not depend on N_max: it is built once, and
+        # each level only builds its basis and quantizes
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return build_symbol(*args)
+
+        build_symbol = spectrum.energy_symbol
+        monkeypatch.setattr(spectrum, "energy_symbol", spy)
+        model = ModelSpec(algebra="su2", N_max=4, n_max=2)
+        study = convergence_study(model, [4, 6])
+        assert len(calls) == 1
+        for N in (4, 6):
+            h = assemble_hamiltonian(model, N_max=N)
+            assert study.lambdas[N] == block_levels(h, range(3), 1e-8)[0]
+
+    def test_oversize_level_refused_before_symbol(self, monkeypatch):
+        # every level's basis passes the cap before the symbol is built
+        calls = []
+        monkeypatch.setattr(spectrum, "energy_symbol",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ResourceError):
+            convergence_study(ModelSpec(algebra="so5", N_max=4, n_max=2),
+                              [4, 12])
+        assert calls == []
 
     def test_single_entry_list(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
