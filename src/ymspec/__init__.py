@@ -3,28 +3,3 @@ quantization, and bosonic block spectra of the Yang-Mills energy-mass
 functional at finite truncation."""
 
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "algebra",
-    "cli",
-    "dynamics",
-    "errors",
-    "fock",
-    "lattice",
-    "spectrum",
-    "symbols",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name):
-    # lazy imports keep `import ymspec` light and let the CLI configure
-    # thread environment variables before numpy loads
-    if name in _SUBMODULES:
-        import importlib
-
-        module = importlib.import_module(f".{name}", __name__)
-        globals()[name] = module
-        return module
-    raise AttributeError(f"module 'ymspec' has no attribute '{name}'")

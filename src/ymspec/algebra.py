@@ -92,10 +92,6 @@ class AlgebraElement:
                 f"dim_g={self.basis.dim_g}"
             )
 
-    def matrix(self) -> np.ndarray:
-        """Matrix form sum_i X^i b_i (oracle use only)."""
-        return np.einsum("i,iab->ab", self.coeffs, self.basis.matrix_basis)
-
 
 @dataclass
 class SpatialAlgebraVector:

@@ -373,15 +373,19 @@ def _write(outdir: str, name: str, text: str) -> str:
     return path
 
 
-def _summary(outdir: str, name: str, payload: dict, config: RunConfig):
-    payload = dict(payload)
-    payload["command"] = config.command
-    payload["config"] = config.to_dict()
-    payload["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _finish(outdir: str, name: str, payload: dict, config: RunConfig,
+            failures: list):
+    """Every runner's last step: write the JSON summary ``name``, "violated"
+    if a physics check failed, then raise naming every failed check."""
+    payload = dict(payload, status="violated" if failures else "ok",
+                   command=config.command, config=config.to_dict(),
+                   generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     _write(outdir, name, json.dumps(payload, indent=1, sort_keys=True))
+    if failures:
+        raise PhysicsAssertionError("; ".join(failures))
 
 
-def _run_check_algebra(config: RunConfig, outdir: str) -> int:
+def _run_check_algebra(config: RunConfig, outdir: str):
     basis = build_algebra(config.algebra)
     report = check_structure(basis)
     tol = config.tolerances.algebra_tol
@@ -409,18 +413,14 @@ def _run_check_algebra(config: RunConfig, outdir: str) -> int:
         f"{k},{v:.17g}\n" for k, v in rows.items()
     )
     _write(outdir, "algebra_report.csv", csv)
-    ok = max(rows.values()) < tol
-    _summary(outdir, "algebra_report.json",
-             {"status": "ok" if ok else "violated", "violations": rows,
-              "tolerance": tol}, config)
-    if not ok:
-        raise PhysicsAssertionError(
-            f"algebra invariants violated beyond {tol:.1e}: {rows}"
-        )
-    return 0
+    failures = []
+    if not max(rows.values()) < tol:
+        failures.append(f"algebra invariants violated beyond {tol:.1e}: {rows}")
+    _finish(outdir, "algebra_report.json",
+            {"violations": rows, "tolerance": tol}, config, failures)
 
 
-def _run_project(config: RunConfig, outdir: str) -> int:
+def _run_project(config: RunConfig, outdir: str):
     a, e_raw = _seeded_fields(config)
     before = constraint_residual(a, e_raw)
     e = transversal_project(a, e_raw, config.tolerances.cg_tol)
@@ -436,20 +436,18 @@ def _run_project(config: RunConfig, outdir: str) -> int:
         f"electric_norm,{e_norm:.17g}\n"
     )
     _write(outdir, "project_report.csv", csv)
+    failures = []
     # CG residual is exactly div_a(e - grad_a u), so 'after' <= tol * 'before'
-    ok = after <= 10 * config.tolerances.cg_tol * max(before, 1e-300)
-    _summary(outdir, "project_report.json",
-             {"status": "ok" if ok else "violated",
-              "residual_before": before, "residual_after": after,
-              "electric_norm": e_norm}, config)
-    if not ok:
-        raise PhysicsAssertionError(
+    if not after <= 10 * config.tolerances.cg_tol * max(before, 1e-300):
+        failures.append(
             f"projection left residual {after:.3e} relative to |e| {e_norm:.3e}"
         )
-    return 0
+    _finish(outdir, "project_report.json",
+            {"residual_before": before, "residual_after": after,
+             "electric_norm": e_norm}, config, failures)
 
 
-def _run_evolve(config: RunConfig, outdir: str) -> int:
+def _run_evolve(config: RunConfig, outdir: str):
     basis = build_algebra(config.algebra)
     # an oversize run is refused before its start state is built
     step_sizes(config.evolution.T, config.evolution.h,
@@ -467,7 +465,7 @@ def _run_evolve(config: RunConfig, outdir: str) -> int:
     growth_rel = report.constraint_growth / e_scale
     tol = config.tolerances
     # written as "not <=" so that a NaN value fails its gate
-    failed = [
+    failures = [
         f"{name} {value:.3e} exceeds gate {gate:.1e}"
         for name, value, gate in (
             ("energy drift", report.energy_drift, tol.energy_drift_gate),
@@ -477,24 +475,20 @@ def _run_evolve(config: RunConfig, outdir: str) -> int:
         if gate is not None and not value <= gate
     ]
     _write(outdir, "evolution.csv", report.to_csv())
-    _summary(outdir, "evolution_summary.json",
-             {"status": "violated" if failed else "ok",
-              "steps": len(report.times) - 1,
-              "cfl_bound": bound,
-              "final_time": final.t,
-              "energy_initial": report.energy[0],
-              "energy_final": report.energy[-1],
-              "energy_drift": report.energy_drift,
-              "constraint_initial": report.constraint[0],
-              "constraint_final": report.constraint[-1],
-              "constraint_growth": report.constraint_growth,
-              "constraint_growth_relative": growth_rel}, config)
-    if failed:
-        raise PhysicsAssertionError("; ".join(failed))
-    return 0
+    _finish(outdir, "evolution_summary.json",
+            {"steps": len(report.times) - 1,
+             "cfl_bound": bound,
+             "final_time": final.t,
+             "energy_initial": report.energy[0],
+             "energy_final": report.energy[-1],
+             "energy_drift": report.energy_drift,
+             "constraint_initial": report.constraint[0],
+             "constraint_final": report.constraint[-1],
+             "constraint_growth": report.constraint_growth,
+             "constraint_growth_relative": growth_rel}, config, failures)
 
 
-def _run_transform(config: RunConfig, outdir: str) -> int:
+def _run_transform(config: RunConfig, outdir: str):
     basis = build_algebra(config.algebra)
     mode_map = ModeMap.zero_momentum(basis.dim_g)
     D = mode_map.num_modes
@@ -561,50 +555,45 @@ def _run_transform(config: RunConfig, outdir: str) -> int:
         f"ordering_route_max_diff,{route_diff:.17g}\n"
     )
     _write(outdir, "transform_report.csv", csv)
-    psd = bool(eigs[0] > -1e-12)
-    routes_ok = route_diff < config.tolerances.ordering_tol
-    _summary(outdir, "transform_report.json",
-             {"status": "ok" if psd and routes_ok else "violated",
-              "number_symbol_constants": resolved,
-              "quadratic_weyl_constant": quad_weyl_const,
-              "mass_quadratic_eigenvalues": [float(x) for x in eigs],
-              "smoothing_constant": const,
-              "ordering_route_max_diff": route_diff}, config)
-    if not psd:
-        raise PhysicsAssertionError(
+    failures = []
+    if not eigs[0] > -1e-12:
+        failures.append(
             f"emergent quadratic term is not positive semidefinite: {eigs[0]}"
         )
-    if not routes_ok:
-        raise PhysicsAssertionError(
+    if not route_diff < config.tolerances.ordering_tol:
+        failures.append(
             f"anti-normal quantization routes disagree by {route_diff:.3e}"
         )
-    return 0
+    _finish(outdir, "transform_report.json",
+            {"number_symbol_constants": resolved,
+             "quadratic_weyl_constant": quad_weyl_const,
+             "mass_quadratic_eigenvalues": [float(x) for x in eigs],
+             "smoothing_constant": const,
+             "ordering_route_max_diff": route_diff}, config, failures)
 
 
-def _run_spectrum(config: RunConfig, outdir: str) -> int:
+def _run_spectrum(config: RunConfig, outdir: str):
     model = config.model_spec()
     report = bosonic_spectrum(model)
     cstar = number_shift_bound(report.hamiltonian)
     analysis = gap_analysis(report, cstar, config.tolerances.margin_tol)
     _write(outdir, "spectrum.csv", report.to_csv())
     _write(outdir, "spectrum_summary.json",
-           spectrum_summary_json(report, analysis, {"number_shift_bound": cstar}))
-    _summary(outdir, "run_summary.json",
-             {"status": "ok" if analysis.gap > 0 and analysis.arithmetic_growth
-              else "violated",
-              "gap": analysis.gap, "slope": analysis.slope,
-              "number_shift_bound": cstar}, config)
-    if analysis.gap <= 0:
-        raise PhysicsAssertionError(f"spectral gap is not positive: {analysis.gap}")
+           spectrum_summary_json(report, analysis, cstar))
+    failures = []
+    if not analysis.gap > 0:
+        failures.append(f"spectral gap is not positive: {analysis.gap}")
     if not analysis.arithmetic_growth:
-        raise PhysicsAssertionError(
+        failures.append(
             f"arithmetic growth certificate failed (slope {analysis.slope}, "
             f"margin {analysis.margin})"
         )
-    return 0
+    _finish(outdir, "run_summary.json",
+            {"gap": analysis.gap, "slope": analysis.slope,
+             "number_shift_bound": cstar}, config, failures)
 
 
-def _run_converge(config: RunConfig, outdir: str) -> int:
+def _run_converge(config: RunConfig, outdir: str):
     model = config.model_spec()
     study = convergence_study(model, config.model.N_max_list)
     _write(outdir, "convergence.csv", study.to_csv())
@@ -613,18 +602,17 @@ def _run_converge(config: RunConfig, outdir: str) -> int:
     }
     worst = study.max_rel_change()
     gate = config.tolerances.convergence_gate
-    _summary(outdir, "convergence_summary.json",
-             {"status": "ok" if gate is None or worst <= gate else "violated",
-              "N_max_list": study.N_max_list,
-              "lambdas": {str(k): v for k, v in study.lambdas.items()},
-              "rel_changes": changes,
-              "max_rel_change": worst}, config)
-    if gate is not None and worst > gate:
-        raise PhysicsAssertionError(
+    failures = []
+    if gate is not None and not worst <= gate:
+        failures.append(
             f"level change {worst:.3e} under truncation refinement exceeds "
             f"gate {gate:.1e}"
         )
-    return 0
+    _finish(outdir, "convergence_summary.json",
+            {"N_max_list": study.N_max_list,
+             "lambdas": {str(k): v for k, v in study.lambdas.items()},
+             "rel_changes": changes,
+             "max_rel_change": worst}, config, failures)
 
 
 _RUNNERS = {
@@ -637,14 +625,15 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, outdir: str = ".") -> int:
-    """Dispatch a validated configuration; returns the process exit code."""
+def run(config: RunConfig, outdir: str = "."):
+    """Dispatch a validated configuration to its runner, which writes the
+    outputs and raises PhysicsAssertionError if a physics check failed."""
     os.makedirs(outdir, exist_ok=True)
     if config.command in _SPARSE_COMMANDS:
         # imported here, before the runner is entered, so the import
         # counts as set-up and not as the command's solve
         import scipy.sparse  # noqa: F401
-    return _RUNNERS[config.command](config, outdir)
+    _RUNNERS[config.command](config, outdir)
 
 
 # ---------------------------------------------------------------------------

@@ -54,4 +54,4 @@ class ResourceError(NumericalError):
 
 
 class InsufficientDataError(YmspecError):
-    """Analysis requested on too few converged data points."""
+    """Analysis requested on too few data points."""

@@ -231,7 +231,6 @@ def invert_laplacian(
     a: VectorAlgebraField,
     f: ScalarAlgebraField,
     tol: float = DEFAULT_CG_TOL,
-    max_iters: int | None = None,
 ) -> ScalarAlgebraField:
     """Solve Laplacian_a u = f by conjugate gradients on -Laplacian_a.
 
@@ -262,7 +261,7 @@ def invert_laplacian(
     if b_norm == 0.0:
         return ScalarAlgebraField.zeros(lattice, a.basis)
 
-    cap = max_iters if max_iters is not None else 10 * lattice.sites()
+    cap = 10 * lattice.sites()
 
     def matvec(v: np.ndarray) -> np.ndarray:
         field = ScalarAlgebraField(lattice, a.basis, v)

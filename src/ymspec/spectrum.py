@@ -97,7 +97,6 @@ class SpectrumReport:
     ns: list
     lambdas: list
     multiplicities: list
-    converged: list        # bool per level
     N_max: int
     D: int
     # the operator the levels were computed from (None on a report built
@@ -107,12 +106,12 @@ class SpectrumReport:
     )
 
     def to_csv(self) -> str:
+        """One row per level; the converged column is always 1, since every
+        level is exact (see bosonic_spectrum)."""
         buf = io.StringIO()
         buf.write("n,lambda,multiplicity,converged\n")
-        for n, lam, mult, conv in zip(
-            self.ns, self.lambdas, self.multiplicities, self.converged
-        ):
-            buf.write(f"{n},{lam:.17g},{mult},{int(conv)}\n")
+        for n, lam, mult in zip(self.ns, self.lambdas, self.multiplicities):
+            buf.write(f"{n},{lam:.17g},{mult},1\n")
         return buf.getvalue()
 
 
@@ -120,26 +119,27 @@ class SpectrumReport:
 # operator assembly and block extraction
 # ---------------------------------------------------------------------------
 
-def _retained_modes(model: ModelSpec):
-    """The model's algebra and its retained modes, refusing a model that
-    retains none."""
+def _hamiltonians(model: ModelSpec, N_max_list):
+    """The energy-mass operator at each path cutoff in N_max_list, each
+    quantized on its safe basis, degree <= N_max - DEGREE_MARGIN, which the
+    levels and C* read.  Every basis is built, and so passes the cap, before
+    the one energy symbol is; each operator is quantized only when the
+    returned generator is advanced to it."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
-    return algebra, mode_map
+    bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN)
+             for N in N_max_list]
+    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
+    return (quantize(sym, model.convention, basis) for basis in bases)
 
 
 def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
-    """Quantize the energy-mass symbol under the path cutoff N_max on the
-    safe basis, degree <= N_max - DEGREE_MARGIN, which the levels and C*
-    read; the basis cap is checked before the symbol is built."""
-    algebra, mode_map = _retained_modes(model)
-    N_max = model.N_max if N_max is None else N_max
-    basis = build_basis(mode_map.num_modes, N_max,
-                        depth=N_max - DEGREE_MARGIN)
-    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
-    return quantize(sym, model.convention, basis)
+    """The energy-mass operator at path cutoff N_max (model.N_max if None)
+    on its safe basis; see _hamiltonians."""
+    (h,) = _hamiltonians(model, [model.N_max if N_max is None else N_max])
+    return h
 
 
 def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
@@ -222,12 +222,11 @@ def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     """lambda_n for n = 0..model.n_top with multiplicities, from one assembly of H.
 
-    Every reported level is flagged converged because it equals the level
-    of the untruncated operator exactly: the degree-n block sees only the
-    number-conserving monomials of the quartic energy symbol, whose ladder
-    paths (under any ordering convention) pass through degrees
-    <= n + DEGREE_MARGIN, and n_max is capped at N_max - DEGREE_MARGIN, so
-    no path meets the cutoff.  The operator is kept on the report as
+    Every reported level equals the level of the untruncated operator
+    exactly: the degree-n block sees only the number-conserving monomials
+    of the quartic energy symbol, whose ladder paths (under any ordering
+    convention) pass through degrees <= n + DEGREE_MARGIN, and n_max is
+    capped at N_max - DEGREE_MARGIN, so no path meets the cutoff.  The operator is kept on the report as
     ``hamiltonian``.
     """
     n_top = model.n_top
@@ -245,7 +244,6 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
         ns=ns,
         lambdas=[lam for lam, _ in levels],
         multiplicities=[mult for _, mult in levels],
-        converged=[True] * len(ns),
         N_max=model.N_max,
         D=h.basis.D,
         hamiltonian=h,
@@ -272,19 +270,18 @@ def gap_analysis(
 ) -> GapAnalysis:
     """Gap and arithmetic-growth certificate of a spectrum report.
 
-    Uses the levels flagged converged only.  The slope comes from the
-    least-squares line and the bound constant is the largest C with
-    lambda_n >= slope * n + C on those levels.  The margin
-    min_n (lambda_n - n) - C* checks the levels against the number-shift
-    bound C* (number_shift_bound), an independent solve: every reported
-    block lies in C*'s safe block, so the margin is >= 0 up to roundoff.
+    The slope comes from the least-squares line through every level and
+    the bound constant is the largest C with lambda_n >= slope * n + C.
+    The margin min_n (lambda_n - n) - C* checks the levels against the
+    number-shift bound C* (number_shift_bound), an independent solve: every
+    reported block lies in C*'s safe block, so the margin is >= 0 up to
+    roundoff.
     """
-    used = np.asarray(report.converged, dtype=bool)
-    ns = np.asarray(report.ns, dtype=float)[used]
-    lam = np.asarray(report.lambdas, dtype=float)[used]
+    ns = np.asarray(report.ns, dtype=float)
+    lam = np.asarray(report.lambdas, dtype=float)
     if ns.size < 3:
         raise InsufficientDataError(
-            f"gap analysis needs at least 3 converged levels, have {ns.size}"
+            f"gap analysis needs at least 3 levels, have {ns.size}"
         )
     slope, intercept = np.polyfit(ns, lam, 1)
     margin = float((lam - ns).min() - cstar)
@@ -343,7 +340,7 @@ class ConvergenceStudy:
 def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     """lambda_n per truncation level with relative changes between
     consecutive levels, from one energy symbol quantized on the safe basis
-    of each level."""
+    of each level (see _hamiltonians)."""
     levels = list(N_max_list)
     if not levels:
         raise ConfigurationError("N_max list must be non-empty")
@@ -355,15 +352,8 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
             f"n_max={n_top} too large for the smallest truncation "
             f"N_max={min(levels)}"
         )
-    algebra, mode_map = _retained_modes(model)
-    # the symbol does not depend on N_max, so it is built once, after every
-    # basis has passed the cap
-    bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN)
-             for N in levels]
-    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
     lambdas = {}
-    for N, basis in zip(levels, bases):
-        h = quantize(sym, model.convention, basis)
+    for N, h in zip(levels, _hamiltonians(model, levels)):
         lambdas[N] = [float(_block_eigenvalues(h.matrix,
                                                h.basis.degree_indices(n))[0])
                       for n in range(n_top + 1)]
@@ -378,16 +368,17 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
 
 
 def spectrum_summary_json(
-    report: SpectrumReport, analysis: GapAnalysis, extra: dict | None = None
+    report: SpectrumReport, analysis: GapAnalysis, cstar: float
 ) -> str:
+    """The spectrum summary: levels, gap analysis and the number-shift
+    bound C*; every level is exact, so each is listed as converged."""
     doc = {
         "D": report.D,
         "N_max": report.N_max,
         "lambdas": [float(x) for x in report.lambdas],
         "multiplicities": [int(m) for m in report.multiplicities],
-        "converged": [bool(c) for c in report.converged],
+        "converged": [True] * len(report.ns),
+        "number_shift_bound": cstar,
     }
     doc.update(asdict(analysis))
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=1, sort_keys=True)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -415,6 +416,50 @@ class TestMainExitCodes:
         assert diag["raised_at"].endswith(" in broken")
 
 
+def _unprojected(monkeypatch):
+    monkeypatch.setattr(cli, "transversal_project", lambda a, e, tol: e)
+
+
+def _no_gap(monkeypatch):
+    analyse = cli.gap_analysis
+    monkeypatch.setattr(cli, "gap_analysis", lambda *args: dataclasses.replace(
+        analyse(*args), gap=-1.0))
+
+
+def _levels_moved(monkeypatch):
+    study_levels = cli.convergence_study
+
+    def moved(*args):
+        study = study_levels(*args)
+        study.rel_changes = {k: [1.0] * len(v)
+                             for k, v in study.rel_changes.items()}
+        return study
+
+    monkeypatch.setattr(cli, "convergence_study", moved)
+
+
+# command -> (config, summary file, how its physics gate is made to fail);
+# evolve's failed gate has its own tests below.
+# No config fails converge's gate: its levels are exact, so max_rel_change
+# is exactly 0.0.  transform's two quantization routes differ by ~1.5e-14.
+_GATE_FAILURES = {
+    "check-algebra": ({"algebra": "su2",
+                       "tolerances": {"algebra_tol": 1e-300}},
+                      "algebra_report.json", None),
+    "project": ({"algebra": "su2", "lattice": {"n": 4}},
+                "project_report.json", _unprojected),
+    "transform": ({"algebra": "su2", "tolerances": {"ordering_tol": 1e-300}},
+                  "transform_report.json", None),
+    "spectrum": ({"algebra": "su2", "model": {"N_max": 4, "n_max": 2}},
+                 "run_summary.json", _no_gap),
+    "converge": ({"algebra": "su2",
+                  "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 6],
+                            "sector": "abelian"},
+                  "tolerances": {"convergence_gate": 1e-6}},
+                 "convergence_summary.json", _levels_moved),
+}
+
+
 class TestRunners:
     def test_spectrum_outputs(self, tmp_path):
         path = write_config(tmp_path, {
@@ -493,6 +538,36 @@ class TestRunners:
         summary = json.loads((tmp_path / "evolution_summary.json").read_text())
         assert summary["status"] == "violated"
         assert summary["energy_drift"] > 1e-300
+
+    @pytest.mark.parametrize("command", sorted(_GATE_FAILURES))
+    def test_failed_gate_exits_1_with_violated_summary(self, tmp_path,
+                                                        monkeypatch, command):
+        doc, summary_name, force = _GATE_FAILURES[command]
+        if force is not None:
+            force(monkeypatch)
+        path = write_config(tmp_path, dict(doc, command=command))
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 1
+        summary = json.loads((tmp_path / summary_name).read_text())
+        assert summary["status"] == "violated"
+        assert summary["command"] == command
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "PhysicsAssertionError"
+        assert diag["exit_code"] == 1
+
+    def test_every_failed_transform_check_is_named(self, tmp_path,
+                                                   monkeypatch):
+        # the mass quadratic's eigenvalues, negated
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(cli.np.linalg, "eigvalsh",
+                            lambda m: -eigvalsh(m)[::-1])
+        path = write_config(tmp_path, {
+            "command": "transform", "algebra": "su2",
+            "tolerances": {"ordering_tol": 1e-300},
+        })
+        assert main(["transform", "--config", path, "--out", str(tmp_path)]) == 1
+        message = json.loads((tmp_path / "diagnostics.json").read_text())["message"]
+        assert "not positive semidefinite" in message
+        assert "routes disagree" in message
 
     def test_level_tol_sets_multiplicity_window(self, tmp_path, monkeypatch):
         tols = []
@@ -628,6 +703,20 @@ class TestImportContract:
     they load it before the runner is entered, so the import is set-up.  No
     command loads scipy.sparse.csgraph, scipy.sparse.linalg or scipy.linalg:
     the block components are labelled by numpy."""
+
+    def test_package_import_loads_no_numpy(self):
+        # the package root imports nothing, so the CLI sets its thread
+        # variables before numpy loads; submodules load by import
+        probe = ("import sys, ymspec\n"
+                 "assert 'numpy' not in sys.modules\n"
+                 "from ymspec import cli, fock, spectrum\n"
+                 "print(spectrum.assemble_hamiltonian.__name__)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "assemble_hamiltonian\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_sparse_loaded_only_for_sparse_commands(self, tmp_path, command):

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -35,6 +36,7 @@ from ymspec.spectrum import (
     gap_analysis,
     n_boson_block,
     number_shift_bound,
+    spectrum_summary_json,
 )
 from ymspec.symbols import ModeMap, energy_symbol
 
@@ -243,12 +245,17 @@ class TestBosonicSpectrum:
     def test_every_level_flagged_converged(self):
         model = ModelSpec(algebra="su2", N_max=6, n_max=4)
         rep = bosonic_spectrum(model)
-        assert rep.converged == [True] * 5
         assert rep.hamiltonian.basis.N_max == 6
         assert rep.to_csv().splitlines()[1:] == [
             f"{n},{lam:.17g},{mult},1"
             for n, lam, mult in zip(rep.ns, rep.lambdas, rep.multiplicities)
         ]
+        cstar = number_shift_bound(rep.hamiltonian)
+        doc = json.loads(spectrum_summary_json(rep, gap_analysis(rep, cstar),
+                                               cstar))
+        assert doc["converged"] == [True] * 5
+        assert doc["levels_used"] == 5
+        assert doc["number_shift_bound"] == cstar
 
 
 class TestGapAnalysis:
@@ -257,7 +264,6 @@ class TestGapAnalysis:
             ns=list(range(5)),
             lambdas=[float(n) for n in range(5)],
             multiplicities=[1] * 5,
-            converged=[True] * 5,
             N_max=6,
             D=3,
         )
@@ -270,22 +276,10 @@ class TestGapAnalysis:
     def test_insufficient_levels(self):
         rep = SpectrumReport(
             ns=[0, 1], lambdas=[1.0, 2.0], multiplicities=[1, 1],
-            converged=[True, True], N_max=4, D=2,
+            N_max=4, D=2,
         )
         with pytest.raises(InsufficientDataError):
             gap_analysis(rep, 0.0)
-
-    def test_unconverged_levels_excluded(self):
-        rep = SpectrumReport(
-            ns=list(range(4)),
-            lambdas=[0.0, 1.0, 2.0, 50.0],
-            multiplicities=[1] * 4,
-            converged=[True, True, True, False],
-            N_max=6, D=2,
-        )
-        ga = gap_analysis(rep, 0.0)
-        assert ga.levels_used == 3
-        assert abs(ga.slope - 1.0) < 1e-12
 
     def test_levels_below_number_shift_bound_fail(self):
         # lambda_n = n + 0.5 fits a line exactly, so the fitted-line margin
@@ -294,7 +288,6 @@ class TestGapAnalysis:
             ns=list(range(4)),
             lambdas=[n + 0.5 for n in range(4)],
             multiplicities=[1] * 4,
-            converged=[True] * 4,
             N_max=6, D=3,
         )
         ga = gap_analysis(rep, 1.0)
@@ -308,7 +301,7 @@ class TestGapAnalysis:
             su2_hamiltonian_nmax8, range(6), su2_model_nmax8.level_tol
         )
         rep = SpectrumReport(ns=list(range(6)), lambdas=lams,
-                             multiplicities=mults, converged=[True] * 6,
+                             multiplicities=mults,
                              N_max=8, D=9)
         cstar = number_shift_bound(su2_hamiltonian_nmax8)
         ga = gap_analysis(rep, cstar)
@@ -657,7 +650,7 @@ class TestConvergenceStudy:
                                                   N_max):
         # for n <= N_max - 2 every ladder path of a number-conserving quartic
         # monomial stays inside the cutoff, so refining N_max does not move
-        # interior levels at all; bosonic_spectrum's converged flags rely on it
+        # interior levels at all; bosonic_spectrum's exact levels rely on it
         model = ModelSpec(algebra=algebra, N_max=N_max, n_max=N_max - 2,
                           convention=convention)
         study = convergence_study(model, [N_max, N_max + 2])
