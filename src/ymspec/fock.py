@@ -2,10 +2,10 @@
 
 States are occupation multi-indices mu with |mu| <= depth <= N_max in
 degree-major, lexicographic order; N_max bounds the ladder paths.
-Operators are sparse matrices on that enumeration; the basis's raise
-tables (the index of mu + e_m, per mode) give the ladder operators and
-the rows and columns of every quantized monomial.  Quantization places
-ladder operators according to the requested ordering convention;
+Operators are compressed-sparse-row arrays (Csr) of numpy on that
+enumeration; the basis's raise tables (the index of mu + e_m, per mode)
+give the rows and columns of every quantized monomial.  Quantization
+places ladder operators according to the requested ordering convention;
 compositions are taken on the truncated space (creation paths leaving
 the basis are dropped), so assertions about operator identities are
 made on the truncation-safe sub-block of states whose degree keeps all
@@ -16,17 +16,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
-# the bare package, not scipy.sparse: scipy loads a submodule on first
-# attribute access, so `ymspec.cli`, which imports every layer because the
-# benchmark tracer wraps them all, loads no scipy.sparse for the commands
-# that build no sparse operator; the benchmark probe still finds
-# sys.modules["scipy"]
-import scipy
+# no layer uses scipy; the bare package (no submodule loads with it) is
+# imported only because the benchmark probe reports sys.modules["scipy"]
+import scipy  # noqa: F401
 
 from .errors import (
     ConfigurationError,
@@ -37,6 +33,8 @@ from .errors import (
 from .symbols import PolynomialSymbol, convert, validate_ordering
 
 DEFAULT_BASIS_CAP = 5_000_000
+# entries quantize collects before summing them into its running total
+CHUNK_ENTRIES = 4_000_000
 
 
 @dataclass
@@ -116,12 +114,48 @@ def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
     return FockBasis(D, N_max, states, degrees, depth)
 
 
+@dataclass(frozen=True)
+class Csr:
+    """Square matrix in compressed-sparse-row form: row i holds the
+    columns indices[indptr[i]:indptr[i + 1]], ascending, and their values
+    data[indptr[i]:indptr[i + 1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.indptr.size - 1
+        return n, n
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def rows(self, lo: int, hi: int):
+        """(rows, cols, vals) of the entries of the block [lo, hi) x [lo, hi),
+        with rows and columns counted from lo."""
+        a, b = self.indptr[lo], self.indptr[hi]
+        rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr[lo:hi + 1]))
+        cols = self.indices[a:b] - lo
+        inside = (cols >= 0) & (cols < hi - lo)
+        return rows[inside], cols[inside], self.data[a:b][inside]
+
+    def toarray(self) -> np.ndarray:
+        n = self.shape[0]
+        dense = np.zeros((n, n), dtype=self.data.dtype)
+        rows, cols, vals = self.rows(0, n)
+        dense[rows, cols] = vals
+        return dense
+
+
 @dataclass
 class FockOperator:
     """Sparse operator on a FockBasis enumeration."""
 
     basis: FockBasis
-    matrix: scipy.sparse.csr_matrix
+    matrix: Csr
 
     def __post_init__(self):
         if self.matrix.shape != (self.basis.size, self.basis.size):
@@ -129,66 +163,6 @@ class FockOperator:
                 f"matrix shape {self.matrix.shape} does not match basis size "
                 f"{self.basis.size}"
             )
-
-    def hermiticity_defect(self) -> float:
-        d = self.matrix - self.matrix.conj().T
-        return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
-
-
-@dataclass
-class FockVector:
-    basis: FockBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.basis.size,):
-            raise DimensionMismatchError(
-                f"amplitude vector length {self.amplitudes.shape} does not match "
-                f"basis size {self.basis.size}"
-            )
-
-    @classmethod
-    def vacuum(cls, basis: FockBasis) -> "FockVector":
-        amp = np.zeros(basis.size, dtype=complex)
-        amp[0] = 1.0
-        return cls(basis, amp)
-
-
-# ---------------------------------------------------------------------------
-# ladder operators
-# ---------------------------------------------------------------------------
-
-def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
-    """Creation or annihilation operator for one mode.
-
-    Creation maps |mu> to sqrt(mu_m + 1)|mu + e_m>, dropping states that
-    leave the enumerated basis; annihilation is its adjoint.
-    """
-    if not 0 <= mode < basis.D:
-        raise ConfigurationError(
-            f"mode index {mode} out of range for D={basis.D}"
-        )
-    if kind not in ("create", "annihilate"):
-        raise ConfigurationError(f"ladder kind must be create|annihilate, got '{kind}'")
-    tgt = basis.raised[mode]
-    src = np.arange(tgt.size)
-    vals = np.sqrt(basis.states[src, mode] + 1.0)
-    if kind == "create":
-        mat = scipy.sparse.coo_matrix(
-            (vals, (tgt, src)), shape=(basis.size, basis.size), dtype=complex
-        )
-    else:
-        mat = scipy.sparse.coo_matrix(
-            (vals, (src, tgt)), shape=(basis.size, basis.size), dtype=complex
-        )
-    return FockOperator(basis, mat.tocsr())
-
-
-def number_operator(basis: FockBasis) -> FockOperator:
-    """Diagonal operator counting total occupation |mu|."""
-    mat = scipy.sparse.diags(basis.degrees.astype(complex)).tocsr()
-    return FockOperator(basis, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +222,24 @@ def _monomial_entries(basis, alpha, beta, convention):
     return tgt, src, amp
 
 
-def _chunk_matrix(chunks, size: int) -> scipy.sparse.csr_matrix:
-    """Sum of the (keys, vals) entry lists, key = row * size + col, as one
-    CSR matrix; a stable sort keeps each entry's duplicates in list order,
-    and reduceat sums them in an order fixed by that run alone."""
+def _summed_entries(chunks):
+    """Sum of the (keys, vals) entry lists, as (keys, vals) with each key
+    once, ascending; a stable sort keeps each key's duplicates in list
+    order, and reduceat sums them in an order fixed by that run alone."""
     keys, vals = (np.concatenate(part) for part in zip(*chunks))
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    indptr = np.searchsorted(keys[first], np.arange(size + 1) * size)
-    return scipy.sparse.csr_matrix(
-        (np.add.reduceat(vals, first), keys[first] % size, indptr),
-        shape=(size, size))
+    return keys[first], np.add.reduceat(vals, first)
+
+
+def _merge(total, chunks):
+    """total, a summed (keys, vals) pair, plus the entry lists chunks: each
+    key's value is total's plus the sum of its chunk entries."""
+    if not chunks:
+        return total
+    summed = _summed_entries(chunks)
+    return summed if total[0].size == 0 else _summed_entries([total, summed])
 
 
 def quantize(
@@ -272,9 +252,9 @@ def quantize(
     weyl:       convert the symbol to normal form, then quantize normally.
     Terms are taken in sorted key order, so the matrix depends only on the
     symbol's content: the diagonal terms (a == b) add into one dense
-    vector in that order, and the duplicates of each other entry, lined
-    up in that order by a stable sort, are summed by reduceat.  Entries
-    that cancel to exactly 0 are dropped."""
+    vector in that order, and the duplicates of each other entry, keyed
+    row * size + col and lined up in that order by a stable sort, are
+    summed by reduceat.  Entries that cancel to exactly 0 are dropped."""
     validate_ordering(convention)
     if s.num_modes != basis.D:
         raise DimensionMismatchError(
@@ -285,7 +265,7 @@ def quantize(
 
     size = basis.size
     diagonal = np.zeros(size, dtype=complex)
-    total = scipy.sparse.csr_matrix((size, size), dtype=complex)
+    total = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
     chunks, pending = [], 0
     for (alpha, beta), coeff in sorted(s.terms.items()):
         entries = _monomial_entries(basis, alpha, beta, convention)
@@ -297,64 +277,22 @@ def quantize(
             continue
         chunks.append((rows * size + cols, amp * coeff))
         pending += rows.size
-        if pending >= 4_000_000:
-            total, chunks, pending = total + _chunk_matrix(chunks, size), [], 0
-    if pending:
-        total = total + _chunk_matrix(chunks, size)
-    # the sparse sum drops the zeros of both operands
-    total = total + scipy.sparse.diags(diagonal, format="csr")
-    return FockOperator(basis, total)
-
-
-def expectation(q: FockOperator, psi: FockVector) -> complex:
-    """Normalized expectation <psi|Q|psi> / <psi|psi>."""
-    if psi.basis.size != q.basis.size:
-        raise DimensionMismatchError("vector and operator bases differ")
-    norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
-    if norm2 == 0.0:
-        raise ConfigurationError("expectation of the zero vector is undefined")
-    return complex(np.vdot(psi.amplitudes, q.matrix @ psi.amplitudes) / norm2)
+        if pending >= CHUNK_ENTRIES:
+            total, chunks, pending = _merge(total, chunks), [], 0
+    keys, vals = _merge(total, chunks)
+    # a monomial with alpha != beta moves every state it acts on, so no key
+    # above lies on the diagonal: the diagonal is inserted, not summed
+    on = np.flatnonzero(diagonal)
+    at = np.searchsorted(keys, on * (size + 1))
+    keys = np.insert(keys, at, on * (size + 1))
+    vals = np.insert(vals, at, diagonal[on])
+    stored = vals != 0
+    keys, vals = keys[stored], vals[stored]
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    return FockOperator(basis, Csr(indptr, keys % size, vals))
 
 
 def safe_block_indices(basis: FockBasis, operator_degree: int) -> np.ndarray:
     """States whose matrix elements are unaffected by the cutoff for any
     operator built from symbols of the given degree."""
     return np.flatnonzero(basis.degrees <= basis.N_max - operator_degree)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def operator_to_text(q: FockOperator, convention: str | None = None) -> str:
-    """Coordinate-list text export with a JSON header line."""
-    b = q.basis
-    header = json.dumps({"D": b.D, "N_max": b.N_max, "depth": b.depth,
-                         "convention": convention})
-    coo = q.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [header]
-    for i in order:
-        lines.append(
-            f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def operator_from_text(text: str, basis: FockBasis | None = None):
-    """Inverse of operator_to_text; returns (FockOperator, header dict)."""
-    lines = text.strip().split("\n")
-    header = json.loads(lines[0])
-    if basis is None:
-        basis = build_basis(header["D"], header["N_max"],
-                            depth=header.get("depth"))
-    rows, cols, vals = [], [], []
-    for line in lines[1:]:
-        r, c, re, im = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(complex(float(re), float(im)))
-    mat = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(basis.size, basis.size)
-    ).tocsr()
-    return FockOperator(basis, mat), header

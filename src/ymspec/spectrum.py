@@ -17,9 +17,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# the bare package, not scipy.sparse, for the benchmark tracer and probe as
-# in fock.py; `cli.run` loads the submodule for the commands that use it
-import scipy
 
 from .algebra import LieAlgebraBasis, build_algebra
 from .errors import (
@@ -28,13 +25,7 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .fock import (
-    FockOperator,
-    build_basis,
-    number_operator,
-    quantize,
-    safe_block_indices,
-)
+from .fock import FockOperator, build_basis, quantize, safe_block_indices
 from .symbols import ModeMap, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
@@ -142,80 +133,115 @@ def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOper
     return h
 
 
+def _degree_rows(basis, n: int) -> tuple[int, int]:
+    """The rows [lo, hi) of the degree-n states, contiguous in the
+    degree-major basis."""
+    return (int(np.searchsorted(basis.degrees, n, side="left")),
+            int(np.searchsorted(basis.degrees, n, side="right")))
+
+
 def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
     """Dense compression of the operator onto the degree-n subspace."""
     if not 0 <= n <= q.basis.depth:
         raise ConfigurationError(
             f"block degree {n} outside 0..{q.basis.depth}"
         )
-    idx = q.basis.degree_indices(n)
-    return q.matrix[np.ix_(idx, idx)].toarray()
+    lo, hi = _degree_rows(q.basis, n)
+    block = np.zeros((hi - lo, hi - lo), dtype=q.matrix.data.dtype)
+    rows, cols, vals = q.matrix.rows(lo, hi)
+    block[rows, cols] = vals
+    return block
 
 
-def _component_labels(sub) -> np.ndarray:
-    """Connected component of each row of the square sparse matrix sub, on
-    the symmetric pattern of sub != 0, numbered in the order of each
-    component's smallest row.
+def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected component of each of n vertices, with an undirected edge
+    between rows[k] and cols[k] for each k, numbered in the order of each
+    component's smallest vertex.
 
-    Every row starts with its own index as label.  Each round, a row takes
-    the smallest label among itself and its neighbours, then the label of
-    that label (pointer jumping).  A label is always a row of the same
-    component, no larger than the row, so the labels stop changing exactly
-    when each row holds its component's smallest row.
+    Every vertex starts with its own index as label.  Each round, a vertex
+    takes the smallest label among itself and its neighbours, then the
+    label of that label (pointer jumping).  A label is always a vertex of
+    the same component, no larger than the vertex, so the labels stop
+    changing exactly when each vertex holds its component's smallest one.
     """
-    pattern = sub != 0
-    graph = (pattern + pattern.T + scipy.sparse.identity(
-        sub.shape[0], dtype=bool, format="csr")).tocsr()
-    labels = np.arange(sub.shape[0])
+    labels = np.arange(n)
     while True:
-        new = np.minimum.reduceat(labels[graph.indices], graph.indptr[:-1])
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
         new = new[new]
         if np.array_equal(new, labels):
             return np.unique(labels, return_inverse=True)[1]
         labels = new
 
 
-def _block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
-    """All eigenvalues, ascending, of the Hermitian compression
-    sub = matrix[idx, idx].
+def _block_eigenvalues(matrix, lo: int, hi: int,
+                       shift: np.ndarray | None = None) -> np.ndarray:
+    """All eigenvalues, ascending, of the Hermitian block
+    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix.
 
     H has no entry between its symmetry sectors, so sub splits into the
-    connected components of its sparsity graph.  Permuted once into
-    component-major order, sub is block diagonal, and dense LAPACK
-    diagonalizes each block completely: the result needs no start vector
-    and no certificate.  A compression whose stored entries are all real
-    is solved as a real symmetric matrix.
+    connected components of the graph of its nonzero entries.  Each
+    component is filled into a dense matrix, rows in basis order, and
+    dense LAPACK diagonalizes it completely: the result needs no start
+    vector and no certificate.  A block whose stored entries are all real
+    is solved as a real symmetric matrix.  No entry lies between two
+    components, so checking each component against the largest |entry|
+    of the whole block checks that sub is Hermitian.
     """
-    sub = matrix[np.ix_(idx, idx)]
-    herm_defect = abs(sub - sub.conj().T).max()
-    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
-        raise NumericalError(
-            f"block is not Hermitian (defect {herm_defect:.3e})"
-        )
-    if not sub.data.imag.any():
-        sub = sub.real
-    labels = _component_labels(sub)
+    dim = hi - lo
+    rows, cols, vals = matrix.rows(lo, hi)
+    stored = vals != 0  # a stored zero joins no rows
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    if not vals.imag.any():
+        vals = vals.real
+    labels = _component_labels(rows, cols, dim)
     sizes = np.bincount(labels)
     if sizes.max() > DENSE_COMPONENT_CAP:
         raise ResourceError(
-            f"a {idx.size}-dim block has a {sizes.max()}-dim component, "
+            f"a {dim}-dim block has a {sizes.max()}-dim component, "
             f"past the dense cap of {DENSE_COMPONENT_CAP} rows"
         )
+    on = rows == cols
+    diagonal = np.zeros(dim, dtype=vals.dtype)
+    diagonal[rows[on]] = vals[on]
+    if shift is not None:
+        diagonal -= shift
+    scale = max(1.0, np.abs(vals[~on]).max(initial=0.0),
+                np.abs(diagonal).max(initial=0.0))
+    # each row's place in its component, and the entries grouped by
+    # component in those places
     order = np.argsort(labels, kind="stable")
-    sub = sub[np.ix_(order, order)]
-    ends = np.cumsum(sizes)
-    vals = np.concatenate([
-        np.linalg.eigvalsh(sub[a:b, a:b].toarray())
-        for a, b in zip(ends - sizes, ends)
-    ])
+    starts = np.cumsum(sizes) - sizes
+    pos = np.empty(dim, dtype=np.int64)
+    pos[order] = np.arange(dim) - np.repeat(starts, sizes)
+    # in the narrowest unsigned type, whose stable sort is a radix sort
+    owner = labels[rows].astype(np.min_scalar_type(sizes.size))
+    by_owner = np.argsort(owner, kind="stable")
+    rows, cols, vals = pos[rows[by_owner]], pos[cols[by_owner]], vals[by_owner]
+    counts = np.bincount(owner, minlength=sizes.size)
+    ends = np.cumsum(counts)
+    eigs = []
+    for a, size, e0, e1 in zip(starts, sizes, ends - counts, ends):
+        d = np.zeros((size, size), dtype=vals.dtype)
+        d[rows[e0:e1], cols[e0:e1]] = vals[e0:e1]
+        if shift is not None:
+            d.flat[::size + 1] -= shift[order[a:a + size]]
+        defect = np.abs(d - d.conj().T).max()
+        if defect > 1e-10 * scale:
+            raise NumericalError(
+                f"block is not Hermitian (defect {defect:.3e})"
+            )
+        eigs.append(np.linalg.eigvalsh(d))
+    vals = np.concatenate(eigs)
     vals.sort()
     return vals
 
 
-def _lowest_level(matrix, idx: np.ndarray, tol: float) -> tuple[float, int]:
-    """Lowest eigenvalue lam of matrix[idx, idx] and its multiplicity, the
-    number of eigenvalues at most lam + tol."""
-    vals = _block_eigenvalues(matrix, idx)
+def _lowest_level(matrix, lo: int, hi: int, tol: float) -> tuple[float, int]:
+    """Lowest eigenvalue lam of matrix[lo:hi, lo:hi] and its multiplicity,
+    the number of eigenvalues at most lam + tol."""
+    vals = _block_eigenvalues(matrix, lo, hi)
     return float(vals[0]), int(np.count_nonzero(vals <= vals[0] + tol))
 
 
@@ -238,7 +264,7 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
         )
     h = assemble_hamiltonian(model)
     ns = list(range(n_top + 1))
-    levels = [_lowest_level(h.matrix, h.basis.degree_indices(n),
+    levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
                             model.level_tol) for n in ns]
     return SpectrumReport(
         ns=ns,
@@ -303,11 +329,12 @@ def number_shift_bound(h: FockOperator,
     Every state psi supported on degrees <= N_max - margin_degree then
     satisfies <H> >= <N> + C*.
     """
-    idx = safe_block_indices(h.basis, margin_degree)
-    if idx.size == 0:
+    # the safe block is a prefix of the degree-major basis
+    hi = safe_block_indices(h.basis, margin_degree).size
+    if hi == 0:
         raise ConfigurationError("safe block is empty at this truncation")
-    shifted = h.matrix - number_operator(h.basis).matrix
-    return float(_block_eigenvalues(shifted, idx)[0])
+    return float(_block_eigenvalues(h.matrix, 0, hi,
+                                    shift=h.basis.degrees[:hi])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +382,7 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     lambdas = {}
     for N, h in zip(levels, _hamiltonians(model, levels)):
         lambdas[N] = [float(_block_eigenvalues(h.matrix,
-                                               h.basis.degree_indices(n))[0])
+                                               *_degree_rows(h.basis, n))[0])
                       for n in range(n_top + 1)]
     ns = list(range(n_top + 1))
     study = ConvergenceStudy(N_max_list=levels, ns=ns, lambdas=lambdas)

@@ -16,10 +16,18 @@ index via a dictionary of occupation rows, the lowest block levels and
 their multiplicities via the full dense spectrum and via Lanczos with a
 Sylvester inertia certificate from a symmetric sparse LU, and wave
 evolution via the dispersion relation of the spatially discrete system.
+The scipy.sparse path that the numpy Csr operators replaced is kept as
+the reference for them: quantization summed into a scipy CSR matrix, and
+block eigenvalues from scipy fancy indexing with components labelled on
+the symmetrized sparse pattern.
 It also holds the lattice helpers that only tests use: the inner product
-field_dot, the stencil's Fourier eigenvalues and random scalar fields.
+field_dot, the stencil's Fourier eigenvalues and random scalar fields;
+and the Fock helpers that only tests use, each built on scipy.sparse:
+ladder and number operators, vectors and expectations, the Hermiticity
+defect and the operator text format.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -30,6 +38,14 @@ import scipy.sparse.linalg as spla
 
 from ymspec.algebra import LieAlgebraBasis
 from ymspec.errors import ConfigurationError, DimensionMismatchError, NumericalError
+from ymspec.fock import (
+    Csr,
+    FockBasis,
+    FockOperator,
+    _ladder_amplitudes,
+    _monomial_entries,
+    build_basis,
+)
 from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
@@ -397,6 +413,122 @@ def smoothed_value_fd(symbol, z_point, t, h=0.5):
 
 
 # ---------------------------------------------------------------------------
+# scipy views of the numpy Csr operators, and the Fock helpers only tests
+# use: ladder and number operators, vectors, expectations, the Hermiticity
+# defect and the operator text format
+# ---------------------------------------------------------------------------
+
+def to_csr(q: FockOperator) -> sparse.csr_matrix:
+    """The scipy CSR matrix holding the arrays of q.matrix."""
+    m = q.matrix
+    return sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
+
+
+def from_csr(mat) -> Csr:
+    """The numpy Csr of a scipy sparse matrix or a dense array, complex,
+    in canonical form (columns ascending in each row, duplicates summed)."""
+    mat = sparse.csr_matrix(mat, dtype=complex)
+    mat.sum_duplicates()
+    return Csr(mat.indptr, mat.indices, mat.data)
+
+
+@dataclass
+class FockVector:
+    basis: FockBasis
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if self.amplitudes.shape != (self.basis.size,):
+            raise DimensionMismatchError(
+                f"amplitude vector length {self.amplitudes.shape} does not match "
+                f"basis size {self.basis.size}"
+            )
+
+    @classmethod
+    def vacuum(cls, basis: FockBasis) -> "FockVector":
+        amp = np.zeros(basis.size, dtype=complex)
+        amp[0] = 1.0
+        return cls(basis, amp)
+
+
+def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
+    """Creation or annihilation operator for one mode.
+
+    Creation maps |mu> to sqrt(mu_m + 1)|mu + e_m>, dropping states that
+    leave the enumerated basis; annihilation is its adjoint.
+    """
+    if not 0 <= mode < basis.D:
+        raise ConfigurationError(
+            f"mode index {mode} out of range for D={basis.D}"
+        )
+    if kind not in ("create", "annihilate"):
+        raise ConfigurationError(f"ladder kind must be create|annihilate, got '{kind}'")
+    tgt = basis.raised[mode]
+    src = np.arange(tgt.size)
+    vals = np.sqrt(basis.states[src, mode] + 1.0)
+    if kind == "create":
+        mat = sparse.coo_matrix((vals, (tgt, src)), shape=(basis.size, basis.size))
+    else:
+        mat = sparse.coo_matrix((vals, (src, tgt)), shape=(basis.size, basis.size))
+    return FockOperator(basis, from_csr(mat))
+
+
+def number_operator(basis: FockBasis) -> FockOperator:
+    """Diagonal operator counting total occupation |mu|."""
+    return FockOperator(basis, from_csr(sparse.diags(basis.degrees.astype(complex))))
+
+
+def expectation(q: FockOperator, psi: FockVector) -> complex:
+    """Normalized expectation <psi|Q|psi> / <psi|psi>."""
+    if psi.basis.size != q.basis.size:
+        raise DimensionMismatchError("vector and operator bases differ")
+    norm2 = np.vdot(psi.amplitudes, psi.amplitudes).real
+    if norm2 == 0.0:
+        raise ConfigurationError("expectation of the zero vector is undefined")
+    return complex(np.vdot(psi.amplitudes, to_csr(q) @ psi.amplitudes) / norm2)
+
+
+def hermiticity_defect(q: FockOperator) -> float:
+    """Largest |Q - Q^H| entry."""
+    m = to_csr(q)
+    d = m - m.conj().T
+    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
+def operator_to_text(q: FockOperator, convention: str | None = None) -> str:
+    """Coordinate-list text export with a JSON header line."""
+    b = q.basis
+    header = json.dumps({"D": b.D, "N_max": b.N_max, "depth": b.depth,
+                         "convention": convention})
+    coo = to_csr(q).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    lines = [header]
+    for i in order:
+        lines.append(
+            f"{coo.row[i]} {coo.col[i]} {coo.data[i].real:.17g} {coo.data[i].imag:.17g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def operator_from_text(text: str, basis: FockBasis | None = None):
+    """Inverse of operator_to_text; returns (FockOperator, header dict)."""
+    lines = text.strip().split("\n")
+    header = json.loads(lines[0])
+    if basis is None:
+        basis = build_basis(header["D"], header["N_max"],
+                            depth=header.get("depth"))
+    rows, cols, vals = [], [], []
+    for line in lines[1:]:
+        r, c, re, im = line.split()
+        rows.append(int(r))
+        cols.append(int(c))
+        vals.append(complex(float(re), float(im)))
+    mat = sparse.coo_matrix((vals, (rows, cols)), shape=(basis.size, basis.size))
+    return FockOperator(basis, from_csr(mat)), header
+
+
+# ---------------------------------------------------------------------------
 # quantization via explicit ladder-matrix products or the full-width
 # feasibility mask; the Fock basis by recursive enumeration, its index by
 # a dictionary
@@ -404,11 +536,9 @@ def smoothed_value_fd(symbol, z_point, t, h=0.5):
 
 def ladder_quantize(symbol, convention, basis):
     """Quantize by multiplying explicit sparse ladder matrices."""
-    from ymspec.fock import ladder
-
     size = basis.size
-    creators = [ladder(basis, m, "create").matrix for m in range(basis.D)]
-    annihilators = [ladder(basis, m, "annihilate").matrix for m in range(basis.D)]
+    creators = [to_csr(ladder(basis, m, "create")) for m in range(basis.D)]
+    annihilators = [to_csr(ladder(basis, m, "annihilate")) for m in range(basis.D)]
     total = sparse.csr_matrix((size, size), dtype=complex)
     for (alpha, beta), coeff in symbol.terms.items():
         op = sparse.identity(size, dtype=complex, format="csr")
@@ -437,8 +567,6 @@ def full_width_monomial_entries(basis, alpha, beta, convention):
     """(rows, cols, vals) of one monomial, as fock._monomial_entries first
     computed them: the cutoff and occupation tests on every basis state
     and every mode, one branch per convention."""
-    from ymspec.fock import _ladder_amplitudes
-
     states = basis.states
     degrees = basis.degrees
     da, db = sum(alpha), sum(beta)
@@ -485,8 +613,6 @@ def _keyed_monomial_entries(basis, alpha, beta, convention):
     The degree bounds select a prefix of the basis; in it, a source state
     holds at least ``need`` quanta on each mode where ``need`` is positive.
     """
-    from ymspec.fock import _ladder_amplitudes
-
     alpha_arr = np.array(alpha, dtype=np.int64)
     beta_arr = np.array(beta, dtype=np.int64)
     normal = convention == "normal"
@@ -513,7 +639,7 @@ def _keyed_monomial_entries(basis, alpha, beta, convention):
     return rows, src, amp
 
 
-def _keyed_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
+def sparse_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
     """Sum of the (keys, vals) entry lists, key = row * size + col, as one
     CSR matrix; a stable sort keeps each entry's duplicates in list order,
     and reduceat sums them in an order fixed by that run alone."""
@@ -527,17 +653,17 @@ def _keyed_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
         shape=(size, size))
 
 
-def keyed_quantize(s, convention, basis):
+def keyed_quantize(s, convention, basis) -> sparse.csr_matrix:
     """fock.quantize before the raise tables and the dense diagonal: every
     term, diagonal ones included, goes through the key sort and reduceat,
-    and its target rows through FockBasis.index_of.  Returns the FockOperator.
+    and its target rows through FockBasis.index_of.  Returns the scipy
+    CSR matrix.
 
     normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
     antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
     weyl:       convert the symbol to normal form, then quantize normally.
     Terms are summed in sorted key order: the matrix depends only on the
     symbol's content."""
-    from ymspec.fock import FockOperator
     from ymspec.symbols import convert, validate_ordering
 
     validate_ordering(convention)
@@ -559,10 +685,42 @@ def keyed_quantize(s, convention, basis):
         chunks.append((rows * size + cols, amp * coeff))
         pending += rows.size
         if pending >= 4_000_000:
-            total, chunks, pending = total + _keyed_chunk_matrix(chunks, size), [], 0
+            total, chunks, pending = total + sparse_chunk_matrix(chunks, size), [], 0
     if pending:
-        total = total + _keyed_chunk_matrix(chunks, size)
-    return FockOperator(basis, total)
+        total = total + sparse_chunk_matrix(chunks, size)
+    return total
+
+
+def sparse_quantize(s, convention, basis,
+                    chunk_entries=4_000_000) -> sparse.csr_matrix:
+    """fock.quantize as it summed into scipy CSR matrices: the entries of
+    the off-diagonal terms by sparse_chunk_matrix, one chunk of at least
+    chunk_entries entries at a time, the dense diagonal added as a sparse
+    diagonal matrix, exact zeros dropped by the sparse sums."""
+    from ymspec.symbols import convert
+
+    if convention == "weyl":
+        return sparse_quantize(convert(s, "weyl", "normal"), "normal", basis,
+                               chunk_entries)
+    size = basis.size
+    diagonal = np.zeros(size, dtype=complex)
+    total = sparse.csr_matrix((size, size), dtype=complex)
+    chunks, pending = [], 0
+    for (alpha, beta), coeff in sorted(s.terms.items()):
+        entries = _monomial_entries(basis, alpha, beta, convention)
+        if entries is None:
+            continue
+        rows, cols, amp = entries
+        if alpha == beta:
+            diagonal[cols] += amp * coeff
+            continue
+        chunks.append((rows * size + cols, amp * coeff))
+        pending += rows.size
+        if pending >= chunk_entries:
+            total, chunks, pending = total + sparse_chunk_matrix(chunks, size), [], 0
+    if pending:
+        total = total + sparse_chunk_matrix(chunks, size)
+    return total + sparse.diags(diagonal, format="csr")
 
 
 def recursive_compositions(total, parts):
@@ -751,6 +909,49 @@ def dense_lowest_level(matrix, idx, tol):
         sub = sub.real
     vals = la.eigh(sub, eigvals_only=True)
     return float(vals[0]), int(np.sum(vals <= vals[0] + tol))
+
+
+def sparse_component_labels(sub) -> np.ndarray:
+    """spectrum._component_labels on a scipy matrix: the connected
+    component of each row, on the symmetric pattern of sub != 0, numbered
+    in the order of each component's smallest row, by the same min-label
+    rounds with pointer jumping over the CSR graph pattern + pattern.T + I."""
+    pattern = sub != 0
+    graph = (pattern + pattern.T + sparse.identity(
+        sub.shape[0], dtype=bool, format="csr")).tocsr()
+    labels = np.arange(sub.shape[0])
+    while True:
+        new = np.minimum.reduceat(labels[graph.indices], graph.indptr[:-1])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
+
+
+def sparse_block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
+    """spectrum._block_eigenvalues on a scipy matrix: all eigenvalues,
+    ascending, of sub = matrix[idx, idx], taken by scipy fancy indexing,
+    permuted into component-major order and diagonalized one dense
+    component at a time."""
+    sub = matrix[np.ix_(idx, idx)]
+    herm_defect = abs(sub - sub.conj().T).max()
+    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
+        raise NumericalError(
+            f"block is not Hermitian (defect {herm_defect:.3e})"
+        )
+    if not sub.data.imag.any():
+        sub = sub.real
+    labels = sparse_component_labels(sub)
+    sizes = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")
+    sub = sub[np.ix_(order, order)]
+    ends = np.cumsum(sizes)
+    vals = np.concatenate([
+        np.linalg.eigvalsh(sub[a:b, a:b].toarray())
+        for a, b in zip(ends - sizes, ends)
+    ])
+    vals.sort()
+    return vals
 
 
 # ---------------------------------------------------------------------------

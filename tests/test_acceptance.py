@@ -55,6 +55,7 @@ from oracles import (
     random_scalar_field,
     random_symbol,
     smoothed_value_fd,
+    to_csr,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -229,8 +230,8 @@ def test_criterion_5_quantization_oracle():
         basis = build_basis(2, 8)
         for _ in range(50):
             s = random_symbol(rng, 2, 4, n_terms=8)
-            direct = quantize(s, "antinormal", basis).matrix
-            via = quantize(convert(s, "antinormal", "normal"), "normal", basis).matrix
+            direct = to_csr(quantize(s, "antinormal", basis))
+            via = to_csr(quantize(convert(s, "antinormal", "normal"), "normal", basis))
             safe = safe_block_indices(basis, 4)
             diff = (direct - via)[np.ix_(safe, safe)]
             worst = np.abs(diff.data).max() if diff.nnz else 0.0
@@ -300,7 +301,7 @@ def test_criterion_6_spectrum_theorem_desk_check(
             vecs = np.zeros((100, basis.size), dtype=complex)
             vecs[:, safe] = block
             norms = np.einsum("si,si->s", vecs.conj(), vecs).real
-            h_exp = np.einsum("si,si->s", vecs.conj(), (h8.matrix @ vecs.T).T).real
+            h_exp = np.einsum("si,si->s", vecs.conj(), (to_csr(h8) @ vecs.T).T).real
             n_exp = np.einsum("si,i,si->s", vecs.conj(), n_diag, vecs).real
             assert np.all(h_exp / norms >= n_exp / norms + cstar - 1e-9)
 

@@ -23,7 +23,7 @@ from ymspec.cli import (
     parse_config,
     seeded_random_state,
 )
-from ymspec.errors import ConfigurationError
+from ymspec.errors import ConfigurationError, InsufficientDataError
 from ymspec.lattice import constraint_residual, field_norm, load_field
 
 
@@ -366,6 +366,21 @@ class TestMainExitCodes:
         assert calls == []
         assert not (tmp_path / "spectrum.csv").exists()
 
+    def test_insufficient_data_exits_2(self, tmp_path, monkeypatch):
+        # no config gets gap_analysis fewer than 3 levels, so the error is
+        # forced: it is an input-size error, exit 2
+        def too_few(*args):
+            raise InsufficientDataError("gap analysis needs at least 3 levels")
+
+        monkeypatch.setattr(cli, "gap_analysis", too_few)
+        path = write_config(tmp_path, {"command": "spectrum", "algebra": "su2",
+                                       "model": {"N_max": 4, "n_max": 2}})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["error_type"] == "InsufficientDataError"
+        assert diag["exit_code"] == 2
+        assert "3 levels" in diag["message"]
+
     def test_bare_converge_runs_on_its_defaults(self, tmp_path):
         path = write_config(tmp_path, {"command": "converge"})
         assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
@@ -572,9 +587,9 @@ class TestRunners:
     def test_level_tol_sets_multiplicity_window(self, tmp_path, monkeypatch):
         tols = []
 
-        def spy(matrix, idx, tol):
+        def spy(matrix, lo, hi, tol):
             tols.append(tol)
-            return lowest_level(matrix, idx, tol)
+            return lowest_level(matrix, lo, hi, tol)
 
         lowest_level = spectrum._lowest_level
         monkeypatch.setattr(spectrum, "_lowest_level", spy)
@@ -699,10 +714,10 @@ _IMPORT_DOCS = {
 
 
 class TestImportContract:
-    """Only the commands that build sparse operators load scipy.sparse, and
-    they load it before the runner is entered, so the import is set-up.  No
-    command loads scipy.sparse.csgraph, scipy.sparse.linalg or scipy.linalg:
-    the block components are labelled by numpy."""
+    """No command loads scipy.sparse, on entering its runner or after it:
+    the Fock operators are numpy arrays and the block components are
+    labelled by numpy.  Nor does any command load scipy.sparse.csgraph,
+    scipy.sparse.linalg or scipy.linalg."""
 
     def test_package_import_loads_no_numpy(self):
         # the package root imports nothing, so the CLI sets its thread
@@ -720,6 +735,7 @@ class TestImportContract:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_sparse_loaded_only_for_sparse_commands(self, tmp_path, command):
+        # the name predates the numpy operators: no command is a sparse one
         path = write_config(tmp_path, _IMPORT_DOCS[command])
         env = dict(os.environ,
                    PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -730,6 +746,5 @@ class TestImportContract:
         )
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
-        sparse = command in ("transform", "spectrum", "converge")
-        assert result == {"code": 0, "on_entry": sparse, "after": sparse,
+        assert result == {"code": 0, "on_entry": False, "after": False,
                           "heavy": []}

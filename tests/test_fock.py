@@ -12,18 +12,7 @@ from ymspec.errors import (
     NumericalError,
     ResourceError,
 )
-from ymspec.fock import (
-    FockBasis,
-    FockVector,
-    build_basis,
-    expectation,
-    ladder,
-    number_operator,
-    operator_from_text,
-    operator_to_text,
-    quantize,
-    safe_block_indices,
-)
+from ymspec.fock import FockBasis, build_basis, quantize, safe_block_indices
 from ymspec.symbols import (
     ModeMap,
     PolynomialSymbol,
@@ -34,13 +23,23 @@ from ymspec.symbols import (
 )
 
 from oracles import (
+    FockVector,
     dict_index_of,
+    expectation,
+    from_csr,
     full_width_monomial_entries,
+    hermiticity_defect,
     keyed_quantize,
+    ladder,
     ladder_quantize,
+    number_operator,
+    operator_from_text,
+    operator_to_text,
     random_symbol,
     recursive_basis_states,
     ring_energy_symbol,
+    sparse_quantize,
+    to_csr,
 )
 
 
@@ -138,19 +137,35 @@ class TestRaiseTables:
             assert np.array_equal(b.raised[m], want)
 
 
+class TestCsr:
+    def test_blocks_and_dense_match_scipy(self, rng):
+        dense = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.3)
+        dense = dense + 1j * rng.normal(size=(9, 9)) * (dense != 0)
+        m = from_csr(sparse.csr_matrix(dense))
+        assert m.shape == (9, 9)
+        assert m.nnz == np.count_nonzero(dense)
+        assert np.array_equal(m.toarray(), dense)
+        for lo, hi in ((0, 9), (2, 5), (4, 4), (8, 9)):
+            rows, cols, vals = m.rows(lo, hi)
+            block = np.zeros((hi - lo, hi - lo), dtype=complex)
+            block[rows, cols] = vals
+            assert np.array_equal(block, dense[lo:hi, lo:hi])
+            assert rows.size == np.count_nonzero(dense[lo:hi, lo:hi])
+
+
 class TestLadder:
     def test_annihilate_vacuum(self):
         b = build_basis(2, 3)
         a0 = ladder(b, 0, "annihilate")
         vac = FockVector.vacuum(b)
-        assert np.abs(a0.matrix @ vac.amplitudes).max() == 0.0
+        assert np.abs(to_csr(a0) @ vac.amplitudes).max() == 0.0
 
     def test_ccr_below_cutoff(self):
         b = build_basis(2, 5)
         for m in range(2):
             c = ladder(b, m, "create")
             a = ladder(b, m, "annihilate")
-            comm = (a.matrix @ c.matrix - c.matrix @ a.matrix).toarray()
+            comm = (to_csr(a) @ to_csr(c) - to_csr(c) @ to_csr(a)).toarray()
             inside = b.degrees < b.N_max
             for i in np.flatnonzero(inside):
                 row = comm[i]
@@ -162,22 +177,22 @@ class TestLadder:
         b = build_basis(1, 5)
         c = ladder(b, 0, "create")
         a = ladder(b, 0, "annihilate")
-        prod = (a.matrix @ c.matrix).diagonal().real
+        prod = (to_csr(a) @ to_csr(c)).diagonal().real
         assert np.allclose(prod[:-1], np.arange(1, 6))
 
     def test_adjointness(self):
         b = build_basis(2, 4)
         c = ladder(b, 1, "create")
         a = ladder(b, 1, "annihilate")
-        assert (abs(c.matrix - a.matrix.conj().T)).max() < 1e-15
+        assert (abs(to_csr(c) - to_csr(a).conj().T)).max() < 1e-15
 
     def test_reduced_depth_is_full_restricted(self):
         full, reduced = build_basis(3, 5), build_basis(3, 5, depth=3)
         keep = np.arange(reduced.size)
         for m in range(3):
             for kind in ("create", "annihilate"):
-                want = ladder(full, m, kind).matrix[np.ix_(keep, keep)]
-                got = ladder(reduced, m, kind).matrix
+                want = to_csr(ladder(full, m, kind))[np.ix_(keep, keep)]
+                got = to_csr(ladder(reduced, m, kind))
                 assert abs(got - want).max() == 0.0
 
     def test_invalid_mode(self):
@@ -186,6 +201,13 @@ class TestLadder:
             ladder(b, 5, "create")
         with pytest.raises(ConfigurationError):
             ladder(b, 0, "destroy")
+
+
+def assert_identical(got, want):
+    """The same CSR arrays, bit for bit."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
 
 
 def assert_full_width_identical(monkeypatch, s, basis):
@@ -197,9 +219,7 @@ def assert_full_width_identical(monkeypatch, s, basis):
             m.setattr(fock, "_monomial_entries", full_width_monomial_entries)
             slow = quantize(s, conv, basis).matrix
         assert fast.nnz > 0
-        assert np.array_equal(fast.indptr, slow.indptr)
-        assert np.array_equal(fast.indices, slow.indices)
-        assert np.array_equal(fast.data, slow.data)
+        assert_identical(fast, slow)
 
 
 def assert_matches_keyed(got, want):
@@ -218,28 +238,28 @@ class TestQuantize:
         keep = np.arange(reduced.size)
         for _ in range(5):
             s = random_symbol(rng, 3, 4, n_terms=12)
-            want = quantize(s, convention, full).matrix[np.ix_(keep, keep)]
-            got = quantize(s, convention, reduced).matrix
+            want = to_csr(quantize(s, convention, full))[np.ix_(keep, keep)]
+            got = to_csr(quantize(s, convention, reduced))
             assert got.nnz > 0
             assert abs(got - want).max() < 1e-13
 
     def test_normal_number(self):
         b = build_basis(1, 6)
         q = quantize(zz(), "normal", b)
-        assert np.allclose(q.matrix.diagonal().real, np.arange(7))
+        assert np.allclose(to_csr(q).diagonal().real, np.arange(7))
 
     def test_antinormal_shift(self):
         b = build_basis(1, 6)
         q = quantize(zz(), "antinormal", b)
         # N + 1 away from the truncation edge
-        assert np.allclose(q.matrix.diagonal().real[:-1], np.arange(1, 7))
+        assert np.allclose(to_csr(q).diagonal().real[:-1], np.arange(1, 7))
 
     def test_constant_is_identity(self):
         b = build_basis(2, 3)
         s = PolynomialSymbol.constant(2, 1.0)
         for conv in ("normal", "weyl", "antinormal"):
             q = quantize(s, conv, b)
-            assert (abs(q.matrix - sparse.identity(b.size))).max() < 1e-15
+            assert (abs(to_csr(q) - sparse.identity(b.size))).max() < 1e-15
 
     def test_mode_mismatch(self):
         b = build_basis(2, 3)
@@ -251,7 +271,7 @@ class TestQuantize:
         for conv in ("normal", "antinormal"):
             for _ in range(5):
                 s = random_symbol(rng, 2, 4, n_terms=6)
-                fast = quantize(s, conv, b).matrix
+                fast = to_csr(quantize(s, conv, b))
                 slow = ladder_quantize(s, conv, b)
                 assert (abs(fast - slow)).max() < 1e-12
 
@@ -276,17 +296,16 @@ class TestQuantize:
         algebra = build_algebra(name)
         s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
         basis = build_basis(s.num_modes, N_max, depth=N_max - 2)
-        got = quantize(s, convention, basis).matrix
-        want = keyed_quantize(s, convention, basis).matrix
-        assert_matches_keyed(got, want)
+        got = to_csr(quantize(s, convention, basis))
+        assert_matches_keyed(got, keyed_quantize(s, convention, basis))
 
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
     def test_complex_symbols_match_keyed_oracle(self, convention, rng):
         for basis in (build_basis(3, 5), build_basis(3, 6, depth=4)):
             for _ in range(5):
                 s = random_symbol(rng, 3, 4, n_terms=12)
-                assert_matches_keyed(quantize(s, convention, basis).matrix,
-                                     keyed_quantize(s, convention, basis).matrix)
+                assert_matches_keyed(to_csr(quantize(s, convention, basis)),
+                                     keyed_quantize(s, convention, basis))
 
     def test_independent_of_term_order(self, su2):
         # duplicate (row, col) entries are summed in sorted term order, so
@@ -298,7 +317,7 @@ class TestQuantize:
                      PolynomialSymbol(9, dict(reversed(s.terms.items())))):
             assert list(copy.terms) != list(s.terms)
             other = quantize(copy, "antinormal", basis).matrix
-            assert (h != other).nnz == 0
+            assert_identical(h, other)
 
     def test_energy_symbol_quantizes_as_ring_oracle(self, su2):
         # su2 N_max = 8 safe basis: the expanded symbol and the ring-built
@@ -307,7 +326,7 @@ class TestQuantize:
         basis = build_basis(9, 8, depth=6)
         new = quantize(energy_symbol(su2, mm), "antinormal", basis).matrix
         old = quantize(ring_energy_symbol(su2, mm), "antinormal", basis).matrix
-        assert (new != old).nnz == 0
+        assert_identical(new, old)
 
     def test_complex_symbols_match_full_width_mask(self, monkeypatch, rng):
         b = build_basis(3, 5)
@@ -323,7 +342,7 @@ class TestQuantize:
             direct = quantize(s, "antinormal", b).matrix
             via_normal = quantize(convert(s, "antinormal", "normal"), "normal", b).matrix
             safe = safe_block_indices(b, 4)
-            diff = (direct - via_normal).toarray()[np.ix_(safe, safe)]
+            diff = (direct.toarray() - via_normal.toarray())[np.ix_(safe, safe)]
             assert np.abs(diff).max() < 1e-10
 
     def test_hermiticity_of_symmetric_symbols(self, rng):
@@ -331,7 +350,7 @@ class TestQuantize:
         for conv in ("normal", "weyl", "antinormal"):
             s = random_symbol(rng, 2, 4, hermitian=True)
             q = quantize(s, conv, b)
-            assert q.hermiticity_defect() < 1e-12
+            assert hermiticity_defect(q) < 1e-12
 
     def test_positivity_of_antinormal_modulus_squares(self, rng):
         b = build_basis(2, 8)
@@ -350,21 +369,79 @@ class TestQuantize:
             assert vals[0] > -1e-10
 
 
+def assert_matches_scipy_sum(got, want):
+    """The Csr arrays of quantize equal, bit for bit, the scipy CSR matrix
+    that summed the same entries."""
+    assert got.nnz == want.nnz > 0
+    assert_identical(got, want)
+
+
+class TestScipySumOracle:
+    """quantize's keyed sum, with the diagonal inserted and exact zeros
+    dropped, stores the entries the scipy.sparse sums stored."""
+
+    @pytest.mark.parametrize("name,N_max,sector", [
+        ("su2", 8, "full"), ("su3", 4, "full"), ("so4", 5, "full"),
+        ("so5", 4, "full"), ("su2", 8, "abelian"),
+    ])
+    def test_energy_symbol(self, name, N_max, sector):
+        algebra = build_algebra(name)
+        mode_map = (ModeMap.abelian(algebra.dim_g) if sector == "abelian"
+                    else ModeMap.zero_momentum(algebra.dim_g))
+        s = energy_symbol(algebra, mode_map, True)
+        basis = build_basis(s.num_modes, N_max, depth=N_max - 2)
+        assert_matches_scipy_sum(quantize(s, "antinormal", basis).matrix,
+                                 sparse_quantize(s, "antinormal", basis))
+
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_complex_symbols(self, convention, rng):
+        for basis in (build_basis(3, 5), build_basis(3, 6, depth=4)):
+            for _ in range(5):
+                s = random_symbol(rng, 3, 4, n_terms=12)
+                assert_matches_scipy_sum(quantize(s, convention, basis).matrix,
+                                         sparse_quantize(s, convention, basis))
+
+    def test_cancelling_entries_dropped(self):
+        # normal order: z0* z0 - 1 vanishes on n0 = 1, and so does
+        # z0*^2 z0 z1 - z0* z1 on the states it moves out of n0 = 1
+        s = PolynomialSymbol(2, {((1, 0), (1, 0)): 1.0, ((0, 0), (0, 0)): -1.0,
+                                 ((2, 0), (1, 1)): 1.0, ((1, 0), (0, 1)): -1.0})
+        b = build_basis(2, 6)
+        q = quantize(s, "normal", b).matrix
+        assert_matches_scipy_sum(q, sparse_quantize(s, "normal", b))
+        assert not (q.data == 0).any()
+        i, j = b.index_of(np.array([[1, 2], [2, 1]]))
+        assert q.toarray()[i, i] == q.toarray()[j, i] == 0
+
+    def test_chunked_sum(self, monkeypatch, su2):
+        # summed a few hundred entries at a time, each chunk's sums added to
+        # the running total as the scipy sums added chunk matrices
+        s = energy_symbol(su2, ModeMap.zero_momentum(3))
+        basis = build_basis(9, 6, depth=4)
+        monkeypatch.setattr(fock, "CHUNK_ENTRIES", 300)
+        got = quantize(s, "antinormal", basis).matrix
+        assert_matches_scipy_sum(got, sparse_quantize(s, "antinormal", basis,
+                                                      chunk_entries=300))
+        monkeypatch.undo()
+        assert np.allclose(got.data, quantize(s, "antinormal", basis).matrix.data,
+                           rtol=1e-13, atol=0)
+
+
 class TestNumberOperatorAndExpectation:
     def test_number_diagonal(self):
         b = build_basis(2, 3)
         n = number_operator(b)
-        assert np.allclose(n.matrix.diagonal().real, b.degrees)
+        assert np.allclose(to_csr(n).diagonal().real, b.degrees)
 
     def test_number_equals_quantized_symbol(self):
         b = build_basis(2, 4)
         s = zz(2, 0) + zz(2, 1)
         q = quantize(s, "normal", b)
-        assert (abs(q.matrix - number_operator(b).matrix)).max() < 1e-13
+        assert (abs(to_csr(q) - to_csr(number_operator(b)))).max() < 1e-13
 
     def test_trace_small_block(self):
         b = build_basis(1, 3)
-        assert number_operator(b).matrix.diagonal().sum() == 6.0
+        assert to_csr(number_operator(b)).diagonal().sum() == 6.0
 
     def test_expectation_identity_and_number(self):
         b = build_basis(2, 4)
@@ -390,7 +467,7 @@ class TestOperatorSerialization:
         q2, header = operator_from_text(text)
         assert header["convention"] == "antinormal"
         assert header["D"] == 2 and header["N_max"] == 4
-        assert (abs(q.matrix - q2.matrix)).max() < 1e-16
+        assert (abs(to_csr(q) - to_csr(q2))).max() < 1e-16
 
     def test_round_trip_keeps_depth(self, rng):
         b = build_basis(2, 4, depth=2)
@@ -398,4 +475,4 @@ class TestOperatorSerialization:
         q2, header = operator_from_text(operator_to_text(q))
         assert header["depth"] == q2.basis.depth == 2
         assert q2.basis.size == b.size
-        assert (abs(q.matrix - q2.matrix)).max() < 1e-16
+        assert (abs(to_csr(q) - to_csr(q2))).max() < 1e-16

@@ -18,15 +18,7 @@ from ymspec.errors import (
     NumericalError,
     ResourceError,
 )
-from ymspec.fock import (
-    FockOperator,
-    FockVector,
-    build_basis,
-    expectation,
-    number_operator,
-    quantize,
-    safe_block_indices,
-)
+from ymspec.fock import Csr, FockOperator, build_basis, quantize, safe_block_indices
 from ymspec.spectrum import (
     ModelSpec,
     SpectrumReport,
@@ -41,20 +33,29 @@ from ymspec.spectrum import (
 from ymspec.symbols import ModeMap, energy_symbol
 
 from oracles import (
+    FockVector,
     certified_minimum,
     count_below,
     dense_lowest_level,
+    expectation,
+    from_csr,
+    hermiticity_defect,
     ladder_quantize,
     lanczos_lowest_level,
+    number_operator,
     random_symbol,
     smoothed_value_fd,
+    sparse_block_eigenvalues,
+    sparse_component_labels,
+    sparse_quantize,
+    to_csr,
 )
 
 
 def block_levels(h, ns, tol):
     """Lowest levels and multiplicities of the degree-n blocks."""
-    levels = [spectrum._lowest_level(h.matrix, h.basis.degree_indices(n), tol)
-              for n in ns]
+    levels = [spectrum._lowest_level(h.matrix, *spectrum._degree_rows(h.basis, n),
+                                     tol) for n in ns]
     return [lam for lam, _ in levels], [mult for _, mult in levels]
 
 
@@ -84,7 +85,7 @@ class TestAssemble:
         assert np.array_equal(full.states[safe], h.basis.states)
         sym = energy_symbol(su2, ModeMap.abelian(3))
         oracle = ladder_quantize(sym, "antinormal", full)[np.ix_(safe, safe)]
-        assert (abs(h.matrix - oracle)).max() < 1e-12
+        assert (abs(to_csr(h) - oracle)).max() < 1e-12
 
     @pytest.mark.parametrize("algebra,N_max", [
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
@@ -101,7 +102,7 @@ class TestAssemble:
         full = quantize(sym, "antinormal", build_basis(D, N_max))
         safe = safe_block_indices(full.basis, 2)
         assert np.array_equal(full.basis.states[safe], h.basis.states)
-        assert (h.matrix != full.matrix[np.ix_(safe, safe)]).nnz == 0
+        assert (to_csr(h) != to_csr(full)[np.ix_(safe, safe)]).nnz == 0
         ns = range(N_max - 1)
         lams, mults = block_levels(h, ns, model.level_tol)
         full_lams, full_mults = block_levels(full, ns, model.level_tol)
@@ -149,7 +150,7 @@ class TestAssemble:
         assert assemble_hamiltonian(model) is not None
 
     def test_hermitian(self, su2_hamiltonian_nmax8):
-        assert su2_hamiltonian_nmax8.hermiticity_defect() < 1e-12
+        assert hermiticity_defect(su2_hamiltonian_nmax8) < 1e-12
 
 
 class TestBlocks:
@@ -347,7 +348,7 @@ class TestRealEigensolve:
         ]
         seen = solver_dtypes(monkeypatch)
         lams, _ = block_levels(h, range(5), model.level_tol)
-        number_shift_bound(h)  # C*: N is stored complex, H - N is real
+        number_shift_bound(h)  # C*: H - N is real
         # at least one component per block and one for C*, all real
         assert seen.count(np.dtype(float)) == len(seen) >= 5 + 1
         assert lams == pytest.approx(complex_levels, rel=1e-12)
@@ -362,11 +363,11 @@ class TestRealEigensolve:
         expected = np.linalg.eigvalsh(block)
         scale = np.abs(expected).max()
         seen = solver_dtypes(monkeypatch)
-        lam, mult = spectrum._lowest_level(q.matrix, idx, 1e-8)
+        lam, mult = spectrum._lowest_level(q.matrix, 0, idx.size, 1e-8)
         # the random symbol couples 33 of the 35 states; two are isolated
         assert seen == [np.dtype(complex)] * 3
         assert abs(lam - expected[0]) < 1e-12 * scale
-        assert mult == dense_lowest_level(q.matrix, idx, 1e-8)[1]
+        assert mult == dense_lowest_level(to_csr(q), idx, 1e-8)[1]
 
 
 class TestLowestLevel:
@@ -377,7 +378,7 @@ class TestLowestLevel:
         closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in rep.ns]
         assert rep.lambdas == pytest.approx(closed_form, rel=1e-12, abs=0)
         h = rep.hamiltonian
-        oracle = [dense_lowest_level(h.matrix, h.basis.degree_indices(n), 1e-8)
+        oracle = [dense_lowest_level(to_csr(h), h.basis.degree_indices(n), 1e-8)
                   for n in rep.ns]
         assert rep.multiplicities == [mult for _, mult in oracle]
         assert rep.multiplicities == [1, 9, 10, 51, 19, 66, 26]
@@ -386,8 +387,8 @@ class TestLowestLevel:
 
     def test_repeat_solves_bit_identical(self, su2_hamiltonian_nmax8):
         # the levels land in spectrum.csv, so their digits must repeat
-        idx = su2_hamiltonian_nmax8.basis.degree_indices(3)
-        runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
+        rows = spectrum._degree_rows(su2_hamiltonian_nmax8.basis, 3)
+        runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, *rows, 1e-8)
                 for _ in range(4)}
         assert len(runs) == 1
 
@@ -400,15 +401,14 @@ class TestLowestLevel:
         # complex block is labelled without a cast or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, mult = spectrum._lowest_level(sparse.csr_matrix(block),
-                                               np.arange(2), 1e-8)
+            lam, mult = spectrum._lowest_level(from_csr(block), 0, 2, 1e-8)
         assert abs(lam - np.linalg.eigvalsh(block)[0]) < 1e-12
         assert mult == 1
 
     def test_vacuum_block_read_directly(self, su2_hamiltonian_nmax8):
         h = su2_hamiltonian_nmax8
-        lam, mult = spectrum._lowest_level(h.matrix, np.array([0]), 1e-8)
-        assert (lam, mult) == (h.matrix[0, 0].real, 1)
+        lam, mult = spectrum._lowest_level(h.matrix, 0, 1, 1e-8)
+        assert (lam, mult) == (to_csr(h)[0, 0].real, 1)
 
     # the Lanczos oracle's certificate: a wrong minimum, a pivoted or
     # singular inertia factor are each a NumericalError
@@ -420,7 +420,7 @@ class TestLowestLevel:
         monkeypatch.setattr(spla, "eigsh",
                             lambda *args, **kwargs: np.array([21.0]))
         with pytest.raises(NumericalError, match="51 eigenvalues"):
-            lanczos_lowest_level(su2_hamiltonian_nmax8.matrix, idx, 1e-8)
+            lanczos_lowest_level(to_csr(su2_hamiltonian_nmax8), idx, 1e-8)
 
     def test_count_below_is_inertia(self, rng):
         vals = np.array([-2.0, -1.0, 0.5, 0.5, 3.0])
@@ -448,64 +448,67 @@ class TestLowestLevel:
         assert mults == [1, 9, 10, 51, 19, 66, 26, 90, 34]
 
 
-def csgraph_labels(sub):
-    """The reference labelling: connected components of the pattern of
-    sub != 0, made symmetric."""
-    return csgraph.connected_components(sub != 0, directed=False)[1]
+def csgraph_labels(rows, cols, n):
+    """The reference labelling: connected components of the undirected
+    graph with an edge between rows[k] and cols[k] for each k."""
+    graph = sparse.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)[1]
 
 
 @st.composite
-def sparse_patterns(draw):
-    """A square sparse matrix with asymmetric entries, explicitly stored
-    zeros (not edges), duplicate entries summed, complex values and rows
-    with no entry at all."""
+def edge_lists(draw):
+    """n vertices and an edge list with one-sided and repeated edges,
+    self-loops and vertices with no edge at all."""
     n = draw(st.integers(1, 40))
-    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                      st.sampled_from([0.0, 1.0, -2.5, 1j, 0.5 - 0.5j]))
-    entries = draw(st.lists(cells, max_size=3 * n))
-    rows = [r for r, _, _ in entries]
-    cols = [c for _, c, _ in entries]
-    vals = np.array([v for _, _, v in entries], dtype=complex)
-    if draw(st.booleans()):
-        vals = vals.real
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    rows = np.array([r for r, _ in edges], dtype=np.int64)
+    cols = np.array([c for _, c in edges], dtype=np.int64)
+    return rows, cols, n
 
 
 class TestComponentLabels:
     @settings(database=None, derandomize=True, deadline=None, max_examples=200)
-    @given(sub=sparse_patterns())
-    def test_matches_csgraph(self, sub):
-        labels = spectrum._component_labels(sub)
+    @given(graph=edge_lists())
+    def test_matches_csgraph(self, graph):
+        labels = spectrum._component_labels(*graph)
         assert labels.dtype.kind == "i"
-        assert np.array_equal(labels, csgraph_labels(sub))
+        assert np.array_equal(labels, csgraph_labels(*graph))
 
-    def test_stored_zero_is_not_an_edge(self):
-        sub = sparse.csr_matrix((np.array([0.0, 0.0]), ([0, 1], [1, 0])),
-                                shape=(2, 2))
-        assert sub.nnz == 2
-        assert spectrum._component_labels(sub).tolist() == [0, 1]
+    def test_stored_zero_is_not_an_edge(self, monkeypatch):
+        # rows 0 and 1 are joined only by stored zeros, so each is its own
+        # 1-row component
+        seen = solver_dtypes(monkeypatch)
+        zeros = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                    np.array([2.0, 0.0, 0.0, 3.0], dtype=complex))
+        vals = spectrum._block_eigenvalues(zeros, 0, 2)
+        assert vals.tolist() == [2.0, 3.0]
+        assert len(seen) == 2
 
     def test_one_sided_entry_joins_both_rows(self):
-        sub = sparse.csr_matrix(([1j], ([2], [0])), shape=(3, 3))
-        assert spectrum._component_labels(sub).tolist() == [0, 1, 0]
+        labels = spectrum._component_labels(np.array([2]), np.array([0]), 3)
+        assert labels.tolist() == [0, 1, 0]
 
     def test_long_path_in_reverse_order(self):
         # a path whose labels must travel its whole length
         n = 200
         order = np.arange(n)[::-1]
-        sub = sparse.csr_matrix((np.ones(n - 1), (order[:-1], order[1:])),
-                                shape=(n, n))
-        assert np.array_equal(spectrum._component_labels(sub), np.zeros(n))
+        labels = spectrum._component_labels(order[:-1], order[1:], n)
+        assert np.array_equal(labels, np.zeros(n))
 
     @pytest.mark.parametrize("N_max", [8, 10])
     def test_su2_number_shift_block(self, N_max, su2_hamiltonian_nmax8,
                                     su2_hamiltonian_nmax10):
         h = {8: su2_hamiltonian_nmax8, 10: su2_hamiltonian_nmax10}[N_max]
         idx = safe_block_indices(h.basis, 2)
-        sub = (h.matrix - number_operator(h.basis).matrix)[np.ix_(idx, idx)]
-        labels = spectrum._component_labels(sub)
+        rows, cols, _ = h.matrix.rows(0, idx.size)
+        labels = spectrum._component_labels(rows, cols, idx.size)
         assert labels.max() + 1 == 32
-        assert np.array_equal(labels, csgraph_labels(sub))
+        assert np.array_equal(labels, csgraph_labels(rows, cols, idx.size))
+        # the labels of the scipy pattern of H - N, where N's diagonal
+        # joins no rows
+        sub = (to_csr(h) - to_csr(number_operator(h.basis)))[np.ix_(idx, idx)]
+        assert np.array_equal(labels, sparse_component_labels(sub))
 
 
 # the dense whole-block oracle is run on blocks of at most 2,002 rows, to
@@ -515,15 +518,27 @@ class TestComponentLabels:
 _DENSE_ORACLE_ROWS = 2002
 
 
-def _against_oracles(matrix, idx, tol):
-    lam, mult = spectrum._lowest_level(matrix, idx, tol)
+def _against_oracles(matrix, idx, tol, lam, mult=None):
+    """lam, and mult if given, against the Lanczos oracle and, on blocks
+    of at most _DENSE_ORACLE_ROWS rows, the dense one, on the scipy
+    compression matrix[idx, idx]."""
     oracles = [lanczos_lowest_level(matrix, idx, tol)]
     if idx.size <= _DENSE_ORACLE_ROWS:
         oracles.append(dense_lowest_level(matrix, idx, tol))
     for ref_lam, ref_mult in oracles:
         assert lam == pytest.approx(ref_lam, rel=1e-12, abs=0)
-        assert mult == ref_mult
-    return lam
+        assert mult in (None, ref_mult)
+
+
+def _levels_against_oracles(q, ns, tol, margin_degree):
+    """The levels of q's degree-n blocks and C* against the oracles."""
+    for n in ns:
+        lo, hi = spectrum._degree_rows(q.basis, n)
+        lam, mult = spectrum._lowest_level(q.matrix, lo, hi, tol)
+        _against_oracles(to_csr(q), np.arange(lo, hi), tol, lam, mult)
+    shifted = to_csr(q) - to_csr(number_operator(q.basis))
+    _against_oracles(shifted, safe_block_indices(q.basis, margin_degree), tol,
+                     number_shift_bound(q, margin_degree))
 
 
 class TestAgainstOracles:
@@ -533,24 +548,57 @@ class TestAgainstOracles:
     def test_levels_and_cstar(self, algebra, N_max):
         model = ModelSpec(algebra=algebra, N_max=N_max)
         h = assemble_hamiltonian(model)
-        for n in range(N_max - 1):
-            _against_oracles(h.matrix, h.basis.degree_indices(n),
-                             model.level_tol)
-        shifted = h.matrix - number_operator(h.basis).matrix
-        cstar = _against_oracles(shifted, safe_block_indices(h.basis, 2),
-                                 model.level_tol)
-        assert number_shift_bound(h) == cstar
+        _levels_against_oracles(h, range(N_max - 1), model.level_tol, 2)
 
     def test_complex_symbol(self, rng):
         b = build_basis(3, 8)
         q = quantize(random_symbol(rng, 3, 4, hermitian=True, n_terms=12),
                      "normal", b)
         assert q.matrix.data.imag.any()
-        for n in range(5):
-            _against_oracles(q.matrix, b.degree_indices(n), 1e-8)
-        shifted = q.matrix - number_operator(b).matrix
-        cstar = _against_oracles(shifted, safe_block_indices(b, 4), 1e-8)
-        assert number_shift_bound(q, margin_degree=4) == cstar
+        _levels_against_oracles(q, range(5), 1e-8, 4)
+
+
+class TestScipyBlockOracle:
+    """The block spectra, the levels, their multiplicities and C* equal,
+    bit for bit, those of the scipy.sparse path: scipy fancy indexing of
+    the scipy-summed operator, components labelled on its symmetrized
+    pattern, and H - N as a sparse difference."""
+
+    @staticmethod
+    def assert_blocks_identical(q, ref, ns, margin_degree):
+        for n in ns:
+            got = spectrum._block_eigenvalues(
+                q.matrix, *spectrum._degree_rows(q.basis, n))
+            want = sparse_block_eigenvalues(ref, q.basis.degree_indices(n))
+            assert np.array_equal(got, want)
+        shifted = ref - to_csr(number_operator(q.basis))
+        want = sparse_block_eigenvalues(
+            shifted, safe_block_indices(q.basis, margin_degree))
+        assert number_shift_bound(q, margin_degree) == want[0]
+
+    @pytest.mark.parametrize("algebra,N_max,sector", [
+        ("su2", 8, "full"), ("su3", 4, "full"), ("so4", 5, "full"),
+        ("so5", 4, "full"), ("su2", 8, "abelian"),
+    ])
+    def test_levels_and_cstar(self, algebra, N_max, sector):
+        model = ModelSpec(algebra=algebra, N_max=N_max, sector=sector)
+        rep = bosonic_spectrum(model)
+        h = rep.hamiltonian
+        sym = energy_symbol(build_algebra(algebra), model.mode_map())
+        ref = sparse_quantize(sym, model.convention, h.basis)
+        for n, lam, mult in zip(rep.ns, rep.lambdas, rep.multiplicities):
+            vals = sparse_block_eigenvalues(ref, h.basis.degree_indices(n))
+            assert lam == vals[0]
+            assert mult == np.count_nonzero(vals <= vals[0] + model.level_tol)
+        self.assert_blocks_identical(h, ref, rep.ns, 2)
+
+    def test_complex_symbol(self, rng):
+        b = build_basis(3, 8)
+        s = random_symbol(rng, 3, 4, hermitian=True, n_terms=12)
+        q = quantize(s, "normal", b)
+        assert q.matrix.data.imag.any()
+        self.assert_blocks_identical(q, sparse_quantize(s, "normal", b),
+                                     range(5), 4)
 
 
 class TestSafeBlockTruncationConvergence:
@@ -564,7 +612,7 @@ class TestSafeBlockTruncationConvergence:
         vals = []
         for h in (su2_hamiltonian_nmax8, su2_hamiltonian_nmax10):
             idx = np.flatnonzero(h.basis.degrees <= h.basis.N_max - 2)
-            sub = h.matrix[np.ix_(idx, idx)].tocsc()
+            sub = to_csr(h)[np.ix_(idx, idx)].tocsc()
             vals.append(
                 float(spla.eigsh(sub, k=1, which="SA",
                                  return_eigenvectors=False)[0])
@@ -575,19 +623,19 @@ class TestSafeBlockTruncationConvergence:
 class TestNumberShiftBound:
     def test_non_hermitian_operator_rejected(self):
         basis = build_basis(2, 4)
-        skew = number_operator(basis).matrix.tolil()
+        skew = to_csr(number_operator(basis)).tolil()
         skew[0, 1] = 1.0
         with pytest.raises(NumericalError):
-            number_shift_bound(FockOperator(basis, skew.tocsr()))
+            number_shift_bound(FockOperator(basis, from_csr(skew)))
 
     def test_lanczos_matches_dense(self):
         model = ModelSpec(algebra="su2", N_max=5)
         h = assemble_hamiltonian(model)
-        shifted = h.matrix - number_operator(h.basis).matrix
+        shifted = to_csr(h) - to_csr(number_operator(h.basis))
         dense, _ = dense_lowest_level(shifted, safe_block_indices(h.basis, 2),
                                       model.level_tol)
         assert abs(number_shift_bound(h) - dense) < 1e-10 * abs(dense)
-        oracle = [dense_lowest_level(h.matrix, h.basis.degree_indices(n),
+        oracle = [dense_lowest_level(to_csr(h), h.basis.degree_indices(n),
                                      model.level_tol) for n in range(4)]
         lams, mults = block_levels(h, range(4), model.level_tol)
         assert lams == pytest.approx([lam for lam, _ in oracle], rel=1e-10)
@@ -599,7 +647,7 @@ class TestNumberShiftBound:
             raise spla.ArpackNoConvergence("no convergence", [], [])
 
         h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=5))
-        shifted = h.matrix - number_operator(h.basis).matrix
+        shifted = to_csr(h) - to_csr(number_operator(h.basis))
         monkeypatch.setattr(spla, "eigsh", no_convergence)
         with pytest.raises(NumericalError):
             certified_minimum(shifted, safe_block_indices(h.basis, 2), 1e-8)
@@ -672,9 +720,9 @@ class TestConvergenceStudy:
         # one block solve per (N_max, n); no multiplicity is counted
         calls = []
 
-        def spy(matrix, idx):
-            calls.append(idx.size)
-            return block_eigenvalues(matrix, idx)
+        def spy(matrix, lo, hi):
+            calls.append(hi - lo)
+            return block_eigenvalues(matrix, lo, hi)
 
         def no_count(*args):
             raise AssertionError("convergence_study counted a multiplicity")
