@@ -153,9 +153,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True)
-
     def model_spec(self) -> ModelSpec:
         return ModelSpec(
             algebra=self.algebra,

@@ -46,6 +46,7 @@ class FockBasis:
     states: np.ndarray  # (size, D) int64
     degrees: np.ndarray  # (size,) int64
     depth: int | None = None  # enumerated degree <= N_max; None: N_max
+    weights: np.ndarray | None = None  # (D, r) integer mode weights, if any
 
     def __post_init__(self):
         if self.depth is None:
@@ -73,8 +74,15 @@ class FockBasis:
         sorted_keys, order = self._lookup_key
         return order[np.searchsorted(sorted_keys, keys)]
 
-    def degree_indices(self, n: int) -> np.ndarray:
-        return np.flatnonzero(self.degrees == n)
+    @functools.cached_property
+    def sectors(self) -> np.ndarray:
+        """Each state's sector: a one-to-one integer code of its weight
+        states @ weights, 0 exactly for weight 0; without weights, every
+        state is in sector 0."""
+        if self.weights is None:
+            return np.zeros(self.size, dtype=np.int64)
+        span = 2 * self.depth * int(np.abs(self.weights).max(initial=0)) + 1
+        return self.states @ (self.weights @ span ** np.arange(self.weights.shape[1]))
 
     @functools.cached_property
     def raised(self) -> np.ndarray:
@@ -87,8 +95,10 @@ class FockBasis:
 
 
 def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
-                depth: int | None = None) -> FockBasis:
-    """Enumerate the occupation states with |mu| <= depth (default N_max)."""
+                depth: int | None = None,
+                weights: np.ndarray | None = None) -> FockBasis:
+    """Enumerate the occupation states with |mu| <= depth (default N_max),
+    over modes with the given weights (see FockBasis.sectors)."""
     depth = N_max if depth is None else depth
     if D < 1:
         raise ConfigurationError("mode count D must be >= 1")
@@ -111,7 +121,7 @@ def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
         shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
     states = np.concatenate(shells)
     degrees = states.sum(axis=1)
-    return FockBasis(D, N_max, states, degrees, depth)
+    return FockBasis(D, N_max, states, degrees, depth, weights)
 
 
 @dataclass(frozen=True)
@@ -291,8 +301,3 @@ def quantize(
     indptr = np.searchsorted(keys, np.arange(size + 1) * size)
     return FockOperator(basis, Csr(indptr, keys % size, vals))
 
-
-def safe_block_indices(basis: FockBasis, operator_degree: int) -> np.ndarray:
-    """States whose matrix elements are unaffected by the cutoff for any
-    operator built from symbols of the given degree."""
-    return np.flatnonzero(basis.degrees <= basis.N_max - operator_degree)

@@ -50,10 +50,6 @@ class LatticeSpec:
     def volume_factor(self) -> float:
         return self.spacing ** 3
 
-    @property
-    def extent(self) -> float:
-        return self.n * self.spacing
-
     def sites(self) -> int:
         return self.n ** 3
 

@@ -8,6 +8,17 @@ realization of the variational infimum over n-boson states.  Growth of
 lambda_n is summarized by a least-squares slope together with the
 largest constant C making lambda_n >= slope * n + C hold, the
 arithmetic-progression certificate.
+
+H commutes with the colour rotations exp(t ad X) and the spatial
+rotations of the modes.  It is quantized in the complex modes that
+diagonalize a Cartan set of them (symbols.cartan_modes: L_z and the
+ad(b_i) of a Cartan subalgebra), in which every occupation state has an
+integer weight and H conserves it, so every block splits into weight
+sectors read off in closed form, each solved densely.  C* needs only the
+zero-weight sector: each irreducible representation in the Fock space
+(symmetric powers of R^3 (x) adj) has its highest weight in the root
+lattice, so 0 is one of its weights, and every eigenvalue of H - N on a
+rotation-invariant block therefore has an eigenvector of weight 0.
 """
 
 from __future__ import annotations
@@ -25,12 +36,12 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .fock import FockOperator, build_basis, quantize, safe_block_indices
-from .symbols import ModeMap, energy_symbol, validate_ordering
+from .fock import FockOperator, build_basis, quantize
+from .symbols import ModeMap, cartan_modes, energy_symbol, validate_ordering
 
 DEGREE_MARGIN = 2
-# rows of the largest block component diagonalized densely: a component of
-# d rows takes 8 d^2 bytes (16 d^2 if complex), 512 MB real at the cap
+# rows of the largest block sector diagonalized densely: a sector of d
+# rows takes 8 d^2 bytes (16 d^2 if complex), 512 MB real at the cap
 DENSE_COMPONENT_CAP = 8_000
 SECTORS = ("full", "abelian")
 
@@ -74,10 +85,6 @@ class ModelSpec:
         return ModeMap.zero_momentum(basis.dim_g)
 
     @property
-    def num_modes(self) -> int:
-        return self.mode_map().num_modes
-
-    @property
     def n_top(self) -> int:
         """Highest boson number reported: n_max, or N_max - DEGREE_MARGIN."""
         return self.N_max - DEGREE_MARGIN if self.n_max is None else self.n_max
@@ -112,17 +119,19 @@ class SpectrumReport:
 
 def _hamiltonians(model: ModelSpec, N_max_list):
     """The energy-mass operator at each path cutoff in N_max_list, each
-    quantized on its safe basis, degree <= N_max - DEGREE_MARGIN, which the
-    levels and C* read.  Every basis is built, and so passes the cap, before
+    quantized in the model's Cartan modes on its safe basis, degree <=
+    N_max - DEGREE_MARGIN, which the levels and C* read; the bases carry
+    the mode weights.  Every basis is built, and so passes the cap, before
     the one energy symbol is; each operator is quantized only when the
     returned generator is advanced to it."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
-    bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN)
-             for N in N_max_list]
-    sym = energy_symbol(algebra, mode_map, model.include_magnetic)
+    modes = cartan_modes(algebra, mode_map)
+    bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN,
+                         weights=modes.weights) for N in N_max_list]
+    sym = energy_symbol(algebra, mode_map, model.include_magnetic, modes)
     return (quantize(sym, model.convention, basis) for basis in bases)
 
 
@@ -153,55 +162,27 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
     return block
 
 
-def _component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """Connected component of each of n vertices, with an undirected edge
-    between rows[k] and cols[k] for each k, numbered in the order of each
-    component's smallest vertex.
-
-    Every vertex starts with its own index as label.  Each round, a vertex
-    takes the smallest label among itself and its neighbours, then the
-    label of that label (pointer jumping).  A label is always a vertex of
-    the same component, no larger than the vertex, so the labels stop
-    changing exactly when each vertex holds its component's smallest one.
-    """
-    labels = np.arange(n)
-    while True:
-        new = labels.copy()
-        np.minimum.at(new, rows, labels[cols])
-        np.minimum.at(new, cols, labels[rows])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = new
-
-
-def _block_eigenvalues(matrix, lo: int, hi: int,
-                       shift: np.ndarray | None = None) -> np.ndarray:
+def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
+                       shift: np.ndarray | None = None,
+                       zero_weight: bool = False) -> np.ndarray:
     """All eigenvalues, ascending, of the Hermitian block
-    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix.
+    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, or with
+    zero_weight only those of its sector 0.
 
-    H has no entry between its symmetry sectors, so sub splits into the
-    connected components of the graph of its nonzero entries.  Each
-    component is filled into a dense matrix, rows in basis order, and
-    dense LAPACK diagonalizes it completely: the result needs no start
-    vector and no certificate.  A block whose stored entries are all real
-    is solved as a real symmetric matrix.  No entry lies between two
-    components, so checking each component against the largest |entry|
-    of the whole block checks that sub is Hermitian.
+    sectors[i] is the sector of row i (FockBasis.sectors, all 0 for a
+    basis without weights).  H has no entry between sectors: an entry joining
+    two, above 1e-12 of the block's largest |entry|, is a NumericalError.
+    Each sector, rows in basis order (a stable argsort of the sector), is
+    filled into a dense matrix, checked Hermitian against that largest
+    |entry|, and diagonalized completely by dense LAPACK: the result needs
+    no start vector and no certificate.  A block whose stored entries are
+    all real is solved as a real symmetric matrix.
     """
     dim = hi - lo
+    key = sectors[lo:hi]
     rows, cols, vals = matrix.rows(lo, hi)
-    stored = vals != 0  # a stored zero joins no rows
-    rows, cols, vals = rows[stored], cols[stored], vals[stored]
     if not vals.imag.any():
         vals = vals.real
-    labels = _component_labels(rows, cols, dim)
-    sizes = np.bincount(labels)
-    if sizes.max() > DENSE_COMPONENT_CAP:
-        raise ResourceError(
-            f"a {dim}-dim block has a {sizes.max()}-dim component, "
-            f"past the dense cap of {DENSE_COMPONENT_CAP} rows"
-        )
     on = rows == cols
     diagonal = np.zeros(dim, dtype=vals.dtype)
     diagonal[rows[on]] = vals[on]
@@ -209,22 +190,32 @@ def _block_eigenvalues(matrix, lo: int, hi: int,
         diagonal -= shift
     scale = max(1.0, np.abs(vals[~on]).max(initial=0.0),
                 np.abs(diagonal).max(initial=0.0))
-    # each row's place in its component, and the entries grouped by
-    # component in those places
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    pos = np.empty(dim, dtype=np.int64)
-    pos[order] = np.arange(dim) - np.repeat(starts, sizes)
-    # in the narrowest unsigned type, whose stable sort is a radix sort
-    owner = labels[rows].astype(np.min_scalar_type(sizes.size))
-    by_owner = np.argsort(owner, kind="stable")
-    rows, cols, vals = pos[rows[by_owner]], pos[cols[by_owner]], vals[by_owner]
-    counts = np.bincount(owner, minlength=sizes.size)
-    ends = np.cumsum(counts)
+    joins = key[rows] != key[cols]
+    leak = np.abs(vals[joins]).max(initial=0.0)
+    if leak > 1e-12 * scale:
+        raise NumericalError(f"an entry of {leak:.3e} joins two weight sectors")
+    # the rows solved, grouped by sector, and each row's place in its sector
+    order = np.argsort(key, kind="stable")
+    if zero_weight:
+        order = order[key[order] == 0]
+    keys, starts, sizes = np.unique(key[order], return_index=True,
+                                    return_counts=True)
+    if sizes.max() > DENSE_COMPONENT_CAP:
+        raise ResourceError(
+            f"a {dim}-dim block has a {sizes.max()}-dim sector, "
+            f"past the dense cap of {DENSE_COMPONENT_CAP} rows"
+        )
+    pos = np.full(dim, -1)
+    pos[order] = np.arange(order.size) - np.repeat(starts, sizes)
+    # the entries inside the solved sectors, grouped the same way
+    inside = np.flatnonzero(~joins & (pos[rows] >= 0))
+    inside = inside[np.argsort(key[rows[inside]], kind="stable")]
+    rows, cols, vals = rows[inside], cols[inside], vals[inside]
+    ends = np.searchsorted(key[rows], keys, side="right")
     eigs = []
-    for a, size, e0, e1 in zip(starts, sizes, ends - counts, ends):
+    for a, size, e0, e1 in zip(starts, sizes, np.r_[0, ends[:-1]], ends):
         d = np.zeros((size, size), dtype=vals.dtype)
-        d[rows[e0:e1], cols[e0:e1]] = vals[e0:e1]
+        d[pos[rows[e0:e1]], pos[cols[e0:e1]]] = vals[e0:e1]
         if shift is not None:
             d.flat[::size + 1] -= shift[order[a:a + size]]
         defect = np.abs(d - d.conj().T).max()
@@ -238,10 +229,11 @@ def _block_eigenvalues(matrix, lo: int, hi: int,
     return vals
 
 
-def _lowest_level(matrix, lo: int, hi: int, tol: float) -> tuple[float, int]:
+def _lowest_level(matrix, lo: int, hi: int, tol: float,
+                  sectors: np.ndarray) -> tuple[float, int]:
     """Lowest eigenvalue lam of matrix[lo:hi, lo:hi] and its multiplicity,
-    the number of eigenvalues at most lam + tol."""
-    vals = _block_eigenvalues(matrix, lo, hi)
+    the number of eigenvalues at most lam + tol over all its sectors."""
+    vals = _block_eigenvalues(matrix, lo, hi, sectors)
     return float(vals[0]), int(np.count_nonzero(vals <= vals[0] + tol))
 
 
@@ -265,7 +257,7 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     h = assemble_hamiltonian(model)
     ns = list(range(n_top + 1))
     levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
-                            model.level_tol) for n in ns]
+                            model.level_tol, h.basis.sectors) for n in ns]
     return SpectrumReport(
         ns=ns,
         lambdas=[lam for lam, _ in levels],
@@ -327,14 +319,24 @@ def number_shift_bound(h: FockOperator,
     """C* = min spectrum of (H - N) compressed to the truncation-safe block.
 
     Every state psi supported on degrees <= N_max - margin_degree then
-    satisfies <H> >= <N> + C*.
+    satisfies <H> >= <N> + C*.  Only the block's zero-weight sector is
+    solved, which holds every eigenvalue of a rotation-invariant H (see
+    the module docstring); without weights the sector is the whole block.
     """
+    basis = h.basis
+    top = basis.N_max - margin_degree
+    if top > basis.depth:
+        raise ConfigurationError(
+            f"margin_degree={margin_degree} asks for degrees <= {top}, but "
+            f"the basis holds only degrees <= {basis.depth}"
+        )
     # the safe block is a prefix of the degree-major basis
-    hi = safe_block_indices(h.basis, margin_degree).size
+    hi = int(np.searchsorted(basis.degrees, top, side="right"))
     if hi == 0:
         raise ConfigurationError("safe block is empty at this truncation")
-    return float(_block_eigenvalues(h.matrix, 0, hi,
-                                    shift=h.basis.degrees[:hi])[0])
+    return float(_block_eigenvalues(h.matrix, 0, hi, basis.sectors,
+                                    shift=basis.degrees[:hi],
+                                    zero_weight=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +383,8 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
         )
     lambdas = {}
     for N, h in zip(levels, _hamiltonians(model, levels)):
-        lambdas[N] = [float(_block_eigenvalues(h.matrix,
-                                               *_degree_rows(h.basis, n))[0])
+        lambdas[N] = [float(_block_eigenvalues(
+            h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])
                       for n in range(n_top + 1)]
     ns = list(range(n_top + 1))
     study = ConvergenceStudy(N_max_list=levels, ns=ns, lambdas=lambdas)

@@ -15,14 +15,13 @@ normal is t = +1), not by trusting any printed sign convention.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebraBasis
-from .errors import ConfigurationError, DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError, NumericalError
 
 ORDERINGS = ("normal", "weyl", "antinormal")
 
@@ -155,55 +154,6 @@ class PolynomialSymbol:
     def coefficient(self, alpha, beta) -> complex:
         return self.terms.get((tuple(alpha), tuple(beta)), 0j)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self.terms.values())
-
-    def is_hermitian_symmetric(self, tol: float = 1e-12) -> bool:
-        """coefficient(alpha, beta) == conj(coefficient(beta, alpha))."""
-        for (a, b), c in self.terms.items():
-            if abs(c - np.conj(self.terms.get((b, a), 0j))) > tol:
-                return False
-        return True
-
-    def evaluate(self, z: np.ndarray) -> complex:
-        """Evaluate on the diagonal z* = conj(z) at a point z in C^D."""
-        z = np.asarray(z, dtype=complex)
-        if z.shape != (self.num_modes,):
-            raise DimensionMismatchError(
-                f"expected point in C^{self.num_modes}, got shape {z.shape}"
-            )
-        zc = np.conj(z)
-        total = 0j
-        for (a, b), c in self.terms.items():
-            val = c
-            for m in range(self.num_modes):
-                if a[m]:
-                    val *= zc[m] ** a[m]
-                if b[m]:
-                    val *= z[m] ** b[m]
-            total += val
-        return total
-
-    def allclose(self, other: "PolynomialSymbol", tol: float = 1e-12) -> bool:
-        self._require_same_modes(other)
-        keys = set(self.terms) | set(other.terms)
-        return all(
-            abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) <= tol for k in keys
-        )
-
-    def max_coefficient_diff(self, other: "PolynomialSymbol") -> float:
-        self._require_same_modes(other)
-        keys = set(self.terms) | set(other.terms)
-        if not keys:
-            return 0.0
-        return max(abs(self.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys)
-
-    def __repr__(self):
-        return (
-            f"PolynomialSymbol(D={self.num_modes}, terms={len(self.terms)}, "
-            f"degree={self.degree})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Weierstrass flow and convention conversion
@@ -291,22 +241,111 @@ class ModeMap:
         return cls(dim_g, tuple((j, direction) for j in range(3)))
 
 
+# fixed irrational weights mixing the Cartan generators into one matrix
+# whose eigenvalues tell distinct joint weights apart; fixed rather than
+# drawn, so that the modes, and every digit computed in them, repeat
+_GENERIC_MIX = np.sqrt([2.0, 3.0, 5.0])
+# coefficients of a complex-mode symbol below this fraction of the largest
+# are roundoff of the change of modes and are dropped
+ROUNDOFF = 1e-12
+
+
+def _weight_vectors(generators: np.ndarray, kernel: np.ndarray):
+    """(U, weights, bar) for commuting real antisymmetric generators g_i
+    whose joint kernel has the orthonormal real columns ``kernel``.  U's
+    columns are joint eigenvectors, i g_i u = lambda_i u: those of lambda > 0
+    under the generic mix, each with its first entry of modulus above 1e-6
+    made real positive, the kernel, then the conjugates of the first, so
+    column bar[k] is the conjugate of column k.  weights[k, i] is lambda_i
+    in units of g_i's smallest nonzero |lambda|, checked integral."""
+    mix = np.tensordot(_GENERIC_MIX[:len(generators)], generators, 1)
+    vals, vecs = np.linalg.eigh(1j * mix)
+    pos = vecs[:, vals > 1e-9 * np.abs(vals).max(initial=1.0)]
+    lead = pos[np.argmax(np.abs(pos) > 1e-6, axis=0), np.arange(pos.shape[1])]
+    pos = pos * (np.abs(lead) / lead)
+    u = np.hstack([pos, kernel, pos.conj()])
+    action = np.einsum("imn,nk->imk", 1j * generators, u)
+    raw = np.einsum("mk,imk->ki", u.conj(), action).real
+    unit = [np.abs(w[np.abs(w) > 1e-9 * np.abs(w).max()]).min() for w in raw.T]
+    weights = np.rint(raw / unit)
+    if (u.shape[1] != u.shape[0]
+            or np.abs(action - u * raw.T[:, None, :]).max(initial=0.0) > 1e-9
+            or np.abs(raw / unit - weights).max(initial=0.0) > 1e-9):
+        raise NumericalError("generators have no integral joint weight basis")
+    p, k = pos.shape[1], kernel.shape[1]
+    bar = np.r_[np.arange(p + k, 2 * p + k), np.arange(p, p + k), np.arange(p)]
+    return u, weights.astype(np.int64), bar
+
+
+@dataclass(frozen=True)
+class ModeBasis:
+    """Complex modes w = U^H z, U = spatial (x) colour, over a mode map
+    holding every (j, p) with j = 0, 1, 2 for its algebra directions p; a
+    label (s, g) then names spatial column s times colour column g.  Column
+    k of spatial (colour) is the conjugate of column spatial_bar[k]
+    (colour_bar[k]); weights[m] is mode m's integer weight under each Cartan
+    generator, so an occupation state's weight is states @ weights."""
+
+    spatial: np.ndarray
+    colour: np.ndarray
+    spatial_bar: np.ndarray
+    colour_bar: np.ndarray
+    weights: np.ndarray
+
+
+def cartan_modes(basis: LieAlgebraBasis, mode_map: ModeMap) -> ModeBasis:
+    """The modes that diagonalize a Cartan set of the model's rotations:
+    the spatial L_z, plus, when every algebra direction is retained, the
+    colour rotations ad(b_i) of pairwise commuting basis elements, picked
+    greedily in basis order (b_0 for su2, b_0 and b_5 for so4); the check
+    that their joint kernel is their span makes them a Cartan subalgebra."""
+    directions = sorted({p for _, p in mode_map.labels})
+    if sorted(mode_map.labels) != [(j, p) for j in range(3) for p in directions]:
+        raise ConfigurationError(
+            "Cartan modes need all three spatial directions of each "
+            "retained algebra direction")
+    lz = np.zeros((1, 3, 3))
+    lz[0, 1, 0], lz[0, 0, 1] = 1.0, -1.0
+    spatial, spatial_weights, spatial_bar = _weight_vectors(lz, np.eye(3)[:, 2:])
+    g = basis.dim_g
+    if len(directions) == g:
+        c, picks = basis.structure_constants, []
+        for i in range(g):
+            if not np.abs(c[:, i, picks]).max(initial=0.0) > 1e-12:
+                picks.append(i)
+        ad = c[:, picks].transpose(1, 0, 2)
+        colour, colour_weights, colour_bar = _weight_vectors(ad, np.eye(g)[:, picks])
+    else:  # the colour rotations do not keep a proper subset of directions
+        colour, colour_weights, colour_bar = np.eye(g), np.zeros((g, 0)), np.arange(g)
+    weights = np.array([np.r_[colour_weights[p], spatial_weights[j]]
+                        for j, p in mode_map.labels], dtype=np.int64)
+    return ModeBasis(spatial, colour, spatial_bar, colour_bar, weights)
+
+
 def _expand(num_modes, factors, coeff, terms):
-    """Add coeff * prod (s z*_m + c z_m) over the factors (m, s, c) into
-    the coefficient map terms, one term per choice of z* or z per factor."""
+    """Add coeff * prod (s z*_ms + c z_mc) over the factors (ms, s, mc, c)
+    into the coefficient map terms, one term per choice of z* or z per
+    factor."""
     for stars in itertools.product((True, False), repeat=len(factors)):
         alpha, beta, value = [0] * num_modes, [0] * num_modes, coeff
-        for (m, s, c), star in zip(factors, stars):
-            (alpha if star else beta)[m] += 1
+        for (ms, s, mc, c), star in zip(factors, stars):
+            (alpha if star else beta)[ms if star else mc] += 1
             value *= s if star else c
         key = (tuple(alpha), tuple(beta))
         terms[key] = terms.get(key, 0) + value
+
+
+def _pruned(values, scale):
+    """values with real and imaginary parts below ROUNDOFF * scale zeroed."""
+    return np.where(np.abs(values.real) > ROUNDOFF * scale, values.real, 0) + 1j * (
+        np.where(np.abs(values.imag) > ROUNDOFF * scale, values.imag, 0))
 
 
 def energy_symbol(
     basis: LieAlgebraBasis,
     mode_map: ModeMap,
     include_magnetic: bool = True,
+    modes: ModeBasis | None = None,
 ) -> PolynomialSymbol:
     """Energy-mass functional as a degree-4 symbol over the retained modes.
 
@@ -316,6 +355,15 @@ def energy_symbol(
     derivative part of the magnetic energy is absent; the quartic is the
     whole magnetic term and can be switched off to obtain the exactly
     solvable quadratic model.
+
+    With ``modes`` (cartan_modes) it is built in their complex modes w,
+    z = U w, where conj(U) pairs each mode m with a mode bar(m): then
+    a_m = x(w_m + w*_bar(m)), e_m = ix(w*_bar(m) - w_m), e.e sums
+    e_m e_bar(m), the dot product pairs bracket component r with bar(r),
+    and pair (j, k) with (bar(j), bar(k)), over the structure constants in
+    the colour columns.  Parts of those and of the symbol below ROUNDOFF of
+    the largest are dropped, so only weight-conserving terms remain.
+    Without ``modes`` each mode is its own pair: the real modes z_m.
     """
     if mode_map.dim_g != basis.dim_g:
         raise DimensionMismatchError(
@@ -324,25 +372,41 @@ def energy_symbol(
         )
     D = mode_map.num_modes
     x = 1.0 / math.sqrt(2.0)
+    index = {label: m for m, label in enumerate(mode_map.labels)}
+    c = basis.structure_constants
+    spatial_bar, colour_bar = range(3), range(basis.dim_g)
+    if modes is not None:
+        u = modes.colour
+        c = np.einsum("rk,rpq,pa,qb->kab", u.conj(), c, u, u, optimize=True)
+        c = _pruned(c, np.abs(c).max())
+        spatial_bar, colour_bar = modes.spatial_bar, modes.colour_bar
+    bar = [index[spatial_bar[j], colour_bar[p]] for j, p in mode_map.labels]
     terms = {}
     for m in range(D):
-        _expand(D, ((m, 1j * x, -1j * x),) * 2, 0.5, terms)
+        _expand(D, ((bar[m], 1j * x, m, -1j * x), (m, 1j * x, bar[m], -1j * x)),
+                0.5, terms)
+
+    def bracket(j, k, row):
+        """(c_pq, a_j^p, a_k^q) per nonzero of component row of [a_j, a_k]."""
+        return [(row[p, q].item(), (bar[index[j, p]], x, index[j, p], x),
+                 (bar[index[k, q]], x, index[k, q], x))
+                for p, q in zip(*np.nonzero(row))
+                if (j, p) in index and (k, q) in index]
 
     if include_magnetic:
-        index = {label: m for m, label in enumerate(mode_map.labels)}
         # [a_k, a_j] = -[a_j, a_k], so the pairs j < k carry the sum
         for j, k in ((0, 1), (0, 2), (1, 2)):
-            for row in basis.structure_constants:
-                # component row of [a_j, a_k] = sum_pq c_pq a_j^p a_k^q
-                entries = [
-                    (float(row[p, q]), (index[j, p], x, x), (index[k, q], x, x))
-                    for p, q in zip(*np.nonzero(row))
-                    if (j, p) in index and (k, q) in index
-                ]
-                for c1, a1, b1 in entries:
-                    for c2, a2, b2 in entries:
+            for r, row in enumerate(c):
+                first = bracket(j, k, row)
+                second = first if modes is None else bracket(
+                    spatial_bar[j], spatial_bar[k], c[colour_bar[r]])
+                for c1, a1, b1 in first:
+                    for c2, a2, b2 in second:
                         _expand(D, (a1, b1, a2, b2), c1 * c2, terms)
 
+    if modes is not None and terms:
+        values = np.array(list(terms.values()))
+        terms = dict(zip(terms, _pruned(values, np.abs(values).max()).tolist()))
     return PolynomialSymbol(D, terms)
 
 
@@ -359,29 +423,3 @@ def number_symbol(num_modes: int, convention: str) -> PolynomialSymbol:
     units = [tuple(int(i == m) for i in range(num_modes)) for m in range(num_modes)]
     s = PolynomialSymbol(num_modes, {(e, e): 1.0 for e in units})
     return convert(s, "normal", convention)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def symbol_to_json(s: PolynomialSymbol) -> str:
-    entries = [
-        {
-            "alpha": list(a),
-            "beta": list(b),
-            "re": float(np.real(c)),
-            "im": float(np.imag(c)),
-        }
-        for (a, b), c in sorted(s.terms.items())
-    ]
-    return json.dumps({"num_modes": s.num_modes, "terms": entries}, indent=1)
-
-
-def symbol_from_json(text: str) -> PolynomialSymbol:
-    doc = json.loads(text)
-    terms = {}
-    for entry in doc["terms"]:
-        key = (tuple(entry["alpha"]), tuple(entry["beta"]))
-        terms[key] = complex(entry["re"], entry["im"])
-    return PolynomialSymbol(doc["num_modes"], terms)

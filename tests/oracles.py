@@ -19,12 +19,20 @@ evolution via the dispersion relation of the spatially discrete system.
 The scipy.sparse path that the numpy Csr operators replaced is kept as
 the reference for them: quantization summed into a scipy CSR matrix, and
 block eigenvalues from scipy fancy indexing with components labelled on
-the symmetrized sparse pattern.
+the symmetrized sparse pattern.  The real-mode spectrum path that the
+Cartan weight sectors replaced is kept too: H quantized in the real modes
+and each block split into the connected components of its sparsity
+graph.  The Cartan-mode energy symbol has its reference in substitution
+z = U w into the real-mode one, term by term in the symbol ring, and the
+rotation symmetry behind the zero-weight C* in the quantized generators
+of the colour and spatial rotations.
 It also holds the lattice helpers that only tests use: the inner product
 field_dot, the stencil's Fourier eigenvalues and random scalar fields;
-and the Fock helpers that only tests use, each built on scipy.sparse:
+the Fock helpers that only tests use, each built on scipy.sparse:
 ladder and number operators, vectors and expectations, the Hermiticity
-defect and the operator text format.
+defect and the operator text format, plus the states of one degree and
+the safe block; and the symbol helpers that only tests use: comparison,
+point evaluation and the symbol JSON format.
 """
 
 import json
@@ -987,3 +995,219 @@ def maxwell_energy(lattice, a_data, e_data):
             b2 += np.sum(f * f)
     e2 = np.sum(e_data * e_data)
     return 0.5 * lattice.volume_factor * (b2 + e2)
+
+
+# ---------------------------------------------------------------------------
+# symbol helpers only tests use: comparison, point evaluation and the
+# symbol JSON format
+# ---------------------------------------------------------------------------
+
+def is_zero(s, tol: float = 0.0) -> bool:
+    return all(abs(c) <= tol for c in s.terms.values())
+
+
+def is_hermitian_symmetric(s, tol: float = 1e-12) -> bool:
+    """coefficient(alpha, beta) == conj(coefficient(beta, alpha))."""
+    return all(abs(c - np.conj(s.terms.get((b, a), 0j))) <= tol
+               for (a, b), c in s.terms.items())
+
+
+def evaluate(s, z) -> complex:
+    """Evaluate a symbol on the diagonal z* = conj(z) at a point z in C^D."""
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (s.num_modes,):
+        raise DimensionMismatchError(
+            f"expected point in C^{s.num_modes}, got shape {z.shape}"
+        )
+    return complex(evaluate_batch(s, z[None, :])[0])
+
+
+def max_coefficient_diff(s, other) -> float:
+    if s.num_modes != other.num_modes:
+        raise DimensionMismatchError(
+            f"mode counts differ: {s.num_modes} vs {other.num_modes}")
+    keys = set(s.terms) | set(other.terms)
+    return max((abs(s.terms.get(k, 0j) - other.terms.get(k, 0j)) for k in keys),
+               default=0.0)
+
+
+def allclose(s, other, tol: float = 1e-12) -> bool:
+    return max_coefficient_diff(s, other) <= tol
+
+
+def symbol_to_json(s) -> str:
+    entries = [
+        {"alpha": list(a), "beta": list(b),
+         "re": float(np.real(c)), "im": float(np.imag(c))}
+        for (a, b), c in sorted(s.terms.items())
+    ]
+    return json.dumps({"num_modes": s.num_modes, "terms": entries}, indent=1)
+
+
+def symbol_from_json(text: str):
+    from ymspec.symbols import PolynomialSymbol
+
+    doc = json.loads(text)
+    terms = {(tuple(e["alpha"]), tuple(e["beta"])): complex(e["re"], e["im"])
+             for e in doc["terms"]}
+    return PolynomialSymbol(doc["num_modes"], terms)
+
+
+# ---------------------------------------------------------------------------
+# Fock helpers only tests use: the states of one degree, and the safe block
+# ---------------------------------------------------------------------------
+
+def degree_indices(basis: FockBasis, n: int) -> np.ndarray:
+    return np.flatnonzero(basis.degrees == n)
+
+
+def safe_block_indices(basis: FockBasis, operator_degree: int) -> np.ndarray:
+    """States whose matrix elements are unaffected by the cutoff for any
+    operator built from symbols of the given degree."""
+    return np.flatnonzero(basis.degrees <= basis.N_max - operator_degree)
+
+
+# ---------------------------------------------------------------------------
+# the real-mode spectrum path the Cartan weight sectors replaced: H
+# quantized in the real modes z_m, each block split into the connected
+# components of its sparsity graph, and C* solved on every component
+# ---------------------------------------------------------------------------
+
+def component_labels(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected component of each of n vertices, with an undirected edge
+    between rows[k] and cols[k] for each k, numbered in the order of each
+    component's smallest vertex.
+
+    Every vertex starts with its own index as label.  Each round, a vertex
+    takes the smallest label among itself and its neighbours, then the
+    label of that label (pointer jumping).  A label is always a vertex of
+    the same component, no larger than the vertex, so the labels stop
+    changing exactly when each vertex holds its component's smallest one.
+    """
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        np.minimum.at(new, cols, labels[rows])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
+
+
+def component_block_eigenvalues(matrix, lo: int, hi: int,
+                                shift: np.ndarray | None = None) -> np.ndarray:
+    """All eigenvalues, ascending, of sub = matrix[lo:hi, lo:hi] -
+    diag(shift) of a Csr matrix, one dense eigvalsh per connected
+    component of sub's stored nonzeros."""
+    rows, cols, vals = matrix.rows(lo, hi)
+    stored = vals != 0
+    rows, cols, vals = rows[stored], cols[stored], vals[stored]
+    if not vals.imag.any():
+        vals = vals.real
+    labels = component_labels(rows, cols, hi - lo)
+    eigs = []
+    for label in range(labels.max() + 1):
+        members = np.flatnonzero(labels == label)
+        pos = np.full(hi - lo, -1)
+        pos[members] = np.arange(members.size)
+        inside = pos[rows] >= 0
+        d = np.zeros((members.size, members.size), dtype=vals.dtype)
+        d[pos[rows[inside]], pos[cols[inside]]] = vals[inside]
+        if shift is not None:
+            d.flat[::members.size + 1] -= shift[members]
+        eigs.append(np.linalg.eigvalsh(d))
+    vals = np.concatenate(eigs)
+    vals.sort()
+    return vals
+
+
+def real_mode_hamiltonian(model, N_max: int | None = None) -> FockOperator:
+    """H as the spectrum path first quantized it: the energy symbol in the
+    real modes on the safe basis, which carries no weights."""
+    from ymspec.algebra import build_algebra
+    from ymspec.fock import quantize
+    from ymspec.symbols import energy_symbol
+
+    N_max = model.N_max if N_max is None else N_max
+    algebra = build_algebra(model.algebra)
+    mode_map = model.mode_map(algebra)
+    basis = build_basis(mode_map.num_modes, N_max, depth=N_max - 2)
+    return quantize(energy_symbol(algebra, mode_map, model.include_magnetic),
+                    model.convention, basis)
+
+
+# ---------------------------------------------------------------------------
+# the Cartan-mode energy symbol by substitution, and the quantized rotation
+# generators that commute with H
+# ---------------------------------------------------------------------------
+
+def mode_matrix(modes, mode_map) -> np.ndarray:
+    """U with z = U w: entry (m, k) = spatial[j, s] * colour[p, g] for the
+    labels m = (j, p), k = (s, g) of the mode map."""
+    return np.array([[modes.spatial[j, s] * modes.colour[p, g]
+                      for s, g in mode_map.labels] for j, p in mode_map.labels])
+
+
+def substituted_symbol(s, u: np.ndarray, tol: float = 1e-12):
+    """The real-mode symbol s with z = u w and z* = conj(u) w* substituted
+    term by term in the symbol ring; coefficients below tol times the
+    largest are dropped."""
+    from ymspec.symbols import PolynomialSymbol
+
+    D = s.num_modes
+    z = [sum((PolynomialSymbol.z(D, k) * u[m, k] for k in range(D)
+              if u[m, k] != 0), PolynomialSymbol.zero(D)) for m in range(D)]
+    zs = [f.conjugate() for f in z]
+    out = PolynomialSymbol.zero(D)
+    for (alpha, beta), coeff in s.terms.items():
+        term = PolynomialSymbol.constant(D, coeff)
+        for m in range(D):
+            for _ in range(alpha[m]):
+                term = term * zs[m]
+            for _ in range(beta[m]):
+                term = term * z[m]
+        out = out + term
+    scale = max(abs(c) for c in out.terms.values())
+    return PolynomialSymbol(D, {k: c for k, c in out.terms.items()
+                                if abs(c) > tol * scale})
+
+
+def rotation_generators(basis, mode_map, colour: bool = True) -> list:
+    """Real antisymmetric D x D generators of the model's rotations on the
+    real modes (j, p): ad(b_a) on p for every algebra element (if colour),
+    and L_x, L_y, L_z on j; each returned with its name."""
+    index = {label: m for m, label in enumerate(mode_map.labels)}
+    D = len(index)
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[i, j, k], eps[i, k, j] = 1.0, -1.0
+    gens = []
+    if colour:
+        for a in range(basis.dim_g):
+            ad = basis.structure_constants[:, a, :]
+            g = np.zeros((D, D))
+            for (j, p), m in index.items():
+                for (k, q), mp in index.items():
+                    if j == k:
+                        g[m, mp] = ad[p, q]
+            gens.append((f"ad(b_{a})", g))
+    for i, name in enumerate("xyz"):
+        g = np.zeros((D, D))
+        for (j, p), m in index.items():
+            for (k, q), mp in index.items():
+                if p == q:
+                    g[m, mp] = -eps[i, j, k]
+        gens.append((f"L_{name}", g))
+    return gens
+
+
+def generator_symbol(a: np.ndarray):
+    """The normal symbol sum_mm' a[m, m'] z*_m z_m'."""
+    from ymspec.symbols import PolynomialSymbol
+
+    D = a.shape[0]
+    unit = np.eye(D, dtype=int)
+    return PolynomialSymbol(D, {(tuple(unit[m]), tuple(unit[mp])): a[m, mp]
+                                for m in range(D) for mp in range(D)
+                                if a[m, mp] != 0})

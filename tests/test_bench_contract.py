@@ -15,7 +15,7 @@ import scipy
 
 from ymspec.algebra import build_algebra
 from ymspec.spectrum import ModelSpec
-from ymspec.symbols import energy_symbol
+from ymspec.symbols import cartan_modes, energy_symbol
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,11 +83,17 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         assert names.count("fock.quantize") == 1
         # the algebra is built once, for both the mode map and the symbol
         assert names.count("algebra.build_algebra") == 1
-        # one symbol, whose term count the span reads from its result
+        # one symbol, whose term count the span reads from its result: the
+        # Cartan-mode symbol that quantize receives, 7 terms where the
+        # real modes have 9
         (symbol_span,) = [s for s in spans if s[0] == "symbols.energy_symbol"]
-        model = ModelSpec(algebra="su2", sector="abelian", N_max=4)
-        symbol = energy_symbol(build_algebra("su2"), model.mode_map())
-        assert symbol_span[5]["terms"] == len(symbol.terms) == 9
+        (quantize_span,) = [s for s in spans if s[0] == "fock.quantize"]
+        algebra = build_algebra("su2")
+        mode_map = ModelSpec(algebra="su2", sector="abelian", N_max=4).mode_map()
+        symbol = energy_symbol(algebra, mode_map, True,
+                               cartan_modes(algebra, mode_map))
+        assert (symbol_span[5]["terms"] == quantize_span[5]["terms"]
+                == len(symbol.terms) == 7)
     else:
         # the curvature of each accepted state gives its energy and the
         # next step's first stage: three more stages per step, plus t = 0

@@ -27,6 +27,11 @@ from ymspec.errors import ConfigurationError, InsufficientDataError
 from ymspec.lattice import constraint_residual, field_norm, load_field
 
 
+def config_json(cfg: RunConfig) -> str:
+    """A parsed config as JSON text, which parse_config reads back."""
+    return json.dumps(cfg.to_dict(), indent=1, sort_keys=True)
+
+
 class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config('{"command": "check-algebra", "algebra": "su2"}')
@@ -69,7 +74,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(doc))
         assert cfg.model.N_max == 4
         assert cfg.algebra == "su3"
-        again = parse_config(cfg.to_json())
+        again = parse_config(config_json(cfg))
         assert again == cfg
 
     def test_output_key_unknown(self):
@@ -84,8 +89,8 @@ class TestParseConfig:
             readme, re.S,
         ).group(1)
         cfg = parse_config(block)
-        # to_json also tells 1 from 1.0
-        assert cfg.to_json() == RunConfig(command=cfg.command).to_json()
+        # the JSON text also tells 1 from 1.0
+        assert config_json(cfg) == config_json(RunConfig(command=cfg.command))
 
 
 def _leaf_paths(doc, prefix=""):
@@ -127,7 +132,7 @@ def test_one_leaf_replaced_parses_or_is_named(leaf, value):
     else:
         # nothing accepted is NaN or Infinity, which strict JSON refuses
         json.dumps(cfg.to_dict(), allow_nan=False)
-        assert parse_config(cfg.to_json()) == cfg
+        assert parse_config(config_json(cfg)) == cfg
 
 
 # a small fixed value set, so no document that passes validation asks for
@@ -347,7 +352,7 @@ class TestMainExitCodes:
     def test_oversize_block_component_refused_before_eigensolve(
             self, tmp_path, monkeypatch):
         # a cap of 0 rows refuses the first block, the 1-row vacuum, before
-        # any component is made dense
+        # any sector is made dense
         calls = []
 
         def spy(a, *args, **kwargs):
@@ -362,7 +367,7 @@ class TestMainExitCodes:
         assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 3
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "ResourceError"
-        assert "1-dim component" in diag["message"]
+        assert "1-dim sector" in diag["message"]
         assert calls == []
         assert not (tmp_path / "spectrum.csv").exists()
 
@@ -587,9 +592,9 @@ class TestRunners:
     def test_level_tol_sets_multiplicity_window(self, tmp_path, monkeypatch):
         tols = []
 
-        def spy(matrix, lo, hi, tol):
+        def spy(matrix, lo, hi, tol, sectors):
             tols.append(tol)
-            return lowest_level(matrix, lo, hi, tol)
+            return lowest_level(matrix, lo, hi, tol, sectors)
 
         lowest_level = spectrum._lowest_level
         monkeypatch.setattr(spectrum, "_lowest_level", spy)
@@ -715,8 +720,8 @@ _IMPORT_DOCS = {
 
 class TestImportContract:
     """No command loads scipy.sparse, on entering its runner or after it:
-    the Fock operators are numpy arrays and the block components are
-    labelled by numpy.  Nor does any command load scipy.sparse.csgraph,
+    the Fock operators are numpy arrays and the block sectors are read
+    off in numpy.  Nor does any command load scipy.sparse.csgraph,
     scipy.sparse.linalg or scipy.linalg."""
 
     def test_package_import_loads_no_numpy(self):

@@ -12,14 +12,12 @@ from ymspec.errors import (
     NumericalError,
     ResourceError,
 )
-from ymspec.fock import FockBasis, build_basis, quantize, safe_block_indices
+from ymspec.fock import FockBasis, build_basis, quantize
 from ymspec.symbols import (
     ModeMap,
     PolynomialSymbol,
     convert,
     energy_symbol,
-    symbol_from_json,
-    symbol_to_json,
 )
 
 from oracles import (
@@ -38,6 +36,9 @@ from oracles import (
     random_symbol,
     recursive_basis_states,
     ring_energy_symbol,
+    safe_block_indices,
+    symbol_from_json,
+    symbol_to_json,
     sparse_quantize,
     to_csr,
 )

@@ -84,7 +84,6 @@ class TestLatticeSpec:
     def test_volume_factor(self):
         lat = LatticeSpec(n=4, spacing=0.5)
         assert lat.volume_factor == 0.125
-        assert lat.extent == 2.0
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -137,7 +136,7 @@ class TestGaugedCalculus:
     def test_grad_sine_mode(self, su2):
         n = 16
         lat = LatticeSpec(n=n, spacing=0.5)
-        L = lat.extent
+        L = lat.n * lat.spacing
         x = np.arange(n) * lat.spacing
         u_data = np.zeros((3, n, n, n))
         u_data[0] = np.sin(2 * np.pi * x / L)[:, None, None]

@@ -18,7 +18,7 @@ from ymspec.errors import (
     NumericalError,
     ResourceError,
 )
-from ymspec.fock import Csr, FockOperator, build_basis, quantize, safe_block_indices
+from ymspec.fock import Csr, FockOperator, build_basis, quantize
 from ymspec.spectrum import (
     ModelSpec,
     SpectrumReport,
@@ -30,20 +30,28 @@ from ymspec.spectrum import (
     number_shift_bound,
     spectrum_summary_json,
 )
-from ymspec.symbols import ModeMap, energy_symbol
+from ymspec.symbols import ModeMap, cartan_modes, energy_symbol
 
 from oracles import (
     FockVector,
     certified_minimum,
+    component_block_eigenvalues,
+    component_labels,
     count_below,
+    degree_indices,
     dense_lowest_level,
     expectation,
     from_csr,
+    generator_symbol,
     hermiticity_defect,
+    is_zero,
     ladder_quantize,
     lanczos_lowest_level,
     number_operator,
     random_symbol,
+    real_mode_hamiltonian,
+    rotation_generators,
+    safe_block_indices,
     smoothed_value_fd,
     sparse_block_eigenvalues,
     sparse_component_labels,
@@ -53,9 +61,10 @@ from oracles import (
 
 
 def block_levels(h, ns, tol):
-    """Lowest levels and multiplicities of the degree-n blocks."""
+    """Lowest levels and multiplicities of the degree-n blocks, solved
+    sector by sector."""
     levels = [spectrum._lowest_level(h.matrix, *spectrum._degree_rows(h.basis, n),
-                                     tol) for n in ns]
+                                     tol, h.basis.sectors) for n in ns]
     return [lam for lam, _ in levels], [mult for _, mult in levels]
 
 
@@ -69,21 +78,23 @@ class TestModelSpec:
             ModelSpec(algebra="su2", sector="chiral")
 
     def test_mode_counts(self):
-        assert ModelSpec(algebra="su2").num_modes == 9
-        assert ModelSpec(algebra="su3").num_modes == 24
-        assert ModelSpec(algebra="su2", sector="abelian").num_modes == 3
+        assert ModelSpec(algebra="su2").mode_map().num_modes == 9
+        assert ModelSpec(algebra="su3").mode_map().num_modes == 24
+        assert ModelSpec(algebra="su2", sector="abelian").mode_map().num_modes == 3
 
 
 class TestAssemble:
     def test_abelian_matches_ladder_oracle(self, su2):
         # H lives on the safe basis, the degree <= N_max - 2 prefix of the
-        # full basis, on which the oracle multiplies ladder matrices
+        # full basis, on which the oracle multiplies ladder matrices of the
+        # Cartan-mode symbol
         model = ModelSpec(algebra="su2", sector="abelian", N_max=6)
         h = assemble_hamiltonian(model)
         full = build_basis(3, 6)
         safe = safe_block_indices(full, 2)
         assert np.array_equal(full.states[safe], h.basis.states)
-        sym = energy_symbol(su2, ModeMap.abelian(3))
+        mm = ModeMap.abelian(3)
+        sym = energy_symbol(su2, mm, True, cartan_modes(su2, mm))
         oracle = ladder_quantize(sym, "antinormal", full)[np.ix_(safe, safe)]
         assert (abs(to_csr(h) - oracle)).max() < 1e-12
 
@@ -92,14 +103,18 @@ class TestAssemble:
     ])
     def test_safe_basis_matches_full_basis(self, algebra, N_max):
         # the safe basis holds only the states the levels and C* read; on
-        # them, H equals the full-basis quantization entry by entry, bit
-        # for bit, since each entry sums its terms in the same order
+        # them, H equals the full-basis quantization of the same Cartan-mode
+        # symbol entry by entry, bit for bit, since each entry sums its
+        # terms in the same order
         model = ModelSpec(algebra=algebra, N_max=N_max)
         h = assemble_hamiltonian(model)
-        D = model.num_modes
+        D = model.mode_map().num_modes
         assert h.basis.size == math.comb(D + N_max - 2, D)
-        sym = energy_symbol(build_algebra(algebra), model.mode_map())
-        full = quantize(sym, "antinormal", build_basis(D, N_max))
+        lie, mm = build_algebra(algebra), model.mode_map()
+        modes = cartan_modes(lie, mm)
+        sym = energy_symbol(lie, mm, True, modes)
+        full = quantize(sym, "antinormal",
+                        build_basis(D, N_max, weights=modes.weights))
         safe = safe_block_indices(full.basis, 2)
         assert np.array_equal(full.basis.states[safe], h.basis.states)
         assert (to_csr(h) != to_csr(full)[np.ix_(safe, safe)]).nnz == 0
@@ -159,7 +174,7 @@ class TestBlocks:
         n_op = number_operator(basis)
         for n in range(4):
             block = n_boson_block(n_op, n)
-            dim = len(basis.degree_indices(n))
+            dim = len(degree_indices(basis, n))
             assert block.shape == (dim, dim)
             assert np.abs(block - n * np.eye(dim)).max() < 1e-14
 
@@ -201,7 +216,7 @@ class TestBosonicSpectrum:
     def test_abelian_quartic_is_zero(self, su2):
         mm = ModeMap.abelian(3)
         quartic = energy_symbol(su2, mm) - energy_symbol(su2, mm, include_magnetic=False)
-        assert quartic.is_zero(0.0)
+        assert is_zero(quartic, 0.0)
 
     def test_su2_gap_and_monotonicity(self, su2_model_nmax8, su2_hamiltonian_nmax8):
         lams, mults = block_levels(
@@ -219,7 +234,7 @@ class TestBosonicSpectrum:
             vals = la.eigh(block, eigvals_only=True)
             assert abs(vals[0] - n) < 1e-13
             mult = int(np.sum(vals <= vals[0] + 1e-8))
-            assert mult == len(basis.degree_indices(n))
+            assert mult == len(degree_indices(basis, n))
 
     def test_variational_consistency(self, su2_model_nmax8, su2_hamiltonian_nmax8, rng):
         h = su2_hamiltonian_nmax8
@@ -349,7 +364,7 @@ class TestRealEigensolve:
         seen = solver_dtypes(monkeypatch)
         lams, _ = block_levels(h, range(5), model.level_tol)
         number_shift_bound(h)  # C*: H - N is real
-        # at least one component per block and one for C*, all real
+        # at least one sector per block and one for C*, all real
         assert seen.count(np.dtype(float)) == len(seen) >= 5 + 1
         assert lams == pytest.approx(complex_levels, rel=1e-12)
 
@@ -363,9 +378,10 @@ class TestRealEigensolve:
         expected = np.linalg.eigvalsh(block)
         scale = np.abs(expected).max()
         seen = solver_dtypes(monkeypatch)
-        lam, mult = spectrum._lowest_level(q.matrix, 0, idx.size, 1e-8)
-        # the random symbol couples 33 of the 35 states; two are isolated
-        assert seen == [np.dtype(complex)] * 3
+        lam, mult = spectrum._lowest_level(q.matrix, 0, idx.size, 1e-8,
+                                           b.sectors)
+        # a basis without weights holds one sector: one complex solve
+        assert seen == [np.dtype(complex)]
         assert abs(lam - expected[0]) < 1e-12 * scale
         assert mult == dense_lowest_level(to_csr(q), idx, 1e-8)[1]
 
@@ -378,7 +394,7 @@ class TestLowestLevel:
         closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in rep.ns]
         assert rep.lambdas == pytest.approx(closed_form, rel=1e-12, abs=0)
         h = rep.hamiltonian
-        oracle = [dense_lowest_level(to_csr(h), h.basis.degree_indices(n), 1e-8)
+        oracle = [dense_lowest_level(to_csr(h), degree_indices(h.basis, n), 1e-8)
                   for n in rep.ns]
         assert rep.multiplicities == [mult for _, mult in oracle]
         assert rep.multiplicities == [1, 9, 10, 51, 19, 66, 26]
@@ -388,7 +404,8 @@ class TestLowestLevel:
     def test_repeat_solves_bit_identical(self, su2_hamiltonian_nmax8):
         # the levels land in spectrum.csv, so their digits must repeat
         rows = spectrum._degree_rows(su2_hamiltonian_nmax8.basis, 3)
-        runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, *rows, 1e-8)
+        runs = {spectrum._lowest_level(su2_hamiltonian_nmax8.matrix, *rows, 1e-8,
+                                       su2_hamiltonian_nmax8.basis.sectors)
                 for _ in range(4)}
         assert len(runs) == 1
 
@@ -397,17 +414,17 @@ class TestLowestLevel:
         np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]]),
     ])
     def test_two_row_blocks_read_densely(self, block):
-        # the components are labelled from the sparsity pattern, so a
-        # complex block is labelled without a cast or a warning
+        # a complex block is split and filled without a cast or a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam, mult = spectrum._lowest_level(from_csr(block), 0, 2, 1e-8)
+            lam, mult = spectrum._lowest_level(from_csr(block), 0, 2, 1e-8,
+                                               np.zeros(2, dtype=int))
         assert abs(lam - np.linalg.eigvalsh(block)[0]) < 1e-12
         assert mult == 1
 
     def test_vacuum_block_read_directly(self, su2_hamiltonian_nmax8):
         h = su2_hamiltonian_nmax8
-        lam, mult = spectrum._lowest_level(h.matrix, 0, 1, 1e-8)
+        lam, mult = spectrum._lowest_level(h.matrix, 0, 1, 1e-8, h.basis.sectors)
         assert (lam, mult) == (to_csr(h)[0, 0].real, 1)
 
     # the Lanczos oracle's certificate: a wrong minimum, a pivoted or
@@ -416,7 +433,7 @@ class TestLowestLevel:
     def test_wrong_minimum_is_numerical(self, monkeypatch,
                                         su2_hamiltonian_nmax8):
         # a Lanczos value above the true minimum fails the inertia check
-        idx = su2_hamiltonian_nmax8.basis.degree_indices(3)  # lambda = 20.5
+        idx = degree_indices(su2_hamiltonian_nmax8.basis, 3)  # lambda = 20.5
         monkeypatch.setattr(spla, "eigsh",
                             lambda *args, **kwargs: np.array([21.0]))
         with pytest.raises(NumericalError, match="51 eigenvalues"):
@@ -468,10 +485,13 @@ def edge_lists(draw):
 
 
 class TestComponentLabels:
+    """The real-mode oracle labels each block's components, which were its
+    symmetry sectors before the Cartan modes made them closed-form."""
+
     @settings(database=None, derandomize=True, deadline=None, max_examples=200)
     @given(graph=edge_lists())
     def test_matches_csgraph(self, graph):
-        labels = spectrum._component_labels(*graph)
+        labels = component_labels(*graph)
         assert labels.dtype.kind == "i"
         assert np.array_equal(labels, csgraph_labels(*graph))
 
@@ -481,34 +501,123 @@ class TestComponentLabels:
         seen = solver_dtypes(monkeypatch)
         zeros = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
                     np.array([2.0, 0.0, 0.0, 3.0], dtype=complex))
-        vals = spectrum._block_eigenvalues(zeros, 0, 2)
+        vals = component_block_eigenvalues(zeros, 0, 2)
         assert vals.tolist() == [2.0, 3.0]
         assert len(seen) == 2
 
     def test_one_sided_entry_joins_both_rows(self):
-        labels = spectrum._component_labels(np.array([2]), np.array([0]), 3)
+        labels = component_labels(np.array([2]), np.array([0]), 3)
         assert labels.tolist() == [0, 1, 0]
 
     def test_long_path_in_reverse_order(self):
         # a path whose labels must travel its whole length
         n = 200
         order = np.arange(n)[::-1]
-        labels = spectrum._component_labels(order[:-1], order[1:], n)
+        labels = component_labels(order[:-1], order[1:], n)
         assert np.array_equal(labels, np.zeros(n))
 
     @pytest.mark.parametrize("N_max", [8, 10])
-    def test_su2_number_shift_block(self, N_max, su2_hamiltonian_nmax8,
-                                    su2_hamiltonian_nmax10):
-        h = {8: su2_hamiltonian_nmax8, 10: su2_hamiltonian_nmax10}[N_max]
+    def test_su2_number_shift_block(self, N_max, su2_model_nmax8):
+        # the real-mode safe block splits into the 32 GF(2) parity sectors,
+        # on the edge arrays and on the scipy pattern of H - N, where N's
+        # diagonal joins no rows
+        h = real_mode_hamiltonian(su2_model_nmax8, N_max)
         idx = safe_block_indices(h.basis, 2)
         rows, cols, _ = h.matrix.rows(0, idx.size)
-        labels = spectrum._component_labels(rows, cols, idx.size)
+        labels = component_labels(rows, cols, idx.size)
         assert labels.max() + 1 == 32
         assert np.array_equal(labels, csgraph_labels(rows, cols, idx.size))
-        # the labels of the scipy pattern of H - N, where N's diagonal
-        # joins no rows
         sub = (to_csr(h) - to_csr(number_operator(h.basis)))[np.ix_(idx, idx)]
         assert np.array_equal(labels, sparse_component_labels(sub))
+
+
+class TestSectors:
+    def test_stored_zero_is_no_leak(self, monkeypatch):
+        # rows 0 and 1 lie in two sectors, joined only by stored zeros
+        seen = solver_dtypes(monkeypatch)
+        zeros = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                    np.array([2.0, 0.0, 0.0, 3.0], dtype=complex))
+        vals = spectrum._block_eigenvalues(zeros, 0, 2, np.array([0, 1]))
+        assert vals.tolist() == [2.0, 3.0]
+        assert len(seen) == 2
+
+    def test_entry_joining_sectors_is_numerical(self):
+        joined = from_csr(np.array([[2.0, 1e-6], [1e-6, 3.0]]))
+        with pytest.raises(NumericalError, match="joins two weight sectors"):
+            spectrum._block_eigenvalues(joined, 0, 2, np.array([0, 1]))
+        # at most 1e-12 of the block's largest entry, it is roundoff
+        tiny = from_csr(np.array([[2.0, 1e-12], [1e-12, 3.0]]))
+        assert spectrum._block_eigenvalues(tiny, 0, 2,
+                                           np.array([0, 1])).tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize("algebra,N_max", [("su2", 8), ("so4", 5)])
+    def test_no_stored_entry_joins_sectors(self, algebra, N_max):
+        h = assemble_hamiltonian(ModelSpec(algebra=algebra, N_max=N_max))
+        rows, cols, _ = h.matrix.rows(0, h.basis.size)
+        assert np.array_equal(h.basis.sectors[rows], h.basis.sectors[cols])
+
+    def test_sectors_code_weights_one_to_one(self, su2_hamiltonian_nmax8):
+        # as many distinct (weight, sector) pairs as weights and as sectors
+        basis = su2_hamiltonian_nmax8.basis
+        weights = basis.states @ basis.weights
+        pairs = np.unique(np.c_[weights, basis.sectors], axis=0)
+        assert (len(pairs) == len(np.unique(weights, axis=0))
+                == len(np.unique(basis.sectors)) == 169)
+        assert np.array_equal(basis.sectors == 0, ~weights.any(axis=1))
+
+    @pytest.mark.parametrize("N_max,zero_weight", [(8, 157), (10, 506)])
+    def test_su2_cstar_solves_zero_weight_rows(
+            self, monkeypatch, N_max, zero_weight, su2_hamiltonian_nmax8,
+            su2_hamiltonian_nmax10):
+        h = {8: su2_hamiltonian_nmax8, 10: su2_hamiltonian_nmax10}[N_max]
+        assert np.count_nonzero(h.basis.sectors == 0) == zero_weight
+        shapes = []
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        number_shift_bound(h)
+        assert shapes == [(zero_weight, zero_weight)]
+
+    def test_sector_cap(self, monkeypatch, su2_hamiltonian_nmax8):
+        # the cap counts the rows of one sector, not of the block: the
+        # degree-5 block has 1,287 rows and its largest sector 39
+        h = su2_hamiltonian_nmax8
+        rows = spectrum._degree_rows(h.basis, 5)
+        monkeypatch.setattr(spectrum, "DENSE_COMPONENT_CAP", 39)
+        spectrum._block_eigenvalues(h.matrix, *rows, h.basis.sectors)
+        monkeypatch.setattr(spectrum, "DENSE_COMPONENT_CAP", 38)
+        with pytest.raises(ResourceError, match="39-dim sector"):
+            spectrum._block_eigenvalues(h.matrix, *rows, h.basis.sectors)
+
+
+class TestRotationSymmetry:
+    """H commutes with the quantized generators sum A_mm' a+_m a_m' of the
+    colour rotations ad(b_a) and the spatial rotations L_x, L_y, L_z, the
+    premise of the zero-weight C*.  Each generator conserves N, so the
+    commutator has no truncation edge and is checked on the whole basis."""
+
+    @pytest.mark.parametrize("algebra,N_max,sector", [
+        ("su2", 8, "full"), ("su3", 5, "full"), ("so4", 5, "full"),
+        ("so5", 4, "full"), ("su2", 8, "abelian"),
+    ])
+    def test_generators_commute_with_h(self, algebra, N_max, sector):
+        model = ModelSpec(algebra=algebra, N_max=N_max, sector=sector)
+        h = real_mode_hamiltonian(model)
+        lie = build_algebra(algebra)
+        big = to_csr(h)
+        scale = abs(big).max()
+        gens = rotation_generators(lie, model.mode_map(lie),
+                                   colour=sector == "full")
+        assert len(gens) == (lie.dim_g + 3 if sector == "full" else 3)
+        for name, a in gens:
+            g = to_csr(quantize(generator_symbol(a), "normal", h.basis))
+            assert abs(g).max() > 0.5, name
+            comm = big @ g - g @ big
+            assert abs(comm).max() <= 1e-12 * scale, name
 
 
 # the dense whole-block oracle is run on blocks of at most 2,002 rows, to
@@ -534,7 +643,7 @@ def _levels_against_oracles(q, ns, tol, margin_degree):
     """The levels of q's degree-n blocks and C* against the oracles."""
     for n in ns:
         lo, hi = spectrum._degree_rows(q.basis, n)
-        lam, mult = spectrum._lowest_level(q.matrix, lo, hi, tol)
+        lam, mult = spectrum._lowest_level(q.matrix, lo, hi, tol, q.basis.sectors)
         _against_oracles(to_csr(q), np.arange(lo, hi), tol, lam, mult)
     shifted = to_csr(q) - to_csr(number_operator(q.basis))
     _against_oracles(shifted, safe_block_indices(q.basis, margin_degree), tol,
@@ -559,46 +668,63 @@ class TestAgainstOracles:
 
 
 class TestScipyBlockOracle:
-    """The block spectra, the levels, their multiplicities and C* equal,
-    bit for bit, those of the scipy.sparse path: scipy fancy indexing of
-    the scipy-summed operator, components labelled on its symmetrized
-    pattern, and H - N as a sparse difference."""
-
-    @staticmethod
-    def assert_blocks_identical(q, ref, ns, margin_degree):
-        for n in ns:
-            got = spectrum._block_eigenvalues(
-                q.matrix, *spectrum._degree_rows(q.basis, n))
-            want = sparse_block_eigenvalues(ref, q.basis.degree_indices(n))
-            assert np.array_equal(got, want)
-        shifted = ref - to_csr(number_operator(q.basis))
-        want = sparse_block_eigenvalues(
-            shifted, safe_block_indices(q.basis, margin_degree))
-        assert number_shift_bound(q, margin_degree) == want[0]
+    """The levels, their multiplicities and C* of the Cartan sector path
+    equal, to 1e-12 relative, those of the real-mode scipy.sparse path: H
+    summed into a scipy matrix in the real modes, its blocks taken by scipy
+    fancy indexing and split into the components of their pattern, C*
+    solved on every component of the whole safe block.  The two operators
+    are unitarily equivalent, not equal, so the last digits may differ."""
 
     @pytest.mark.parametrize("algebra,N_max,sector", [
-        ("su2", 8, "full"), ("su3", 4, "full"), ("so4", 5, "full"),
-        ("so5", 4, "full"), ("su2", 8, "abelian"),
+        ("su2", 8, "full"), ("su3", 4, "full"), ("su3", 5, "full"),
+        ("so4", 5, "full"), ("so5", 4, "full"), ("su2", 8, "abelian"),
     ])
     def test_levels_and_cstar(self, algebra, N_max, sector):
         model = ModelSpec(algebra=algebra, N_max=N_max, sector=sector)
         rep = bosonic_spectrum(model)
-        h = rep.hamiltonian
+        basis = build_basis(rep.D, N_max, depth=N_max - 2)
         sym = energy_symbol(build_algebra(algebra), model.mode_map())
-        ref = sparse_quantize(sym, model.convention, h.basis)
+        ref = sparse_quantize(sym, model.convention, basis)
         for n, lam, mult in zip(rep.ns, rep.lambdas, rep.multiplicities):
-            vals = sparse_block_eigenvalues(ref, h.basis.degree_indices(n))
-            assert lam == vals[0]
+            vals = sparse_block_eigenvalues(ref, degree_indices(basis, n))
+            assert lam == pytest.approx(vals[0], rel=1e-12, abs=1e-12)
             assert mult == np.count_nonzero(vals <= vals[0] + model.level_tol)
-        self.assert_blocks_identical(h, ref, rep.ns, 2)
+        shifted = ref - to_csr(number_operator(basis))
+        want = sparse_block_eigenvalues(shifted, safe_block_indices(basis, 2))
+        assert number_shift_bound(rep.hamiltonian) == pytest.approx(
+            want[0], rel=1e-12, abs=1e-12)
 
     def test_complex_symbol(self, rng):
+        # without weights every block is one sector, against the components
         b = build_basis(3, 8)
         s = random_symbol(rng, 3, 4, hermitian=True, n_terms=12)
         q = quantize(s, "normal", b)
         assert q.matrix.data.imag.any()
-        self.assert_blocks_identical(q, sparse_quantize(s, "normal", b),
-                                     range(5), 4)
+        ref = sparse_quantize(s, "normal", b)
+        for n in range(5):
+            got = spectrum._block_eigenvalues(
+                q.matrix, *spectrum._degree_rows(b, n), b.sectors)
+            want = sparse_block_eigenvalues(ref, degree_indices(b, n))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        shifted = ref - to_csr(number_operator(b))
+        want = sparse_block_eigenvalues(shifted, safe_block_indices(b, 4))
+        assert number_shift_bound(q, 4) == pytest.approx(want[0], rel=1e-12)
+
+    def test_numpy_components_match_scipy(self, su2_model_nmax8):
+        # the real-mode path in numpy is bit for bit its scipy form
+        h = real_mode_hamiltonian(su2_model_nmax8)
+        ref = to_csr(h)
+        for n in range(6):
+            idx = degree_indices(h.basis, n)
+            assert np.array_equal(
+                component_block_eigenvalues(h.matrix, idx[0], idx[-1] + 1),
+                sparse_block_eigenvalues(ref, idx))
+        shifted = ref - to_csr(number_operator(h.basis))
+        safe = safe_block_indices(h.basis, 2)
+        assert np.array_equal(
+            component_block_eigenvalues(h.matrix, 0, safe.size,
+                                        shift=h.basis.degrees[:safe.size]),
+            sparse_block_eigenvalues(shifted, safe))
 
 
 class TestSafeBlockTruncationConvergence:
@@ -628,6 +754,18 @@ class TestNumberShiftBound:
         with pytest.raises(NumericalError):
             number_shift_bound(FockOperator(basis, from_csr(skew)))
 
+    @pytest.mark.parametrize("margin", [0, 1])
+    def test_margin_past_basis_depth_rejected(self, margin):
+        # the safe basis at N_max = 6 holds degree <= 4: margins 0 and 1
+        # would bound degrees 6 and 5, which it does not hold
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=6))
+        assert h.basis.depth == 4
+        with pytest.raises(ConfigurationError, match="degrees <= 4"):
+            number_shift_bound(h, margin)
+        assert number_shift_bound(h, 2) == pytest.approx(10.97194494150641,
+                                                         rel=1e-12)
+        assert number_shift_bound(h, 3) == pytest.approx(11.741676, rel=1e-7)
+
     def test_lanczos_matches_dense(self):
         model = ModelSpec(algebra="su2", N_max=5)
         h = assemble_hamiltonian(model)
@@ -635,7 +773,7 @@ class TestNumberShiftBound:
         dense, _ = dense_lowest_level(shifted, safe_block_indices(h.basis, 2),
                                       model.level_tol)
         assert abs(number_shift_bound(h) - dense) < 1e-10 * abs(dense)
-        oracle = [dense_lowest_level(to_csr(h), h.basis.degree_indices(n),
+        oracle = [dense_lowest_level(to_csr(h), degree_indices(h.basis, n),
                                      model.level_tol) for n in range(4)]
         lams, mults = block_levels(h, range(4), model.level_tol)
         assert lams == pytest.approx([lam for lam, _ in oracle], rel=1e-10)
@@ -720,9 +858,9 @@ class TestConvergenceStudy:
         # one block solve per (N_max, n); no multiplicity is counted
         calls = []
 
-        def spy(matrix, lo, hi):
+        def spy(matrix, lo, hi, *args, **kwargs):
             calls.append(hi - lo)
-            return block_eigenvalues(matrix, lo, hi)
+            return block_eigenvalues(matrix, lo, hi, *args, **kwargs)
 
         def no_count(*args):
             raise AssertionError("convergence_study counted a multiplicity")
