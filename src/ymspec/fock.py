@@ -1,10 +1,11 @@
 """Truncated bosonic Fock space over D modes with total-degree cutoff.
 
 States are occupation multi-indices mu with |mu| <= depth <= N_max in
-degree-major, lexicographic order; N_max bounds the ladder paths.
-Operators are compressed-sparse-row arrays (Csr) of numpy on that
-enumeration; the basis's raise tables (the index of mu + e_m, per mode)
-give the rows and columns of every quantized monomial.  Quantization
+degree-major, lexicographic order; N_max bounds the ladder paths.  A
+basis may also hold any subset of those states (FockBasis.subset), in the
+same order.  Operators are compressed-sparse-row arrays (Csr) of numpy on
+a basis; the linear occupation keys give the rows and columns of every
+quantized monomial, for all terms at once.  Quantization
 places ladder operators according to the requested ordering convention;
 compositions are taken on the truncated space (creation paths leaving
 the basis are dropped), so assertions about operator identities are
@@ -33,8 +34,8 @@ from .errors import (
 from .symbols import PolynomialSymbol, convert, validate_ordering
 
 DEFAULT_BASIS_CAP = 5_000_000
-# entries quantize collects before summing them into its running total
-CHUNK_ENTRIES = 4_000_000
+# (term, row) candidates quantize forms at a time
+CHUNK_ENTRIES = 1_000_000
 
 
 @dataclass
@@ -55,9 +56,9 @@ class FockBasis:
         # powers of an even one reach 0 mod 2**64, dropping the later modes
         radix = self.N_max + 1 + self.N_max % 2
         self._powers = np.uint64(radix) ** np.arange(self.D, dtype=np.uint64)
-        keys = self.states.astype(np.uint64) @ self._powers
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+        self._keys = self.states.astype(np.uint64) @ self._powers
+        order = np.argsort(self._keys, kind="stable")
+        sorted_keys = self._keys[order]
         if np.any(sorted_keys[1:] == sorted_keys[:-1]):
             raise NumericalError(
                 f"occupation keys collide for D={self.D}, N_max={self.N_max}"
@@ -84,14 +85,13 @@ class FockBasis:
         span = 2 * self.depth * int(np.abs(self.weights).max(initial=0)) + 1
         return self.states @ (self.weights @ span ** np.arange(self.weights.shape[1]))
 
-    @functools.cached_property
-    def raised(self) -> np.ndarray:
-        """Raise tables: raised[m, i] is the index of states[i] + e_m, for
-        the states of degree below depth, a prefix of the basis."""
-        below = self.states[:np.searchsorted(self.degrees, self.depth - 1,
-                                             side="right")]
-        return np.stack([self.index_of(below + e)
-                         for e in np.eye(self.D, dtype=np.int64)])
+    def subset(self, rows: np.ndarray) -> "FockBasis":
+        """The states selected by the boolean mask rows, in basis order, on
+        the same truncation (N_max, depth) and mode weights.  Every state
+        of degree <= depth has its own key in an enumerated basis, so a
+        key looked up in the subset is found only for a state it holds."""
+        return FockBasis(self.D, self.N_max, self.states[rows],
+                         self.degrees[rows], self.depth, self.weights)
 
 
 def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
@@ -179,92 +179,53 @@ class FockOperator:
 # quantization
 # ---------------------------------------------------------------------------
 
-def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndarray:
-    """Product of ladder factors over modes; occ is (S, len(multi)), one
-    column per mode of multi."""
-    amp = np.ones(occ.shape[0])
-    for m, power in enumerate(multi):
-        for r in range(power):
-            amp *= occ[:, m] + (r + 1.0) if raise_op else occ[:, m] - float(r)
-    return np.sqrt(amp)
+def _slots(powers: np.ndarray) -> np.ndarray:
+    """Each row's modes of nonzero power, first, padded with modes of
+    power 0 to the widest row's count."""
+    on = powers > 0
+    width = max(1, int(on.sum(axis=1).max(initial=0)))
+    return np.argsort(~on, axis=1, kind="stable")[:, :width]
 
 
-def _monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, amplitudes) of one monomial z*^alpha z^beta under a
-    convention.
-
-    Normal ordering annihilates first, so only its final state can leave
-    the cutoff; anti-normal ordering creates first, so its intermediate
-    state must stay inside; either way the final state has degree <= depth.
-    The sources are the states holding at least ``lift`` quanta, lift = beta
-    (normal) or max(beta - alpha, 0) (anti-normal), of degree <= bound:
-    states[:end] + lift, with end covering degree bound - |lift|.  Their
-    targets are states[:end] + tlift, tlift = alpha or max(alpha - beta, 0),
-    so both index arrays come from the raise tables, in basis order.
-    """
-    # only the modes the monomial acts on
-    modes = [m for m, pair in enumerate(zip(alpha, beta)) if any(pair)]
-    a = np.array([alpha[m] for m in modes], dtype=np.int64)
-    b = np.array([beta[m] for m in modes], dtype=np.int64)
-    normal = convention == "normal"
-    if normal:
-        bound, lift, tlift = basis.N_max + b.sum() - a.sum(), b, a
-    else:
-        bound = basis.N_max - a.sum()
-        lift, tlift = np.maximum(b - a, 0), np.maximum(a - b, 0)
-    bound = min(bound, basis.depth - a.sum() + b.sum(), basis.depth)
-    end = np.searchsorted(basis.degrees, bound - lift.sum(), side="right")
-    if end == 0:
-        return None
-    src, tgt = np.arange(end), np.arange(end)
-    for m, up, down in zip(modes, lift, tlift):
-        for _ in range(up):
-            src = basis.raised[m, src]
-        for _ in range(down):
-            tgt = basis.raised[m, tgt]
-    occ = basis.states[:end, modes] + lift
-    if normal:
-        amp = _ladder_amplitudes(occ, b, raise_op=False)
-        amp *= _ladder_amplitudes(occ - b, a, raise_op=True)
-    else:
-        amp = _ladder_amplitudes(occ, a, raise_op=True)
-        amp *= _ladder_amplitudes(occ + a, b, raise_op=False)
-    return tgt, src, amp
-
-
-def _summed_entries(chunks):
-    """Sum of the (keys, vals) entry lists, as (keys, vals) with each key
-    once, ascending; a stable sort keeps each key's duplicates in list
-    order, and reduceat sums them in an order fixed by that run alone."""
-    keys, vals = (np.concatenate(part) for part in zip(*chunks))
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return keys[first], np.add.reduceat(vals, first)
-
-
-def _merge(total, chunks):
-    """total, a summed (keys, vals) pair, plus the entry lists chunks: each
-    key's value is total's plus the sum of its chunk entries."""
-    if not chunks:
-        return total
-    summed = _summed_entries(chunks)
-    return summed if total[0].size == 0 else _summed_entries([total, summed])
+def _falling_factorials(top: int, kmax: int) -> np.ndarray:
+    """fall[n, k] = n (n - 1) ... (n - k + 1) for n <= top, k <= kmax, as
+    floats, exact below 2**53; 0 for k > n."""
+    steps = np.arange(top + 1.0)[:, None] - np.arange(kmax)
+    return np.c_[np.ones(top + 1), np.cumprod(np.maximum(steps, 0.0), axis=1)]
 
 
 def quantize(
     s: PolynomialSymbol, convention: str, basis: FockBasis
 ) -> FockOperator:
-    """Operator assigned to a symbol under an ordering convention.
+    """Operator assigned to a symbol under an ordering convention,
+    compressed to the basis's states.
 
     normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
     antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
     weyl:       convert the symbol to normal form, then quantize normally.
+
+    The basis may be any subset of a truncation's states (FockBasis.subset):
+    the entries are those of the whole truncation's operator between the
+    states held, its principal submatrix.  Normal ordering annihilates
+    first, so only its final state can leave the cutoff; anti-normal
+    ordering creates first, so its intermediate state must stay inside.
+    So a monomial's sources are the states mu >= lift, lift = b (normal) or
+    max(b - a, 0) (anti-normal), of degree <= bound, with the final state of
+    degree <= depth, and its targets mu + a - b.  Every row is a target:
+    the (term, row) candidates are formed per distinct target lift, and a
+    source is found by its key, key(mu + a - b) - key(a - b), since the
+    keys are linear mod 2**64; a source the basis does not hold is dropped.
+    Amplitudes are products of ladder factors, exact below 2**53, then two
+    square roots.
+
     Terms are taken in sorted key order, so the matrix depends only on the
     symbol's content: the diagonal terms (a == b) add into one dense
     vector in that order, and the duplicates of each other entry, keyed
     row * size + col and lined up in that order by a stable sort, are
-    summed by reduceat.  Entries that cancel to exactly 0 are dropped."""
+    summed by reduceat.  The rows are taken in chunks of at most
+    CHUNK_ENTRIES candidates, each entry's duplicates all in one chunk, so
+    the result does not depend on the chunking.  Entries that cancel to
+    exactly 0 are dropped."""
     validate_ordering(convention)
     if s.num_modes != basis.D:
         raise DimensionMismatchError(
@@ -273,23 +234,71 @@ def quantize(
     if convention == "weyl":
         return quantize(convert(s, "weyl", "normal"), "normal", basis)
 
-    size = basis.size
+    size, terms = basis.size, sorted(s.terms.items())
+    alpha = np.array([a for (a, _), _ in terms], dtype=np.int64).reshape(-1, basis.D)
+    beta = np.array([b for (_, b), _ in terms], dtype=np.int64).reshape(-1, basis.D)
+    coeff = np.array([c for _, c in terms], dtype=complex)
+    da, db = alpha.sum(axis=1), beta.sum(axis=1)
+    normal = convention == "normal"
+    if normal:
+        lift, bound = beta, basis.N_max + db - da
+    else:
+        lift, bound = np.maximum(beta - alpha, 0), basis.N_max - da
+    bound = np.minimum(bound, np.minimum(basis.depth - da + db, basis.depth))
+    # targets hold at least tlift quanta and have degree <= top
+    tlift, top = lift + alpha - beta, bound + da - db
+    lifts, group = np.unique(tlift, axis=0, return_inverse=True)
+    lift_modes = _slots(lifts)
+    lift_need = np.take_along_axis(lifts, lift_modes, axis=1)
+    # per term, the modes it acts on (slots) and, for a target occupation
+    # x on a slot, the entries x * width + c of the two ladder products
+    # in the falling-factorial table: the source mu = x - a + b holds
+    # fall[mu, b] * fall[x, a] (normal), fall[mu + a, a] * fall[mu + a, b]
+    # (anti-normal), mu + a = x + b
+    modes = _slots(alpha + beta)
+    a = np.take_along_axis(alpha, modes, axis=1)
+    b = np.take_along_axis(beta, modes, axis=1)
+    fall = _falling_factorials(basis.N_max, max(1, np.max(alpha, initial=0),
+                                                np.max(beta, initial=0)))
+    width = fall.shape[1]
+    if normal:
+        c1, c2 = (b - a) * width + b, a
+    else:
+        c1, c2 = b * width + a, b * width + b
+    modes, c1, c2 = modes.T.copy(), c1.T.copy(), c2.T.copy()
+    fall, flat_states = fall.ravel(), basis.states.ravel()
+    shift = alpha.astype(np.uint64) @ basis._powers - beta.astype(np.uint64) @ basis._powers
+    on_diagonal = (alpha == beta).all(axis=1)
+    sorted_keys, order = basis._lookup_key
+
     diagonal = np.zeros(size, dtype=complex)
-    total = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
-    chunks, pending = [], 0
-    for (alpha, beta), coeff in sorted(s.terms.items()):
-        entries = _monomial_entries(basis, alpha, beta, convention)
-        if entries is None:
-            continue
-        rows, cols, amp = entries
-        if alpha == beta:
-            diagonal[cols] += amp * coeff
-            continue
-        chunks.append((rows * size + cols, amp * coeff))
-        pending += rows.size
-        if pending >= CHUNK_ENTRIES:
-            total, chunks, pending = _merge(total, chunks), [], 0
-    keys, vals = _merge(total, chunks)
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
+    step = max(1, CHUNK_ENTRIES // max(1, len(terms)))
+    for lo in range(0, size, step):
+        hi = min(size, lo + step)
+        meets = np.all(basis.states[lo:hi, lift_modes] >= lift_need, axis=2)
+        # candidates term-major, so each entry's terms stay in sorted order
+        t, rows = np.nonzero(meets.T[group] & (basis.degrees[lo:hi] <= top[:, None]))
+        rows += lo
+        src_key = basis._keys[rows] - shift[t]
+        at = np.minimum(np.searchsorted(sorted_keys, src_key), size - 1)
+        held = sorted_keys[at] == src_key
+        t, rows, cols = t[held], rows[held], order[at[held]]
+        f1, f2 = np.ones(t.size), np.ones(t.size)
+        for slot, s1, s2 in zip(modes, c1, c2):
+            x = flat_states[rows * basis.D + slot[t]] * width
+            f1 *= fall[x + s1[t]]
+            f2 *= fall[x + s2[t]]
+        vals = np.sqrt(f1) * np.sqrt(f2) * coeff[t]
+        diag = on_diagonal[t]
+        np.add.at(diagonal, rows[diag], vals[diag])
+        keys = rows[~diag] * size + cols[~diag]
+        if keys.size:
+            by_key = np.argsort(keys, kind="stable")
+            keys, vals = keys[by_key], vals[~diag][by_key]
+            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            parts.append((keys[first], np.add.reduceat(vals, first)))
+    keys, vals = (np.concatenate(part) for part in zip(*parts))
     # a monomial with alpha != beta moves every state it acts on, so no key
     # above lies on the diagonal: the diagonal is inserted, not summed
     on = np.flatnonzero(diagonal)
@@ -300,4 +309,3 @@ def quantize(
     keys, vals = keys[stored], vals[stored]
     indptr = np.searchsorted(keys, np.arange(size + 1) * size)
     return FockOperator(basis, Csr(indptr, keys % size, vals))
-

@@ -332,7 +332,9 @@ def _band_limited(rng, shape_head: tuple, n: int, max_mode: int) -> np.ndarray:
     keep = np.abs(freq) <= max_mode
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
     fhat *= mask
-    return np.real(np.fft.ifftn(fhat, axes=(-3, -2, -1)))
+    # a contiguous copy: the real part of the complex transform is a view
+    # of stride 16 bytes, which every later kernel would read strided
+    return np.fft.ifftn(fhat, axes=(-3, -2, -1)).real.copy()
 
 
 def random_vector_field(

@@ -14,11 +14,16 @@ rotations of the modes.  It is quantized in the complex modes that
 diagonalize a Cartan set of them (symbols.cartan_modes: L_z and the
 ad(b_i) of a Cartan subalgebra), in which every occupation state has an
 integer weight and H conserves it, so every block splits into weight
-sectors read off in closed form, each solved densely.  C* needs only the
-zero-weight sector: each irreducible representation in the Fock space
-(symmetric powers of R^3 (x) adj) has its highest weight in the root
-lattice, so 0 is one of its weights, and every eigenvalue of H - N on a
-rotation-invariant block therefore has an eigenvector of weight 0.
+sectors read off in closed form, each solved densely.  The sector of
+weight mu has the spectrum of its mirror -mu (H is real in the real
+modes, and complex conjugation maps one onto the other), so only one of
+each pair is solved.  C* needs only the zero-weight sector: each
+irreducible representation in the Fock space (symmetric powers of
+R^3 (x) adj) has its highest weight in the root lattice, so 0 is one of
+its weights, and every eigenvalue of H - N on a rotation-invariant block
+therefore has an eigenvector of weight 0.  So H is quantized only on the
+rows these solves read: the levels' (weight code >= 0, degree <= n_top,
+number-conserving terms alone) and C*'s (weight 0, every term).
 """
 
 from __future__ import annotations
@@ -37,7 +42,13 @@ from .errors import (
     ResourceError,
 )
 from .fock import FockOperator, build_basis, quantize
-from .symbols import ModeMap, cartan_modes, energy_symbol, validate_ordering
+from .symbols import (
+    ModeMap,
+    PolynomialSymbol,
+    cartan_modes,
+    energy_symbol,
+    validate_ordering,
+)
 
 DEGREE_MARGIN = 2
 # rows of the largest block sector diagonalized densely: a sector of d
@@ -97,8 +108,8 @@ class SpectrumReport:
     multiplicities: list
     N_max: int
     D: int
-    # the operator the levels were computed from (None on a report built
-    # by hand)
+    # the whole H compressed to the zero-weight safe states, which C*
+    # reads (None on a report built by hand)
     hamiltonian: FockOperator | None = field(
         default=None, repr=False, compare=False
     )
@@ -117,13 +128,11 @@ class SpectrumReport:
 # operator assembly and block extraction
 # ---------------------------------------------------------------------------
 
-def _hamiltonians(model: ModelSpec, N_max_list):
-    """The energy-mass operator at each path cutoff in N_max_list, each
-    quantized in the model's Cartan modes on its safe basis, degree <=
-    N_max - DEGREE_MARGIN, which the levels and C* read; the bases carry
-    the mode weights.  Every basis is built, and so passes the cap, before
-    the one energy symbol is; each operator is quantized only when the
-    returned generator is advanced to it."""
+def _cartan_model(model: ModelSpec, N_max_list):
+    """The safe basis, degree <= N_max - DEGREE_MARGIN, at each path cutoff
+    in N_max_list, over the model's Cartan modes, whose weights the bases
+    carry, and the energy symbol in those modes.  Every basis is built, and
+    so passes the cap, before the one symbol is."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
@@ -131,15 +140,36 @@ def _hamiltonians(model: ModelSpec, N_max_list):
     modes = cartan_modes(algebra, mode_map)
     bases = [build_basis(mode_map.num_modes, N, depth=N - DEGREE_MARGIN,
                          weights=modes.weights) for N in N_max_list]
-    sym = energy_symbol(algebra, mode_map, model.include_magnetic, modes)
-    return (quantize(sym, model.convention, basis) for basis in bases)
+    return bases, energy_symbol(algebra, mode_map, model.include_magnetic, modes)
+
+
+def _level_operator(sym: PolynomialSymbol, convention: str, basis,
+                    n_top: int) -> FockOperator:
+    """H compressed to the rows the levels read: weight code >= 0 (a
+    sector of code < 0 has its mirror's spectrum, see _block_eigenvalues)
+    and degree <= n_top, from the number-conserving terms alone, since a
+    term that changes N has no entry inside a degree block.  It holds no
+    more of H, so C* must never read it."""
+    conserving = PolynomialSymbol(sym.num_modes, {
+        (alpha, beta): c for (alpha, beta), c in sym.terms.items()
+        if sum(alpha) == sum(beta)})
+    rows = (basis.sectors >= 0) & (basis.degrees <= n_top)
+    return quantize(conserving, convention, basis.subset(rows))
+
+
+def _zero_weight_operator(sym: PolynomialSymbol, convention: str,
+                          basis) -> FockOperator:
+    """The whole H compressed to the zero-weight rows of the basis, all
+    that C* reads (see number_shift_bound)."""
+    return quantize(sym, convention, basis.subset(basis.sectors == 0))
 
 
 def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
-    """The energy-mass operator at path cutoff N_max (model.N_max if None)
-    on its safe basis; see _hamiltonians."""
-    (h,) = _hamiltonians(model, [model.N_max if N_max is None else N_max])
-    return h
+    """The energy-mass operator at path cutoff N_max (model.N_max if None),
+    quantized in the model's Cartan modes and compressed to the zero-weight
+    states of its safe basis (see _cartan_model), on which C* is solved."""
+    (basis,), sym = _cartan_model(model, [model.N_max if N_max is None else N_max])
+    return _zero_weight_operator(sym, model.convention, basis)
 
 
 def _degree_rows(basis, n: int) -> tuple[int, int]:
@@ -172,11 +202,16 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
     sectors[i] is the sector of row i (FockBasis.sectors, all 0 for a
     basis without weights).  H has no entry between sectors: an entry joining
     two, above 1e-12 of the block's largest |entry|, is a NumericalError.
-    Each sector, rows in basis order (a stable argsort of the sector), is
-    filled into a dense matrix, checked Hermitian against that largest
-    |entry|, and diagonalized completely by dense LAPACK: the result needs
-    no start vector and no certificate.  A block whose stored entries are
-    all real is solved as a real symmetric matrix.
+    The sector of code mu and its mirror -mu have the same spectrum: H is
+    real in the real modes, and complex conjugation there maps weight mu to
+    -mu.  So only the sectors of code >= 0 are solved, and each eigenvalue
+    of a sector of code > 0 is listed twice; a block may hold the sectors
+    of code < 0 or not.  Each sector, rows in basis order (a stable argsort
+    of the sector), is filled into a dense matrix, checked Hermitian against
+    that largest |entry|, and diagonalized completely by dense LAPACK, the
+    sectors of equal size in one stacked call: the result needs no start
+    vector and no certificate.  A block whose stored entries are all real
+    is solved as a real symmetric matrix.
     """
     dim = hi - lo
     key = sectors[lo:hi]
@@ -196,10 +231,9 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         raise NumericalError(f"an entry of {leak:.3e} joins two weight sectors")
     # the rows solved, grouped by sector, and each row's place in its sector
     order = np.argsort(key, kind="stable")
-    if zero_weight:
-        order = order[key[order] == 0]
-    keys, starts, sizes = np.unique(key[order], return_index=True,
-                                    return_counts=True)
+    order = order[key[order] == 0] if zero_weight else order[key[order] >= 0]
+    codes, starts, sizes = np.unique(key[order], return_index=True,
+                                     return_counts=True)
     if sizes.max() > DENSE_COMPONENT_CAP:
         raise ResourceError(
             f"a {dim}-dim block has a {sizes.max()}-dim sector, "
@@ -207,23 +241,28 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         )
     pos = np.full(dim, -1)
     pos[order] = np.arange(order.size) - np.repeat(starts, sizes)
-    # the entries inside the solved sectors, grouped the same way
-    inside = np.flatnonzero(~joins & (pos[rows] >= 0))
-    inside = inside[np.argsort(key[rows[inside]], kind="stable")]
+    # the entries inside the solved sectors
+    inside = ~joins & (pos[rows] >= 0)
     rows, cols, vals = rows[inside], cols[inside], vals[inside]
-    ends = np.searchsorted(key[rows], keys, side="right")
     eigs = []
-    for a, size, e0, e1 in zip(starts, sizes, np.r_[0, ends[:-1]], ends):
-        d = np.zeros((size, size), dtype=vals.dtype)
-        d[pos[rows[e0:e1]], pos[cols[e0:e1]]] = vals[e0:e1]
+    for size in np.unique(sizes):
+        # the sectors of this size, one layer each, their rows in order
+        stack = np.flatnonzero(sizes == size)
+        members = order[starts[stack, None] + np.arange(size)]
+        layer = np.full(dim, -1)
+        layer[members] = np.arange(stack.size)[:, None]
+        mine = layer[rows] >= 0
+        d = np.zeros((stack.size, size, size), dtype=vals.dtype)
+        d[layer[rows[mine]], pos[rows[mine]], pos[cols[mine]]] = vals[mine]
         if shift is not None:
-            d.flat[::size + 1] -= shift[order[a:a + size]]
-        defect = np.abs(d - d.conj().T).max()
+            d[:, np.arange(size), np.arange(size)] -= shift[members]
+        defect = np.abs(d - d.conj().transpose(0, 2, 1)).max()
         if defect > 1e-10 * scale:
             raise NumericalError(
                 f"block is not Hermitian (defect {defect:.3e})"
             )
-        eigs.append(np.linalg.eigvalsh(d))
+        copies = np.where(codes[stack] > 0, 2, 1)
+        eigs.append(np.repeat(np.linalg.eigvalsh(d), copies, axis=0).ravel())
     vals = np.concatenate(eigs)
     vals.sort()
     return vals
@@ -238,14 +277,17 @@ def _lowest_level(matrix, lo: int, hi: int, tol: float,
 
 
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
-    """lambda_n for n = 0..model.n_top with multiplicities, from one assembly of H.
+    """lambda_n for n = 0..model.n_top with multiplicities, from one safe
+    basis and one energy symbol.
 
     Every reported level equals the level of the untruncated operator
     exactly: the degree-n block sees only the number-conserving monomials
     of the quartic energy symbol, whose ladder paths (under any ordering
     convention) pass through degrees <= n + DEGREE_MARGIN, and n_max is
-    capped at N_max - DEGREE_MARGIN, so no path meets the cutoff.  The operator is kept on the report as
-    ``hamiltonian``.
+    capped at N_max - DEGREE_MARGIN, so no path meets the cutoff.  The
+    levels are read from _level_operator; the report keeps the whole H
+    compressed to the zero-weight states of the safe basis as
+    ``hamiltonian``, for C*.
     """
     n_top = model.n_top
     if n_top > model.N_max - DEGREE_MARGIN:
@@ -254,7 +296,8 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
             f"{model.N_max - DEGREE_MARGIN}; truncation-edge blocks are not "
             "trustworthy"
         )
-    h = assemble_hamiltonian(model)
+    (basis,), sym = _cartan_model(model, [model.N_max])
+    h = _level_operator(sym, model.convention, basis, n_top)
     ns = list(range(n_top + 1))
     levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
                             model.level_tol, h.basis.sectors) for n in ns]
@@ -263,8 +306,8 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
         lambdas=[lam for lam, _ in levels],
         multiplicities=[mult for _, mult in levels],
         N_max=model.N_max,
-        D=h.basis.D,
-        hamiltonian=h,
+        D=basis.D,
+        hamiltonian=_zero_weight_operator(sym, model.convention, basis),
     )
 
 
@@ -368,8 +411,8 @@ class ConvergenceStudy:
 
 def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     """lambda_n per truncation level with relative changes between
-    consecutive levels, from one energy symbol quantized on the safe basis
-    of each level (see _hamiltonians)."""
+    consecutive levels, from one energy symbol quantized on the level rows
+    of each level's safe basis (see _level_operator)."""
     levels = list(N_max_list)
     if not levels:
         raise ConfigurationError("N_max list must be non-empty")
@@ -381,8 +424,10 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
             f"n_max={n_top} too large for the smallest truncation "
             f"N_max={min(levels)}"
         )
+    bases, sym = _cartan_model(model, levels)
     lambdas = {}
-    for N, h in zip(levels, _hamiltonians(model, levels)):
+    for N, basis in zip(levels, bases):
+        h = _level_operator(sym, model.convention, basis, n_top)
         lambdas[N] = [float(_block_eigenvalues(
             h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])
                       for n in range(n_top + 1)]

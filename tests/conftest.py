@@ -6,7 +6,9 @@ import pytest
 
 from ymspec.algebra import build_algebra
 from ymspec.lattice import LatticeSpec
-from ymspec.spectrum import ModelSpec, assemble_hamiltonian
+from ymspec.spectrum import ModelSpec
+
+from oracles import safe_hamiltonian
 
 # Hypothesis caches source constants and unicode tables on disk even with
 # database=None, from test collection on; keep that cache out of the tree
@@ -51,11 +53,13 @@ def su2_model_nmax8():
     return ModelSpec(algebra="su2", N_max=8, n_max=5)
 
 
+# the whole H on the whole safe basis, every weight sector included; the
+# spectrum path quantizes only the rows it solves
 @pytest.fixture(scope="session")
 def su2_hamiltonian_nmax8(su2_model_nmax8):
-    return assemble_hamiltonian(su2_model_nmax8)
+    return safe_hamiltonian(su2_model_nmax8)
 
 
 @pytest.fixture(scope="session")
 def su2_hamiltonian_nmax10(su2_model_nmax8):
-    return assemble_hamiltonian(su2_model_nmax8, N_max=10)
+    return safe_hamiltonian(su2_model_nmax8, N_max=10)

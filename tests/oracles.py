@@ -10,8 +10,11 @@ stencils they check, the curvature pairs via the nine-block
 antisymmetric layout, the Helmholtz projector via FFT symbols, the
 Gaussian smoothing via finite-difference stencils on point evaluations,
 the energy symbol via products and sums in the symbol ring, quantization
-via explicit ladder-matrix products and via the full-width feasibility
-mask it replaced, the Fock basis via recursive enumeration and its state
+via explicit ladder-matrix products, via the full-width feasibility mask
+and term by term on the raise tables of an enumerated basis, as
+fock.quantize computed it before it took every term at once on any
+subset of states (with the whole safe-basis H and its weight sectors
+built that way), the Fock basis via recursive enumeration and its state
 index via a dictionary of occupation rows, the lowest block levels and
 their multiplicities via the full dense spectrum and via Lanczos with a
 Sylvester inertia certificate from a symmetric sparse LU, and wave
@@ -50,8 +53,6 @@ from ymspec.fock import (
     Csr,
     FockBasis,
     FockOperator,
-    _ladder_amplitudes,
-    _monomial_entries,
     build_basis,
 )
 from ymspec.lattice import (
@@ -472,7 +473,10 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
         )
     if kind not in ("create", "annihilate"):
         raise ConfigurationError(f"ladder kind must be create|annihilate, got '{kind}'")
-    tgt = basis.raised[mode]
+    # the states of degree below depth, a prefix of the basis, and their
+    # raised states
+    below = basis.states[basis.degrees < basis.depth]
+    tgt = basis.index_of(below + np.eye(basis.D, dtype=np.int64)[mode])
     src = np.arange(tgt.size)
     vals = np.sqrt(basis.states[src, mode] + 1.0)
     if kind == "create":
@@ -571,8 +575,144 @@ def ladder_quantize(symbol, convention, basis):
     return total
 
 
+def raise_tables(basis: FockBasis) -> np.ndarray:
+    """Raise tables of an enumerated basis: entry [m, i] is the index of
+    states[i] + e_m, for the states of degree below depth, a prefix of
+    the basis."""
+    below = basis.states[:np.searchsorted(basis.degrees, basis.depth - 1,
+                                          side="right")]
+    return np.stack([basis.index_of(below + e)
+                     for e in np.eye(basis.D, dtype=np.int64)])
+
+
+def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndarray:
+    """Product of ladder factors over modes; occ is (S, len(multi)), one
+    column per mode of multi."""
+    amp = np.ones(occ.shape[0])
+    for m, power in enumerate(multi):
+        for r in range(power):
+            amp *= occ[:, m] + (r + 1.0) if raise_op else occ[:, m] - float(r)
+    return np.sqrt(amp)
+
+
+def monomial_entries(basis, alpha, beta, convention, raised=None):
+    """(rows, cols, amplitudes) of one monomial z*^alpha z^beta under a
+    convention, as fock.quantize took them from the raise tables ``raised``
+    (raise_tables(basis) if None) of an enumerated basis, one term at a time.
+
+    Normal ordering annihilates first, so only its final state can leave
+    the cutoff; anti-normal ordering creates first, so its intermediate
+    state must stay inside; either way the final state has degree <= depth.
+    The sources are the states holding at least ``lift`` quanta, lift = beta
+    (normal) or max(beta - alpha, 0) (anti-normal), of degree <= bound:
+    states[:end] + lift, with end covering degree bound - |lift|.  Their
+    targets are states[:end] + tlift, tlift = alpha or max(alpha - beta, 0),
+    so both index arrays come from the raise tables, in basis order.
+    """
+    if raised is None:
+        raised = raise_tables(basis)
+    # only the modes the monomial acts on
+    modes = [m for m, pair in enumerate(zip(alpha, beta)) if any(pair)]
+    a = np.array([alpha[m] for m in modes], dtype=np.int64)
+    b = np.array([beta[m] for m in modes], dtype=np.int64)
+    normal = convention == "normal"
+    if normal:
+        bound, lift, tlift = basis.N_max + b.sum() - a.sum(), b, a
+    else:
+        bound = basis.N_max - a.sum()
+        lift, tlift = np.maximum(b - a, 0), np.maximum(a - b, 0)
+    bound = min(bound, basis.depth - a.sum() + b.sum(), basis.depth)
+    end = np.searchsorted(basis.degrees, bound - lift.sum(), side="right")
+    if end == 0:
+        return None
+    src, tgt = np.arange(end), np.arange(end)
+    for m, up, down in zip(modes, lift, tlift):
+        for _ in range(up):
+            src = raised[m, src]
+        for _ in range(down):
+            tgt = raised[m, tgt]
+    occ = basis.states[:end, modes] + lift
+    if normal:
+        amp = _ladder_amplitudes(occ, b, raise_op=False)
+        amp *= _ladder_amplitudes(occ - b, a, raise_op=True)
+    else:
+        amp = _ladder_amplitudes(occ, a, raise_op=True)
+        amp *= _ladder_amplitudes(occ + a, b, raise_op=False)
+    return tgt, src, amp
+
+
+def _summed_entries(chunks):
+    """Sum of the (keys, vals) entry lists, as (keys, vals) with each key
+    once, ascending; a stable sort keeps each key's duplicates in list
+    order, and reduceat sums them in an order fixed by that run alone."""
+    keys, vals = (np.concatenate(part) for part in zip(*chunks))
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return keys[first], np.add.reduceat(vals, first)
+
+
+def _merge(total, chunks):
+    """total, a summed (keys, vals) pair, plus the entry lists chunks: each
+    key's value is total's plus the sum of its chunk entries."""
+    if not chunks:
+        return total
+    summed = _summed_entries(chunks)
+    return summed if total[0].size == 0 else _summed_entries([total, summed])
+
+
+def raise_table_quantize(s, convention, basis, entries=None,
+                         chunk_entries=4_000_000) -> FockOperator:
+    """fock.quantize as it was on an enumerated basis: term by term through
+    ``entries`` (monomial_entries on the raise tables if None), the
+    diagonal terms added into a dense vector in sorted term order, the
+    other entries summed by a stable key sort and reduceat, chunk_entries
+    entries at a time, each chunk's sums merged into the running total."""
+    from ymspec.symbols import convert, validate_ordering
+
+    validate_ordering(convention)
+    if s.num_modes != basis.D:
+        raise DimensionMismatchError(
+            f"symbol has {s.num_modes} modes but basis has D={basis.D}"
+        )
+    if convention == "weyl":
+        return raise_table_quantize(convert(s, "weyl", "normal"), "normal",
+                                    basis, entries, chunk_entries)
+    if entries is None:
+        raised = raise_tables(basis)
+
+        def entries(basis, alpha, beta, convention):
+            return monomial_entries(basis, alpha, beta, convention, raised)
+
+    size = basis.size
+    diagonal = np.zeros(size, dtype=complex)
+    total = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+    chunks, pending = [], 0
+    for (alpha, beta), coeff in sorted(s.terms.items()):
+        found = entries(basis, alpha, beta, convention)
+        if found is None:
+            continue
+        rows, cols, amp = found
+        if alpha == beta:
+            diagonal[cols] += amp * coeff
+            continue
+        chunks.append((rows * size + cols, amp * coeff))
+        pending += rows.size
+        if pending >= chunk_entries:
+            total, chunks, pending = _merge(total, chunks), [], 0
+    keys, vals = _merge(total, chunks)
+    on = np.flatnonzero(diagonal)
+    at = np.searchsorted(keys, on * (size + 1))
+    keys = np.insert(keys, at, on * (size + 1))
+    vals = np.insert(vals, at, diagonal[on])
+    stored = vals != 0
+    keys, vals = keys[stored], vals[stored]
+    indptr = np.searchsorted(keys, np.arange(size + 1) * size)
+    return FockOperator(basis, Csr(indptr, keys % size, vals))
+
+
 def full_width_monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, vals) of one monomial, as fock._monomial_entries first
+    """(rows, cols, vals) of one monomial, as monomial_entries first
     computed them: the cutoff and occupation tests on every basis state
     and every mode, one branch per convention."""
     states = basis.states
@@ -611,7 +751,7 @@ def full_width_monomial_entries(basis, alpha, beta, convention):
 
 def _keyed_monomial_entries(basis, alpha, beta, convention):
     """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention,
-    as fock._monomial_entries computed them before the raise tables: a
+    as monomial_entries computed them before the raise tables: a
     per-term occupation mask on the degree prefix, and the target rows
     looked up by key.
 
@@ -714,8 +854,9 @@ def sparse_quantize(s, convention, basis,
     diagonal = np.zeros(size, dtype=complex)
     total = sparse.csr_matrix((size, size), dtype=complex)
     chunks, pending = [], 0
+    raised = raise_tables(basis)
     for (alpha, beta), coeff in sorted(s.terms.items()):
-        entries = _monomial_entries(basis, alpha, beta, convention)
+        entries = monomial_entries(basis, alpha, beta, convention, raised)
         if entries is None:
             continue
         rows, cols, amp = entries
@@ -1120,6 +1261,29 @@ def component_block_eigenvalues(matrix, lo: int, hi: int,
     vals = np.concatenate(eigs)
     vals.sort()
     return vals
+
+
+def safe_hamiltonian(model, N_max: int | None = None) -> FockOperator:
+    """The whole H in the model's Cartan modes on the whole weighted safe
+    basis, degree <= N_max - 2, quantized term by term on the raise tables:
+    the operator the spectrum path solved before it quantized only the
+    rows it reads."""
+    from ymspec.spectrum import _cartan_model
+
+    (basis,), sym = _cartan_model(model, [model.N_max if N_max is None else N_max])
+    return raise_table_quantize(sym, model.convention, basis)
+
+
+def sector_eigenvalues(h: FockOperator, n: int) -> dict:
+    """Eigenvalues, ascending, of each weight sector of h's degree-n block,
+    keyed by sector code, each solved densely on its own."""
+    idx = degree_indices(h.basis, n)
+    rows, cols, vals = h.matrix.rows(idx[0], idx[-1] + 1)
+    block = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+    block[rows, cols] = vals
+    codes = h.basis.sectors[idx]
+    return {int(c): np.linalg.eigvalsh(block[np.ix_(codes == c, codes == c)])
+            for c in np.unique(codes)}
 
 
 def real_mode_hamiltonian(model, N_max: int | None = None) -> FockOperator:

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 from ymspec.algebra import build_algebra
+from ymspec.fock import build_basis
 from ymspec.spectrum import ModelSpec
 from ymspec.symbols import cartan_modes, energy_symbol
 
@@ -70,7 +72,7 @@ def test_probe_reports_scipy_for_a_command_without_sparse(tmp_path):
 
 @pytest.mark.parametrize("command,expected", [
     ("spectrum", {"spectrum.number_shift_bound", "fock.quantize",
-                  "spectrum.assemble_hamiltonian"}),
+                  "spectrum.bosonic_spectrum"}),
     ("evolve", {"dynamics.rk4_step"}),
 ])
 def test_traced_child_records_layer_spans(tmp_path, command, expected):
@@ -78,22 +80,35 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
     names = [span[0] for span in spans]
     assert expected <= set(names)
     if command == "spectrum":
-        # one operator per spectrum run, reused for C*
-        assert names.count("spectrum.assemble_hamiltonian") == 1
-        assert names.count("fock.quantize") == 1
+        # one basis and one symbol per spectrum run, and one quantization
+        # per row set: the level rows (weight code >= 0, degree <= n_top)
+        # with the number-conserving terms, then the zero-weight rows with
+        # every term, for C*; no safe-basis operator is assembled
+        assert names.count("spectrum.assemble_hamiltonian") == 0
+        assert names.count("fock.build_basis") == 1
+        assert names.count("fock.quantize") == 2
         # the algebra is built once, for both the mode map and the symbol
         assert names.count("algebra.build_algebra") == 1
-        # one symbol, whose term count the span reads from its result: the
-        # Cartan-mode symbol that quantize receives, 7 terms where the
-        # real modes have 9
+        # the term counts the spans read from the symbol and the quantize
+        # arguments: the Cartan-mode symbol has 7 terms where the real
+        # modes have 9, and the level rows get its conserving ones
         (symbol_span,) = [s for s in spans if s[0] == "symbols.energy_symbol"]
-        (quantize_span,) = [s for s in spans if s[0] == "fock.quantize"]
+        level_span, zero_span = [s for s in spans if s[0] == "fock.quantize"]
         algebra = build_algebra("su2")
         mode_map = ModelSpec(algebra="su2", sector="abelian", N_max=4).mode_map()
-        symbol = energy_symbol(algebra, mode_map, True,
-                               cartan_modes(algebra, mode_map))
-        assert (symbol_span[5]["terms"] == quantize_span[5]["terms"]
+        modes = cartan_modes(algebra, mode_map)
+        symbol = energy_symbol(algebra, mode_map, True, modes)
+        conserving = sum(sum(a) == sum(b) for a, b in symbol.terms)
+        assert (symbol_span[5]["terms"] == zero_span[5]["terms"]
                 == len(symbol.terms) == 7)
+        assert (level_span[5]["terms"] == level_span[5]["useful"]
+                == conserving < 7)
+        # C*'s recorded dim is the zero-weight row count of the safe block
+        (bound_span,) = [s for s in spans
+                         if s[0] == "spectrum.number_shift_bound"]
+        safe = build_basis(3, 4, depth=2, weights=modes.weights)
+        assert (bound_span[5]["dim"] == np.count_nonzero(safe.sectors == 0)
+                < safe.size)
     else:
         # the curvature of each accepted state gives its energy and the
         # next step's first stage: three more stages per step, plus t = 0

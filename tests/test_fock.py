@@ -16,6 +16,7 @@ from ymspec.fock import FockBasis, build_basis, quantize
 from ymspec.symbols import (
     ModeMap,
     PolynomialSymbol,
+    cartan_modes,
     convert,
     energy_symbol,
 )
@@ -33,6 +34,8 @@ from oracles import (
     number_operator,
     operator_from_text,
     operator_to_text,
+    raise_table_quantize,
+    raise_tables,
     random_symbol,
     recursive_basis_states,
     ring_energy_symbol,
@@ -132,10 +135,11 @@ class TestRaiseTables:
     def test_matches_dict_oracle(self, D, N_max, depth):
         b = build_basis(D, N_max, depth=depth)
         below = b.states[b.degrees < depth]
-        assert b.raised.shape == (D, below.shape[0])
+        raised = raise_tables(b)
+        assert raised.shape == (D, below.shape[0])
         for m in range(D):
             want = dict_index_of(b, below + np.eye(D, dtype=np.int64)[m])
-            assert np.array_equal(b.raised[m], want)
+            assert np.array_equal(raised[m], want)
 
 
 class TestCsr:
@@ -211,14 +215,13 @@ def assert_identical(got, want):
     assert np.array_equal(got.data, want.data)
 
 
-def assert_full_width_identical(monkeypatch, s, basis):
-    """quantize gives the same CSR arrays, bit for bit, as with the
-    full-width feasibility mask, under every convention."""
+def assert_full_width_identical(s, basis):
+    """quantize gives the same CSR arrays, bit for bit, as the term-by-term
+    path with the full-width feasibility mask, under every convention."""
     for conv in ("normal", "antinormal", "weyl"):
         fast = quantize(s, conv, basis).matrix
-        with monkeypatch.context() as m:
-            m.setattr(fock, "_monomial_entries", full_width_monomial_entries)
-            slow = quantize(s, conv, basis).matrix
+        slow = raise_table_quantize(s, conv, basis,
+                                    entries=full_width_monomial_entries).matrix
         assert fast.nnz > 0
         assert_identical(fast, slow)
 
@@ -279,11 +282,10 @@ class TestQuantize:
     @pytest.mark.parametrize("name,N_max", [
         ("su2", 4), ("su3", 2), ("so4", 3), ("so5", 2),
     ])
-    def test_energy_symbol_matches_full_width_mask(self, monkeypatch, name,
-                                                   N_max):
+    def test_energy_symbol_matches_full_width_mask(self, name, N_max):
         algebra = build_algebra(name)
         s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
-        assert_full_width_identical(monkeypatch, s, build_basis(s.num_modes, N_max))
+        assert_full_width_identical(s, build_basis(s.num_modes, N_max))
 
     @pytest.mark.parametrize("name,N_max", [
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
@@ -329,11 +331,11 @@ class TestQuantize:
         old = quantize(ring_energy_symbol(su2, mm), "antinormal", basis).matrix
         assert_identical(new, old)
 
-    def test_complex_symbols_match_full_width_mask(self, monkeypatch, rng):
+    def test_complex_symbols_match_full_width_mask(self, rng):
         b = build_basis(3, 5)
         for _ in range(5):
             s = random_symbol(rng, 3, 4, n_terms=12)
-            assert_full_width_identical(monkeypatch, s, b)
+            assert_full_width_identical(s, b)
 
     def test_antinormal_route_equivalence(self, rng):
         # direct anti-normal ordering vs flow to normal form, on the safe block
@@ -368,6 +370,55 @@ class TestQuantize:
             block = q.matrix.toarray()[np.ix_(safe, safe)]
             vals = np.linalg.eigvalsh(block)
             assert vals[0] > -1e-10
+
+
+def assert_principal_submatrix(s, convention, basis, rows):
+    """quantize on the subset rows of basis equals, to 1e-15 relative, the
+    principal submatrix of the term-by-term raise-table operator on the
+    whole basis."""
+    sub = basis.subset(rows)
+    idx = np.flatnonzero(rows)
+    assert np.array_equal(sub.states, basis.states[idx])
+    got = quantize(s, convention, sub).matrix.toarray()
+    full = raise_table_quantize(s, convention, basis).matrix.toarray()
+    want = full[np.ix_(idx, idx)]
+    assert np.abs(want).max() > 0
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+class TestSubsetQuantize:
+    """quantize on a subset of a truncation's states: weight sectors, the
+    level rows and random row masks, every convention."""
+
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_random_hermitian_symbols(self, convention, rng):
+        for basis in (build_basis(3, 6), build_basis(3, 6, depth=4)):
+            for _ in range(3):
+                s = random_symbol(rng, 3, 4, hermitian=True, n_terms=12)
+                rows = rng.random(basis.size) < 0.5
+                assert_principal_submatrix(s, convention, basis, rows)
+
+    @pytest.mark.parametrize("name,N_max", [("su2", 6), ("so4", 4)])
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_cartan_energy_symbols(self, name, N_max, convention, rng):
+        algebra = build_algebra(name)
+        mode_map = ModeMap.zero_momentum(algebra.dim_g)
+        modes = cartan_modes(algebra, mode_map)
+        s = energy_symbol(algebra, mode_map, True, modes)
+        basis = build_basis(s.num_modes, N_max, depth=N_max - 2,
+                            weights=modes.weights)
+        for rows in (basis.sectors == 0,
+                     (basis.sectors >= 0) & (basis.degrees <= N_max - 3),
+                     rng.random(basis.size) < 0.3):
+            assert_principal_submatrix(s, convention, basis, rows)
+
+    def test_subset_keeps_truncation(self):
+        b = build_basis(3, 6, depth=4, weights=np.array([[1], [0], [-1]]))
+        sub = b.subset(b.sectors == 0)
+        assert (sub.D, sub.N_max, sub.depth) == (3, 6, 4)
+        assert sub.weights is b.weights
+        assert np.array_equal(sub.sectors, np.zeros(sub.size))
+        assert np.array_equal(sub.index_of(sub.states), np.arange(sub.size))
 
 
 def assert_matches_scipy_sum(got, want):
@@ -415,17 +466,22 @@ class TestScipySumOracle:
         assert q.toarray()[i, i] == q.toarray()[j, i] == 0
 
     def test_chunked_sum(self, monkeypatch, su2):
-        # summed a few hundred entries at a time, each chunk's sums added to
-        # the running total as the scipy sums added chunk matrices
+        # a few hundred candidates at a time, one row per chunk: each
+        # entry's duplicates lie in one chunk, so the bits are those of one
+        # chunk, and those of the scipy sum; the term-by-term path's
+        # chunked merges differ from both by roundoff only
         s = energy_symbol(su2, ModeMap.zero_momentum(3))
         basis = build_basis(9, 6, depth=4)
+        whole = quantize(s, "antinormal", basis).matrix
         monkeypatch.setattr(fock, "CHUNK_ENTRIES", 300)
         got = quantize(s, "antinormal", basis).matrix
-        assert_matches_scipy_sum(got, sparse_quantize(s, "antinormal", basis,
-                                                      chunk_entries=300))
-        monkeypatch.undo()
-        assert np.allclose(got.data, quantize(s, "antinormal", basis).matrix.data,
-                           rtol=1e-13, atol=0)
+        assert_identical(got, whole)
+        assert_matches_scipy_sum(got, sparse_quantize(s, "antinormal", basis))
+        merged = raise_table_quantize(s, "antinormal", basis,
+                                      chunk_entries=300).matrix
+        assert_matches_scipy_sum(merged, sparse_quantize(
+            s, "antinormal", basis, chunk_entries=300))
+        assert np.allclose(got.data, merged.data, rtol=1e-13, atol=0)
 
 
 class TestNumberOperatorAndExpectation:

@@ -52,6 +52,8 @@ from oracles import (
     real_mode_hamiltonian,
     rotation_generators,
     safe_block_indices,
+    safe_hamiltonian,
+    sector_eigenvalues,
     smoothed_value_fd,
     sparse_block_eigenvalues,
     sparse_component_labels,
@@ -85,44 +87,49 @@ class TestModelSpec:
 
 class TestAssemble:
     def test_abelian_matches_ladder_oracle(self, su2):
-        # H lives on the safe basis, the degree <= N_max - 2 prefix of the
-        # full basis, on which the oracle multiplies ladder matrices of the
-        # Cartan-mode symbol
+        # H lives on the zero-weight states of the safe basis, the degree
+        # <= N_max - 2 prefix of the full basis, on which the oracle
+        # multiplies ladder matrices of the Cartan-mode symbol
         model = ModelSpec(algebra="su2", sector="abelian", N_max=6)
         h = assemble_hamiltonian(model)
-        full = build_basis(3, 6)
-        safe = safe_block_indices(full, 2)
-        assert np.array_equal(full.states[safe], h.basis.states)
         mm = ModeMap.abelian(3)
-        sym = energy_symbol(su2, mm, True, cartan_modes(su2, mm))
-        oracle = ladder_quantize(sym, "antinormal", full)[np.ix_(safe, safe)]
+        modes = cartan_modes(su2, mm)
+        full = build_basis(3, 6, weights=modes.weights)
+        safe = safe_block_indices(full, 2)
+        zero = safe[full.sectors[safe] == 0]
+        assert np.array_equal(full.states[zero], h.basis.states)
+        sym = energy_symbol(su2, mm, True, modes)
+        oracle = ladder_quantize(sym, "antinormal", full)[np.ix_(zero, zero)]
         assert (abs(to_csr(h) - oracle)).max() < 1e-12
 
     @pytest.mark.parametrize("algebra,N_max", [
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
     ])
     def test_safe_basis_matches_full_basis(self, algebra, N_max):
-        # the safe basis holds only the states the levels and C* read; on
-        # them, H equals the full-basis quantization of the same Cartan-mode
-        # symbol entry by entry, bit for bit, since each entry sums its
-        # terms in the same order
+        # the spectrum path quantizes only the rows it reads: C*'s operator
+        # holds the zero-weight states of the safe basis, and on them H
+        # equals the full-basis quantization of the same Cartan-mode symbol
+        # entry by entry, bit for bit, since each entry sums its terms in
+        # the same order; the levels and multiplicities, read from the rows
+        # of weight code >= 0, are those of the full basis
         model = ModelSpec(algebra=algebra, N_max=N_max)
         h = assemble_hamiltonian(model)
         D = model.mode_map().num_modes
-        assert h.basis.size == math.comb(D + N_max - 2, D)
         lie, mm = build_algebra(algebra), model.mode_map()
         modes = cartan_modes(lie, mm)
         sym = energy_symbol(lie, mm, True, modes)
         full = quantize(sym, "antinormal",
                         build_basis(D, N_max, weights=modes.weights))
         safe = safe_block_indices(full.basis, 2)
-        assert np.array_equal(full.basis.states[safe], h.basis.states)
-        assert (to_csr(h) != to_csr(full)[np.ix_(safe, safe)]).nnz == 0
-        ns = range(N_max - 1)
-        lams, mults = block_levels(h, ns, model.level_tol)
-        full_lams, full_mults = block_levels(full, ns, model.level_tol)
-        assert lams == pytest.approx(full_lams, rel=1e-12, abs=0)
-        assert mults == full_mults
+        assert safe.size == math.comb(D + N_max - 2, D)
+        zero = safe[full.basis.sectors[safe] == 0]
+        assert np.array_equal(full.basis.states[zero], h.basis.states)
+        assert (to_csr(h) != to_csr(full)[np.ix_(zero, zero)]).nnz == 0
+        rep = bosonic_spectrum(model)
+        assert rep.ns == list(range(N_max - 1))
+        full_lams, full_mults = block_levels(full, rep.ns, model.level_tol)
+        assert rep.lambdas == pytest.approx(full_lams, rel=1e-12, abs=0)
+        assert rep.multiplicities == full_mults
         assert number_shift_bound(h) == pytest.approx(
             number_shift_bound(full), rel=1e-12, abs=0)
 
@@ -356,7 +363,7 @@ def solver_dtypes(monkeypatch):
 class TestRealEigensolve:
     def test_real_hamiltonian_solved_real(self, monkeypatch):
         model = ModelSpec(algebra="su2", N_max=6)
-        h = assemble_hamiltonian(model)
+        h = safe_hamiltonian(model)
         assert not h.matrix.data.imag.any()
         complex_levels = [
             np.linalg.eigvalsh(n_boson_block(h, n))[0] for n in range(5)
@@ -387,13 +394,15 @@ class TestRealEigensolve:
 
 
 class TestLowestLevel:
-    def test_su2_levels_closed_form_and_dense_multiplicities(self):
+    def test_su2_levels_closed_form_and_dense_multiplicities(
+            self, su2_hamiltonian_nmax8):
         # n = 6 is a 3,003-row block, where a capped Lanczos count reported
-        # 15 or 19 copies of the 26-fold level
+        # 15 or 19 copies of the 26-fold level; the oracle solves the whole
+        # block of the whole H
         rep = bosonic_spectrum(ModelSpec(algebra="su2", N_max=8, n_max=6))
         closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in rep.ns]
         assert rep.lambdas == pytest.approx(closed_form, rel=1e-12, abs=0)
-        h = rep.hamiltonian
+        h = su2_hamiltonian_nmax8
         oracle = [dense_lowest_level(to_csr(h), degree_indices(h.basis, n), 1e-8)
                   for n in rep.ns]
         assert rep.multiplicities == [mult for _, mult in oracle]
@@ -533,13 +542,15 @@ class TestComponentLabels:
 
 class TestSectors:
     def test_stored_zero_is_no_leak(self, monkeypatch):
-        # rows 0 and 1 lie in two sectors, joined only by stored zeros
+        # rows 0 and 1 lie in two sectors, joined only by stored zeros;
+        # sector 1 stands for itself and its mirror -1, so its eigenvalue
+        # is listed twice, and the two 1-row sectors take one stacked solve
         seen = solver_dtypes(monkeypatch)
         zeros = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
                     np.array([2.0, 0.0, 0.0, 3.0], dtype=complex))
         vals = spectrum._block_eigenvalues(zeros, 0, 2, np.array([0, 1]))
-        assert vals.tolist() == [2.0, 3.0]
-        assert len(seen) == 2
+        assert vals.tolist() == [2.0, 3.0, 3.0]
+        assert len(seen) == 1
 
     def test_entry_joining_sectors_is_numerical(self):
         joined = from_csr(np.array([[2.0, 1e-6], [1e-6, 3.0]]))
@@ -547,12 +558,12 @@ class TestSectors:
             spectrum._block_eigenvalues(joined, 0, 2, np.array([0, 1]))
         # at most 1e-12 of the block's largest entry, it is roundoff
         tiny = from_csr(np.array([[2.0, 1e-12], [1e-12, 3.0]]))
-        assert spectrum._block_eigenvalues(tiny, 0, 2,
-                                           np.array([0, 1])).tolist() == [2.0, 3.0]
+        assert spectrum._block_eigenvalues(
+            tiny, 0, 2, np.array([0, 1])).tolist() == [2.0, 3.0, 3.0]
 
     @pytest.mark.parametrize("algebra,N_max", [("su2", 8), ("so4", 5)])
     def test_no_stored_entry_joins_sectors(self, algebra, N_max):
-        h = assemble_hamiltonian(ModelSpec(algebra=algebra, N_max=N_max))
+        h = safe_hamiltonian(ModelSpec(algebra=algebra, N_max=N_max))
         rows, cols, _ = h.matrix.rows(0, h.basis.size)
         assert np.array_equal(h.basis.sectors[rows], h.basis.sectors[cols])
 
@@ -580,7 +591,29 @@ class TestSectors:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         number_shift_bound(h)
-        assert shapes == [(zero_weight, zero_weight)]
+        assert shapes == [(1, zero_weight, zero_weight)]
+
+    @pytest.mark.parametrize("algebra,N_max,sector,n_top", [
+        ("su2", 8, "full", 5), ("su3", 4, "full", 2), ("so4", 5, "full", 3),
+        ("so5", 4, "full", 2), ("su2", 8, "abelian", 6),
+    ])
+    def test_mirror_sectors_share_spectrum(self, algebra, N_max, sector,
+                                           n_top):
+        # the premise of solving only the sectors of code >= 0: in every
+        # level block of the whole H, sector mu and sector -mu, each solved
+        # on its own, have the same eigenvalues
+        h = safe_hamiltonian(ModelSpec(algebra=algebra, N_max=N_max,
+                                       sector=sector))
+        mirrored = 0
+        for n in range(n_top + 1):
+            eigs = sector_eigenvalues(h, n)
+            assert set(eigs) == {-code for code in eigs}
+            scale = max(np.abs(v).max() for v in eigs.values())
+            for code, vals in eigs.items():
+                if code > 0:
+                    assert np.abs(vals - eigs[-code]).max() <= 1e-12 * scale
+                    mirrored += 1
+        assert mirrored > 0
 
     def test_sector_cap(self, monkeypatch, su2_hamiltonian_nmax8):
         # the cap counts the rows of one sector, not of the block: the
@@ -655,8 +688,10 @@ class TestAgainstOracles:
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
     ])
     def test_levels_and_cstar(self, algebra, N_max):
+        # every sector of the whole H, each of code > 0 counted for its
+        # mirror too, against the whole blocks
         model = ModelSpec(algebra=algebra, N_max=N_max)
-        h = assemble_hamiltonian(model)
+        h = safe_hamiltonian(model)
         _levels_against_oracles(h, range(N_max - 1), model.level_tol, 2)
 
     def test_complex_symbol(self, rng):
@@ -768,7 +803,7 @@ class TestNumberShiftBound:
 
     def test_lanczos_matches_dense(self):
         model = ModelSpec(algebra="su2", N_max=5)
-        h = assemble_hamiltonian(model)
+        h = safe_hamiltonian(model)
         shifted = to_csr(h) - to_csr(number_operator(h.basis))
         dense, _ = dense_lowest_level(shifted, safe_block_indices(h.basis, 2),
                                       model.level_tol)
@@ -811,6 +846,14 @@ class TestNumberShiftBound:
         runs = {number_shift_bound(h)
                 for h in (su2_hamiltonian_nmax8, fresh, fresh)}
         assert len(runs) == 1
+
+    def test_su2_cstar_of_degree_8(self):
+        # C*(8), the bound on degree <= 8, from the zero-weight operator at
+        # N_max = 10 alone (506 of its 24,310 safe states)
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=10))
+        assert h.basis.size == 506
+        assert number_shift_bound(h) == pytest.approx(10.255542942942753,
+                                                      rel=0, abs=1e-10)
 
     def test_stability_under_refinement(
         self, su2_hamiltonian_nmax8, su2_hamiltonian_nmax10
@@ -855,7 +898,9 @@ class TestConvergenceStudy:
         assert lam6 < lam8
 
     def test_one_eigensolve_per_level(self, monkeypatch):
-        # one block solve per (N_max, n); no multiplicity is counted
+        # one block solve per (N_max, n), on the rows of weight code >= 0
+        # (1, 5 and 25 of the 1, 9 and 45 states); no multiplicity is
+        # counted
         calls = []
 
         def spy(matrix, lo, hi, *args, **kwargs):
@@ -870,7 +915,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "_lowest_level", no_count)
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         convergence_study(model, [4, 6])
-        assert calls == [1, 9, 45] * 2
+        assert calls == [1, 5, 25] * 2
 
     def test_one_symbol_for_every_level(self, monkeypatch):
         # the energy symbol does not depend on N_max: it is built once, and
@@ -887,7 +932,7 @@ class TestConvergenceStudy:
         study = convergence_study(model, [4, 6])
         assert len(calls) == 1
         for N in (4, 6):
-            h = assemble_hamiltonian(model, N_max=N)
+            h = safe_hamiltonian(model, N_max=N)
             assert study.lambdas[N] == block_levels(h, range(3), 1e-8)[0]
 
     def test_oversize_level_refused_before_symbol(self, monkeypatch):
