@@ -10,6 +10,10 @@ The curvature is computed once per RK4 stage, from its three
 independent pairs j < k.  evolve computes it once more per accepted
 state and uses it twice: for the recorded energy and as the first stage
 of the next step, so a run of s steps evaluates it 4 s + 1 times.
+
+curvature_magnetic and _force use the in-place lattice kernels: each
+output component gets its two raw differences, one scale by
+0.5 / spacing, then its brackets, added into it in place.
 """
 
 from __future__ import annotations
@@ -107,12 +111,14 @@ def curvature_magnetic(a: VectorAlgebraField) -> np.ndarray:
     independent pairs: an array of shape (3, dim_g, n, n, n) holding F_01,
     F_02 and F_12 in _PAIRS order.  The rest follow from F_kj = -F_jk and
     F_jj = 0."""
-    h = a.lattice.spacing
     f = np.empty((len(_PAIRS),) + a.data.shape[1:])
+    diff = np.empty(a.data.shape[1:])
     for p, (j, k) in enumerate(_PAIRS):
-        np.subtract(_diff(a.data[k], 1 + j, h), _diff(a.data[j], 1 + k, h),
-                    out=f[p])
-        f[p] -= _bracket(a.basis, a.data[j], a.data[k])
+        _diff(a.data[k], 1 + j, f[p])
+        f[p] -= _diff(a.data[j], 1 + k, diff)
+    f *= 0.5 / a.lattice.spacing
+    for p, (j, k) in enumerate(_PAIRS):
+        _bracket(a.basis, a.data[j], a.data[k], f[p], -1.0)
     return f
 
 
@@ -134,21 +140,34 @@ def energy(state: CauchyState, curvature: np.ndarray | None = None) -> float:
 # time stepping
 # ---------------------------------------------------------------------------
 
+# de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]) as two terms (pair p, direction
+# m, sign s) per k, each adding s (D_m F_p - [a_m, F_p]): pair p = (j, k)
+# adds along j to de_k/dt and, since F_kj = -F_jk, subtracts along k from
+# de_j/dt
+_FORCE_TERMS = (
+    ((0, 1, -1.0), (1, 2, -1.0)),  # de_0/dt: -F_01 along 1, -F_02 along 2
+    ((0, 0, 1.0), (2, 2, -1.0)),   # de_1/dt: F_01 along 0, -F_12 along 2
+    ((1, 0, 1.0), (2, 1, 1.0)),    # de_2/dt: F_02 along 0, F_12 along 1
+)
+
+
 def _force(a: VectorAlgebraField, f: np.ndarray) -> np.ndarray:
     """de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]) for the curvature pairs f
-    of a: pair p = (j, k) adds D_j F_p - [a_j, F_p] to de_k/dt and, since
-    F_kj = -F_jk, subtracts D_k F_p - [a_k, F_p] from de_j/dt."""
-    h = a.lattice.spacing
-
-    def part(p, m):  # D_m F_p - [a_m, F_p]
-        term = _diff(f[p], 1 + m, h)
-        term -= _bracket(a.basis, a.data[m], f[p])
-        return term
-
-    out = np.zeros_like(a.data)
-    for p, (j, k) in enumerate(_PAIRS):
-        out[k] += part(p, j)
-        out[j] -= part(p, k)
+    of a, term by term from _FORCE_TERMS."""
+    out = np.empty(a.data.shape)
+    diff = np.empty(a.data.shape[1:])
+    scale = 0.5 / a.lattice.spacing
+    for k, ((p, m, s), (q, l, t)) in enumerate(_FORCE_TERMS):
+        _diff(f[p], 1 + m, out[k])
+        _diff(f[q], 1 + l, diff)
+        if s == t:
+            out[k] += diff
+        else:
+            out[k] -= diff
+        out[k] *= s * scale
+    for k, terms in enumerate(_FORCE_TERMS):
+        for p, m, s in terms:
+            _bracket(a.basis, a.data[m], f[p], out[k], -s)
     return out
 
 

@@ -11,7 +11,17 @@ annihilates the constant field and the seven checkerboard sign patterns
 (the modes where the difference symbol sin(2 pi m / n) vanishes).  Solves
 at a = 0 project these null modes explicitly; for a != 0 the kernel is
 generically empty and slow CG convergence is surfaced as a solver error
-rather than hidden.
+rather than hidden.  CG is preconditioned by the inverse of the shifted
+a = 0 Laplacian, applied by real FFT, while the background is weak
+against the lowest flat eigenvalue, and is plain CG otherwise (see
+_flat_preconditioner).
+
+The kernels work in place: _diff writes a raw central difference into a
+caller's C-contiguous array, and _bracket adds +-[x, y] into one.
+gauged_grad and gauged_div sum the raw differences, scale them once by
+0.5 / spacing and then subtract the brackets, so a strided input field
+is read, never written, and every output and scratch array is a fresh
+contiguous one.
 
 Array layout: scalar fields (dim_g, n, n, n), vector fields
 (3, dim_g, n, n, n).
@@ -111,42 +121,43 @@ def field_norm(x) -> float:
     return float(np.sqrt(x.lattice.volume_factor * np.sum(x.data * x.data)))
 
 
-def _diff(arr: np.ndarray, axis: int, spacing: float) -> np.ndarray:
-    """Central difference along axis with periodic wrap.
+def _diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Raw central difference arr[i + 1] - arr[i - 1] along axis with
+    periodic wrap, written into ``out`` and returned; a caller combining
+    several differences scales their sum once by 0.5 / spacing.
 
     On the flattened array, one subtraction of the entries one axis
     stride before and after each entry gives every interior row; the two
-    end rows, whose neighbours wrap around, are then overwritten.
+    end rows, whose neighbours wrap around, are then overwritten.  That
+    needs ``out`` C-contiguous: reshaping a strided array copies it, and
+    the copy, not ``out``, would be filled.
     """
+    if not out.flags.c_contiguous:
+        raise ValueError("_diff needs a C-contiguous out array")
     arr = np.ascontiguousarray(arr)
-    out = np.empty_like(arr)
     step = arr.strides[axis] // arr.itemsize
     flat, flat_out = arr.reshape(-1), out.reshape(-1)
     np.subtract(flat[2 * step:], flat[:-2 * step], out=flat_out[step:-step])
     lead = (slice(None),) * (axis % arr.ndim)
     np.subtract(arr[lead + (1,)], arr[lead + (-1,)], out=out[lead + (0,)])
     np.subtract(arr[lead + (0,)], arr[lead + (-2,)], out=out[lead + (-1,)])
-    out *= 0.5 / spacing
     return out
 
 
-def _bracket(basis: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[x, y] for coefficient arrays with the algebra index leading:
-    out_k is the sum of c (x_i y_j - x_j y_i) over basis.bracket_terms[k]."""
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape))
-    prod, cross = np.empty(out.shape[1:]), np.empty(out.shape[1:])
+def _bracket(basis: LieAlgebraBasis, x: np.ndarray, y: np.ndarray,
+             out: np.ndarray, sign: float) -> np.ndarray:
+    """Add sign * [x, y] into ``out`` and return it, for coefficient
+    arrays of one shape with the algebra index leading: row k gains
+    sign * c (x_i y_j - x_j y_i) for each (i, j, c) in
+    basis.bracket_terms[k]."""
+    prod, cross = np.empty(x.shape[1:]), np.empty(x.shape[1:])
     for row, terms in zip(out, basis.bracket_terms):
-        if not terms:
-            row.fill(0.0)
-        for n, (i, j, c) in enumerate(terms):
+        for i, j, c in terms:
             np.multiply(x[i], y[j], out=prod)
             np.multiply(x[j], y[i], out=cross)
             prod -= cross
-            if n == 0:
-                np.multiply(prod, c, out=row)
-            else:
-                prod *= c
-                row += prod
+            prod *= sign * c
+            row += prod
     return out
 
 
@@ -157,22 +168,25 @@ def _bracket(basis: LieAlgebraBasis, x: np.ndarray, y: np.ndarray) -> np.ndarray
 def gauged_grad(a: VectorAlgebraField, u: ScalarAlgebraField) -> VectorAlgebraField:
     """Component k: D_k u - [a_k, u]."""
     _same_geometry(a, u)
-    h = a.lattice.spacing
-    out = np.empty_like(a.data)
+    out = np.empty(a.data.shape)
     for k in range(3):
-        np.subtract(_diff(u.data, 1 + k, h), _bracket(a.basis, a.data[k], u.data),
-                    out=out[k])
+        _diff(u.data, 1 + k, out[k])
+    out *= 0.5 / a.lattice.spacing
+    for k in range(3):
+        _bracket(a.basis, a.data[k], u.data, out[k], -1.0)
     return VectorAlgebraField(a.lattice, a.basis, out)
 
 
 def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField) -> ScalarAlgebraField:
     """sum_k (D_k e_k - [a_k, e_k]); minus its gradient adjoint."""
     _same_geometry(a, e)
-    h = a.lattice.spacing
-    out = np.zeros_like(e.data[0])
+    out, diff = np.empty(e.data.shape[1:]), np.empty(e.data.shape[1:])
+    _diff(e.data[0], 1, out)
+    for k in (1, 2):
+        out += _diff(e.data[k], 1 + k, diff)
+    out *= 0.5 / a.lattice.spacing
     for k in range(3):
-        out += _diff(e.data[k], 1 + k, h)
-        out -= _bracket(a.basis, a.data[k], e.data[k])
+        _bracket(a.basis, a.data[k], e.data[k], out, -1.0)
     return ScalarAlgebraField(a.lattice, a.basis, out)
 
 
@@ -223,12 +237,54 @@ def _project_null_modes(data: np.ndarray, patterns: np.ndarray):
 DEFAULT_CG_TOL = 1e-10
 
 
+def _flat_preconditioner(a: VectorAlgebraField):
+    """(-Laplacian_0 + sigma)^-1 by real FFT, or None for the identity.
+
+    Laplacian_0 is the a = 0 central-difference Laplacian, with symbol
+    -sum_i sin^2(2 pi m_i / n) / h^2, and sigma the mean of the gauged
+    Laplacian's zero-order term -sum_k ad(a_k)^2 over sites and algebra
+    directions: sigma = kappa sum |a|^2 / (dim_g n^3), where the structure
+    constants' Gram matrix sum_{k,j} c_kij c_klj is kappa times the
+    identity.  On a weak background this is close to the inverse of
+    -Laplacian_a.  Once sigma reaches the lowest nonzero flat eigenvalue
+    lambda_1 = (sin(2 pi / n) / h)^2 the background dominates the flat
+    part and the flat inverse no longer pays for its transforms, so the
+    identity (plain CG) is returned.  At a = 0, sigma = 0 and the null
+    patterns of Laplacian_0 get 0 instead of 1/0: the preconditioner is
+    then the pseudo-inverse, and CG ends after one step.
+    """
+    n, h = a.lattice.n, a.lattice.spacing
+    c = a.basis.structure_constants
+    kappa = float(np.sum(c * c)) / a.basis.dim_g
+    sigma = kappa * float(np.sum(a.data * a.data)) / (a.basis.dim_g * n ** 3)
+    modes = np.arange(n)
+    sin2 = np.sin(2.0 * np.pi * modes / n) ** 2
+    # sin(pi)^2 is 1.5e-32, not 0: its inverse would swamp every other mode
+    sin2[(2 * modes) % n == 0] = 0.0
+    if sigma >= sin2[1] / h ** 2:
+        return None
+    half = sin2[: n // 2 + 1]
+    symbol = (sin2[:, None, None] + sin2[None, :, None] + half[None, None, :]) / h ** 2
+    symbol += sigma
+    inverse = np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0)
+    axes = (-3, -2, -1)
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(np.fft.rfftn(r, axes=axes) * inverse, s=(n, n, n),
+                             axes=axes)
+
+    return apply
+
+
 def invert_laplacian(
     a: VectorAlgebraField,
     f: ScalarAlgebraField,
     tol: float = DEFAULT_CG_TOL,
 ) -> ScalarAlgebraField:
-    """Solve Laplacian_a u = f by conjugate gradients on -Laplacian_a.
+    """Solve Laplacian_a u = f by conjugate gradients on -Laplacian_a,
+    preconditioned by _flat_preconditioner.  The stopping test reads the
+    unpreconditioned residual |f - Laplacian_a u| <= tol |f|; with the
+    identity preconditioner the iteration is plain CG, step for step.
 
     The right-hand side must be orthogonal to the discrete kernel: at
     a = 0 the null patterns are removed explicitly and a significant
@@ -258,6 +314,7 @@ def invert_laplacian(
         return ScalarAlgebraField.zeros(lattice, a.basis)
 
     cap = 10 * lattice.sites()
+    precondition = _flat_preconditioner(a)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         field = ScalarAlgebraField(lattice, a.basis, v)
@@ -265,8 +322,10 @@ def invert_laplacian(
 
     x = np.zeros_like(b)
     r = b.copy()
-    p = r.copy()
+    z = r if precondition is None else precondition(r)
+    p = z.copy()
     rs = float(np.sum(r * r))
+    rz = rs if precondition is None else float(np.sum(r * z))
     target = (tol * b_norm) ** 2
     for _ in range(cap):
         if rs <= target:
@@ -279,12 +338,18 @@ def invert_laplacian(
                 "gauged Laplacian appears singular for this background",
                 residual=float(np.sqrt(rs)) / b_norm,
             )
-        alpha = rs / denom
+        alpha = rz / denom
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(np.sum(r * r))
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        rs = float(np.sum(r * r))
+        if precondition is None:
+            z, rz_new = r, rs
+        else:
+            z = precondition(r)
+            rz_new = float(np.sum(r * z))
+        p *= rz_new / rz
+        p += z
+        rz = rz_new
     else:
         raise SolverError(
             f"CG did not reach relative residual {tol:.1e} within {cap} "

@@ -2,33 +2,35 @@
 
 Each oracle deliberately avoids the code path it checks: brackets via
 dense matrix commutators, the lattice kernels and the RK4 step via the
-dense einsum bracket and np.roll differences they replaced, the gauge
-action (no command transforms a field, so only the tests carry it) via
-site-wise orthogonal matrices, np.roll differences and a scipy matrix
-exponential of ad(phi), so the covariance tests share no kernel with the
-stencils they check, the curvature pairs via the nine-block
-antisymmetric layout, the Helmholtz projector via FFT symbols, the
-Gaussian smoothing via finite-difference stencils on point evaluations,
-the energy symbol via products and sums in the symbol ring, quantization
-via explicit ladder-matrix products, via the full-width feasibility mask
-and term by term on the raise tables of an enumerated basis, as
-fock.quantize computed it before it took every term at once on any
-subset of states (with the whole safe-basis H and its weight sectors
-built that way), the Fock basis via recursive enumeration and its state
-index via a dictionary of occupation rows, the lowest block levels and
-their multiplicities via the full dense spectrum and via Lanczos with a
-Sylvester inertia certificate from a symmetric sparse LU, and wave
-evolution via the dispersion relation of the spatially discrete system.
-The scipy.sparse path that the numpy Csr operators replaced is kept as
-the reference for them: quantization summed into a scipy CSR matrix, and
-block eigenvalues from scipy fancy indexing with components labelled on
-the symmetrized sparse pattern.  The real-mode spectrum path that the
-Cartan weight sectors replaced is kept too: H quantized in the real modes
-and each block split into the connected components of its sparsity
-graph.  The Cartan-mode energy symbol has its reference in substitution
-z = U w into the real-mode one, term by term in the symbol ring, and the
-rotation symmetry behind the zero-weight C* in the quantized generators
-of the colour and spatial rotations.
+dense einsum bracket and np.roll differences they replaced, the Gauss
+projection's Laplacian solve via the plain CG that the flat-Laplacian
+preconditioner replaced, the gauge action (no command transforms a
+field, so only the tests carry it) via site-wise orthogonal matrices,
+np.roll differences and a scipy matrix exponential of ad(phi), so the
+covariance tests share no kernel with the stencils they check, the
+curvature pairs via the nine-block antisymmetric layout, the Helmholtz
+projector via FFT symbols, the Gaussian smoothing via finite-difference
+stencils on point evaluations, the energy symbol via products and sums
+in the symbol ring, quantization via explicit ladder-matrix products,
+via the full-width feasibility mask and term by term on the raise tables
+of an enumerated basis, as fock.quantize computed it before it took
+every term at once on any subset of states (with the whole safe-basis H
+and its weight sectors built that way), the Fock basis via recursive
+enumeration and its state index via a dictionary of occupation rows, the
+lowest block levels and their multiplicities via the full dense spectrum
+and via Lanczos with a Sylvester inertia certificate from a symmetric
+sparse LU, and wave evolution via the dispersion relation of the
+spatially discrete system. The scipy.sparse path that the numpy Csr
+operators replaced is kept as the reference for them: quantization
+summed into a scipy CSR matrix, and block eigenvalues from scipy fancy
+indexing with components labelled on the symmetrized sparse pattern. The
+real-mode spectrum path that the Cartan weight sectors replaced is kept
+too: H quantized in the real modes and each block split into the
+connected components of its sparsity graph. The Cartan-mode energy
+symbol has its reference in substitution z = U w into the real-mode one,
+term by term in the symbol ring, and the rotation symmetry behind the
+zero-weight C* in the quantized generators of the colour and spatial
+rotations.
 It also holds the lattice helpers that only tests use: the inner product
 field_dot, the stencil's Fourier eigenvalues and random scalar fields;
 the Fock helpers that only tests use, each built on scipy.sparse:
@@ -55,6 +57,7 @@ from ymspec.fock import (
     FockOperator,
     build_basis,
 )
+from ymspec import lattice
 from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
@@ -159,6 +162,48 @@ def reference_rk4_step(basis, spacing, a0, e0, h):
     k4a, k4e = deriv(a0 + h * k3a, e0 + h * k3e)
     return (a0 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
             e0 + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e))
+
+
+def plain_cg_invert(a, f, tol):
+    """Laplacian_a u = f by conjugate gradients on -Laplacian_a without a
+    preconditioner, as lattice.invert_laplacian solved it before: the same
+    start, stopping test and null-pattern handling at a = 0.  The matvec
+    is looked up on the lattice module at each call, so a test can count
+    it."""
+    b = -f.data
+    a_is_zero = not np.any(a.data)
+    if a_is_zero:
+        patterns = lattice._zero_gauge_null_patterns(a.lattice.n)
+        b, _ = lattice._project_null_modes(b, patterns)
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = float(np.sum(r * r))
+    target = (tol * b_norm) ** 2
+    for _ in range(10 * a.lattice.sites()):
+        if rs <= target:
+            break
+        field = ScalarAlgebraField(a.lattice, a.basis, p)
+        ap = -lattice.gauged_laplacian(a, field).data
+        alpha = rs / float(np.sum(p * ap))
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = float(np.sum(r * r))
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    else:
+        raise AssertionError("plain CG did not converge")
+    if a_is_zero:
+        x, _ = lattice._project_null_modes(x, patterns)
+    return ScalarAlgebraField(a.lattice, a.basis, x)
+
+
+def plain_cg_transversal(a, e, tol):
+    """lattice.transversal_project with the solve of plain_cg_invert."""
+    u = plain_cg_invert(a, lattice.gauged_div(a, e), tol)
+    return VectorAlgebraField(a.lattice, a.basis,
+                              e.data - lattice.gauged_grad(a, u).data)
 
 
 # ---------------------------------------------------------------------------

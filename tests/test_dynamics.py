@@ -25,6 +25,8 @@ from ymspec.lattice import (
     ScalarAlgebraField,
     VectorAlgebraField,
     field_norm,
+    gauged_div,
+    gauged_grad,
     random_vector_field,
     transversal_project,
 )
@@ -37,6 +39,8 @@ from oracles import (
     expand_pairs,
     gauge_transform,
     maxwell_energy,
+    random_scalar_field,
+    reference_force,
     reference_rk4_step,
     roll_diff,
 )
@@ -105,6 +109,59 @@ class TestCurvature:
                    - roll_diff(a.data[j], 1 + k, h)
                    - einsum_bracket(su2, a.data[j], a.data[k]))
             assert np.abs(f[p] - ref).max() < 1e-13
+
+
+def _strided(data):
+    """The same values in a view of stride 16 bytes: the real part of a
+    complex array."""
+    wide = np.zeros(data.shape, dtype=complex)
+    wide.real = data
+    return wide.real
+
+
+def _sites_major(data):
+    """The same values in a view with the site axes leading in memory, as
+    in the field file payload."""
+    lead = data.ndim - 3
+    order = tuple(range(lead, data.ndim)) + tuple(range(lead))
+    back = tuple(np.argsort(order))
+    return np.ascontiguousarray(data.transpose(order)).transpose(back)
+
+
+class TestInPlaceKernels:
+    @pytest.mark.parametrize("layout", [_strided, _sites_major])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4"])
+    def test_strided_fields_match_oracles(self, name, layout, rng):
+        # the kernels fill their own contiguous scratch and output arrays,
+        # whatever the layout of the fields they read
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=5, spacing=0.7)
+        h = lat.spacing
+        a = random_vector_field(rng, lat, basis, amplitude=0.8)
+        e = random_vector_field(rng, lat, basis)
+        u = random_scalar_field(rng, lat, basis)
+        sa, se = (VectorAlgebraField(lat, basis, layout(x.data)) for x in (a, e))
+        su = ScalarAlgebraField(lat, basis, layout(u.data))
+        assert not (sa.data.flags.c_contiguous or su.data.flags.c_contiguous)
+
+        def close(got, want):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+        close(gauged_grad(sa, su).data,
+              np.array([roll_diff(u.data, 1 + k, h)
+                        - einsum_bracket(basis, a.data[k], u.data)
+                        for k in range(3)]))
+        close(gauged_div(sa, se).data,
+              sum(roll_diff(e.data[k], 1 + k, h)
+                  - einsum_bracket(basis, a.data[k], e.data[k])
+                  for k in range(3)))
+        f = curvature_magnetic(sa)
+        close(f, np.array([roll_diff(a.data[k], 1 + j, h)
+                           - roll_diff(a.data[j], 1 + k, h)
+                           - einsum_bracket(basis, a.data[j], a.data[k])
+                           for j, k in ((0, 1), (0, 2), (1, 2))]))
+        close(dynamics._force(sa, layout(f)),
+              reference_force(basis, h, a.data))
 
 
 class TestEnergy:

@@ -1,7 +1,12 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
+from ymspec import lattice
 from ymspec.algebra import build_algebra
+from ymspec.cli import _seeded_fields, parse_config
 from ymspec.errors import (
     ConfigurationError,
     ConsistencyError,
@@ -34,6 +39,8 @@ from oracles import (
     fft_longitudinal,
     field_dot,
     gauge_transform,
+    plain_cg_invert,
+    plain_cg_transversal,
     random_scalar_field,
     roll_diff,
     stencil_eigenvalue,
@@ -103,8 +110,13 @@ class TestKernelsMatchOracles:
         # curvature component: both (dim_g, n, n, n)
         for x, y in ((a.data[0], u.data), (a.data[1], a.data[2])):
             want = einsum_bracket(basis, x, y)
-            got = _bracket(basis, x, y)
+            got = _bracket(basis, x, y, np.zeros(x.shape), 1.0)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            # -[x, y] added in place into a caller's array
+            start = rng.normal(size=x.shape)
+            out = start.copy()
+            assert _bracket(basis, x, y, out, -1.0) is out
+            assert np.abs(out - (start - want)).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_diff_every_axis(self, n, rng):
@@ -116,10 +128,17 @@ class TestKernelsMatchOracles:
                   rng.normal(size=(n, n, n, 3)).transpose(3, 0, 1, 2)]
         for arr in arrays:
             for axis in range(arr.ndim):
-                np.testing.assert_allclose(
-                    _diff(arr, axis, 0.7), roll_diff(arr, axis, 0.7),
-                    rtol=1e-15, atol=0,
-                )
+                # the raw difference, which roll_diff gives at spacing 1/2
+                out = np.empty(arr.shape)
+                assert _diff(arr, axis, out) is out
+                assert np.array_equal(out, roll_diff(arr, axis, 0.5))
+
+    def test_diff_rejects_strided_out(self, rng):
+        # reshaping a strided out copies it: the copy would get the result
+        arr = rng.normal(size=(3, 4, 4, 4))
+        out = np.empty((3, 4, 4, 4, 2))[..., 0]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _diff(arr, 1, out)
 
 
 class TestGaugedCalculus:
@@ -240,6 +259,104 @@ class TestInvertLaplacian:
         f_data[0] = pattern[:, None, None] * pattern[None, :, None] * pattern[None, None, :]
         with pytest.raises(ConsistencyError):
             invert_laplacian(a0, ScalarAlgebraField(lat8, su2, f_data), tol=1e-10)
+
+
+def _counting_laplacian(monkeypatch):
+    """Count the gauged Laplacians applied from here on: the CG matvecs."""
+    calls = []
+    real = lattice.gauged_laplacian
+
+    def counted(a, u):
+        calls.append(1)
+        return real(a, u)
+
+    monkeypatch.setattr(lattice, "gauged_laplacian", counted)
+    return calls
+
+
+class TestPreconditionedCG:
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    @pytest.mark.parametrize("amplitude", [1e-7, 0.05, 0.5])
+    def test_against_plain_cg(self, name, amplitude, rng):
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=8, spacing=1.0)
+        a = random_vector_field(rng, lat, basis, amplitude)
+        e = random_vector_field(rng, lat, basis)
+        tol = 1e-12
+        got = transversal_project(a, e, tol)
+        want = plain_cg_transversal(a, e, tol)
+        before = constraint_residual(a, e)
+        after, want_after = constraint_residual(a, got), constraint_residual(a, want)
+        if amplitude > 1e-7:
+            assert diff_norm(got, want) <= 1e-8 * field_norm(e)
+            assert after <= 10 * tol * before
+        else:
+            # near a = 0 the global colour rotations are a near-kernel of
+            # Laplacian_a (eigenvalues about sigma = 3e-14), so u carries
+            # about |div e| / sigma = 1e6 along them: two solves that both
+            # meet tol differ by about tol |div e| / sqrt(sigma) in grad u,
+            # and roundoff in grad_a u, about 1e-16 |u|, sets the Gauss
+            # residual for plain CG as well
+            assert diff_norm(got, want) <= 1e-5 * field_norm(e)
+            assert after <= max(10 * tol * before, 2 * want_after)
+        # sigma = 3 kappa amplitude^2 (kappa = 1 for both) against
+        # lambda_1 = sin(pi / 4)^2 = 0.5: only 0.5 takes plain CG, which
+        # is then the oracle's iteration on the same kernels, bit for bit
+        plain = lattice._flat_preconditioner(a) is None
+        assert plain == (amplitude == 0.5)
+        if plain:
+            f = gauged_div(a, e)
+            assert np.array_equal(invert_laplacian(a, f, tol).data,
+                                  plain_cg_invert(a, f, tol).data)
+
+    @pytest.mark.parametrize("name,kappa", [
+        ("su2", 1), ("su3", 1), ("so4", 2), ("so5", 3),
+    ])
+    def test_plain_cg_from_lambda_1(self, name, kappa):
+        # a_0 = t in every algebra direction: sum |a|^2 = dim_g n^3 t^2,
+        # so sigma = kappa t^2, against lambda_1 = (sin(2 pi / 6) / 0.5)^2 = 3
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=6, spacing=0.5)
+        edge = math.sqrt(3.0 / kappa)
+        for t, plain in ((0.999 * edge, False), (1.001 * edge, True)):
+            a = VectorAlgebraField.zeros(lat, basis)
+            a.data[0] = t
+            assert (lattice._flat_preconditioner(a) is None) == plain
+
+    def test_one_step_at_zero_background(self, su2, lat8, rng, monkeypatch):
+        # at a = 0 the preconditioner is the pseudo-inverse of the operator
+        calls = _counting_laplacian(monkeypatch)
+        a0 = VectorAlgebraField.zeros(lat8, su2)
+        u = random_scalar_field(rng, lat8, su2)
+        f = gauged_laplacian(a0, u)
+        calls.clear()
+        out = invert_laplacian(a0, f, tol=1e-12)
+        assert len(calls) == 1
+        back = gauged_laplacian(a0, out)
+        assert diff_norm(back, f) <= 1e-12 * field_norm(f)
+
+    def test_iteration_counts(self, monkeypatch):
+        # deterministic guards, no wall clock: the matvecs of the start-up
+        # projection of the evolve-su2-20 benchmark case (plain CG: 138)
+        calls = _counting_laplacian(monkeypatch)
+        a, e = _seeded_fields(parse_config(json.dumps({
+            "command": "evolve", "algebra": "su2",
+            "lattice": {"n": 20, "spacing": math.pi / 10},
+            "random": {"amplitude": 1e-7, "max_mode": 1}, "seed": 1})))
+        transversal_project(a, e, 1e-12)
+        assert len(calls) <= 12
+        # and of the project-su3-20 case (sigma = 0.75 >= lambda_1 = 0.096),
+        # which keeps plain CG and so the oracle's count
+        a, e = _seeded_fields(parse_config(json.dumps({
+            "command": "project", "algebra": "su3",
+            "lattice": {"n": 20, "spacing": 1.0},
+            "random": {"amplitude": 0.5, "max_mode": 2}, "seed": 1})))
+        calls.clear()
+        transversal_project(a, e, 1e-10)
+        got = len(calls)
+        calls.clear()
+        plain_cg_transversal(a, e, 1e-10)
+        assert got == len(calls) == 70
 
 
 class TestProjector:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -854,6 +855,23 @@ class TestNumberShiftBound:
         assert h.basis.size == 506
         assert number_shift_bound(h) == pytest.approx(10.255542942942753,
                                                       rel=0, abs=1e-10)
+
+    def test_hermiticity_check_holds_no_stack_copy(self):
+        # C*(10) solves one zero-weight sector of 1,382 rows, 15 MB dense:
+        # its Hermiticity check by row blocks keeps the peak near that one
+        # copy (d, d - d^H and their abs over the whole stack held three)
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=12))
+        dense = 8 * h.basis.size ** 2
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cstar = number_shift_bound(h)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert h.basis.size == 1382
+        assert cstar == 10.060018563539353
+        assert peak < 2 * dense
 
     def test_stability_under_refinement(
         self, su2_hamiltonian_nmax8, su2_hamiltonian_nmax10
