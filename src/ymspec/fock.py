@@ -212,9 +212,10 @@ def quantize(
     So a monomial's sources are the states mu >= lift, lift = b (normal) or
     max(b - a, 0) (anti-normal), of degree <= bound, with the final state of
     degree <= depth, and its targets mu + a - b.  Every row is a target:
-    the (term, row) candidates are formed per distinct target lift, and a
-    source is found by its key, key(mu + a - b) - key(a - b), since the
-    keys are linear mod 2**64; a source the basis does not hold is dropped.
+    the (term, row) candidates are formed per distinct target lift.  A
+    diagonal term's source is its target; any other source is found by its
+    key, key(mu + a - b) - key(a - b), since the keys are linear mod 2**64,
+    and a source the basis does not hold is dropped.
     Amplitudes are products of ladder factors, exact below 2**53, then two
     square roots.
 
@@ -280,10 +281,13 @@ def quantize(
         # candidates term-major, so each entry's terms stay in sorted order
         t, rows = np.nonzero(meets.T[group] & (basis.degrees[lo:hi] <= top[:, None]))
         rows += lo
-        src_key = basis._keys[rows] - shift[t]
+        # a diagonal term's source is its target; only the others are sought
+        off = ~on_diagonal[t]
+        src_key = basis._keys[rows[off]] - shift[t[off]]
         at = np.minimum(np.searchsorted(sorted_keys, src_key), size - 1)
-        held = sorted_keys[at] == src_key
-        t, rows, cols = t[held], rows[held], order[at[held]]
+        held, cols = np.ones(t.size, dtype=bool), rows.copy()
+        held[off], cols[off] = sorted_keys[at] == src_key, order[at]
+        t, rows, cols = t[held], rows[held], cols[held]
         f1, f2 = np.ones(t.size), np.ones(t.size)
         for slot, s1, s2 in zip(modes, c1, c2):
             x = flat_states[rows * basis.D + slot[t]] * width

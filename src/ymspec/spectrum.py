@@ -245,7 +245,8 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
     inside = ~joins & (pos[rows] >= 0)
     rows, cols, vals = rows[inside], cols[inside], vals[inside]
     eigs = []
-    for size in np.unique(sizes):
+    # not a plain np.unique, which imports numpy.ma (about 12 ms)
+    for size in sorted(set(sizes.tolist())):
         # the sectors of this size, one layer each, their rows in order
         stack = np.flatnonzero(sizes == size)
         members = order[starts[stack, None] + np.arange(size)]

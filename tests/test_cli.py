@@ -694,12 +694,15 @@ runner = cli._RUNNERS[command]
 seen = {}
 def wrapped(config, outdir):
     seen["on_entry"] = "scipy.sparse" in sys.modules
+    seen["ma_on_entry"] = "numpy.ma" in sys.modules
     return runner(config, outdir)
 cli._RUNNERS[command] = wrapped
 code = cli.main(sys.argv[1:])
 heavy = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
 print(json.dumps({"code": code, "on_entry": seen.get("on_entry"),
                   "after": "scipy.sparse" in sys.modules,
+                  "ma_on_entry": seen.get("ma_on_entry"),
+                  "ma_after": "numpy.ma" in sys.modules,
                   "heavy": [name for name in heavy if name in sys.modules]}))
 """
 
@@ -722,7 +725,9 @@ class TestImportContract:
     """No command loads scipy.sparse, on entering its runner or after it:
     the Fock operators are numpy arrays and the block sectors are read
     off in numpy.  Nor does any command load scipy.sparse.csgraph,
-    scipy.sparse.linalg or scipy.linalg."""
+    scipy.sparse.linalg or scipy.linalg.  Nor numpy.ma, on entering its
+    runner or after it: a plain np.unique (no return_* flag) would import
+    it."""
 
     def test_package_import_loads_no_numpy(self):
         # the package root imports nothing, so the CLI sets its thread
@@ -752,4 +757,5 @@ class TestImportContract:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result == {"code": 0, "on_entry": False, "after": False,
+                          "ma_on_entry": False, "ma_after": False,
                           "heavy": []}
