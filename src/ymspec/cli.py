@@ -434,9 +434,8 @@ def _run_project(config: RunConfig, outdir: str):
     failures = []
     # CG residual is exactly div_a(e - grad_a u), so 'after' <= tol * 'before'
     if not after <= 10 * config.tolerances.cg_tol * max(before, 1e-300):
-        failures.append(
-            f"projection left residual {after:.3e} relative to |e| {e_norm:.3e}"
-        )
+        failures.append(f"projection left residual_after {after:.3e}, more than "
+                        f"10 * cg_tol times residual_before {before:.3e}")
     _finish(outdir, "project_report.json",
             {"residual_before": before, "residual_after": after,
              "electric_norm": e_norm}, config, failures)

@@ -30,7 +30,8 @@ connected components of its sparsity graph. The Cartan-mode energy
 symbol has its reference in substitution z = U w into the real-mode one,
 term by term in the symbol ring, and the rotation symmetry behind the
 zero-weight C* in the quantized generators of the colour and spatial
-rotations.
+rotations. The truncation study that convergence_study replaced with one
+solve is kept as well: the levels rebuilt and solved at every cutoff.
 It also holds the lattice helpers that only tests use: the inner product
 field_dot, the stencil's Fourier eigenvalues and random scalar fields;
 the Fock helpers that only tests use, each built on scipy.sparse:
@@ -1315,8 +1316,38 @@ def safe_hamiltonian(model, N_max: int | None = None) -> FockOperator:
     rows it reads."""
     from ymspec.spectrum import _cartan_model
 
-    (basis,), sym = _cartan_model(model, [model.N_max if N_max is None else N_max])
+    basis, sym = _cartan_model(model, model.N_max if N_max is None else N_max)
     return raise_table_quantize(sym, model.convention, basis)
+
+
+def convergence_per_cutoff(model, N_max_list):
+    """spectrum.convergence_study as it was before it solved the levels
+    once: the safe basis and the level operator rebuilt at every cutoff in
+    N_max_list and its levels solved there, so each column, and each
+    relative change between consecutive cutoffs, shows what the cutoff
+    moved."""
+    from ymspec.spectrum import (
+        ConvergenceStudy,
+        _block_eigenvalues,
+        _cartan_model,
+        _degree_rows,
+        _level_operator,
+    )
+
+    levels = list(N_max_list)
+    ns = list(range(model.n_top + 1))
+    lambdas = {}
+    for N in levels:
+        basis, sym = _cartan_model(model, N)
+        h = _level_operator(sym, model.convention, basis, model.n_top)
+        lambdas[N] = [float(_block_eigenvalues(
+            h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])
+                      for n in ns]
+    return ConvergenceStudy(
+        N_max_list=levels, ns=ns, lambdas=lambdas,
+        rel_changes={(a, b): [abs(l2 - l1) / max(abs(l1), 1e-12)
+                              for l1, l2 in zip(lambdas[a], lambdas[b])]
+                     for a, b in zip(levels, levels[1:])})
 
 
 def sector_eigenvalues(h: FockOperator, n: int) -> dict:

@@ -32,6 +32,10 @@ CONFIGS = {
         "evolution": {"T": 0.2, "h": 0.1},
         "random": {"amplitude": 0.01, "max_mode": 1},
     },
+    "converge": {
+        "command": "converge", "algebra": "su2",
+        "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 6, 8]},
+    },
 }
 
 
@@ -117,3 +121,14 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         steps = names.count("dynamics.rk4_step")
         assert steps == 2
         assert names.count("dynamics.curvature_magnetic") == 4 * steps + 1
+
+
+def test_traced_converge_solves_once(tmp_path):
+    # every level is exact at each cutoff, so the levels are solved once on
+    # the first cutoff's safe basis: one algebra, one basis, one symbol and
+    # one quantization, whatever the number of cutoffs
+    names = [span[0] for span in traced_run(tmp_path, "converge")["spans"]]
+    assert names.count("spectrum.convergence_study") == 1
+    for name in ("algebra.build_algebra", "fock.build_basis",
+                 "symbols.energy_symbol", "fock.quantize"):
+        assert names.count(name) == 1, name

@@ -458,25 +458,27 @@ def _levels_moved(monkeypatch):
     monkeypatch.setattr(cli, "convergence_study", moved)
 
 
-# command -> (config, summary file, how its physics gate is made to fail);
-# evolve's failed gate has its own tests below.
+# command -> (config, summary file, how its physics gate is made to fail,
+# a phrase of the failure message); evolve's failed gate has its own tests
+# below.
 # No config fails converge's gate: its levels are exact, so max_rel_change
 # is exactly 0.0.  transform's two quantization routes differ by ~1.5e-14.
 _GATE_FAILURES = {
     "check-algebra": ({"algebra": "su2",
                        "tolerances": {"algebra_tol": 1e-300}},
-                      "algebra_report.json", None),
+                      "algebra_report.json", None, "invariants violated"),
+    # the gate compares residual_after with cg_tol * residual_before
     "project": ({"algebra": "su2", "lattice": {"n": 4}},
-                "project_report.json", _unprojected),
+                "project_report.json", _unprojected, "residual_before"),
     "transform": ({"algebra": "su2", "tolerances": {"ordering_tol": 1e-300}},
-                  "transform_report.json", None),
+                  "transform_report.json", None, "routes disagree"),
     "spectrum": ({"algebra": "su2", "model": {"N_max": 4, "n_max": 2}},
-                 "run_summary.json", _no_gap),
+                 "run_summary.json", _no_gap, "gap is not positive"),
     "converge": ({"algebra": "su2",
                   "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 6],
                             "sector": "abelian"},
                   "tolerances": {"convergence_gate": 1e-6}},
-                 "convergence_summary.json", _levels_moved),
+                 "convergence_summary.json", _levels_moved, "exceeds gate"),
 }
 
 
@@ -562,7 +564,7 @@ class TestRunners:
     @pytest.mark.parametrize("command", sorted(_GATE_FAILURES))
     def test_failed_gate_exits_1_with_violated_summary(self, tmp_path,
                                                         monkeypatch, command):
-        doc, summary_name, force = _GATE_FAILURES[command]
+        doc, summary_name, force, phrase = _GATE_FAILURES[command]
         if force is not None:
             force(monkeypatch)
         path = write_config(tmp_path, dict(doc, command=command))
@@ -573,6 +575,7 @@ class TestRunners:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "PhysicsAssertionError"
         assert diag["exit_code"] == 1
+        assert phrase in diag["message"]
 
     def test_every_failed_transform_check_is_named(self, tmp_path,
                                                    monkeypatch):
@@ -618,6 +621,24 @@ class TestRunners:
         assert len(summary["lambdas"]) == 3
         assert summary["gap"] > 0
         assert summary["arithmetic_growth"] is True
+
+    def test_converge_builds_only_the_first_cutoff(self, tmp_path):
+        # only the first cutoff's safe basis is built, so a later one past
+        # the basis cap (so5 at N_max = 12: ~8.5e8 states) is not refused:
+        # the exact N_max = 4 levels fill both columns
+        path = write_config(tmp_path, {
+            "command": "converge", "algebra": "so5",
+            "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 12]},
+        })
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "convergence.csv").read_text().strip().split("\n")
+        assert lines[0] == "n,lambda_Nmax4,lambda_Nmax12"
+        assert len(lines) == 4
+        for line in lines[1:]:
+            _, at4, at12 = line.split(",")
+            assert at4 == at12
+        summary = json.loads((tmp_path / "convergence_summary.json").read_text())
+        assert summary["max_rel_change"] == 0.0
 
     def test_project_outputs(self, tmp_path):
         path = write_config(tmp_path, {

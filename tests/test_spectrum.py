@@ -38,6 +38,7 @@ from oracles import (
     certified_minimum,
     component_block_eigenvalues,
     component_labels,
+    convergence_per_cutoff,
     count_below,
     degree_indices,
     dense_lowest_level,
@@ -884,7 +885,7 @@ class TestNumberShiftBound:
 class TestConvergenceStudy:
     def test_abelian_block_exact(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
-        study = convergence_study(model, [4, 6, 8])
+        study = convergence_per_cutoff(model, [4, 6, 8])
         assert study.max_rel_change() < 1e-10
 
     @pytest.mark.parametrize("algebra,convention,N_max", [
@@ -897,11 +898,43 @@ class TestConvergenceStudy:
                                                   N_max):
         # for n <= N_max - 2 every ladder path of a number-conserving quartic
         # monomial stays inside the cutoff, so refining N_max does not move
-        # interior levels at all; bosonic_spectrum's exact levels rely on it
+        # interior levels at all; bosonic_spectrum's exact levels and
+        # convergence_study's single solve rely on it
         model = ModelSpec(algebra=algebra, N_max=N_max, n_max=N_max - 2,
                           convention=convention)
-        study = convergence_study(model, [N_max, N_max + 2])
+        study = convergence_per_cutoff(model, [N_max, N_max + 2])
         assert study.max_rel_change() < 1e-12
+
+    @pytest.mark.parametrize("algebra,sector,convention,N_max_list", [
+        ("su2", "full", "antinormal", [4, 6, 8]),
+        ("su2", "full", "normal", [4, 6, 8]),
+        ("su2", "full", "weyl", [4, 6, 8]),
+        ("su2", "abelian", "antinormal", [4, 6, 8]),
+        ("so4", "full", "antinormal", [4, 5]),
+        ("su3", "full", "antinormal", [4, 5]),
+        ("so5", "full", "antinormal", [4, 5]),
+    ])
+    def test_single_solve_matches_per_cutoff_rebuild(
+            self, algebra, sector, convention, N_max_list):
+        # the levels solved once equal, bit for bit, those rebuilt and
+        # solved at every cutoff; and the zero-weight H at each smaller
+        # cutoff is the degree <= N - 2 prefix of the one at the largest
+        first = N_max_list[0]
+        model = ModelSpec(algebra=algebra, sector=sector, N_max=first,
+                          n_max=first - 2, convention=convention)
+        study = convergence_study(model, N_max_list)
+        reference = convergence_per_cutoff(model, N_max_list)
+        assert study.lambdas == reference.lambdas
+        assert study.rel_changes == reference.rel_changes
+        assert study.to_csv() == reference.to_csv()
+        top = assemble_hamiltonian(model, N_max_list[-1])
+        for N in N_max_list[:-1]:
+            h = assemble_hamiltonian(model, N)
+            k = h.basis.size
+            assert np.count_nonzero(top.basis.degrees <= N - 2) == k
+            assert np.array_equal(h.basis.states, top.basis.states[:k])
+            for mine, prefix in zip(h.matrix.rows(0, k), top.matrix.rows(0, k)):
+                assert np.array_equal(mine, prefix)
 
     def test_su2_edge_block_grows_toward_exact_value(self, su2,
                                                      su2_hamiltonian_nmax8):
@@ -916,9 +949,9 @@ class TestConvergenceStudy:
         assert lam6 < lam8
 
     def test_one_eigensolve_per_level(self, monkeypatch):
-        # one block solve per (N_max, n), on the rows of weight code >= 0
-        # (1, 5 and 25 of the 1, 9 and 45 states); no multiplicity is
-        # counted
+        # one block solve per n, whatever the number of cutoffs, on the
+        # rows of weight code >= 0 (1, 5 and 25 of the 1, 9 and 45
+        # states); no multiplicity is counted
         calls = []
 
         def spy(matrix, lo, hi, *args, **kwargs):
@@ -933,34 +966,39 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "_lowest_level", no_count)
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         convergence_study(model, [4, 6])
-        assert calls == [1, 5, 25] * 2
+        assert calls == [1, 5, 25]
 
     def test_one_symbol_for_every_level(self, monkeypatch):
-        # the energy symbol does not depend on N_max: it is built once, and
-        # each level only builds its basis and quantizes
-        calls = []
+        # the levels do not depend on N_max: one basis, at the first
+        # cutoff, and one energy symbol serve every column
+        calls = {"symbol": 0, "basis": 0}
 
-        def spy(*args):
-            calls.append(args)
-            return build_symbol(*args)
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
 
-        build_symbol = spectrum.energy_symbol
-        monkeypatch.setattr(spectrum, "energy_symbol", spy)
+        monkeypatch.setattr(spectrum, "energy_symbol",
+                            spy("symbol", spectrum.energy_symbol))
+        monkeypatch.setattr(spectrum, "build_basis",
+                            spy("basis", spectrum.build_basis))
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         study = convergence_study(model, [4, 6])
-        assert len(calls) == 1
+        assert calls == {"symbol": 1, "basis": 1}
         for N in (4, 6):
             h = safe_hamiltonian(model, N_max=N)
             assert study.lambdas[N] == block_levels(h, range(3), 1e-8)[0]
 
     def test_oversize_level_refused_before_symbol(self, monkeypatch):
-        # every level's basis passes the cap before the symbol is built
+        # the one basis built, the first cutoff's, passes the cap before the
+        # symbol is built: so5's safe basis at N_max = 12 has ~8.5e8 states
         calls = []
         monkeypatch.setattr(spectrum, "energy_symbol",
                             lambda *args: calls.append(args))
         with pytest.raises(ResourceError):
             convergence_study(ModelSpec(algebra="so5", N_max=4, n_max=2),
-                              [4, 12])
+                              [12, 14])
         assert calls == []
 
     def test_single_entry_list(self):
