@@ -6,15 +6,17 @@ derivatives are central differences with periodic wrap, which makes
 the constraint projector grad_a (Laplacian_a)^-1 div_a inherits exact
 symmetry up to the conjugate-gradient tolerance.
 
-On an even lattice the composed central-difference Laplacian at a = 0
-annihilates the constant field and the seven checkerboard sign patterns
-(the modes where the difference symbol sin(2 pi m / n) vanishes).  Solves
-at a = 0 project these null modes explicitly; for a != 0 the kernel is
-generically empty and slow CG convergence is surfaced as a solver error
-rather than hidden.  CG is preconditioned by the inverse of the shifted
-a = 0 Laplacian, applied by real FFT, while the background is weak
-against the lowest flat eigenvalue, and is plain CG otherwise (see
-_flat_preconditioner).
+The composed central-difference Laplacian at a = 0 annihilates the
+Fourier modes where its symbol sum_i sin^2(2 pi m_i / n) vanishes: the
+constant field, and on an even lattice the seven checkerboard sign
+patterns too.  CG is preconditioned by the inverse of the shifted a = 0
+Laplacian, applied by real FFT, while the background is weak against the
+lowest flat eigenvalue, and is plain CG otherwise (see
+_flat_preconditioner).  At a = 0 that inverse is the pseudo-inverse,
+zero on the null modes, so the solve is one application of it; a
+right-hand side with a significant null-mode part is refused.  For
+a != 0 the kernel is generically empty and slow CG convergence is
+surfaced as a solver error rather than hidden.
 
 The kernels work in place: _diff writes a raw central difference into a
 caller's C-contiguous array, and _bracket adds +-[x, y] into one.
@@ -196,41 +198,6 @@ def gauged_laplacian(a: VectorAlgebraField, u: ScalarAlgebraField) -> ScalarAlge
 
 
 # ---------------------------------------------------------------------------
-# null modes of the a = 0 Laplacian
-# ---------------------------------------------------------------------------
-
-def _zero_gauge_null_patterns(n: int) -> np.ndarray:
-    """Spatial sign patterns annihilated by every central difference.
-
-    The constant pattern always; for even n also the 2^3 - 1 checkerboard
-    patterns built from alternating signs along any subset of axes.
-    """
-    axis_choices = [np.ones(n)]
-    if n % 2 == 0:
-        axis_choices.append((-1.0) ** np.arange(n))
-    patterns = []
-    for vx in axis_choices:
-        for vy in axis_choices:
-            for vz in axis_choices:
-                patterns.append(
-                    vx[:, None, None] * vy[None, :, None] * vz[None, None, :]
-                )
-    return np.array(patterns)  # (P, n, n, n), each with sum of squares n^3
-
-
-def _project_null_modes(data: np.ndarray, patterns: np.ndarray):
-    """Remove null-pattern content; returns (projected, removed_norm2)."""
-    n3 = patterns[0].size
-    out = data.copy()
-    removed = 0.0
-    for pat in patterns:
-        coeff = np.tensordot(out, pat, axes=([-3, -2, -1], [0, 1, 2])) / n3
-        out -= coeff[..., None, None, None] * pat
-        removed += float(np.sum(coeff * coeff) * n3)
-    return out, removed
-
-
-# ---------------------------------------------------------------------------
 # Laplacian inversion and constraint projection
 # ---------------------------------------------------------------------------
 
@@ -250,8 +217,9 @@ def _flat_preconditioner(a: VectorAlgebraField):
     lambda_1 = (sin(2 pi / n) / h)^2 the background dominates the flat
     part and the flat inverse no longer pays for its transforms, so the
     identity (plain CG) is returned.  At a = 0, sigma = 0 and the null
-    patterns of Laplacian_0 get 0 instead of 1/0: the preconditioner is
-    then the pseudo-inverse, and CG ends after one step.
+    modes of Laplacian_0, the Fourier modes where its symbol vanishes,
+    get 0 instead of 1/0: the preconditioner is then the pseudo-inverse,
+    which invert_laplacian applies once as the solution.
     """
     n, h = a.lattice.n, a.lattice.spacing
     c = a.basis.structure_constants
@@ -282,50 +250,51 @@ def invert_laplacian(
     tol: float = DEFAULT_CG_TOL,
 ) -> ScalarAlgebraField:
     """Solve Laplacian_a u = f by conjugate gradients on -Laplacian_a,
-    preconditioned by _flat_preconditioner.  The stopping test reads the
-    unpreconditioned residual |f - Laplacian_a u| <= tol |f|; with the
-    identity preconditioner the iteration is plain CG, step for step.
+    preconditioned by _flat_preconditioner, or by the identity where that
+    returns None.  The stopping test reads the unpreconditioned residual
+    |f - Laplacian_a u| <= tol |f|; with the identity the iteration is
+    plain CG, step for step.
 
-    The right-hand side must be orthogonal to the discrete kernel: at
-    a = 0 the null patterns are removed explicitly and a significant
-    component raises a consistency error; for a != 0 a near-kernel
-    component shows up as non-convergence and raises a solver error.
+    The right-hand side must be orthogonal to the discrete kernel.  At
+    a = 0 the preconditioner is the pseudo-inverse, so it is applied once
+    as the solution, and what one Laplacian of it leaves of f is f's part
+    in the null modes; a significant part raises a consistency error.  For
+    a != 0 a near-kernel component shows up as non-convergence and raises
+    a solver error.
     """
     _same_geometry(a, f)
     if tol <= 0:
         raise ConfigurationError("CG tolerance must be positive")
     lattice = a.lattice
-    a_is_zero = not np.any(a.data)
-
-    b = -f.data
-    if a_is_zero:
-        patterns = _zero_gauge_null_patterns(lattice.n)
-        b, removed2 = _project_null_modes(b, patterns)
-        f_norm2 = float(np.sum(f.data * f.data))
-        if f_norm2 > 0 and removed2 > max(1e-8, 10 * tol) ** 2 * f_norm2:
-            raise ConsistencyError(
-                "right-hand side has a null-mode component of relative size "
-                f"{np.sqrt(removed2 / f_norm2):.3e}; the a = 0 Laplacian cannot "
-                "invert it"
-            )
-
-    b_norm = float(np.sqrt(np.sum(b * b)))
-    if b_norm == 0.0:
-        return ScalarAlgebraField.zeros(lattice, a.basis)
-
-    cap = 10 * lattice.sites()
-    precondition = _flat_preconditioner(a)
+    precondition = _flat_preconditioner(a) or (lambda r: r)
 
     def matvec(v: np.ndarray) -> np.ndarray:
         field = ScalarAlgebraField(lattice, a.basis, v)
         return -gauged_laplacian(a, field).data
 
+    b = -f.data
+    b_norm = float(np.sqrt(np.sum(b * b)))
+    if not np.any(a.data):
+        # at n = 2 every difference vanishes and the identity stands in:
+        # then all of b is null and only b = 0 passes
+        x = precondition(b)
+        null = b - matvec(x)
+        null_norm = float(np.sqrt(np.sum(null * null)))
+        if null_norm > max(1e-8, 10 * tol) * b_norm:
+            raise ConsistencyError(
+                "right-hand side has a null-mode component of relative size "
+                f"{null_norm / b_norm:.3e}; the a = 0 Laplacian cannot "
+                "invert it"
+            )
+        return ScalarAlgebraField(lattice, a.basis, x)
+
+    cap = 10 * lattice.sites()
     x = np.zeros_like(b)
     r = b.copy()
-    z = r if precondition is None else precondition(r)
+    z = precondition(r)
     p = z.copy()
     rs = float(np.sum(r * r))
-    rz = rs if precondition is None else float(np.sum(r * z))
+    rz = float(np.sum(r * z))
     target = (tol * b_norm) ** 2
     for _ in range(cap):
         if rs <= target:
@@ -342,11 +311,8 @@ def invert_laplacian(
         x += alpha * p
         r -= alpha * ap
         rs = float(np.sum(r * r))
-        if precondition is None:
-            z, rz_new = r, rs
-        else:
-            z = precondition(r)
-            rz_new = float(np.sum(r * z))
+        z = precondition(r)
+        rz_new = float(np.sum(r * z))
         p *= rz_new / rz
         p += z
         rz = rz_new
@@ -357,9 +323,6 @@ def invert_laplacian(
             residual=float(np.sqrt(rs)) / b_norm,
             iterations=cap,
         )
-
-    if a_is_zero:
-        x, _ = _project_null_modes(x, patterns)
     return ScalarAlgebraField(lattice, a.basis, x)
 
 

@@ -411,10 +411,10 @@ class ConvergenceStudy:
         return buf.getvalue()
 
     def max_rel_change(self) -> float:
-        worst = 0.0
-        for changes in self.rel_changes.values():
-            worst = max(worst, max(changes))
-        return worst
+        """The largest relative change, 0.0 for a single cutoff and NaN if
+        any change is NaN, so that no gate passes NaN levels."""
+        changes = [c for vals in self.rel_changes.values() for c in vals]
+        return float(np.max(changes, initial=0.0))
 
 
 def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:

@@ -4,8 +4,10 @@ Each oracle deliberately avoids the code path it checks: brackets via
 dense matrix commutators, the lattice kernels and the RK4 step via the
 dense einsum bracket and np.roll differences they replaced, the Gauss
 projection's Laplacian solve via the plain CG that the flat-Laplacian
-preconditioner replaced, the gauge action (no command transforms a
-field, so only the tests carry it) via site-wise orthogonal matrices,
+preconditioner replaced, with the a = 0 null modes as the real-space
+sign patterns that the preconditioner's zeroed Fourier modes replaced,
+the gauge action (no command transforms a field, so only the tests
+carry it) via site-wise orthogonal matrices,
 np.roll differences and a scipy matrix exponential of ad(phi), so the
 covariance tests share no kernel with the stencils they check, the
 curvature pairs via the nine-block antisymmetric layout, the Helmholtz
@@ -165,17 +167,49 @@ def reference_rk4_step(basis, spacing, a0, e0, h):
             e0 + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e))
 
 
+def zero_gauge_null_patterns(n: int) -> np.ndarray:
+    """Spatial sign patterns annihilated by every central difference.
+
+    The constant pattern always; for even n also the 2^3 - 1 checkerboard
+    patterns built from alternating signs along any subset of axes.
+    """
+    axis_choices = [np.ones(n)]
+    if n % 2 == 0:
+        axis_choices.append((-1.0) ** np.arange(n))
+    patterns = []
+    for vx in axis_choices:
+        for vy in axis_choices:
+            for vz in axis_choices:
+                patterns.append(
+                    vx[:, None, None] * vy[None, :, None] * vz[None, None, :]
+                )
+    return np.array(patterns)  # (P, n, n, n), each with sum of squares n^3
+
+
+def project_null_modes(data: np.ndarray, patterns: np.ndarray):
+    """Remove null-pattern content; returns (projected, removed_norm2)."""
+    n3 = patterns[0].size
+    out = data.copy()
+    removed = 0.0
+    for pat in patterns:
+        coeff = np.tensordot(out, pat, axes=([-3, -2, -1], [0, 1, 2])) / n3
+        out -= coeff[..., None, None, None] * pat
+        removed += float(np.sum(coeff * coeff) * n3)
+    return out, removed
+
+
 def plain_cg_invert(a, f, tol):
     """Laplacian_a u = f by conjugate gradients on -Laplacian_a without a
     preconditioner, as lattice.invert_laplacian solved it before: the same
-    start, stopping test and null-pattern handling at a = 0.  The matvec
-    is looked up on the lattice module at each call, so a test can count
+    start and stopping test, and at a = 0 the null patterns projected out
+    of the right-hand side and the solution in real space.  The matvec is
+    looked up on the lattice module at each call, so a test can count
     it."""
     b = -f.data
     a_is_zero = not np.any(a.data)
     if a_is_zero:
-        patterns = lattice._zero_gauge_null_patterns(a.lattice.n)
-        b, _ = lattice._project_null_modes(b, patterns)
+        patterns = zero_gauge_null_patterns(a.lattice.n)
+        b, _ = project_null_modes(b, patterns)
     b_norm = float(np.sqrt(np.sum(b * b)))
     x = np.zeros_like(b)
     r = b.copy()
@@ -196,7 +230,7 @@ def plain_cg_invert(a, f, tol):
     else:
         raise AssertionError("plain CG did not converge")
     if a_is_zero:
-        x, _ = lattice._project_null_modes(x, patterns)
+        x, _ = project_null_modes(x, patterns)
     return ScalarAlgebraField(a.lattice, a.basis, x)
 
 

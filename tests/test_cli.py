@@ -458,6 +458,19 @@ def _levels_moved(monkeypatch):
     monkeypatch.setattr(cli, "convergence_study", moved)
 
 
+def _levels_nan(monkeypatch):
+    study_levels = cli.convergence_study
+
+    def nan_levels(*args):
+        study = study_levels(*args)
+        study.lambdas = {k: [math.nan] * len(v) for k, v in study.lambdas.items()}
+        study.rel_changes = {k: [math.nan] * len(v)
+                             for k, v in study.rel_changes.items()}
+        return study
+
+    monkeypatch.setattr(cli, "convergence_study", nan_levels)
+
+
 # command -> (config, summary file, how its physics gate is made to fail,
 # a phrase of the failure message); evolve's failed gate has its own tests
 # below.
@@ -575,6 +588,19 @@ class TestRunners:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "PhysicsAssertionError"
         assert diag["exit_code"] == 1
+        assert phrase in diag["message"]
+
+    def test_nan_levels_fail_the_convergence_gate(self, tmp_path, monkeypatch):
+        doc, summary_name, _, phrase = _GATE_FAILURES["converge"]
+        _levels_nan(monkeypatch)
+        path = write_config(tmp_path, dict(doc, command="converge"))
+        assert main(["converge", "--config", path, "--out", str(tmp_path)]) == 1
+        summary = json.loads((tmp_path / summary_name).read_text())
+        assert summary["status"] == "violated"
+        assert math.isnan(summary["max_rel_change"])
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert diag["exit_code"] == 1
+        assert "level change nan" in diag["message"]
         assert phrase in diag["message"]
 
     def test_every_failed_transform_check_is_named(self, tmp_path,

@@ -44,6 +44,7 @@ from oracles import (
     random_scalar_field,
     roll_diff,
     stencil_eigenvalue,
+    zero_gauge_null_patterns,
 )
 
 TOL = 1e-10
@@ -334,6 +335,63 @@ class TestPreconditionedCG:
         assert len(calls) == 1
         back = gauged_laplacian(a0, out)
         assert diff_norm(back, f) <= 1e-12 * field_norm(f)
+
+    @pytest.mark.parametrize("name", ["su2", "su3"])
+    @pytest.mark.parametrize("n", [8, 7])
+    def test_zero_background_against_null_patterns(self, name, n, rng):
+        # the null modes are the constant and, for even n, the seven
+        # checkerboards; the oracle removes them as real-space sign
+        # patterns around plain CG, which the flat spectrum's few distinct
+        # eigenvalues end in a few steps.  u excites every Fourier mode
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=n, spacing=0.7)
+        a0 = VectorAlgebraField.zeros(lat, basis)
+        f = gauged_laplacian(a0, random_scalar_field(rng, lat, basis,
+                                                     max_mode=n // 2))
+        got = invert_laplacian(a0, f, 1e-12)
+        want = plain_cg_invert(a0, f, 1e-12)
+        assert diff_norm(got, want) <= 1e-12 * field_norm(want)
+
+    def test_two_sites_at_zero_background(self, su2, rng):
+        # at n = 2 every central difference vanishes: the Laplacian is 0,
+        # all of f is null and the flat preconditioner is the identity
+        lat = LatticeSpec(n=2, spacing=1.0)
+        a0 = VectorAlgebraField.zeros(lat, su2)
+        assert lattice._flat_preconditioner(a0) is None
+        f = random_scalar_field(rng, lat, su2)
+        with pytest.raises(ConsistencyError, match=r"relative size 1\.000e\+00"):
+            invert_laplacian(a0, f, TOL)
+        out = invert_laplacian(a0, ScalarAlgebraField.zeros(lat, su2), TOL)
+        assert np.array_equal(out.data, np.zeros_like(out.data))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_null_part_threshold(self, su2, lat8, rng, factor):
+        # f = g + c P with g = Laplacian u and P a random mix of the null
+        # patterns, so g and P are orthogonal; the threshold on |c P| is
+        # max(1e-8, 10 tol) |f| = 1e-8 |f|, met with equality by
+        # |c P| = 1e-8 |g| / sqrt(1 - 1e-16)
+        tol, rel = 1e-10, factor * 1e-8
+        a0 = VectorAlgebraField.zeros(lat8, su2)
+        g = gauged_laplacian(a0, random_scalar_field(rng, lat8, su2))
+        patterns = zero_gauge_null_patterns(lat8.n)
+        null = np.tensordot(rng.normal(size=(su2.dim_g, len(patterns))),
+                            patterns, axes=1)
+        null *= rel / math.sqrt(1 - rel ** 2) * (np.linalg.norm(g.data)
+                                                  / np.linalg.norm(null))
+        f = ScalarAlgebraField(lat8, su2, g.data + null)
+        if factor > 1:
+            with pytest.raises(ConsistencyError, match=f"relative size {rel:.3e}"):
+                invert_laplacian(a0, f, tol)
+        else:
+            got, want = invert_laplacian(a0, f, tol), plain_cg_invert(a0, f, tol)
+            assert diff_norm(got, want) <= 1e-12 * field_norm(want)
+
+    def test_zero_rhs_takes_no_step(self, su2, lat8, rng, monkeypatch):
+        # |f| = 0 meets the stopping test before the first matvec
+        calls = _counting_laplacian(monkeypatch)
+        a = random_vector_field(rng, lat8, su2, amplitude=0.3)
+        out = invert_laplacian(a, ScalarAlgebraField.zeros(lat8, su2), TOL)
+        assert not calls and not np.any(out.data)
 
     def test_iteration_counts(self, monkeypatch):
         # deterministic guards, no wall clock: the matvecs of the start-up

@@ -21,6 +21,7 @@ from ymspec.errors import (
 )
 from ymspec.fock import Csr, FockOperator, build_basis, quantize
 from ymspec.spectrum import (
+    ConvergenceStudy,
     ModelSpec,
     SpectrumReport,
     assemble_hamiltonian,
@@ -935,6 +936,18 @@ class TestConvergenceStudy:
             assert np.array_equal(h.basis.states, top.basis.states[:k])
             for mine, prefix in zip(h.matrix.rows(0, k), top.matrix.rows(0, k)):
                 assert np.array_equal(mine, prefix)
+
+    def test_max_rel_change_keeps_nan(self):
+        # max() drops a NaN that follows a number: max(0.0, nan) is 0.0
+        nan = float("nan")
+        study = ConvergenceStudy([4, 6], [0], {4: [nan], 6: [nan]},
+                                 {(4, 6): [nan]})
+        assert math.isnan(study.max_rel_change())
+        study.rel_changes = {(4, 6): [0.25, nan], (6, 8): [0.5]}
+        assert math.isnan(study.max_rel_change())
+        study.rel_changes = {(4, 6): [0.25, 0.0], (6, 8): [0.5]}
+        assert study.max_rel_change() == 0.5
+        assert ConvergenceStudy([4], [0], {4: [1.0]}, {}).max_rel_change() == 0.0
 
     def test_su2_edge_block_grows_toward_exact_value(self, su2,
                                                      su2_hamiltonian_nmax8):
