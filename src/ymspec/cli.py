@@ -13,17 +13,25 @@ and the truncation levels are checked too, also by key path.  There is
 no ``output`` key: ``--out`` names the output directory.  Every run writes CSV data files whose bytes depend
 only on the configuration and seed, plus a JSON summary (the only place
 a timestamp appears).  Exit codes: 0 success, 1 physics assertion
-failed, 2 usage or schema error, 3 numerical or any other failure.
+failed, 2 usage or schema error (a YMSPEC_THREADS that is set but not a
+positive integer included), 3 numerical or any other failure.
 """
 
 from __future__ import annotations
 
 import os
 
-if os.environ.get("YMSPEC_THREADS"):
-    os.environ.setdefault("OMP_NUM_THREADS", os.environ["YMSPEC_THREADS"])
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ["YMSPEC_THREADS"])
-    os.environ.setdefault("MKL_NUM_THREADS", os.environ["YMSPEC_THREADS"])
+
+def _positive_integer(text: str) -> bool:
+    return text.isascii() and text.isdigit() and int(text) > 0
+
+
+# the BLAS and OpenMP thread counts are read when numpy loads, so a valid
+# YMSPEC_THREADS is copied before the imports below; main refuses any
+# other nonempty value
+if _positive_integer(os.environ.get("YMSPEC_THREADS", "")):
+    for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, os.environ["YMSPEC_THREADS"])
 
 import argparse
 import dataclasses
@@ -678,6 +686,11 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        threads = os.environ.get("YMSPEC_THREADS", "")
+        if threads and not _positive_integer(threads):
+            raise ConfigurationError(
+                f"YMSPEC_THREADS must be a positive integer, got {threads!r}"
+            )
         config = parse_config(text)
         if config.command != args.command:
             raise ConfigurationError(

@@ -34,8 +34,10 @@ from .errors import (
 from .symbols import PolynomialSymbol, convert, validate_ordering
 
 DEFAULT_BASIS_CAP = 5_000_000
-# (term, row) candidates quantize forms at a time
-CHUNK_ENTRIES = 1_000_000
+# (term, row) candidates quantize forms at a time: each takes some 130
+# bytes of temporaries, so a chunk's working set (about 1 MB) stays in a
+# 2 MB L2 cache, whatever the basis size or the number of terms
+CHUNK_ENTRIES = 1 << 13
 
 
 @dataclass
@@ -68,12 +70,6 @@ class FockBasis:
     @property
     def size(self) -> int:
         return self.states.shape[0]
-
-    def index_of(self, states: np.ndarray) -> np.ndarray:
-        """Indices of occupation rows assumed to lie in the basis."""
-        keys = np.asarray(states).astype(np.uint64) @ self._powers
-        sorted_keys, order = self._lookup_key
-        return order[np.searchsorted(sorted_keys, keys)]
 
     @functools.cached_property
     def sectors(self) -> np.ndarray:
@@ -187,6 +183,42 @@ def _slots(powers: np.ndarray) -> np.ndarray:
     return np.argsort(~on, axis=1, kind="stable")[:, :width]
 
 
+def _meets(states: np.ndarray, modes: np.ndarray, need: np.ndarray) -> np.ndarray:
+    """meets[l, i]: states[i] holds at least need[l, k] quanta in mode
+    modes[l, k], for every slot k."""
+    # holds[v * D + m, i]: states[i] holds at least v quanta in mode m
+    levels = np.arange(need.max(initial=0) + 1)[:, None, None]
+    holds = (states.T >= levels).reshape(levels.size * states.shape[1], -1)
+    at = need * states.shape[1] + modes
+    meets = holds[at[:, 0]]
+    for k in range(1, at.shape[1]):
+        meets &= holds[at[:, k]]
+    return meets
+
+
+def _candidates(basis: FockBasis, modes: np.ndarray, need: np.ndarray,
+                group: np.ndarray, top: np.ndarray):
+    """quantize's (term, row) candidates, a chunk of rows at a time: term
+    t targets row i if the state meets its lift (modes and need at row
+    group[t]) and has degree <= top[t].  Each chunk's candidates come
+    term-major, so each entry's terms stay in sorted order, and a chunk
+    ends where the running count passes a multiple of CHUNK_ENTRIES, so it
+    holds at most CHUNK_ENTRIES candidates plus one row's.  The masks,
+    some bytes per term and mode for each row, are formed in blocks of
+    about 32 * CHUNK_ENTRIES bytes, below a chunk's working set, and no
+    chunk straddles two blocks."""
+    block = max(1, 32 * CHUNK_ENTRIES // (len(group) + basis.D))
+    for start in range(0, basis.size, block):
+        stop = min(basis.size, start + block)
+        targets = _meets(basis.states[start:stop], modes, need)[group]
+        targets &= basis.degrees[start:stop] <= top[:, None]
+        chunk = (np.cumsum(targets.sum(axis=0)) - 1) // CHUNK_ENTRIES
+        cuts = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1, stop - start]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            t, rows = np.nonzero(targets[:, lo:hi])
+            yield t, rows + start + lo
+
+
 def _falling_factorials(top: int, kmax: int) -> np.ndarray:
     """fall[n, k] = n (n - 1) ... (n - k + 1) for n <= top, k <= kmax, as
     floats, exact below 2**53; 0 for k > n."""
@@ -223,10 +255,12 @@ def quantize(
     symbol's content: the diagonal terms (a == b) add into one dense
     vector in that order, and the duplicates of each other entry, keyed
     row * size + col and lined up in that order by a stable sort, are
-    summed by reduceat.  The rows are taken in chunks of at most
-    CHUNK_ENTRIES candidates, each entry's duplicates all in one chunk, so
-    the result does not depend on the chunking.  Entries that cancel to
-    exactly 0 are dropped."""
+    summed by reduceat.  The rows are taken in chunks cut on the running
+    count of each row's candidates, so that a chunk forms at most
+    CHUNK_ENTRIES of them plus one row's, and its temporaries do not grow
+    with the basis or the number of terms; each entry's duplicates all
+    lie in one chunk, so the result does not depend on the chunking.
+    Entries that cancel to exactly 0 are dropped."""
     validate_ordering(convention)
     if s.num_modes != basis.D:
         raise DimensionMismatchError(
@@ -274,13 +308,7 @@ def quantize(
 
     diagonal = np.zeros(size, dtype=complex)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
-    step = max(1, CHUNK_ENTRIES // max(1, len(terms)))
-    for lo in range(0, size, step):
-        hi = min(size, lo + step)
-        meets = np.all(basis.states[lo:hi, lift_modes] >= lift_need, axis=2)
-        # candidates term-major, so each entry's terms stay in sorted order
-        t, rows = np.nonzero(meets.T[group] & (basis.degrees[lo:hi] <= top[:, None]))
-        rows += lo
+    for t, rows in _candidates(basis, lift_modes, lift_need, group, top):
         # a diagonal term's source is its target; only the others are sought
         off = ~on_diagonal[t]
         src_key = basis._keys[rows[off]] - shift[t[off]]
@@ -300,7 +328,7 @@ def quantize(
         if keys.size:
             by_key = np.argsort(keys, kind="stable")
             keys, vals = keys[by_key], vals[~diag][by_key]
-            first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+            first = np.flatnonzero(np.diff(keys, prepend=-1))
             parts.append((keys[first], np.add.reduceat(vals, first)))
     keys, vals = (np.concatenate(part) for part in zip(*parts))
     # a monomial with alpha != beta moves every state it acts on, so no key

@@ -37,9 +37,9 @@ solve is kept as well: the levels rebuilt and solved at every cutoff.
 It also holds the lattice helpers that only tests use: the inner product
 field_dot, the stencil's Fourier eigenvalues and random scalar fields;
 the Fock helpers that only tests use, each built on scipy.sparse:
-ladder and number operators, vectors and expectations, the Hermiticity
-defect and the operator text format, plus the states of one degree and
-the safe block; and the symbol helpers that only tests use: comparison,
+the state index by occupation keys, ladder and number operators, vectors
+and expectations, the Hermiticity defect and the operator text format,
+plus the states of one degree and the safe block; and the symbol helpers that only tests use: comparison,
 point evaluation and the symbol JSON format.
 """
 
@@ -556,7 +556,7 @@ def ladder(basis: FockBasis, mode: int, kind: str) -> FockOperator:
     # the states of degree below depth, a prefix of the basis, and their
     # raised states
     below = basis.states[basis.degrees < basis.depth]
-    tgt = basis.index_of(below + np.eye(basis.D, dtype=np.int64)[mode])
+    tgt = index_of(basis, below + np.eye(basis.D, dtype=np.int64)[mode])
     src = np.arange(tgt.size)
     vals = np.sqrt(basis.states[src, mode] + 1.0)
     if kind == "create":
@@ -661,7 +661,7 @@ def raise_tables(basis: FockBasis) -> np.ndarray:
     the basis."""
     below = basis.states[:np.searchsorted(basis.degrees, basis.depth - 1,
                                           side="right")]
-    return np.stack([basis.index_of(below + e)
+    return np.stack([index_of(basis, below + e)
                      for e in np.eye(basis.D, dtype=np.int64)])
 
 
@@ -825,7 +825,7 @@ def full_width_monomial_entries(basis, alpha, beta, convention):
         amp *= _ladder_amplitudes(raised, beta, raise_op=False)
         final = raised - beta_arr
 
-    rows = basis.index_of(final)
+    rows = index_of(basis, final)
     return rows, src, amp
 
 
@@ -863,7 +863,7 @@ def _keyed_monomial_entries(basis, alpha, beta, convention):
     else:
         amp = _ladder_amplitudes(occ, alpha, raise_op=True)
         amp *= _ladder_amplitudes(occ + alpha_arr, beta, raise_op=False)
-    rows = basis.index_of(occ + (alpha_arr - beta_arr))
+    rows = index_of(basis, occ + (alpha_arr - beta_arr))
     return rows, src, amp
 
 
@@ -884,7 +884,7 @@ def sparse_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
 def keyed_quantize(s, convention, basis) -> sparse.csr_matrix:
     """fock.quantize before the raise tables and the dense diagonal: every
     term, diagonal ones included, goes through the key sort and reduceat,
-    and its target rows through FockBasis.index_of.  Returns the scipy
+    and its target rows through index_of.  Returns the scipy
     CSR matrix.
 
     normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
@@ -967,6 +967,14 @@ def recursive_basis_states(D, N_max):
     recursive enumeration."""
     rows = [c for n in range(N_max + 1) for c in recursive_compositions(n, D)]
     return np.array(rows, dtype=np.int64).reshape(len(rows), D)
+
+
+def index_of(basis, states):
+    """Basis indices of occupation rows assumed to lie in the basis, found
+    by their keys in the basis's sorted key table."""
+    keys = np.asarray(states).astype(np.uint64) @ basis._powers
+    sorted_keys, order = basis._lookup_key
+    return order[np.searchsorted(sorted_keys, keys)]
 
 
 def dict_index_of(basis, states):

@@ -806,3 +806,40 @@ class TestImportContract:
         assert result == {"code": 0, "on_entry": False, "after": False,
                           "ma_on_entry": False, "ma_after": False,
                           "heavy": []}
+
+
+class TestThreadSetting:
+    """YMSPEC_THREADS pins the BLAS and OpenMP threads of a CLI process.
+    Set and nonempty, it must be a positive integer: any other value exits
+    2 with a diagnostic that names it, and is not passed on to BLAS."""
+
+    _PROBE = ("import os, sys\n"
+              "from ymspec import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+              "sys.exit(code)\n")
+
+    @pytest.mark.parametrize("value,code,pinned", [
+        ("two", 2, "None"), ("0", 2, "None"), ("1", 0, "1"),
+    ])
+    def test_value_checked(self, tmp_path, value, code, pinned):
+        path = write_config(tmp_path, {"command": "check-algebra",
+                                       "algebra": "su2"})
+        env = {k: v for k, v in os.environ.items() if k not in
+               ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env.update(YMSPEC_THREADS=value,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", self._PROBE, "check-algebra", "--config",
+             path, "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == f"{pinned}\n"
+        if code:
+            diag = json.loads(proc.stderr)
+            assert diag["error_type"] == "ConfigurationError"
+            assert "YMSPEC_THREADS" in diag["message"]
+            assert not (tmp_path / "algebra_report.csv").exists()
+        else:
+            assert (tmp_path / "algebra_report.csv").exists()

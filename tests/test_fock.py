@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,12 @@ from ymspec.errors import (
     ResourceError,
 )
 from ymspec.fock import FockBasis, build_basis, quantize
+from ymspec.spectrum import (
+    ModelSpec,
+    _cartan_model,
+    _level_operator,
+    _zero_weight_operator,
+)
 from ymspec.symbols import (
     ModeMap,
     PolynomialSymbol,
@@ -28,6 +36,7 @@ from oracles import (
     from_csr,
     full_width_monomial_entries,
     hermiticity_defect,
+    index_of,
     keyed_quantize,
     ladder,
     ladder_quantize,
@@ -96,7 +105,7 @@ class TestBasis:
 
     def test_index_lookup_round_trip(self):
         b = build_basis(3, 5)
-        idx = b.index_of(b.states)
+        idx = index_of(b, b.states)
         assert np.array_equal(idx, np.arange(b.size))
 
     @pytest.mark.parametrize("D,N_max", [
@@ -109,8 +118,8 @@ class TestBasis:
         assert (radix ** D >= 2 ** 64) == (D >= 24)
         rows = rng.permutation(b.size)[:5000]
         queries = b.states[np.concatenate([rows, rows[:7]])]
-        assert np.array_equal(b.index_of(queries), dict_index_of(b, queries))
-        assert np.array_equal(b.index_of(b.states), np.arange(b.size))
+        assert np.array_equal(index_of(b, queries), dict_index_of(b, queries))
+        assert np.array_equal(index_of(b, b.states), np.arange(b.size))
 
     def test_colliding_keys_refused(self):
         states = np.array([[0, 0], [1, 0], [0, 1], [1, 0]])
@@ -418,7 +427,7 @@ class TestSubsetQuantize:
         assert (sub.D, sub.N_max, sub.depth) == (3, 6, 4)
         assert sub.weights is b.weights
         assert np.array_equal(sub.sectors, np.zeros(sub.size))
-        assert np.array_equal(sub.index_of(sub.states), np.arange(sub.size))
+        assert np.array_equal(index_of(sub, sub.states), np.arange(sub.size))
 
 
 def assert_matches_scipy_sum(got, want):
@@ -462,16 +471,18 @@ class TestScipySumOracle:
         q = quantize(s, "normal", b).matrix
         assert_matches_scipy_sum(q, sparse_quantize(s, "normal", b))
         assert not (q.data == 0).any()
-        i, j = b.index_of(np.array([[1, 2], [2, 1]]))
+        i, j = index_of(b, np.array([[1, 2], [2, 1]]))
         assert q.toarray()[i, i] == q.toarray()[j, i] == 0
 
     def test_chunked_sum(self, monkeypatch, su2):
-        # a few hundred candidates at a time, one row per chunk: each
-        # entry's duplicates lie in one chunk, so the bits are those of one
-        # chunk, and those of the scipy sum; the term-by-term path's
-        # chunked merges differ from both by roundoff only
+        # one chunk against a few hundred candidates at a time, one row
+        # per chunk: each entry's duplicates lie in one chunk, so the bits
+        # are those of one chunk, and those of the scipy sum; the
+        # term-by-term path's chunked merges differ from both by roundoff
+        # only
         s = energy_symbol(su2, ModeMap.zero_momentum(3))
         basis = build_basis(9, 6, depth=4)
+        monkeypatch.setattr(fock, "CHUNK_ENTRIES", UNBOUNDED)
         whole = quantize(s, "antinormal", basis).matrix
         monkeypatch.setattr(fock, "CHUNK_ENTRIES", 300)
         got = quantize(s, "antinormal", basis).matrix
@@ -482,6 +493,55 @@ class TestScipySumOracle:
         assert_matches_scipy_sum(merged, sparse_quantize(
             s, "antinormal", basis, chunk_entries=300))
         assert np.allclose(got.data, merged.data, rtol=1e-13, atol=0)
+
+
+# a chunk budget above any candidate count here: one chunk per mask block
+UNBOUNDED = 1 << 40
+
+
+@functools.lru_cache(maxsize=None)
+def cartan_model(algebra, N_max):
+    """(model, safe basis, energy symbol) as the spectrum path builds them."""
+    model = ModelSpec(algebra=algebra, N_max=N_max)
+    return (model, *_cartan_model(model, N_max))
+
+
+class TestChunkBudget:
+    """quantize cuts its row chunks on the candidates each forms, and its
+    result does not depend on where the cuts fall."""
+
+    @pytest.mark.parametrize("algebra,N_max",
+                             [("su2", 8), ("su3", 5), ("so4", 5), ("so5", 4)])
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_bits_independent_of_budget(self, monkeypatch, algebra, N_max,
+                                        convention):
+        model, basis, sym = cartan_model(algebra, N_max)
+        # budget 1: a chunk per row that forms any candidate
+        budgets = (1, fock.CHUNK_ENTRIES, UNBOUNDED)
+        for build in (
+            lambda: _level_operator(sym, convention, basis, model.n_top),
+            lambda: _zero_weight_operator(sym, convention, basis),
+        ):
+            got = []
+            for budget in budgets:
+                monkeypatch.setattr(fock, "CHUNK_ENTRIES", budget)
+                got.append(build().matrix)
+            for matrix in got[:-1]:
+                assert_identical(matrix, got[-1])
+
+    def test_zero_weight_memory_bounded(self):
+        # su2 N_max=12: 1,382 zero-weight rows of 92,378 safe states; one
+        # chunk of all their candidates peaked at about 16 MB
+        model, basis, sym = cartan_model("su2", 12)
+        assert basis.size == 92_378
+        basis.sectors  # cached; its array is the basis's, not the call's
+        tracemalloc.start()
+        try:
+            _zero_weight_operator(sym, model.convention, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestNumberOperatorAndExpectation:
@@ -504,7 +564,7 @@ class TestNumberOperatorAndExpectation:
         b = build_basis(2, 4)
         n = number_operator(b)
         vec = np.zeros(b.size, dtype=complex)
-        idx = b.index_of(np.array([[1, 1]]))[0]
+        idx = index_of(b, np.array([[1, 1]]))[0]
         vec[idx] = 2.0 - 1.0j
         psi = FockVector(b, vec)
         assert abs(expectation(n, psi) - 2.0) < 1e-14
