@@ -457,14 +457,13 @@ def _run_evolve(config: RunConfig, outdir: str):
     # an oversize run is refused before its start state is built
     step_sizes(config.evolution.T, config.evolution.h,
                config.lattice.n ** 3 * basis.dim_g)
-    if config.evolution.preset == "abelian-wave":
-        state = abelian_wave_state(config, basis)
-    else:
-        state = seeded_random_state(config, basis)
-    bound = cfl_bound(state.lattice)
-    e_scale = max(field_norm(state.e), 1e-300)
+    abelian = config.evolution.preset == "abelian-wave"
+    start = [(abelian_wave_state if abelian else seeded_random_state)(config, basis)]
+    bound = cfl_bound(start[0].lattice)
+    e_scale = max(field_norm(start[0].e), 1e-300)
+    # popped, so that evolve holds the only reference to the start state
     final, report = evolve(
-        state, config.evolution.T, config.evolution.h,
+        start.pop(), config.evolution.T, config.evolution.h,
         constraint_tol=config.tolerances.constraint_tol,
     )
     growth_rel = report.constraint_growth / e_scale

@@ -13,7 +13,12 @@ of the next step, so a run of s steps evaluates it 4 s + 1 times.
 
 curvature_magnetic and _force use the in-place lattice kernels: each
 output component gets its two raw differences, one scale by
-0.5 / spacing, then its brackets, added into it in place.
+0.5 / spacing, then its brackets, added into it in place.  They and
+energy write into the arrays they are given.  evolve runs on one
+FieldPool: the RK4 stages take its arrays and give them back, as does a
+state once the next is accepted, so no step after the second allocates a
+field.  The caller's arrays are only read; the final state, and
+last_state past step 1, are pool arrays.
 """
 
 from __future__ import annotations
@@ -106,13 +111,28 @@ class EvolutionReport:
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
-def curvature_magnetic(a: VectorAlgebraField) -> np.ndarray:
+class FieldPool:
+    """Arrays shaped like a vector field, taken and put back on ``free``,
+    plus a force output, the curvature pairs and a component scratch."""
+
+    def __init__(self, shape: tuple):
+        self.shape, self.free = shape, []
+        self.force = np.empty(shape)
+        self.curvature = np.empty((len(_PAIRS),) + shape[1:])
+        self.scalar = np.empty(shape[1:])
+
+    def take(self) -> np.ndarray:
+        return self.free.pop() if self.free else np.empty(self.shape)
+
+
+def curvature_magnetic(a: VectorAlgebraField, out=None, scratch=None) -> np.ndarray:
     """Magnetic curvature F_jk = D_j a_k - D_k a_j - [a_j, a_k] on its
     independent pairs: an array of shape (3, dim_g, n, n, n) holding F_01,
-    F_02 and F_12 in _PAIRS order.  The rest follow from F_kj = -F_jk and
-    F_jj = 0."""
-    f = np.empty((len(_PAIRS),) + a.data.shape[1:])
-    diff = np.empty(a.data.shape[1:])
+    F_02 and F_12 in _PAIRS order, into ``out`` when given (``scratch``,
+    one component's shape, takes differences).  The rest follow from
+    F_kj = -F_jk and F_jj = 0."""
+    f = np.empty((len(_PAIRS),) + a.data.shape[1:]) if out is None else out
+    diff = np.empty(a.data.shape[1:]) if scratch is None else scratch
     for p, (j, k) in enumerate(_PAIRS):
         _diff(a.data[k], 1 + j, f[p])
         f[p] -= _diff(a.data[j], 1 + k, diff)
@@ -122,17 +142,20 @@ def curvature_magnetic(a: VectorAlgebraField) -> np.ndarray:
     return f
 
 
-def energy(state: CauchyState, curvature: np.ndarray | None = None) -> float:
+def energy(state: CauchyState, curvature: np.ndarray | None = None,
+           scratch=None) -> float:
     """(1/2) integral of (B.B + E.E): each unordered curvature pair counted
     once, so the abelian sector reproduces the Maxwell energy and the value
     is conserved by the evolution equations.  ``curvature``, when given,
-    must be curvature_magnetic(state.a); it is then not recomputed."""
+    must be curvature_magnetic(state.a); it is then not recomputed.  The
+    squares go into ``scratch``, shaped like state.e, when given."""
     f = curvature_magnetic(state.a) if curvature is None else curvature
+    sq = np.empty(state.e.data.shape) if scratch is None else scratch
     vol = state.lattice.volume_factor
     magnetic = 0.0
-    for f_p in f:
-        magnetic += float(np.sum(f_p * f_p))
-    electric = float(np.sum(state.e.data * state.e.data))
+    for f_p, sq_p in zip(f, sq):
+        magnetic += float(np.sum(np.multiply(f_p, f_p, out=sq_p)))
+    electric = float(np.sum(np.multiply(state.e.data, state.e.data, out=sq)))
     return 0.5 * vol * (magnetic + electric)
 
 
@@ -151,11 +174,12 @@ _FORCE_TERMS = (
 )
 
 
-def _force(a: VectorAlgebraField, f: np.ndarray) -> np.ndarray:
+def _force(a: VectorAlgebraField, f: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """de_k/dt = sum_j (D_j F_jk - [a_j, F_jk]) for the curvature pairs f
-    of a, term by term from _FORCE_TERMS."""
-    out = np.empty(a.data.shape)
-    diff = np.empty(a.data.shape[1:])
+    of a, term by term from _FORCE_TERMS; out and scratch as in
+    curvature_magnetic."""
+    out = np.empty(a.data.shape) if out is None else out
+    diff = np.empty(a.data.shape[1:]) if scratch is None else scratch
     scale = 0.5 / a.lattice.spacing
     for k, ((p, m, s), (q, l, t)) in enumerate(_FORCE_TERMS):
         _diff(f[p], 1 + m, out[k])
@@ -176,7 +200,8 @@ def cfl_bound(lattice: LatticeSpec) -> float:
 
 
 def rk4_step(
-    state: CauchyState, h: float, curvature: np.ndarray | None = None
+    state: CauchyState, h: float, curvature: np.ndarray | None = None,
+    pool: FieldPool | None = None,
 ) -> CauchyState:
     """One classical Runge-Kutta step of (a, e); rejects steps above the
     stability bound spacing/2.  Negative h steps backwards (the flow map
@@ -187,6 +212,8 @@ def rk4_step(
     k_s = de/dt at stage s, the stages sit at a0 + h/2 e0,
     a0 + h/2 e0 + h^2/4 k_1 and a0 + h e0 + h^2/2 k_2, and the step is
     a0 + h e0 + h^2/6 (k_1 + k_2 + k_3), e0 + h/6 (k_1 + 2 k_2 + 2 k_3 + k_4).
+    They run on four arrays from ``pool`` (its own when None) and its force
+    output, which holds k_3, then k_4; the new a and e are two of the four.
     """
     if h == 0:
         raise ConfigurationError("time step must be nonzero")
@@ -195,44 +222,45 @@ def rk4_step(
         raise StabilityError(
             f"time step {h} exceeds the stability bound spacing/2 = {bound}"
         )
+    pool = pool or FieldPool(state.a.data.shape)
     lattice, basis = state.lattice, state.a.basis
     a0, e0 = state.a.data, state.e.data
 
-    def force(a_arr):
+    def force(a_arr, out):
         a = VectorAlgebraField(lattice, basis, a_arr)
-        return _force(a, curvature_magnetic(a))
+        return _force(a, curvature_magnetic(a, pool.curvature, pool.scalar),
+                      out, pool.scalar)
 
+    a_new, k1, k2, stage = (pool.take() for _ in range(4))
+    k = pool.force
     if curvature is None:
-        curvature = curvature_magnetic(state.a)
-    k1 = _force(state.a, curvature)
-    stage = e0 * (0.5 * h)
+        curvature = curvature_magnetic(state.a, pool.curvature, pool.scalar)
+    _force(state.a, curvature, k1, pool.scalar)
+    np.multiply(e0, 0.5 * h, out=stage)
     stage += a0
-    k2 = force(stage)
-    drift = k1 * (0.25 * h * h)
-    stage += drift
-    k3 = force(stage)
-    np.multiply(e0, h, out=drift)
-    drift += a0  # a0 + h e0
-    np.multiply(k2, 0.5 * h * h, out=stage)
-    stage += drift
-    k4 = force(stage)
-
-    # the new state goes into fresh arrays, allocated after the stage
-    # scratch: freed below them, the scratch is reused by the next step
-    # rather than returned to the system and faulted in again
-    np.add(k1, k2, out=stage)
-    stage += k3
-    stage *= h * h / 6.0
-    a_new = stage + drift
-    k2 += k3
-    k2 *= 2.0
-    k1 += k2
-    k1 += k4
+    force(stage, k2)
+    np.multiply(k1, 0.25 * h * h, out=a_new)
+    stage += a_new
+    force(stage, k)  # k_3
+    np.add(k1, k2, out=a_new)
+    a_new += k
+    a_new *= h * h / 6.0
+    np.multiply(e0, h, out=stage)
+    stage += a0  # a0 + h e0
+    a_new += stage
+    k += k2
+    k *= 2.0
+    k1 += k  # k_1 + 2 (k_2 + k_3)
+    np.multiply(k2, 0.5 * h * h, out=k)
+    stage += k
+    force(stage, k)  # k_4
+    k1 += k
     k1 *= h / 6.0
-    e_new = k1 + e0
+    k1 += e0
+    pool.free += [k2, stage]
     return CauchyState(
         VectorAlgebraField(lattice, basis, a_new),
-        VectorAlgebraField(lattice, basis, e_new),
+        VectorAlgebraField(lattice, basis, k1),
         state.t + h,
     )
 
@@ -285,8 +313,8 @@ def evolve(
     energy and Gauss residual.  The initial residual must sit below
     constraint_tol relative to the electric norm (zero fields pass
     trivially); non-finite fields abort with the last finite state
-    attached.  The curvature of each accepted state is computed once: it
-    gives the recorded energy and the first RK4 stage of the next step."""
+    attached.  The curvature of each accepted state is computed once, for
+    the recorded energy and the next step's first stage."""
     sizes = step_sizes(T, h, state.lattice.sites() * state.a.basis.dim_g)
 
     r0 = constraint_residual(state.a, state.e)
@@ -298,16 +326,19 @@ def evolve(
             "electric field first"
         )
 
+    pool = FieldPool(state.a.data.shape)
     report = EvolutionReport()
     current = state
+    del state  # freed two steps in, unless the caller holds it
     # non-finite values are reported as a DivergenceError below, not as
     # floating-point warnings from the arithmetic that produced them
     with np.errstate(over="ignore", invalid="ignore"):
-        f = curvature_magnetic(current.a)
-        report.record(current.t, energy(current, f), r0)
+        f = curvature_magnetic(current.a, pool.curvature, pool.scalar)
+        # the force output is free between steps: energy squares into it
+        report.record(current.t, energy(current, f, pool.force), r0)
         for step, size in enumerate(sizes):
             previous = current
-            current = rk4_step(current, size, f)
+            current = rk4_step(current, size, f, pool)
             if not (
                 np.isfinite(current.a.data).all()
                 and np.isfinite(current.e.data).all()
@@ -318,10 +349,12 @@ def evolve(
                     last_state=previous,
                     step=step + 1,
                 )
-            f = curvature_magnetic(current.a)
+            if step:  # the start state's arrays are the caller's
+                pool.free += [previous.a.data, previous.e.data]
+            f = curvature_magnetic(current.a, pool.curvature, pool.scalar)
             report.record(
                 current.t,
-                energy(current, f),
+                energy(current, f, pool.force),
                 constraint_residual(current.a, current.e),
             )
     return current, report

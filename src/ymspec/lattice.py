@@ -354,15 +354,17 @@ def constraint_residual(a: VectorAlgebraField, e: VectorAlgebraField) -> float:
 # ---------------------------------------------------------------------------
 
 def _band_limited(rng, shape_head: tuple, n: int, max_mode: int) -> np.ndarray:
+    """Gaussian noise of shape shape_head + (n, n, n), drawn as one block,
+    less its Fourier modes above max_mode, filtered one component at a time."""
     noise = rng.normal(size=shape_head + (n, n, n))
-    fhat = np.fft.fftn(noise, axes=(-3, -2, -1))
     freq = np.rint(np.fft.fftfreq(n) * n).astype(int)
     keep = np.abs(freq) <= max_mode
     mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
-    fhat *= mask
-    # a contiguous copy: the real part of the complex transform is a view
-    # of stride 16 bytes, which every later kernel would read strided
-    return np.fft.ifftn(fhat, axes=(-3, -2, -1)).real.copy()
+    for component in noise.reshape(-1, n, n, n):
+        fhat = np.fft.fftn(component)
+        fhat *= mask
+        component[...] = np.fft.ifftn(fhat).real
+    return noise
 
 
 def random_vector_field(

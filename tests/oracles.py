@@ -34,6 +34,9 @@ term by term in the symbol ring, and the rotation symmetry behind the
 zero-weight C* in the quantized generators of the colour and spatial
 rotations. The truncation study that convergence_study replaced with one
 solve is kept as well: the levels rebuilt and solved at every cutoff.
+So are evolve, its RK4 step and energy with every intermediate in a
+fresh array, as before the field pool, and the band-limited noise
+transformed as one array rather than component by component.
 It also holds the lattice helpers that only tests use: the inner product
 field_dot, the stencil's Fourier eigenvalues and random scalar fields;
 the Fock helpers that only tests use, each built on scipy.sparse:
@@ -53,14 +56,19 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from ymspec.algebra import LieAlgebraBasis
-from ymspec.errors import ConfigurationError, DimensionMismatchError, NumericalError
+from ymspec.errors import (
+    ConfigurationError,
+    DimensionMismatchError,
+    DivergenceError,
+    NumericalError,
+)
 from ymspec.fock import (
     Csr,
     FockBasis,
     FockOperator,
     build_basis,
 )
-from ymspec import lattice
+from ymspec import dynamics, lattice
 from ymspec.lattice import (
     LatticeSpec,
     ScalarAlgebraField,
@@ -165,6 +173,107 @@ def reference_rk4_step(basis, spacing, a0, e0, h):
     k4a, k4e = deriv(a0 + h * k3a, e0 + h * k3e)
     return (a0 + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a),
             e0 + (h / 6.0) * (k1e + 2 * k2e + 2 * k3e + k4e))
+
+
+# ---------------------------------------------------------------------------
+# evolve, its RK4 step and energy, and band-limited noise as they ran
+# before the field pool: every intermediate in a fresh array
+# ---------------------------------------------------------------------------
+
+def allocating_rk4_step(state, h, curvature=None):
+    """dynamics.rk4_step before the field pool, without its step checks:
+    k_1 to k_4, two stage arrays and the new state each in fresh arrays."""
+    lattice, basis = state.lattice, state.a.basis
+    a0, e0 = state.a.data, state.e.data
+
+    def force(a_arr):
+        a = VectorAlgebraField(lattice, basis, a_arr)
+        return dynamics._force(a, dynamics.curvature_magnetic(a))
+
+    if curvature is None:
+        curvature = dynamics.curvature_magnetic(state.a)
+    k1 = dynamics._force(state.a, curvature)
+    stage = e0 * (0.5 * h)
+    stage += a0
+    k2 = force(stage)
+    drift = k1 * (0.25 * h * h)
+    stage += drift
+    k3 = force(stage)
+    np.multiply(e0, h, out=drift)
+    drift += a0  # a0 + h e0
+    np.multiply(k2, 0.5 * h * h, out=stage)
+    stage += drift
+    k4 = force(stage)
+    np.add(k1, k2, out=stage)
+    stage += k3
+    stage *= h * h / 6.0
+    a_new = stage + drift
+    k2 += k3
+    k2 *= 2.0
+    k1 += k2
+    k1 += k4
+    k1 *= h / 6.0
+    e_new = k1 + e0
+    return dynamics.CauchyState(
+        VectorAlgebraField(lattice, basis, a_new),
+        VectorAlgebraField(lattice, basis, e_new),
+        state.t + h,
+    )
+
+
+def allocating_energy(state, f):
+    """dynamics.energy before the field pool: each square a fresh array."""
+    magnetic = 0.0
+    for f_p in f:
+        magnetic += float(np.sum(f_p * f_p))
+    electric = float(np.sum(state.e.data * state.e.data))
+    return 0.5 * state.lattice.volume_factor * (magnetic + electric)
+
+
+def allocating_evolve(state, T, h):
+    """dynamics.evolve's loop before the field pool, without the initial
+    Gauss check: allocating_rk4_step and allocating_energy, the previous
+    state held as the last finite one."""
+    sizes = dynamics.step_sizes(T, h, state.lattice.sites() * state.a.basis.dim_g)
+    report = dynamics.EvolutionReport()
+    current = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = dynamics.curvature_magnetic(current.a)
+        report.record(current.t, allocating_energy(current, f),
+                      lattice.constraint_residual(current.a, current.e))
+        for step, size in enumerate(sizes):
+            previous = current
+            current = allocating_rk4_step(current, size, f)
+            if not (np.isfinite(current.a.data).all()
+                    and np.isfinite(current.e.data).all()):
+                raise DivergenceError("fields became non-finite",
+                                      last_state=previous, step=step + 1)
+            f = dynamics.curvature_magnetic(current.a)
+            report.record(current.t, allocating_energy(current, f),
+                          lattice.constraint_residual(current.a, current.e))
+    return current, report
+
+
+def whole_array_band_limited(rng, shape_head, n, max_mode):
+    """lattice._band_limited as one complex transform of every component
+    at once."""
+    noise = rng.normal(size=shape_head + (n, n, n))
+    fhat = np.fft.fftn(noise, axes=(-3, -2, -1))
+    freq = np.rint(np.fft.fftfreq(n) * n).astype(int)
+    keep = np.abs(freq) <= max_mode
+    mask = keep[:, None, None] & keep[None, :, None] & keep[None, None, :]
+    fhat *= mask
+    return np.fft.ifftn(fhat, axes=(-3, -2, -1)).real.copy()
+
+
+def whole_array_random_vector_field(rng, lattice, basis, amplitude=1.0,
+                                    max_mode=2):
+    """lattice.random_vector_field on whole_array_band_limited."""
+    data = whole_array_band_limited(rng, (3, basis.dim_g), lattice.n, max_mode)
+    rms = np.sqrt(np.mean(data * data))
+    if rms > 0:
+        data *= amplitude / rms
+    return VectorAlgebraField(lattice, basis, data)
 
 
 def zero_gauge_null_patterns(n: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ymspec.algebra import AlgebraElement, bracket, build_algebra
 from ymspec.dynamics import (
     CauchyState,
     EvolutionReport,
+    FieldPool,
     cfl_bound,
     curvature_magnetic,
     energy,
@@ -34,6 +36,8 @@ from ymspec.lattice import (
 from oracles import (
     abelian_wave,
     adjoint_transform,
+    allocating_evolve,
+    allocating_rk4_step,
     einsum_bracket,
     exp_gauge,
     expand_pairs,
@@ -332,15 +336,34 @@ class TestEvolve:
             growths.append(report.constraint_growth / field_norm(e))
         assert growths[1] < growths[0] / 2.0
 
-    def test_divergence_detected(self, su2, lat8):
-        data = np.full((3, 3, 8, 8, 8), 1e170)
+    @staticmethod
+    def check_divergence(lat, basis, a_data, step):
+        # the last finite state is the oracle's, bit for bit
         st = CauchyState(
-            VectorAlgebraField(lat8, su2, data),
-            VectorAlgebraField.zeros(lat8, su2),
+            VectorAlgebraField(lat, basis, a_data),
+            VectorAlgebraField.zeros(lat, basis),
         )
         with pytest.raises(DivergenceError) as info:
             evolve(st, 0.5, 0.05, constraint_tol=np.inf)
-        assert info.value.last_state is not None
+        with pytest.raises(DivergenceError) as oracle:
+            allocating_evolve(st, 0.5, 0.05)
+        assert info.value.step == oracle.value.step == step
+        got, want = info.value.last_state, oracle.value.last_state
+        assert got.t == want.t
+        for x, y in ((got.a.data, want.a.data), (got.e.data, want.e.data)):
+            assert np.isfinite(x).all()
+            assert np.array_equal(x, y)
+
+    def test_divergence_detected(self, su2, lat8):
+        # overflows in the first step: the last finite state is the start
+        self.check_divergence(lat8, su2, np.full((3, 3, 8, 8, 8), 1e170), 1)
+
+    def test_divergence_after_pooled_steps(self, su2, lat8):
+        # overflows in the fourth step: the last finite state is in pool
+        # arrays, which the steps after it must not have reused
+        rng = np.random.default_rng(0)
+        a = random_vector_field(rng, lat8, su2, amplitude=30.0)
+        self.check_divergence(lat8, su2, a.data, 4)
 
     def test_finite_propagation_speed(self, su2):
         # compactly supported smooth slab (inside a half-torus); after T < L/4
@@ -390,6 +413,105 @@ class TestEvolve:
         assert len(report.times) == 4
         with pytest.raises(ResourceError):
             evolve(zero_state(lat, su2), 0.35, 0.1)  # 3 steps + a short one
+
+
+def random_state(rng, lat, basis, amplitude=0.5):
+    return CauchyState(
+        random_vector_field(rng, lat, basis, amplitude=amplitude),
+        random_vector_field(rng, lat, basis, amplitude=amplitude),
+    )
+
+
+class TestFieldPool:
+    """The pooled RK4 step and evolve against their allocating oracles,
+    bit for bit, and the arrays the pool may write and hand out."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4"])
+    def test_rk4_step_bits(self, name, n, rng):
+        basis = build_algebra(name)
+        st = random_state(rng, LatticeSpec(n=n, spacing=0.7), basis)
+        for h in (0.2, -0.2):
+            want = allocating_rk4_step(st, h)
+            pool = FieldPool(st.a.data.shape)
+            for got in (rk4_step(st, h),
+                        rk4_step(st, h, curvature_magnetic(st.a), pool)):
+                assert np.array_equal(got.a.data, want.a.data)
+                assert np.array_equal(got.e.data, want.e.data)
+                assert got.t == want.t
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4"])
+    def test_evolve_bits(self, name, n, rng):
+        basis = build_algebra(name)
+        st = random_state(rng, LatticeSpec(n=n, spacing=0.7), basis)
+        h = 0.05
+        # 19 steps of h and a last one of h / 2
+        final, report = evolve(st, 19.5 * h, h, constraint_tol=np.inf)
+        want, want_report = allocating_evolve(st, 19.5 * h, h)
+        assert len(report.times) == 21
+        assert report.times[-1] - report.times[-2] == pytest.approx(h / 2)
+        assert np.array_equal(final.a.data, want.a.data)
+        assert np.array_equal(final.e.data, want.e.data)
+        assert final.t == want.t
+        assert report.times == want_report.times
+        assert report.energy == want_report.energy
+        assert report.constraint == want_report.constraint
+
+    def test_start_state_read_only_and_unshared(self, su2, lat8, rng):
+        st = random_state(rng, lat8, su2)
+        a0, e0 = st.a.data.copy(), st.e.data.copy()
+        final, _ = evolve(st, 0.5, 0.05, constraint_tol=np.inf)
+        assert np.array_equal(st.a.data, a0)
+        assert np.array_equal(st.e.data, e0)
+        for x in (final.a.data, final.e.data):
+            for y in (st.a.data, st.e.data):
+                assert not np.shares_memory(x, y)
+        assert not np.shares_memory(final.a.data, final.e.data)
+
+    def test_steps_reuse_pool_arrays(self, su2, lat8, rng, monkeypatch):
+        # four arrays in the first step and two more in the second, whose
+        # input, the first step's output, is still held; none after that,
+        # since freed arrays would go back to the system and be faulted in
+        # again on every step
+        fresh = []
+        take = FieldPool.take
+
+        def counted(pool):
+            fresh.append(not pool.free)
+            return take(pool)
+
+        monkeypatch.setattr(FieldPool, "take", counted)
+        st = random_state(rng, lat8, su2)
+        evolve(st, 10 * 0.05, 0.05, constraint_tol=np.inf)
+        assert len(fresh) == 40
+        assert sum(fresh) == 6
+
+    def test_evolve_memory(self, su2, monkeypatch):
+        # in units of one su2 vector field on 12^3 sites: the run holds
+        # six pool arrays, the force output and the curvature, with the
+        # Gauss residual's scalars on top; the allocating loop peaked at 11
+        lat = LatticeSpec(n=12, spacing=0.7)
+        st = random_state(np.random.default_rng(1), lat, su2, 0.3)
+        field = st.a.data.nbytes
+        current = []
+
+        def step(*args, **kwargs):
+            current.append(tracemalloc.get_traced_memory()[0])
+            return rk4_step(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "rk4_step", step)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            evolve(st, 10 * 0.05, 0.05, constraint_tol=np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(current) == 10
+        assert (peak - held) / field <= 9.5
+        # from the third step on, a step leaves nothing field-sized behind
+        assert current[9] - current[2] < 0.05 * field
 
 
 class TestEvolutionReport:

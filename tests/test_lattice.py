@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from oracles import (
     random_scalar_field,
     roll_diff,
     stencil_eigenvalue,
+    whole_array_random_vector_field,
     zero_gauge_null_patterns,
 )
 
@@ -581,8 +583,9 @@ class TestFieldSerialization:
 
 class TestSeededFields:
     def test_contiguous_and_bit_identical_to_strided(self, su2, lat4, rng):
-        # the real part of the complex transform is copied out, so every
-        # kernel reads contiguous data; the projection and the evolution of
+        # the real part of each component's transform is written back into
+        # the noise, so every kernel reads contiguous data; the projection
+        # and the evolution of
         # the pair are those of the stride-16 view the fields once were,
         # bit for bit, so the evolve CSVs keep their bytes
         from ymspec.dynamics import CauchyState, evolve
@@ -607,3 +610,27 @@ class TestSeededFields:
         assert np.array_equal(fa.a.data, fb.a.data)
         assert np.array_equal(fa.e.data, fb.e.data)
         assert ra.to_csv() == rb.to_csv()
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so3", "so4", "so5"])
+    def test_componentwise_transform_bits(self, name, n):
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=n, spacing=0.7)
+        got = random_vector_field(np.random.default_rng(3), lat, basis, 0.7)
+        want = whole_array_random_vector_field(
+            np.random.default_rng(3), lat, basis, 0.7)
+        assert np.array_equal(got.data, want.data)
+
+    def test_memory(self, su2):
+        # in units of the su2 vector field on 12^3 sites it returns: the
+        # noise, its square for the RMS and one component's transforms;
+        # the whole-array transform peaked at 7
+        lat = LatticeSpec(n=12, spacing=0.7)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            field = random_vector_field(rng, lat, su2).data.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / field <= 3.5
