@@ -15,10 +15,11 @@ curvature_magnetic and _force use the in-place lattice kernels: each
 output component gets its two raw differences, one scale by
 0.5 / spacing, then its brackets, added into it in place.  They and
 energy write into the arrays they are given.  evolve runs on one
-FieldPool: the RK4 stages take its arrays and give them back, as does a
-state once the next is accepted, so no step after the second allocates a
-field.  The caller's arrays are only read; the final state, and
-last_state past step 1, are pool arrays.
+FieldPool: an RK4 step takes four of its arrays and gives two back, as
+does a state once the next is accepted, and each record forms its
+energy squares and Gauss residual in a free one, so no step after the
+second allocates a field.  The caller's arrays are only read; the final
+state, and last_state past step 1, are pool arrays.
 """
 
 from __future__ import annotations
@@ -113,11 +114,10 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 class FieldPool:
     """Arrays shaped like a vector field, taken and put back on ``free``,
-    plus a force output, the curvature pairs and a component scratch."""
+    plus the curvature pairs and a component scratch."""
 
     def __init__(self, shape: tuple):
         self.shape, self.free = shape, []
-        self.force = np.empty(shape)
         self.curvature = np.empty((len(_PAIRS),) + shape[1:])
         self.scalar = np.empty(shape[1:])
 
@@ -212,8 +212,8 @@ def rk4_step(
     k_s = de/dt at stage s, the stages sit at a0 + h/2 e0,
     a0 + h/2 e0 + h^2/4 k_1 and a0 + h e0 + h^2/2 k_2, and the step is
     a0 + h e0 + h^2/6 (k_1 + k_2 + k_3), e0 + h/6 (k_1 + 2 k_2 + 2 k_3 + k_4).
-    They run on four arrays from ``pool`` (its own when None) and its force
-    output, which holds k_3, then k_4; the new a and e are two of the four.
+    They run on four arrays from ``pool`` (its own when None): two become
+    the new a and e, and two go back to the pool.
     """
     if h == 0:
         raise ConfigurationError("time step must be nonzero")
@@ -231,36 +231,35 @@ def rk4_step(
         return _force(a, curvature_magnetic(a, pool.curvature, pool.scalar),
                       out, pool.scalar)
 
-    a_new, k1, k2, stage = (pool.take() for _ in range(4))
-    k = pool.force
+    b1, b2, b3, b4 = (pool.take() for _ in range(4))
     if curvature is None:
         curvature = curvature_magnetic(state.a, pool.curvature, pool.scalar)
-    _force(state.a, curvature, k1, pool.scalar)
-    np.multiply(e0, 0.5 * h, out=stage)
-    stage += a0
-    force(stage, k2)
-    np.multiply(k1, 0.25 * h * h, out=a_new)
-    stage += a_new
-    force(stage, k)  # k_3
-    np.add(k1, k2, out=a_new)
-    a_new += k
-    a_new *= h * h / 6.0
-    np.multiply(e0, h, out=stage)
-    stage += a0  # a0 + h e0
-    a_new += stage
-    k += k2
-    k *= 2.0
-    k1 += k  # k_1 + 2 (k_2 + k_3)
-    np.multiply(k2, 0.5 * h * h, out=k)
-    stage += k
-    force(stage, k)  # k_4
-    k1 += k
-    k1 *= h / 6.0
-    k1 += e0
-    pool.free += [k2, stage]
+    _force(state.a, curvature, b1, pool.scalar)  # k_1
+    np.multiply(e0, 0.5 * h, out=b2)
+    b2 += a0
+    force(b2, b3)  # k_2
+    np.multiply(b1, 0.25 * h * h, out=b4)
+    b2 += b4
+    force(b2, b4)  # k_3
+    np.add(b1, b3, out=b2)
+    b2 += b4
+    b2 *= h * h / 6.0
+    b4 += b3
+    b4 *= 2.0
+    b1 += b4  # k_1 + 2 (k_2 + k_3)
+    np.multiply(e0, h, out=b4)
+    b4 += a0  # a0 + h e0
+    b2 += b4
+    b3 *= 0.5 * h * h
+    b4 += b3
+    force(b4, b3)  # k_4
+    b1 += b3
+    b1 *= h / 6.0
+    b1 += e0
+    pool.free += [b3, b4]
     return CauchyState(
-        VectorAlgebraField(lattice, basis, a_new),
-        VectorAlgebraField(lattice, basis, k1),
+        VectorAlgebraField(lattice, basis, b2),
+        VectorAlgebraField(lattice, basis, b1),
         state.t + h,
     )
 
@@ -310,23 +309,24 @@ def evolve(
     constraint_tol: float = 1e-6,
 ) -> tuple[CauchyState, EvolutionReport]:
     """Step the state to time t + T in the steps of step_sizes, recording
-    energy and Gauss residual.  The initial residual must sit below
-    constraint_tol relative to the electric norm (zero fields pass
-    trivially); non-finite fields abort with the last finite state
-    attached.  The curvature of each accepted state is computed once, for
-    the recorded energy and the next step's first stage."""
+    energy and Gauss residual.  The initial residual must be at most
+    constraint_tol * max(|e|, 1), relative to |e| >= 1 and absolute below
+    (zero fields pass trivially); non-finite fields abort with the last
+    finite state attached.  The curvature of each accepted state is
+    computed once, for the recorded energy and the next step's first stage."""
     sizes = step_sizes(T, h, state.lattice.sites() * state.a.basis.dim_g)
 
-    r0 = constraint_residual(state.a, state.e)
-    e_norm = field_norm(state.e)
+    pool = FieldPool(state.a.data.shape)
+    scratch = pool.take()  # the monitors' array, back on the pool to step
+    r0 = constraint_residual(state.a, state.e, scratch)
+    e_norm = field_norm(state.e, scratch)
     if e_norm > 0 and r0 > constraint_tol * max(e_norm, 1.0):
         raise ConfigurationError(
-            f"initial Gauss residual {r0:.3e} exceeds tolerance "
-            f"{constraint_tol:.1e} relative to |e| = {e_norm:.3e}; project the "
-            "electric field first"
+            f"initial Gauss residual {r0:.3e} exceeds constraint_tol "
+            f"{constraint_tol:.1e} times max(|e|, 1), |e| = {e_norm:.3e}; "
+            "project the electric field first"
         )
 
-    pool = FieldPool(state.a.data.shape)
     report = EvolutionReport()
     current = state
     del state  # freed two steps in, unless the caller holds it
@@ -334,8 +334,8 @@ def evolve(
     # floating-point warnings from the arithmetic that produced them
     with np.errstate(over="ignore", invalid="ignore"):
         f = curvature_magnetic(current.a, pool.curvature, pool.scalar)
-        # the force output is free between steps: energy squares into it
-        report.record(current.t, energy(current, f, pool.force), r0)
+        report.record(current.t, energy(current, f, scratch), r0)
+        pool.free.append(scratch)
         for step, size in enumerate(sizes):
             previous = current
             current = rk4_step(current, size, f, pool)
@@ -349,12 +349,10 @@ def evolve(
                     last_state=previous,
                     step=step + 1,
                 )
+            f = curvature_magnetic(current.a, pool.curvature, pool.scalar)
+            scratch = pool.free[-1]  # just used by the step, still in cache
+            report.record(current.t, energy(current, f, scratch),
+                          constraint_residual(current.a, current.e, scratch))
             if step:  # the start state's arrays are the caller's
                 pool.free += [previous.a.data, previous.e.data]
-            f = curvature_magnetic(current.a, pool.curvature, pool.scalar)
-            report.record(
-                current.t,
-                energy(current, f, pool.force),
-                constraint_residual(current.a, current.e),
-            )
     return current, report

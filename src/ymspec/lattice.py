@@ -22,8 +22,8 @@ The kernels work in place: _diff writes a raw central difference into a
 caller's C-contiguous array, and _bracket adds +-[x, y] into one.
 gauged_grad and gauged_div sum the raw differences, scale them once by
 0.5 / spacing and then subtract the brackets, so a strided input field
-is read, never written, and every output and scratch array is a fresh
-contiguous one.
+is read, never written; outputs and scratch are fresh contiguous arrays
+unless the caller gives its own.
 
 Array layout: scalar fields (dim_g, n, n, n), vector fields
 (3, dim_g, n, n, n).
@@ -119,8 +119,10 @@ def _same_geometry(x, y):
 # norms and stencils
 # ---------------------------------------------------------------------------
 
-def field_norm(x) -> float:
-    return float(np.sqrt(x.lattice.volume_factor * np.sum(x.data * x.data)))
+def field_norm(x, scratch=None) -> float:
+    """Lattice L2 norm; the squares go into ``scratch`` when given."""
+    sq = np.multiply(x.data, x.data, out=scratch)
+    return float(np.sqrt(x.lattice.volume_factor * np.sum(sq)))
 
 
 def _diff(arr: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -179,10 +181,13 @@ def gauged_grad(a: VectorAlgebraField, u: ScalarAlgebraField) -> VectorAlgebraFi
     return VectorAlgebraField(a.lattice, a.basis, out)
 
 
-def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField) -> ScalarAlgebraField:
-    """sum_k (D_k e_k - [a_k, e_k]); minus its gradient adjoint."""
+def gauged_div(a: VectorAlgebraField, e: VectorAlgebraField, out=None,
+               scratch=None) -> ScalarAlgebraField:
+    """sum_k (D_k e_k - [a_k, e_k]); minus its gradient adjoint.  ``out``
+    and ``scratch`` (the differences) are C-contiguous, shaped like e_k."""
     _same_geometry(a, e)
-    out, diff = np.empty(e.data.shape[1:]), np.empty(e.data.shape[1:])
+    out = np.empty(e.data.shape[1:]) if out is None else out
+    diff = np.empty(e.data.shape[1:]) if scratch is None else scratch
     _diff(e.data[0], 1, out)
     for k in (1, 2):
         out += _diff(e.data[k], 1 + k, diff)
@@ -344,9 +349,12 @@ def transversal_project(
     return VectorAlgebraField(a.lattice, a.basis, e.data - lon.data)
 
 
-def constraint_residual(a: VectorAlgebraField, e: VectorAlgebraField) -> float:
-    """L2 norm of the Gauss-law violation div_a e."""
-    return field_norm(gauged_div(a, e))
+def constraint_residual(a: VectorAlgebraField, e: VectorAlgebraField,
+                        scratch=None) -> float:
+    """L2 norm of the Gauss-law violation div_a e, formed in ``scratch``
+    (shaped like e.data) when given: div_a e, then its squares."""
+    out, diff = (None, None) if scratch is None else scratch[:2]
+    return field_norm(gauged_div(a, e, out, diff), diff)
 
 
 # ---------------------------------------------------------------------------

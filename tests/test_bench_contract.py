@@ -121,6 +121,8 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         steps = names.count("dynamics.rk4_step")
         assert steps == 2
         assert names.count("dynamics.curvature_magnetic") == 4 * steps + 1
+        # one Gauss residual per record, taken at t = 0 and after each step
+        assert names.count("lattice.constraint_residual") == steps + 1
 
 
 def test_traced_converge_solves_once(tmp_path):

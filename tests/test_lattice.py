@@ -499,6 +499,38 @@ class TestConstraintResidual:
         assert constraint_residual(a, grad) > 1e-3 * field_norm(grad)
 
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("name", ["su2", "su3", "so4"])
+    def test_caller_buffers_match_allocating_path(self, name, n, rng):
+        # evolve forms each record's residual in a free vector-field array
+        basis = build_algebra(name)
+        lat = LatticeSpec(n=n, spacing=0.7)
+        a = random_vector_field(rng, lat, basis, amplitude=0.5)
+        e = random_vector_field(rng, lat, basis)
+        a0, e0 = a.data.copy(), e.data.copy()
+        buf = np.full(e.data.shape, np.nan)
+        want_div = gauged_div(a, e)
+        div = gauged_div(a, e, buf[0], buf[1])
+        assert np.shares_memory(div.data, buf[0])
+        assert np.array_equal(div.data, want_div.data)
+        buf[:] = np.nan
+        results, peaks = [], []
+        for scratch in (None, buf):
+            tracemalloc.start()
+            try:
+                results.append(constraint_residual(a, e, scratch))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert results[1] == results[0]
+        assert np.array_equal(buf[0], want_div.data)
+        # the allocating path holds three scalar fields at once, the
+        # buffered one only the bracket kernel's two (n, n, n) rows
+        assert peaks[1] < 0.5 * peaks[0]
+        assert np.array_equal(a.data, a0)
+        assert np.array_equal(e.data, e0)
+
+
 class TestGaugeTransform:
     def test_identity(self, su2, lat8, rng):
         a = random_vector_field(rng, lat8, su2)

@@ -918,8 +918,10 @@ class TestConvergenceStudy:
     def test_single_solve_matches_per_cutoff_rebuild(
             self, algebra, sector, convention, N_max_list):
         # the levels solved once equal, bit for bit, those rebuilt and
-        # solved at every cutoff; and the zero-weight H at each smaller
-        # cutoff is the degree <= N - 2 prefix of the one at the largest
+        # solved at every cutoff; the zero-weight H at each smaller cutoff
+        # is the degree <= N - 2 prefix of the one at the largest; and the
+        # level operator, which reads only degree <= n_top, is the same at
+        # every cutoff
         first = N_max_list[0]
         model = ModelSpec(algebra=algebra, sector=sector, N_max=first,
                           n_max=first - 2, convention=convention)
@@ -936,6 +938,19 @@ class TestConvergenceStudy:
             assert np.array_equal(h.basis.states, top.basis.states[:k])
             for mine, prefix in zip(h.matrix.rows(0, k), top.matrix.rows(0, k)):
                 assert np.array_equal(mine, prefix)
+
+        def level_operator(N):
+            basis, sym = spectrum._cartan_model(model, N)
+            return spectrum._level_operator(sym, model.convention, basis,
+                                            model.n_top)
+
+        widest = level_operator(N_max_list[-1])
+        for N in N_max_list[:-1]:
+            level = level_operator(N)
+            assert np.array_equal(level.basis.states, widest.basis.states)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(level.matrix, part),
+                                      getattr(widest.matrix, part)), part
 
     def test_max_rel_change_keeps_nan(self):
         # max() drops a NaN that follows a number: max(0.0, nan) is 0.0
