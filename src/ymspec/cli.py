@@ -8,13 +8,15 @@ the annotations of the config dataclasses below: unknown or duplicate
 keys and mistyped values are rejected by key path.  Numbers are finite
 (NaN and Infinity are rejected) and positive, except ``seed``,
 ``random.max_mode`` and ``model.n_max``, which may be zero; ``bool``
-never counts as a number.  The algebra identifier, the model choices
-and the truncation levels are checked too, also by key path.  There is
-no ``output`` key: ``--out`` names the output directory.  Every run writes CSV data files whose bytes depend
-only on the configuration and seed, plus a JSON summary (the only place
-a timestamp appears).  Exit codes: 0 success, 1 physics assertion
-failed, 2 usage or schema error (a YMSPEC_THREADS that is set but not a
-positive integer included), 3 numerical or any other failure.
+never counts as a number.  LatticeSpec and ModelSpec check the
+``lattice`` and ``model`` sections, _check_values the algebra and each
+command's levels, all by key path.  ``--out`` (not a config key) names
+the output directory, not an existing file.  Every run writes CSV data
+files whose bytes depend only on the configuration and seed, plus a JSON
+summary (the only place a timestamp appears).  Exit codes: 0 success, 1
+physics assertion failed, 2 usage or schema error (a YMSPEC_THREADS that
+is set but not a positive integer included), 3 numerical or any other
+failure.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ from .lattice import (
 )
 from .spectrum import (
     DEGREE_MARGIN,
-    SECTORS,
     ModelSpec,
     bosonic_spectrum,
     convergence_study,
@@ -81,7 +82,6 @@ from .spectrum import (
     spectrum_summary_json,
 )
 from .symbols import (
-    ORDERINGS,
     ModeMap,
     PolynomialSymbol,
     convert,
@@ -173,19 +173,16 @@ class RunConfig:
             level_tol=self.tolerances.level_tol,
         )
 
+    def lattice_spec(self) -> LatticeSpec:
+        return LatticeSpec(n=self.lattice.n, spacing=self.lattice.spacing)
+
 
 # The constraint table: every number is positive except the key paths in
 # _NONNEGATIVE, which may also be zero; the keys in _CHOICES take one of
 # the listed strings.  Types come from the dataclass annotations above;
-# what involves more than one key is checked by _check_values.
+# the rest is checked by _check_values.
 _NONNEGATIVE = ("seed", "random.max_mode", "model.n_max")
-_CHOICES = {
-    "command": COMMANDS,
-    "evolution.preset": ("random", "abelian-wave"),
-    "model.momentum": ("zero",),
-    "model.sector": SECTORS,
-    "model.convention": ORDERINGS,
-}
+_CHOICES = {"command": COMMANDS, "evolution.preset": ("random", "abelian-wave")}
 
 # per annotated scalar type: the JSON value types it accepts, and its name
 _SCALARS = {
@@ -254,27 +251,15 @@ def _checked(tp, value, key: str, item: str = ""):
 
 def _check_values(config: RunConfig) -> RunConfig:
     """The checks the constraint table cannot express, each naming its
-    key path: the algebra identifier, lattice size, truncation levels and
-    the CG tolerance."""
+    key path: the algebra identifier, the ``lattice`` and ``model``
+    sections (LatticeSpec and ModelSpec check them on construction), the
+    levels spectrum and converge need, and the CG tolerance."""
     try:
         algebra_name(config.algebra)
     except ConfigurationError as exc:
         raise ConfigurationError(f"'algebra': {exc}") from None
-    if config.lattice.n < 2:
-        raise ConfigurationError(
-            f"'lattice.n' must be at least 2 sites, got {config.lattice.n}"
-        )
+    config.lattice_spec()
     model = config.model
-    if model.N_max < DEGREE_MARGIN:
-        raise ConfigurationError(
-            f"'model.N_max' must be at least {DEGREE_MARGIN}, got {model.N_max}"
-        )
-    if model.n_max is not None and model.n_max > model.N_max - DEGREE_MARGIN:
-        raise ConfigurationError(
-            f"'model.n_max' must be at most N_max - {DEGREE_MARGIN} = "
-            f"{model.N_max - DEGREE_MARGIN}, got {model.n_max}; "
-            "truncation-edge blocks are not trustworthy"
-        )
     n_top = config.model_spec().n_top
     if config.command == "spectrum" and n_top < 2:
         key = "N_max" if model.n_max is None else "n_max"
@@ -330,7 +315,7 @@ def _seeded_fields(config: RunConfig, basis: LieAlgebraBasis | None = None):
     ``basis``, the config's algebra (built here if None)."""
     if basis is None:
         basis = build_algebra(config.algebra)
-    lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
+    lattice = config.lattice_spec()
     rng = np.random.default_rng(config.seed)
     return tuple(
         random_vector_field(
@@ -354,7 +339,7 @@ def abelian_wave_state(config: RunConfig,
     ``basis``, the config's algebra (built here if None)."""
     if basis is None:
         basis = build_algebra(config.algebra)
-    lattice = LatticeSpec(n=config.lattice.n, spacing=config.lattice.spacing)
+    lattice = config.lattice_spec()
     n = lattice.n
     x = np.arange(n)
     wave = config.random.amplitude * np.cos(2 * np.pi * x / n)
@@ -678,6 +663,8 @@ def main(argv=None) -> int:
 
     outdir = args.out
     try:
+        if os.path.exists(outdir) and not os.path.isdir(outdir):
+            raise NotADirectoryError(f"'--out' {outdir!r} is not a directory")
         with open(args.config) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -47,16 +47,17 @@ from .errors import (
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Periodic cubic lattice with n sites per dimension."""
+    """Periodic cubic lattice with n sites per dimension: a config's
+    ``lattice`` section, checked on construction by key path."""
 
     n: int
     spacing: float
 
     def __post_init__(self):
         if self.n < 2:
-            raise ConfigurationError(f"lattice needs n >= 2 sites, got {self.n}")
+            raise ConfigurationError(f"'lattice.n' must be at least 2 sites, got {self.n}")
         if self.spacing <= 0:
-            raise ConfigurationError(f"lattice spacing must be > 0, got {self.spacing}")
+            raise ConfigurationError(f"'lattice.spacing' must be positive, got {self.spacing}")
 
     @property
     def volume_factor(self) -> float:

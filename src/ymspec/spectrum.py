@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -43,11 +43,11 @@ from .errors import (
 )
 from .fock import FockOperator, build_basis, quantize
 from .symbols import (
+    ORDERINGS,
     ModeMap,
     PolynomialSymbol,
     cartan_modes,
     energy_symbol,
-    validate_ordering,
 )
 
 DEGREE_MARGIN = 2
@@ -59,7 +59,8 @@ SECTORS = ("full", "abelian")
 
 @dataclass
 class ModelSpec:
-    """Configuration of a truncated quantization model."""
+    """A truncated quantization model, a config's ``model`` section with its
+    algebra and level tolerance, checked on construction by key path."""
 
     algebra: str = "su2"
     momentum: str = "zero"          # spatially-constant sector only
@@ -71,19 +72,22 @@ class ModelSpec:
     level_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.momentum != "zero":
-            raise ConfigurationError(
-                f"momentum truncation '{self.momentum}' is not available; the "
-                "desk-scale model retains the spatially-constant sector only"
-            )
-        if self.sector not in SECTORS:
-            raise ConfigurationError(
-                f"sector must be one of {SECTORS}, got '{self.sector}'"
-            )
-        validate_ordering(self.convention)
+        for key, allowed in (("momentum", ("zero",)), ("sector", SECTORS),
+                             ("convention", ORDERINGS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigurationError(
+                    f"'model.{key}' must be one of {allowed}, got {value!r}"
+                )
         if self.N_max < DEGREE_MARGIN:
             raise ConfigurationError(
-                f"N_max must be at least {DEGREE_MARGIN}, got {self.N_max}"
+                f"'model.N_max' must be at least {DEGREE_MARGIN}, got {self.N_max}"
+            )
+        if self.n_max is not None and self.n_max > self.N_max - DEGREE_MARGIN:
+            raise ConfigurationError(
+                f"'model.n_max' must be at most N_max - {DEGREE_MARGIN} = "
+                f"{self.N_max - DEGREE_MARGIN}, got {self.n_max}; "
+                "truncation-edge blocks are not trustworthy"
             )
 
     def mode_map(self, basis: LieAlgebraBasis | None = None) -> ModeMap:
@@ -128,17 +132,17 @@ class SpectrumReport:
 # operator assembly and block extraction
 # ---------------------------------------------------------------------------
 
-def _cartan_model(model: ModelSpec, N_max: int):
-    """The safe basis (degree <= N_max - DEGREE_MARGIN) at path cutoff
-    N_max in the model's Cartan modes, carrying their weights, and the
+def _cartan_model(model: ModelSpec):
+    """The safe basis (degree <= N_max - DEGREE_MARGIN) at the model's path
+    cutoff N_max in its Cartan modes, carrying their weights, and the
     energy symbol in those modes; the basis passes the cap first."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
     modes = cartan_modes(algebra, mode_map)
-    basis = build_basis(mode_map.num_modes, N_max, depth=N_max - DEGREE_MARGIN,
-                        weights=modes.weights)
+    basis = build_basis(mode_map.num_modes, model.N_max,
+                        depth=model.N_max - DEGREE_MARGIN, weights=modes.weights)
     return basis, energy_symbol(algebra, mode_map, model.include_magnetic, modes)
 
 
@@ -163,11 +167,11 @@ def _zero_weight_operator(sym: PolynomialSymbol, convention: str,
     return quantize(sym, convention, basis.subset(basis.sectors == 0))
 
 
-def assemble_hamiltonian(model: ModelSpec, N_max: int | None = None) -> FockOperator:
-    """The energy-mass operator at path cutoff N_max (model.N_max if None),
-    quantized in the model's Cartan modes and compressed to the zero-weight
-    states of its safe basis (see _cartan_model), on which C* is solved."""
-    basis, sym = _cartan_model(model, model.N_max if N_max is None else N_max)
+def assemble_hamiltonian(model: ModelSpec) -> FockOperator:
+    """The energy-mass operator at the model's path cutoff N_max, quantized
+    in its Cartan modes and compressed to the zero-weight states of its
+    safe basis (see _cartan_model), on which C* is solved."""
+    basis, sym = _cartan_model(model)
     return _zero_weight_operator(sym, model.convention, basis)
 
 
@@ -288,20 +292,14 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     Every reported level equals the level of the untruncated operator
     exactly: the degree-n block sees only the number-conserving monomials
     of the quartic energy symbol, whose ladder paths (under any ordering
-    convention) pass through degrees <= n + DEGREE_MARGIN, and n_max is
-    capped at N_max - DEGREE_MARGIN, so no path meets the cutoff.  The
+    convention) pass through degrees <= n + DEGREE_MARGIN, and ModelSpec
+    caps n_max at N_max - DEGREE_MARGIN, so no path meets the cutoff.  The
     levels are read from _level_operator; the report keeps the whole H
     compressed to the zero-weight states of the safe basis as
     ``hamiltonian``, for C*.
     """
     n_top = model.n_top
-    if n_top > model.N_max - DEGREE_MARGIN:
-        raise ConfigurationError(
-            f"n_max={n_top} exceeds N_max - {DEGREE_MARGIN} = "
-            f"{model.N_max - DEGREE_MARGIN}; truncation-edge blocks are not "
-            "trustworthy"
-        )
-    basis, sym = _cartan_model(model, model.N_max)
+    basis, sym = _cartan_model(model)
     h = _level_operator(sym, model.convention, basis, n_top)
     ns = list(range(n_top + 1))
     levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
@@ -423,19 +421,15 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     solved once, on the first cutoff's safe basis, the only one built and
     capped: each relative change is 0 by construction, and convergence_gate
     is only a guard.  The tests check the truncation against a rebuild at
-    each cutoff."""
+    each cutoff.  A list that starts below n_top + DEGREE_MARGIN gets
+    ModelSpec's 'model.n_max' refusal."""
     levels = list(N_max_list)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ConfigurationError("N_max list must be non-empty and strictly increasing")
-    n_top = model.n_top
-    if n_top > levels[0] - DEGREE_MARGIN:
-        raise ConfigurationError(
-            f"n_max={n_top} too large for the smallest truncation "
-            f"N_max={levels[0]}"
-        )
-    basis, sym = _cartan_model(model, levels[0])
-    h = _level_operator(sym, model.convention, basis, n_top)
-    ns = list(range(n_top + 1))
+    model = replace(model, N_max=levels[0], n_max=model.n_top)
+    basis, sym = _cartan_model(model)
+    h = _level_operator(sym, model.convention, basis, model.n_top)
+    ns = list(range(model.n_top + 1))
     lams = [float(_block_eigenvalues(
         h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0]) for n in ns]
     lambdas = {N: list(lams) for N in levels}

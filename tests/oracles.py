@@ -48,7 +48,7 @@ point evaluation and the symbol JSON format.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
@@ -1467,7 +1467,9 @@ def safe_hamiltonian(model, N_max: int | None = None) -> FockOperator:
     rows it reads."""
     from ymspec.spectrum import _cartan_model
 
-    basis, sym = _cartan_model(model, model.N_max if N_max is None else N_max)
+    if N_max is not None:
+        model = replace(model, N_max=N_max)
+    basis, sym = _cartan_model(model)
     return raise_table_quantize(sym, model.convention, basis)
 
 
@@ -1489,7 +1491,7 @@ def convergence_per_cutoff(model, N_max_list):
     ns = list(range(model.n_top + 1))
     lambdas = {}
     for N in levels:
-        basis, sym = _cartan_model(model, N)
+        basis, sym = _cartan_model(replace(model, N_max=N))
         h = _level_operator(sym, model.convention, basis, model.n_top)
         lambdas[N] = [float(_block_eigenvalues(
             h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])

@@ -4,6 +4,9 @@ bench/child.py fail when a rename or signature change in src/ breaks that
 contract; so does the probe run, which reads sys.modules["scipy"] after
 importing the CLI.  bench/ itself is only read."""
 
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -134,3 +137,27 @@ def test_traced_converge_solves_once(tmp_path):
     for name in ("algebra.build_algebra", "fock.build_basis",
                  "symbols.energy_symbol", "fock.quantize"):
         assert names.count(name) == 1, name
+
+
+def test_layer_names_and_counter_parameters_resolve():
+    # bench/spans.py, loaded without running a child: every function it
+    # wraps must exist under its name, and the parameters its counters read
+    # by name must exist too (no traced run here calls save_field)
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(f"ymspec.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    for name, params in {
+        "lattice.save_field": ("path",),
+        "dynamics.rk4_step": ("state",),
+        "fock.quantize": ("s",),
+        "spectrum.number_shift_bound": ("h", "margin_degree"),
+    }.items():
+        assert name in spans.COUNTERS, name
+        layer, function = name.split(".")
+        fn = getattr(importlib.import_module(f"ymspec.{layer}"), function)
+        assert set(params) <= set(inspect.signature(fn).parameters), name

@@ -24,7 +24,8 @@ from ymspec.cli import (
     seeded_random_state,
 )
 from ymspec.errors import ConfigurationError, InsufficientDataError
-from ymspec.lattice import constraint_residual, field_norm, load_field
+from ymspec.lattice import LatticeSpec, constraint_residual, field_norm, load_field
+from ymspec.spectrum import ModelSpec
 
 
 def config_json(cfg: RunConfig) -> str:
@@ -292,6 +293,39 @@ class TestMainExitCodes:
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
         assert diag["error_type"] == "ConfigurationError"
         assert f"'{key}'" in diag["message"]
+
+    @pytest.mark.parametrize("doc,build", [
+        ({"model": {"sector": "x"}}, lambda: ModelSpec(sector="x")),
+        ({"model": {"momentum": "x"}}, lambda: ModelSpec(momentum="x")),
+        ({"model": {"convention": "x"}}, lambda: ModelSpec(convention="x")),
+        ({"model": {"N_max": 1}}, lambda: ModelSpec(N_max=1)),
+        ({"model": {"N_max": 4, "n_max": 3}},
+         lambda: ModelSpec(N_max=4, n_max=3)),
+        ({"lattice": {"n": 1}}, lambda: LatticeSpec(n=1, spacing=1.0)),
+    ], ids=["sector", "momentum", "convention", "N_max", "n_max", "lattice.n"])
+    def test_section_checked_in_one_place(self, tmp_path, doc, build):
+        # ModelSpec and LatticeSpec hold these checks: a library caller gets
+        # the CLI's diagnostic word for word
+        path = write_config(tmp_path, {"command": "spectrum", **doc})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 2
+        diag = json.loads((tmp_path / "diagnostics.json").read_text())
+        with pytest.raises(ConfigurationError) as info:
+            build()
+        assert str(info.value) == diag["message"]
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        # refused before the config is read, so a missing config is not
+        # what the diagnostic names; the file is left as it was
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        path = write_config(tmp_path, {"command": "check-algebra"})
+        for config in (path, str(tmp_path / "missing.json")):
+            code = main(["check-algebra", "--config", config, "--out", str(taken)])
+            assert code == 2
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["exit_code"] == 2
+            assert "'--out'" in diag["message"]
+        assert taken.read_text() == "keep"
 
     def test_oversized_evolve_refused_before_stepping(self, tmp_path):
         # 2e10 steps of 6^3 su2 sites; refused before the first step

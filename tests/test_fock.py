@@ -503,7 +503,7 @@ UNBOUNDED = 1 << 40
 def cartan_model(algebra, N_max):
     """(model, safe basis, energy symbol) as the spectrum path builds them."""
     model = ModelSpec(algebra=algebra, N_max=N_max)
-    return (model, *_cartan_model(model, N_max))
+    return (model, *_cartan_model(model))
 
 
 class TestChunkBudget:

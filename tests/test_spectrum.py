@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -258,9 +259,8 @@ class TestBosonicSpectrum:
             assert quotients.min() >= lam - 1e-8
 
     def test_n_max_margin_enforced(self):
-        model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=3)
-        with pytest.raises(ConfigurationError):
-            bosonic_spectrum(model)
+        with pytest.raises(ConfigurationError, match="'model.n_max'"):
+            ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=3)
 
     def test_model_n_max_sets_top_level(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=8, n_max=3)
@@ -858,6 +858,29 @@ class TestNumberShiftBound:
         assert number_shift_bound(h) == pytest.approx(10.255542942942753,
                                                       rel=0, abs=1e-10)
 
+    def test_su2_cstar_by_margin_from_one_operator(self):
+        # C*(K), the bound on degree <= K, K = 1..8, read by margin from the
+        # N_max = 10 zero-weight operator: each equals a fresh solve at
+        # N_max = K + 2 and the ROADMAP baseline row (6 decimals); C* does
+        # not increase with K, and odd K adds nothing to the even K below
+        # it.  The last digits move with the BLAS thread count, so the
+        # comparisons are relative to 1e-12, not bit for bit.
+        baseline = {1: 13.5, 2: 11.741676, 3: 11.741676, 4: 10.971945,
+                    5: 10.971945, 6: 10.536120, 7: 10.536120, 8: 10.255543}
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=10))
+        cstar = {K: number_shift_bound(h, margin_degree=10 - K)
+                 for K in baseline}
+        for K, value in cstar.items():
+            fresh = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=K + 2))
+            assert value == pytest.approx(number_shift_bound(fresh),
+                                          rel=1e-12, abs=0), K
+            assert value == pytest.approx(baseline[K], rel=0, abs=1e-6), K
+        for K in range(1, 8):
+            assert cstar[K + 1] <= cstar[K] * (1 + 1e-12), K
+        for k in (1, 2, 3):
+            assert cstar[2 * k + 1] == pytest.approx(cstar[2 * k],
+                                                     rel=1e-12, abs=0), k
+
     def test_hermiticity_check_holds_no_stack_copy(self):
         # C*(10) solves one zero-weight sector of 1,382 rows, 15 MB dense:
         # its Hermiticity check by row blocks keeps the peak near that one
@@ -930,9 +953,9 @@ class TestConvergenceStudy:
         assert study.lambdas == reference.lambdas
         assert study.rel_changes == reference.rel_changes
         assert study.to_csv() == reference.to_csv()
-        top = assemble_hamiltonian(model, N_max_list[-1])
+        top = assemble_hamiltonian(replace(model, N_max=N_max_list[-1]))
         for N in N_max_list[:-1]:
-            h = assemble_hamiltonian(model, N)
+            h = assemble_hamiltonian(replace(model, N_max=N))
             k = h.basis.size
             assert np.count_nonzero(top.basis.degrees <= N - 2) == k
             assert np.array_equal(h.basis.states, top.basis.states[:k])
@@ -940,7 +963,7 @@ class TestConvergenceStudy:
                 assert np.array_equal(mine, prefix)
 
         def level_operator(N):
-            basis, sym = spectrum._cartan_model(model, N)
+            basis, sym = spectrum._cartan_model(replace(model, N_max=N))
             return spectrum._level_operator(sym, model.convention, basis,
                                             model.n_top)
 
