@@ -11,12 +11,12 @@ keys and mistyped values are rejected by key path.  Numbers are finite
 never counts as a number.  LatticeSpec and ModelSpec check the
 ``lattice`` and ``model`` sections, _check_values the algebra and each
 command's levels, all by key path.  ``--out`` (not a config key) names
-the output directory, not an existing file.  Every run writes CSV data
-files whose bytes depend only on the configuration and seed, plus a JSON
-summary (the only place a timestamp appears).  Exit codes: 0 success, 1
-physics assertion failed, 2 usage or schema error (a YMSPEC_THREADS that
-is set but not a positive integer included), 3 numerical or any other
-failure.
+the output directory; its nearest existing ancestor, itself if it
+exists, must be a directory.  Every run writes CSV data files whose
+bytes depend only on the configuration and seed, plus a JSON summary
+(the only place a timestamp appears).  Exit codes: 0 success, 1 physics
+assertion failed, 2 usage or schema error (a YMSPEC_THREADS that is set
+but not a positive integer included), 3 numerical or any other failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import functools
 import json
 import sys
 import time
-import traceback
 import typing
 from dataclasses import dataclass, field
 
@@ -80,6 +79,7 @@ from .spectrum import (
     gap_analysis,
     number_shift_bound,
     spectrum_summary_json,
+    validate_N_max_list,
 )
 from .symbols import (
     ModeMap,
@@ -267,12 +267,7 @@ def _check_values(config: RunConfig) -> RunConfig:
             f"'model.{key}' must leave the gap analysis at least 3 levels "
             f"(n = 0..2), got {getattr(model, key)}"
         )
-    levels = model.N_max_list
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError(
-            "'model.N_max_list' must be non-empty and strictly increasing, "
-            f"got {levels}"
-        )
+    levels = validate_N_max_list(model.N_max_list)
     if config.command == "converge" and n_top > levels[0] - DEGREE_MARGIN:
         raise ConfigurationError(
             f"'model.N_max_list' must start at n_max + {DEGREE_MARGIN} = "
@@ -632,13 +627,15 @@ def _emit_diagnostic(outdir: str | None, exc: Exception, code: int):
         "message": str(exc),
         "exit_code": code,
     }
-    if exc.__traceback__ is not None:
+    tb = exc.__traceback__
+    if tb is not None:
         # where it was raised, so an unforeseen failure can be traced
         # without printing a traceback
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        doc["raised_at"] = (
-            f"{os.path.basename(frame.filename)}:{frame.lineno} in {frame.name}"
-        )
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = tb.tb_frame.f_code
+        doc["raised_at"] = (f"{os.path.basename(where.co_filename)}:"
+                            f"{tb.tb_lineno} in {where.co_name}")
     text = json.dumps(doc, indent=1, sort_keys=True)
     print(text, file=sys.stderr)
     if outdir and os.path.isdir(outdir):
@@ -663,8 +660,13 @@ def main(argv=None) -> int:
 
     outdir = args.out
     try:
-        if os.path.exists(outdir) and not os.path.isdir(outdir):
-            raise NotADirectoryError(f"'--out' {outdir!r} is not a directory")
+        # run makes the directory and its parents under this ancestor
+        ancestor = os.path.abspath(outdir)
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not os.path.isdir(ancestor):
+            raise NotADirectoryError(
+                f"'--out' {outdir!r}: {ancestor!r} is not a directory")
         with open(args.config) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:

@@ -2,8 +2,9 @@
 
 States are occupation multi-indices mu with |mu| <= depth <= N_max in
 degree-major, lexicographic order; N_max bounds the ladder paths.  A
-basis may also hold any subset of those states (FockBasis.subset), in the
-same order.  Operators are compressed-sparse-row arrays (Csr) of numpy on
+basis may also hold a subset of those states in the same order, picked
+(FockBasis.subset) or enumerated directly (zero_weight_rows).
+Operators are compressed-sparse-row arrays (Csr) of numpy on
 a basis; the linear occupation keys give the rows and columns of every
 quantized monomial, for all terms at once.  Quantization
 places ladder operators according to the requested ordering convention;
@@ -16,7 +17,6 @@ intermediate states inside the cutoff.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,16 +78,49 @@ class FockBasis:
         state is in sector 0."""
         if self.weights is None:
             return np.zeros(self.size, dtype=np.int64)
-        span = 2 * self.depth * int(np.abs(self.weights).max(initial=0)) + 1
-        return self.states @ (self.weights @ span ** np.arange(self.weights.shape[1]))
+        return self.states @ _sector_code(self.weights, self.depth)
 
     def subset(self, rows: np.ndarray) -> "FockBasis":
         """The states selected by the boolean mask rows, in basis order, on
-        the same truncation (N_max, depth) and mode weights.  Every state
-        of degree <= depth has its own key in an enumerated basis, so a
-        key looked up in the subset is found only for a state it holds."""
+        the same truncation (N_max, depth) and mode weights.  Keys may wrap,
+        so quantize may take a source the subset does not hold for a held
+        state of the same key, unless the subset holds every source: whole
+        weights up to a degree hold those of a symbol that conserves weight
+        (quantize checks it) and reaches no higher degree."""
         return FockBasis(self.D, self.N_max, self.states[rows],
                          self.degrees[rows], self.depth, self.weights)
+
+
+def _sector_code(weights: np.ndarray, depth: int) -> np.ndarray:
+    """Per mode, its weights as digits of a radix above twice the largest
+    |weight| of degree depth: FockBasis.sectors sums them over a state."""
+    span = 2 * depth * int(np.abs(weights).max(initial=0)) + 1
+    return weights @ span ** np.arange(weights.shape[1])
+
+
+def _lex_states(D: int, depth: int) -> np.ndarray:
+    """Every occupation state over D modes with |mu| <= depth, (size, D)
+    int64, in lexicographic order."""
+    states, room = np.zeros((1, 0), dtype=np.int64), np.array([depth])
+    for _ in range(D):
+        # each state so far takes every occupation 0..room of the next mode
+        parent = np.repeat(np.arange(room.size), room + 1)
+        occupation = np.arange(parent.size) - (np.cumsum(room + 1) - room - 1)[parent]
+        states = np.column_stack([states[parent], occupation])
+        room = room[parent] - occupation
+    return states
+
+
+def _degree_major(D, N_max, states, depth, weights) -> FockBasis:
+    states = states[np.argsort(states.sum(axis=1), kind="stable")]
+    return FockBasis(D, N_max, states, states.sum(axis=1), depth, weights)
+
+
+def check_basis_size(D: int, depth: int, cap: int = DEFAULT_BASIS_CAP):
+    size = math.comb(D + depth, D)
+    if size > cap:
+        raise ResourceError(f"basis size {size} for D={D}, depth={depth} "
+                            f"exceeds cap {cap}")
 
 
 def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
@@ -100,24 +133,30 @@ def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
         raise ConfigurationError("mode count D must be >= 1")
     if not 0 <= depth <= N_max:
         raise ConfigurationError(f"need 0 <= depth={depth} <= N_max={N_max}")
-    size = math.comb(D + depth, D)
-    if size > cap:
-        raise ResourceError(
-            f"basis size {size} for D={D}, depth={depth} exceeds cap {cap}"
-        )
-    # stars and bars: the degree-n states are the gaps between D - 1 bars
-    # placed among n + D - 1 slots; bars in lexicographic order give the
-    # states in lexicographic order
-    shells = []
-    for n in range(depth + 1):
-        count = math.comb(n + D - 1, D - 1)
-        combos = itertools.combinations(range(n + D - 1), D - 1)
-        bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64,
-                           count * (D - 1)).reshape(count, D - 1)
-        shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
-    states = np.concatenate(shells)
-    degrees = states.sum(axis=1)
-    return FockBasis(D, N_max, states, degrees, depth, weights)
+    check_basis_size(D, depth, cap)
+    return _degree_major(D, N_max, _lex_states(D, depth), depth, weights)
+
+
+def zero_weight_rows(D: int, N_max: int, depth: int,
+                     weights: np.ndarray) -> FockBasis:
+    """build_basis(D, N_max, depth=depth, weights=weights).subset(sectors
+    == 0) without the basis: each state of the first D // 2 modes (head)
+    joins the states of the rest (tail) whose code cancels its own and
+    whose degree keeps the sum <= depth."""
+    code, half = _sector_code(weights, depth), D // 2
+    head, tail = _lex_states(half, depth), _lex_states(D - half, depth)
+    # tails by code, then degree, then lexicographically: a head's are a run
+    key = tail @ code[half:] * (depth + 1) + tail.sum(axis=1)
+    by_key = np.argsort(key, kind="stable")
+    key = key[by_key]
+    want = -(head @ code[:half]) * (depth + 1)
+    lo = np.searchsorted(key, want)
+    count = np.searchsorted(key, want + depth - head.sum(axis=1), "right") - lo
+    heads = np.repeat(np.arange(len(head)), count)
+    tails = by_key[np.arange(heads.size) + (lo - np.cumsum(count) + count)[heads]]
+    # each head's tails of one degree are lexicographic, so each degree is
+    return _degree_major(D, N_max, np.hstack([head[heads], tail[tails]]),
+                         depth, weights)
 
 
 @dataclass(frozen=True)
@@ -236,9 +275,10 @@ def quantize(
     antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
     weyl:       convert the symbol to normal form, then quantize normally.
 
-    The basis may be any subset of a truncation's states (FockBasis.subset):
+    The basis may be a subset of a truncation's states (FockBasis.subset):
     the entries are those of the whole truncation's operator between the
-    states held, its principal submatrix.  Normal ordering annihilates
+    states held, its principal submatrix.  On a basis with weights, a term
+    that changes them is a NumericalError.  Normal ordering annihilates
     first, so only its final state can leave the cutoff; anti-normal
     ordering creates first, so its intermediate state must stay inside.
     So a monomial's sources are the states mu >= lift, lift = b (normal) or
@@ -273,6 +313,8 @@ def quantize(
     alpha = np.array([a for (a, _), _ in terms], dtype=np.int64).reshape(-1, basis.D)
     beta = np.array([b for (_, b), _ in terms], dtype=np.int64).reshape(-1, basis.D)
     coeff = np.array([c for _, c in terms], dtype=complex)
+    if basis.weights is not None and ((alpha - beta) @ basis.weights).any():
+        raise NumericalError("a symbol term changes the basis's mode weights")
     da, db = alpha.sum(axis=1), beta.sum(axis=1)
     normal = convention == "normal"
     if normal:

@@ -22,8 +22,9 @@ irreducible representation in the Fock space (symmetric powers of
 R^3 (x) adj) has its highest weight in the root lattice, so 0 is one of
 its weights, and every eigenvalue of H - N on a rotation-invariant block
 therefore has an eigenvector of weight 0.  So H is quantized only on the
-rows these solves read: the levels' (weight code >= 0, degree <= n_top,
-number-conserving terms alone) and C*'s (weight 0, every term).
+rows these solves read, each set enumerated directly: the levels'
+(weight code >= 0, degree <= n_top, number-conserving terms alone) and
+C*'s (weight 0, every term, each N parity solved apart).
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .errors import (
     NumericalError,
     ResourceError,
 )
-from .fock import FockOperator, build_basis, quantize
+from .fock import (FockOperator, build_basis, check_basis_size, quantize,
+                   zero_weight_rows)
 from .symbols import (
     ORDERINGS,
     ModeMap,
@@ -133,21 +135,21 @@ class SpectrumReport:
 # ---------------------------------------------------------------------------
 
 def _cartan_model(model: ModelSpec):
-    """The safe basis (degree <= N_max - DEGREE_MARGIN) at the model's path
-    cutoff N_max in its Cartan modes, carrying their weights, and the
-    energy symbol in those modes; the basis passes the cap first."""
+    """The energy symbol in the model's Cartan modes and their weights; the
+    safe basis (degree <= N_max - DEGREE_MARGIN), which holds every row set
+    but is never enumerated, passes the cap first."""
     algebra = build_algebra(model.algebra)
     mode_map = model.mode_map(algebra)
     if mode_map.num_modes == 0:
         raise ConfigurationError("model retains zero modes; nothing to quantize")
     modes = cartan_modes(algebra, mode_map)
-    basis = build_basis(mode_map.num_modes, model.N_max,
-                        depth=model.N_max - DEGREE_MARGIN, weights=modes.weights)
-    return basis, energy_symbol(algebra, mode_map, model.include_magnetic, modes)
+    check_basis_size(mode_map.num_modes, model.N_max - DEGREE_MARGIN)
+    return (energy_symbol(algebra, mode_map, model.include_magnetic, modes),
+            modes.weights)
 
 
-def _level_operator(sym: PolynomialSymbol, convention: str, basis,
-                    n_top: int) -> FockOperator:
+def _level_operator(model: ModelSpec, sym: PolynomialSymbol,
+                    weights: np.ndarray) -> FockOperator:
     """H compressed to the rows the levels read: weight code >= 0 (a
     sector of code < 0 has its mirror's spectrum, see _block_eigenvalues)
     and degree <= n_top, from the number-conserving terms alone, since a
@@ -156,23 +158,25 @@ def _level_operator(sym: PolynomialSymbol, convention: str, basis,
     conserving = PolynomialSymbol(sym.num_modes, {
         (alpha, beta): c for (alpha, beta), c in sym.terms.items()
         if sum(alpha) == sum(beta)})
-    rows = (basis.sectors >= 0) & (basis.degrees <= n_top)
-    return quantize(conserving, convention, basis.subset(rows))
+    rows = build_basis(sym.num_modes, model.N_max, depth=model.n_top,
+                       weights=weights)
+    return quantize(conserving, model.convention, rows.subset(rows.sectors >= 0))
 
 
-def _zero_weight_operator(sym: PolynomialSymbol, convention: str,
-                          basis) -> FockOperator:
-    """The whole H compressed to the zero-weight rows of the basis, all
-    that C* reads (see number_shift_bound)."""
-    return quantize(sym, convention, basis.subset(basis.sectors == 0))
+def _zero_weight_operator(model: ModelSpec, sym: PolynomialSymbol,
+                          weights: np.ndarray) -> FockOperator:
+    """The whole H compressed to the zero-weight rows of the safe basis,
+    all that C* reads (see number_shift_bound)."""
+    rows = zero_weight_rows(sym.num_modes, model.N_max,
+                            model.N_max - DEGREE_MARGIN, weights)
+    return quantize(sym, model.convention, rows)
 
 
 def assemble_hamiltonian(model: ModelSpec) -> FockOperator:
     """The energy-mass operator at the model's path cutoff N_max, quantized
     in its Cartan modes and compressed to the zero-weight states of its
     safe basis (see _cartan_model), on which C* is solved."""
-    basis, sym = _cartan_model(model)
-    return _zero_weight_operator(sym, model.convention, basis)
+    return _zero_weight_operator(model, *_cartan_model(model))
 
 
 def _degree_rows(basis, n: int) -> tuple[int, int]:
@@ -197,14 +201,16 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
 
 def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
                        shift: np.ndarray | None = None,
-                       zero_weight: bool = False) -> np.ndarray:
+                       parity: np.ndarray | None = None) -> np.ndarray:
     """All eigenvalues, ascending, of the Hermitian block
-    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, or with
-    zero_weight only those of its sector 0.
+    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, or, given
+    each row's N mod 2 as parity, only those of its sector 0.
 
     sectors[i] is the sector of row i (FockBasis.sectors, all 0 for a
-    basis without weights).  H has no entry between sectors: an entry joining
-    two, above 1e-12 of the block's largest |entry|, is a NumericalError.
+    basis without weights); with parity, each splits by N mod 2 unless a
+    stored entry joins two parities.  H has no entry between sectors: an
+    entry joining two, above 1e-12 of the block's largest |entry|, is a
+    NumericalError.
     The sector of code mu and its mirror -mu have the same spectrum: H is
     real in the real modes, and complex conjugation there maps weight mu to
     -mu.  So only the sectors of code >= 0 are solved, and each eigenvalue
@@ -219,6 +225,8 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
     dim = hi - lo
     key = sectors[lo:hi]
     rows, cols, vals = matrix.rows(lo, hi)
+    if parity is not None:
+        key = 2 * key + (0 if (parity[rows] != parity[cols]).any() else parity)
     if not vals.imag.any():
         vals = vals.real
     on = rows == cols
@@ -234,7 +242,7 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         raise NumericalError(f"an entry of {leak:.3e} joins two weight sectors")
     # the rows solved, grouped by sector, and each row's place in its sector
     order = np.argsort(key, kind="stable")
-    order = order[key[order] == 0] if zero_weight else order[key[order] >= 0]
+    order = order[key[order] >= 0] if parity is None else order[key[order] // 2 == 0]
     codes, starts, sizes = np.unique(key[order], return_index=True,
                                      return_counts=True)
     if sizes.max() > DENSE_COMPONENT_CAP:
@@ -270,7 +278,7 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
             raise NumericalError(
                 f"block is not Hermitian (defect {defect:.3e})"
             )
-        copies = np.where(codes[stack] > 0, 2, 1)
+        copies = np.where((codes[stack] > 0) & (parity is None), 2, 1)
         eigs.append(np.repeat(np.linalg.eigvalsh(d), copies, axis=0).ravel())
     vals = np.concatenate(eigs)
     vals.sort()
@@ -286,8 +294,8 @@ def _lowest_level(matrix, lo: int, hi: int, tol: float,
 
 
 def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
-    """lambda_n for n = 0..model.n_top with multiplicities, from one safe
-    basis and one energy symbol.
+    """lambda_n for n = 0..model.n_top with multiplicities, from one energy
+    symbol.
 
     Every reported level equals the level of the untruncated operator
     exactly: the degree-n block sees only the number-conserving monomials
@@ -299,8 +307,8 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     ``hamiltonian``, for C*.
     """
     n_top = model.n_top
-    basis, sym = _cartan_model(model)
-    h = _level_operator(sym, model.convention, basis, n_top)
+    sym, weights = _cartan_model(model)
+    h = _level_operator(model, sym, weights)
     ns = list(range(n_top + 1))
     levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
                             model.level_tol, h.basis.sectors) for n in ns]
@@ -309,8 +317,8 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
         lambdas=[lam for lam, _ in levels],
         multiplicities=[mult for _, mult in levels],
         N_max=model.N_max,
-        D=basis.D,
-        hamiltonian=_zero_weight_operator(sym, model.convention, basis),
+        D=sym.num_modes,
+        hamiltonian=_zero_weight_operator(model, sym, weights),
     )
 
 
@@ -368,6 +376,8 @@ def number_shift_bound(h: FockOperator,
     satisfies <H> >= <N> + C*.  Only the block's zero-weight sector is
     solved, which holds every eigenvalue of a rotation-invariant H (see
     the module docstring); without weights the sector is the whole block.
+    Each N parity is solved apart if H conserves it, as the even-degree
+    energy symbol does.
     """
     basis = h.basis
     top = basis.N_max - margin_degree
@@ -382,7 +392,7 @@ def number_shift_bound(h: FockOperator,
         raise ConfigurationError("safe block is empty at this truncation")
     return float(_block_eigenvalues(h.matrix, 0, hi, basis.sectors,
                                     shift=basis.degrees[:hi],
-                                    zero_weight=True)[0])
+                                    parity=basis.degrees[:hi] % 2)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +425,26 @@ class ConvergenceStudy:
         return float(np.max(changes, initial=0.0))
 
 
+def validate_N_max_list(N_max_list) -> list:
+    """N_max_list as a list, refused unless non-empty and increasing."""
+    levels = list(N_max_list)
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigurationError("'model.N_max_list' must be non-empty and "
+                                 f"strictly increasing, got {levels}")
+    return levels
+
+
 def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     """lambda_n, n = 0..model.n_top, per cutoff in N_max_list.  Each level
     is exact at every cutoff (see bosonic_spectrum), so the levels are
-    solved once, on the first cutoff's safe basis, the only one built and
-    capped: each relative change is 0 by construction, and convergence_gate
+    solved once, on the first cutoff's level rows, the only cutoff capped:
+    each relative change is 0 by construction, and convergence_gate
     is only a guard.  The tests check the truncation against a rebuild at
     each cutoff.  A list that starts below n_top + DEGREE_MARGIN gets
     ModelSpec's 'model.n_max' refusal."""
-    levels = list(N_max_list)
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("N_max list must be non-empty and strictly increasing")
+    levels = validate_N_max_list(N_max_list)
     model = replace(model, N_max=levels[0], n_max=model.n_top)
-    basis, sym = _cartan_model(model)
-    h = _level_operator(sym, model.convention, basis, model.n_top)
+    h = _level_operator(model, *_cartan_model(model))
     ns = list(range(model.n_top + 1))
     lams = [float(_block_eigenvalues(
         h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0]) for n in ns]

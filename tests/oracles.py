@@ -33,7 +33,13 @@ symbol has its reference in substitution z = U w into the real-mode one,
 term by term in the symbol ring, and the rotation symmetry behind the
 zero-weight C* in the quantized generators of the colour and spatial
 rotations. The truncation study that convergence_study replaced with one
-solve is kept as well: the levels rebuilt and solved at every cutoff.
+solve is kept as well: the levels rebuilt and solved at every cutoff. So
+is the spectrum path before it enumerated its row sets directly: the
+whole safe basis by stars and bars, as fock.build_basis enumerated it,
+with the level and zero-weight rows picked by FockBasis.subset, and C*
+solved on the zero-weight rows without the N-parity split; the
+zero-weight row counts have their reference in a count by degree and
+weight.
 So are evolve, its RK4 step and energy with every intermediate in a
 fresh array, as before the field pool, and the band-limited noise
 transformed as one array rather than component by component.
@@ -46,6 +52,7 @@ plus the states of one degree and the safe block; and the symbol helpers that on
 point evaluation and the symbol JSON format.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -1078,6 +1085,23 @@ def recursive_basis_states(D, N_max):
     return np.array(rows, dtype=np.int64).reshape(len(rows), D)
 
 
+def stars_and_bars_basis(D, N_max, depth=None, weights=None) -> FockBasis:
+    """fock.build_basis as it enumerated before the mode-by-mode expansion:
+    each degree shell from itertools.  The degree-n states are the gaps
+    between D - 1 bars placed among n + D - 1 slots; bars in lexicographic
+    order give the states in lexicographic order."""
+    depth = N_max if depth is None else depth
+    shells = []
+    for n in range(depth + 1):
+        count = math.comb(n + D - 1, D - 1)
+        combos = itertools.combinations(range(n + D - 1), D - 1)
+        bars = np.fromiter(itertools.chain.from_iterable(combos), np.int64,
+                           count * (D - 1)).reshape(count, D - 1)
+        shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
+    states = np.concatenate(shells)
+    return FockBasis(D, N_max, states, states.sum(axis=1), depth, weights)
+
+
 def index_of(basis, states):
     """Basis indices of occupation rows assumed to lie in the basis, found
     by their keys in the basis's sorted key table."""
@@ -1460,16 +1484,91 @@ def component_block_eigenvalues(matrix, lo: int, hi: int,
     return vals
 
 
+def safe_cartan_model(model):
+    """(safe basis, energy symbol) as the spectrum path built them before
+    it enumerated its row sets directly: the whole safe basis, degree <=
+    N_max - 2, by stars and bars in the Cartan modes, carrying their
+    weights, and the energy symbol in those modes."""
+    from ymspec.algebra import build_algebra
+    from ymspec.symbols import cartan_modes, energy_symbol
+
+    algebra = build_algebra(model.algebra)
+    mode_map = model.mode_map(algebra)
+    modes = cartan_modes(algebra, mode_map)
+    basis = stars_and_bars_basis(mode_map.num_modes, model.N_max,
+                                 depth=model.N_max - 2, weights=modes.weights)
+    return basis, energy_symbol(algebra, mode_map, model.include_magnetic,
+                                modes)
+
+
+def subset_level_operator(sym, convention, basis, n_top) -> FockOperator:
+    """spectrum._level_operator on the rows of weight code >= 0 and degree
+    <= n_top picked from the whole safe basis by FockBasis.subset."""
+    from ymspec.fock import quantize
+    from ymspec.symbols import PolynomialSymbol
+
+    conserving = PolynomialSymbol(sym.num_modes, {
+        (alpha, beta): c for (alpha, beta), c in sym.terms.items()
+        if sum(alpha) == sum(beta)})
+    rows = (basis.sectors >= 0) & (basis.degrees <= n_top)
+    return quantize(conserving, convention, basis.subset(rows))
+
+
+def subset_zero_weight_operator(sym, convention, basis) -> FockOperator:
+    """spectrum._zero_weight_operator on the zero-weight rows picked from
+    the whole safe basis by FockBasis.subset."""
+    from ymspec.fock import quantize
+
+    return quantize(sym, convention, basis.subset(basis.sectors == 0))
+
+
+def unsplit_number_shift_bound(h: FockOperator, margin_degree: int = 2) -> float:
+    """spectrum.number_shift_bound before N parity joined its sector key:
+    the zero-weight rows of the safe block solved as one dense matrix."""
+    basis = h.basis
+    hi = int(np.count_nonzero(basis.degrees <= basis.N_max - margin_degree))
+    idx = np.flatnonzero(basis.sectors[:hi] == 0)
+    pos = np.full(hi, -1)
+    pos[idx] = np.arange(idx.size)
+    rows, cols, vals = h.matrix.rows(0, hi)
+    inside = (pos[rows] >= 0) & (pos[cols] >= 0)
+    if not vals.imag.any():
+        vals = vals.real
+    block = np.zeros((idx.size, idx.size), dtype=vals.dtype)
+    block[pos[rows[inside]], pos[cols[inside]]] = vals[inside]
+    block[np.arange(idx.size), np.arange(idx.size)] -= basis.degrees[idx]
+    return float(np.linalg.eigvalsh(block)[0])
+
+
+def zero_weight_counts(weights: np.ndarray, K: int) -> np.ndarray:
+    """counts[k]: the occupation states of weight 0 and degree k <= K, by
+    dynamic programming over the modes on (degree, weight) counts."""
+    weights = np.asarray(weights, dtype=np.int64)
+    reach = K * int(np.abs(weights).max(initial=0))
+    shape = (K + 1,) + (2 * reach + 1,) * weights.shape[1]
+    counts = np.zeros(shape, dtype=np.int64)
+    counts[(0,) + (reach,) * weights.shape[1]] = 1
+    for w in weights:
+        # one more quantum of this mode: degree + 1, weight + w
+        for k in range(1, K + 1):
+            src = [slice(k - 1, k)] + [
+                slice(max(0, -x), shape[i + 1] - max(0, x))
+                for i, x in enumerate(w)]
+            dst = [slice(k, k + 1)] + [
+                slice(max(0, x), shape[i + 1] - max(0, -x))
+                for i, x in enumerate(w)]
+            counts[tuple(dst)] += counts[tuple(src)]
+    return counts[(slice(None),) + (reach,) * weights.shape[1]]
+
+
 def safe_hamiltonian(model, N_max: int | None = None) -> FockOperator:
     """The whole H in the model's Cartan modes on the whole weighted safe
     basis, degree <= N_max - 2, quantized term by term on the raise tables:
     the operator the spectrum path solved before it quantized only the
     rows it reads."""
-    from ymspec.spectrum import _cartan_model
-
     if N_max is not None:
         model = replace(model, N_max=N_max)
-    basis, sym = _cartan_model(model)
+    basis, sym = safe_cartan_model(model)
     return raise_table_quantize(sym, model.convention, basis)
 
 
@@ -1482,17 +1581,15 @@ def convergence_per_cutoff(model, N_max_list):
     from ymspec.spectrum import (
         ConvergenceStudy,
         _block_eigenvalues,
-        _cartan_model,
         _degree_rows,
-        _level_operator,
     )
 
     levels = list(N_max_list)
     ns = list(range(model.n_top + 1))
     lambdas = {}
     for N in levels:
-        basis, sym = _cartan_model(replace(model, N_max=N))
-        h = _level_operator(sym, model.convention, basis, model.n_top)
+        basis, sym = safe_cartan_model(replace(model, N_max=N))
+        h = subset_level_operator(sym, model.convention, basis, model.n_top)
         lambdas[N] = [float(_block_eigenvalues(
             h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])
                       for n in ns]

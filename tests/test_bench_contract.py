@@ -87,10 +87,11 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
     names = [span[0] for span in spans]
     assert expected <= set(names)
     if command == "spectrum":
-        # one basis and one symbol per spectrum run, and one quantization
-        # per row set: the level rows (weight code >= 0, degree <= n_top)
-        # with the number-conserving terms, then the zero-weight rows with
-        # every term, for C*; no safe-basis operator is assembled
+        # one symbol per spectrum run, and one quantization per row set:
+        # the level rows (weight code >= 0, degree <= n_top), the one
+        # build_basis, with the number-conserving terms, then the
+        # zero-weight rows, enumerated without it, with every term, for C*;
+        # no safe basis is enumerated and no safe-basis operator assembled
         assert names.count("spectrum.assemble_hamiltonian") == 0
         assert names.count("fock.build_basis") == 1
         assert names.count("fock.quantize") == 2
@@ -130,8 +131,8 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
 
 def test_traced_converge_solves_once(tmp_path):
     # every level is exact at each cutoff, so the levels are solved once on
-    # the first cutoff's safe basis: one algebra, one basis, one symbol and
-    # one quantization, whatever the number of cutoffs
+    # the first cutoff's level rows: one algebra, one basis (those rows),
+    # one symbol and one quantization, whatever the number of cutoffs
     names = [span[0] for span in traced_run(tmp_path, "converge")["spans"]]
     assert names.count("spectrum.convergence_study") == 1
     for name in ("algebra.build_algebra", "fock.build_basis",

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,41 @@ class TestMainExitCodes:
             assert "'--out'" in diag["message"]
         assert taken.read_text() == "keep"
 
+    def test_out_under_a_file_is_a_usage_error(self, tmp_path, capsys):
+        # a directory cannot be made under a file: refused before the
+        # config is read, not left to fail in os.makedirs (exit 3)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        path = write_config(tmp_path, {"command": "check-algebra"})
+        for out in (taken / "sub", taken / "sub" / "deeper"):
+            for config in (path, str(tmp_path / "missing.json")):
+                code = main(["check-algebra", "--config", config,
+                             "--out", str(out)])
+                assert code == 2
+                diag = json.loads(capsys.readouterr().err)
+                assert diag["exit_code"] == 2
+                assert diag["error_type"] == "NotADirectoryError"
+                assert "'--out'" in diag["message"]
+                assert repr(str(taken)) in diag["message"]
+        assert taken.read_text() == "keep"
+        # a missing directory under a directory is made, parents included
+        out = tmp_path / "new" / "deeper"
+        assert main(["check-algebra", "--config", path, "--out", str(out)]) == 0
+        assert (out / "algebra_report.csv").exists()
+
+    def test_N_max_list_checked_in_one_place(self, tmp_path):
+        # convergence_study refuses a bad list with the CLI's diagnostic
+        for levels in ([6, 4], [], [4, 4]):
+            path = write_config(tmp_path, {"command": "converge",
+                                           "model": {"N_max_list": levels}})
+            assert main(["converge", "--config", path,
+                         "--out", str(tmp_path)]) == 2
+            diag = json.loads((tmp_path / "diagnostics.json").read_text())
+            with pytest.raises(ConfigurationError) as info:
+                spectrum.convergence_study(ModelSpec(N_max=6), levels)
+            assert str(info.value) == diag["message"]
+            assert "'model.N_max_list'" in diag["message"]
+
     def test_oversized_evolve_refused_before_stepping(self, tmp_path):
         # 2e10 steps of 6^3 su2 sites; refused before the first step
         path = write_config(tmp_path, {
@@ -468,6 +504,31 @@ class TestMainExitCodes:
         assert diag["exit_code"] == 3
         assert diag["raised_at"].startswith("test_cli.py:")
         assert diag["raised_at"].endswith(" in broken")
+
+    def test_raised_at_names_the_raising_frame(self, tmp_path, capsys):
+        # the innermost frame, as traceback.extract_tb(...)[-1] names it
+        def nested():
+            return {}["missing"]
+
+        def raising(kind):
+            if kind == "key":
+                nested()
+            if kind == "config":
+                spectrum.convergence_study(ModelSpec(N_max=6), [])
+            raise RuntimeError("boom")
+
+        for kind in ("key", "config", "runtime"):
+            try:
+                raising(kind)
+            except Exception as exc:
+                cli._emit_diagnostic(None, exc, 3)
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+            diag = json.loads(capsys.readouterr().err)
+            assert diag["raised_at"] == (f"{os.path.basename(frame.filename)}:"
+                                         f"{frame.lineno} in {frame.name}")
+            assert diag["raised_at"].endswith(
+                {"key": " in nested", "config": " in validate_N_max_list",
+                 "runtime": " in raising"}[kind])
 
 
 def _unprojected(monkeypatch):
@@ -823,6 +884,18 @@ class TestImportContract:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "assemble_hamiltonian\n"
+
+    def test_cli_import_loads_no_traceback(self):
+        # _emit_diagnostic walks the traceback's frames itself
+        probe = ("import sys\n"
+                 "import ymspec.cli\n"
+                 "print('traceback' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_sparse_loaded_only_for_sparse_commands(self, tmp_path, command):

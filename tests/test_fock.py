@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,10 +50,12 @@ from oracles import (
     recursive_basis_states,
     ring_energy_symbol,
     safe_block_indices,
+    stars_and_bars_basis,
     symbol_from_json,
     symbol_to_json,
     sparse_quantize,
     to_csr,
+    zero_weight_counts,
 )
 
 
@@ -135,6 +138,87 @@ class TestBasis:
         assert b.states.dtype == expected.dtype
         assert np.array_equal(b.states, expected)
         assert np.array_equal(b.degrees, expected.sum(axis=1))
+
+
+# su2's zero-weight states of degree <= K (ROADMAP Baseline table)
+SU2_ZERO_WEIGHT_ROWS = {6: 157, 8: 506, 10: 1_382, 12: 3_330, 14: 7_274,
+                        16: 14_691, 18: 27_825, 20: 49_957}
+
+
+class TestDirectEnumeration:
+    """build_basis's mode-by-mode enumerator and zero_weight_rows' meet in
+    the middle, against the stars-and-bars basis they replaced."""
+
+    @pytest.mark.parametrize("D,depths", [
+        (1, (0, 1, 6)), (3, (0, 2, 7)), (9, (0, 3, 6, 8)), (18, (1, 3, 5)),
+        (24, (2, 4)), (30, (1, 3, 4)),
+    ])
+    def test_build_basis_matches_stars_and_bars(self, D, depths):
+        for depth in depths:
+            got = build_basis(D, depth + 2, depth=depth)
+            want = stars_and_bars_basis(D, depth + 2, depth=depth)
+            assert got.states.dtype == want.states.dtype
+            assert got.states.flags.c_contiguous
+            assert np.array_equal(got.states, want.states), depth
+            assert np.array_equal(got.degrees, want.degrees), depth
+
+    @pytest.mark.parametrize("D,r", [(1, 1), (2, 1), (3, 2), (5, 1), (6, 2)])
+    def test_zero_weight_rows_match_subset(self, D, r, rng):
+        # random integer weights, some modes of weight 0; D = 1 has no head
+        for depth in (0, 1, 4, 6):
+            weights = rng.integers(-2, 3, size=(D, r))
+            got = fock.zero_weight_rows(D, depth + 3, depth, weights)
+            full = stars_and_bars_basis(D, depth + 3, depth=depth,
+                                        weights=weights)
+            want = full.subset(full.sectors == 0)
+            assert (got.D, got.N_max, got.depth) == (D, depth + 3, depth)
+            assert got.weights is weights
+            assert np.array_equal(got.states, want.states)
+            assert np.array_equal(got.degrees, want.degrees)
+            assert not (got.states @ weights).any()
+
+    def test_su2_zero_weight_row_counts(self, su2):
+        # every K against the count by degree and weight, the even K
+        # against the measured table; K = 20 keeps under 100 MB traced,
+        # where the 10,015,005-state safe basis is past the cap
+        weights = cartan_modes(su2, ModeMap.zero_momentum(3)).weights
+        per_degree = zero_weight_counts(weights, 20)
+        for K in range(6, 20):
+            rows = fock.zero_weight_rows(9, K + 2, K, weights)
+            assert rows.size == per_degree[:K + 1].sum(), K
+            assert SU2_ZERO_WEIGHT_ROWS.get(K, rows.size) == rows.size
+        tracemalloc.start()
+        try:
+            rows = fock.zero_weight_rows(9, 22, 20, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == per_degree.sum() == SU2_ZERO_WEIGHT_ROWS[20]
+        assert np.array_equal(np.bincount(rows.degrees), per_degree)
+        assert peak < 100e6
+        assert math.comb(9 + 20, 9) > fock.DEFAULT_BASIS_CAP
+
+    @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
+    def test_weight_changing_term_refused(self, su2, convention):
+        # the zero-weight rows hold every source of a weight-conserving
+        # symbol, so quantize refuses any other on a basis with weights
+        mode_map = ModeMap.zero_momentum(3)
+        modes = cartan_modes(su2, mode_map)
+        sym = energy_symbol(su2, mode_map, True, modes)
+        rows = fock.zero_weight_rows(9, 6, 4, modes.weights)
+        assert quantize(sym, convention, rows).matrix.nnz > 0
+        # one quantum moved between two modes of different weight
+        w = modes.weights
+        a = int(np.flatnonzero(w.any(axis=1))[0])
+        b = int(np.flatnonzero((w != w[a]).any(axis=1))[0])
+        alpha = tuple(int(m == a) for m in range(9))
+        beta = tuple(int(m == b) for m in range(9))
+        bad = sym + PolynomialSymbol(9, {(alpha, beta): 0.5})
+        with pytest.raises(NumericalError, match="changes the basis's mode"):
+            quantize(bad, convention, rows)
+        # without weights nothing is refused
+        plain = build_basis(9, 6, depth=4)
+        assert quantize(bad, convention, plain).matrix.nnz > 0
 
 
 class TestRaiseTables:
@@ -501,7 +585,8 @@ UNBOUNDED = 1 << 40
 
 @functools.lru_cache(maxsize=None)
 def cartan_model(algebra, N_max):
-    """(model, safe basis, energy symbol) as the spectrum path builds them."""
+    """(model, energy symbol, mode weights) as the spectrum path builds
+    them."""
     model = ModelSpec(algebra=algebra, N_max=N_max)
     return (model, *_cartan_model(model))
 
@@ -515,12 +600,13 @@ class TestChunkBudget:
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
     def test_bits_independent_of_budget(self, monkeypatch, algebra, N_max,
                                         convention):
-        model, basis, sym = cartan_model(algebra, N_max)
+        model, sym, weights = cartan_model(algebra, N_max)
+        model = replace(model, convention=convention)
         # budget 1: a chunk per row that forms any candidate
         budgets = (1, fock.CHUNK_ENTRIES, UNBOUNDED)
         for build in (
-            lambda: _level_operator(sym, convention, basis, model.n_top),
-            lambda: _zero_weight_operator(sym, convention, basis),
+            lambda: _level_operator(model, sym, weights),
+            lambda: _zero_weight_operator(model, sym, weights),
         ):
             got = []
             for budget in budgets:
@@ -531,16 +617,16 @@ class TestChunkBudget:
 
     def test_zero_weight_memory_bounded(self):
         # su2 N_max=12: 1,382 zero-weight rows of 92,378 safe states; one
-        # chunk of all their candidates peaked at about 16 MB
-        model, basis, sym = cartan_model("su2", 12)
-        assert basis.size == 92_378
-        basis.sectors  # cached; its array is the basis's, not the call's
+        # chunk of all their candidates peaked at about 16 MB; the rows
+        # are enumerated inside the traced call, the safe basis never
+        model, sym, weights = cartan_model("su2", 12)
         tracemalloc.start()
         try:
-            _zero_weight_operator(sym, model.convention, basis)
+            h = _zero_weight_operator(model, sym, weights)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert h.basis.size == 1_382
         assert peak < 8e6
 
 

@@ -56,13 +56,17 @@ from oracles import (
     real_mode_hamiltonian,
     rotation_generators,
     safe_block_indices,
+    safe_cartan_model,
     safe_hamiltonian,
     sector_eigenvalues,
     smoothed_value_fd,
     sparse_block_eigenvalues,
     sparse_component_labels,
     sparse_quantize,
+    subset_level_operator,
+    subset_zero_weight_operator,
     to_csr,
+    unsplit_number_shift_bound,
 )
 
 
@@ -543,6 +547,64 @@ class TestComponentLabels:
         assert np.array_equal(labels, sparse_component_labels(sub))
 
 
+class TestDirectRows:
+    """The level and zero-weight rows, enumerated directly, and H on them
+    equal, bit for bit, the rows that FockBasis.subset picks from the whole
+    stars-and-bars safe basis and H quantized there; C*, split by N
+    parity, equals the unsplit solve to 1e-12 relative."""
+
+    @pytest.mark.parametrize("algebra,N_max,n_max,sector", [
+        ("su2", 6, None, "full"), ("su2", 8, None, "full"),
+        ("su2", 10, None, "full"), ("su2", 12, 6, "full"),
+        ("su2", 14, 5, "full"), ("su3", 4, None, "full"),
+        ("su3", 5, None, "full"), ("so4", 4, None, "full"),
+        ("so4", 5, None, "full"), ("so5", 4, None, "full"),
+        ("su2", 6, None, "abelian"), ("su2", 8, None, "abelian"),
+    ])
+    def test_rows_and_operators_match_subset(self, algebra, N_max, n_max,
+                                             sector):
+        model = ModelSpec(algebra=algebra, N_max=N_max, n_max=n_max,
+                          sector=sector)
+        sym, weights = spectrum._cartan_model(model)
+        basis, oracle_sym = safe_cartan_model(model)
+        assert sym.terms == oracle_sym.terms
+        assert np.array_equal(weights, basis.weights)
+        for got, want in (
+            (spectrum._zero_weight_operator(model, sym, weights),
+             subset_zero_weight_operator(sym, model.convention, basis)),
+            (spectrum._level_operator(model, sym, weights),
+             subset_level_operator(sym, model.convention, basis, model.n_top)),
+        ):
+            assert got.basis.size == want.basis.size > 0
+            assert np.array_equal(got.basis.states, want.basis.states)
+            assert np.array_equal(got.basis.degrees, want.basis.degrees)
+            assert np.array_equal(np.sign(got.basis.sectors),
+                                  np.sign(want.basis.sectors))
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got.matrix, part),
+                                      getattr(want.matrix, part)), part
+        zero = spectrum._zero_weight_operator(model, sym, weights)
+        assert (zero.basis.N_max, zero.basis.depth) == (N_max, N_max - 2)
+        assert number_shift_bound(zero) == pytest.approx(
+            unsplit_number_shift_bound(zero), rel=1e-12, abs=0)
+
+    def test_cap_refuses_the_safe_basis_size(self):
+        # the cap and its message are build_basis's on the safe basis,
+        # which the spectrum path no longer enumerates
+        with pytest.raises(ResourceError) as built:
+            build_basis(30, 12, depth=10)
+        with pytest.raises(ResourceError) as assembled:
+            assemble_hamiltonian(ModelSpec(algebra="so5", N_max=12))
+        assert str(assembled.value) == str(built.value)
+
+    def test_su2_cstar_of_degree_12(self):
+        # 3,330 zero-weight rows, split 2,034 even and 1,296 odd
+        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=14))
+        assert h.basis.size == 3_330
+        assert number_shift_bound(h) == pytest.approx(
+            9.916145913549418, rel=1e-12, abs=0)
+
+
 class TestSectors:
     def test_stored_zero_is_no_leak(self, monkeypatch):
         # rows 0 and 1 lie in two sectors, joined only by stored zeros;
@@ -583,8 +645,12 @@ class TestSectors:
     def test_su2_cstar_solves_zero_weight_rows(
             self, monkeypatch, N_max, zero_weight, su2_hamiltonian_nmax8,
             su2_hamiltonian_nmax10):
+        # C* solves the zero-weight rows alone, each N parity apart
         h = {8: su2_hamiltonian_nmax8, 10: su2_hamiltonian_nmax10}[N_max]
-        assert np.count_nonzero(h.basis.sectors == 0) == zero_weight
+        parities = {8: (49, 108), 10: (176, 330)}[N_max]
+        zero = h.basis.sectors == 0
+        assert np.count_nonzero(zero) == zero_weight == sum(parities)
+        assert sorted(np.bincount(h.basis.degrees[zero] % 2)) == list(parities)
         shapes = []
 
         def spy(a, *args, **kwargs):
@@ -594,7 +660,7 @@ class TestSectors:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         number_shift_bound(h)
-        assert shapes == [(1, zero_weight, zero_weight)]
+        assert shapes == [(1, n, n) for n in parities]
 
     @pytest.mark.parametrize("algebra,N_max,sector,n_top", [
         ("su2", 8, "full", 5), ("su3", 4, "full", 2), ("so4", 5, "full", 3),
@@ -882,9 +948,10 @@ class TestNumberShiftBound:
                                                      rel=1e-12, abs=0), k
 
     def test_hermiticity_check_holds_no_stack_copy(self):
-        # C*(10) solves one zero-weight sector of 1,382 rows, 15 MB dense:
-        # its Hermiticity check by row blocks keeps the peak near that one
-        # copy (d, d - d^H and their abs over the whole stack held three)
+        # C*(10) solves one zero-weight sector of 1,382 rows, 15 MB dense,
+        # in its two N parities: its Hermiticity check by row blocks keeps
+        # the peak near that one copy (d, d - d^H and their abs over the
+        # whole stack held three)
         h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=12))
         dense = 8 * h.basis.size ** 2
         tracemalloc.start()
@@ -895,7 +962,10 @@ class TestNumberShiftBound:
         finally:
             tracemalloc.stop()
         assert h.basis.size == 1382
-        assert cstar == 10.060018563539353
+        # one ulp below the unsplit solve's 10.060018563539353
+        assert cstar == 10.060018563539352
+        assert cstar == pytest.approx(unsplit_number_shift_bound(h),
+                                      rel=1e-12, abs=0)
         assert peak < 2 * dense
 
     def test_stability_under_refinement(
@@ -963,9 +1033,9 @@ class TestConvergenceStudy:
                 assert np.array_equal(mine, prefix)
 
         def level_operator(N):
-            basis, sym = spectrum._cartan_model(replace(model, N_max=N))
-            return spectrum._level_operator(sym, model.convention, basis,
-                                            model.n_top)
+            cutoff = replace(model, N_max=N)
+            return spectrum._level_operator(cutoff,
+                                            *spectrum._cartan_model(cutoff))
 
         widest = level_operator(N_max_list[-1])
         for N in N_max_list[:-1]:
