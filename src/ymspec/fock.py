@@ -80,6 +80,14 @@ class FockBasis:
             return np.zeros(self.size, dtype=np.int64)
         return self.states @ _sector_code(self.weights, self.depth)
 
+    def mapped_sectors(self, maps) -> np.ndarray:
+        """(size, len(maps)): each state's sector code after each integer
+        map g of maps (r x r, a signed permutation) acts on its weight; g
+        keeps every |weight|, so the images share the radix of ``sectors``
+        and stay one-to-one."""
+        return self.states @ np.column_stack(
+            [_sector_code(self.weights @ g.T, self.depth) for g in maps])
+
     def subset(self, rows: np.ndarray) -> "FockBasis":
         """The states selected by the boolean mask rows, in basis order, on
         the same truncation (N_max, depth) and mode weights.  Keys may wrap,
@@ -373,6 +381,7 @@ def quantize(
             first = np.flatnonzero(np.diff(keys, prepend=-1))
             parts.append((keys[first], np.add.reduceat(vals, first)))
     keys, vals = (np.concatenate(part) for part in zip(*parts))
+    del parts  # the chunks, copied whole, are not held through the inserts
     # a monomial with alpha != beta moves every state it acts on, so no key
     # above lies on the diagonal: the diagonal is inserted, not summed
     on = np.flatnonzero(diagonal)

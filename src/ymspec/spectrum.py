@@ -14,17 +14,20 @@ rotations of the modes.  It is quantized in the complex modes that
 diagonalize a Cartan set of them (symbols.cartan_modes: L_z and the
 ad(b_i) of a Cartan subalgebra), in which every occupation state has an
 integer weight and H conserves it, so every block splits into weight
-sectors read off in closed form, each solved densely.  The sector of
-weight mu has the spectrum of its mirror -mu (H is real in the real
-modes, and complex conjugation maps one onto the other), so only one of
-each pair is solved.  C* needs only the zero-weight sector: each
-irreducible representation in the Fock space (symmetric powers of
-R^3 (x) adj) has its highest weight in the root lattice, so 0 is one of
-its weights, and every eigenvalue of H - N on a rotation-invariant block
-therefore has an eigenvector of weight 0.  So H is quantized only on the
-rows these solves read, each set enumerated directly: the levels'
-(weight code >= 0, degree <= n_top, number-conserving terms alone) and
-C*'s (weight 0, every term, each N parity solved apart).
+sectors read off in closed form, each solved densely.  A few symmetries
+of H permute the weights (_weight_maps: the mirror mu -> -mu, the
+spatial rotation by pi about x and, for su2, the colour-spatial swap),
+each carrying a sector onto one of the same spectrum, so only one sector
+of each orbit of the group they generate is solved, its eigenvalues
+counted once per sector of the orbit.  C* needs only the
+zero-weight sector: each irreducible representation in the Fock space
+(symmetric powers of R^3 (x) adj) has its highest weight in the root
+lattice, so 0 is one of its weights, and every eigenvalue of H - N on a
+rotation-invariant block therefore has an eigenvector of weight 0.  So H
+is quantized only on the rows these solves read, each set enumerated
+directly: the levels' (the canonical sector of each orbit, degree <=
+n_top, number-conserving terms alone) and C*'s (weight 0, every term,
+each N parity solved apart).
 """
 
 from __future__ import annotations
@@ -148,19 +151,54 @@ def _cartan_model(model: ModelSpec):
             modes.weights)
 
 
+def _weight_maps(model: ModelSpec, rank: int) -> list:
+    """Integer maps g on the weight vectors (the colour Cartan weights, then
+    L_z's, rank in all) such that sector g mu has the spectrum of sector
+    mu: each is a real-mode map that leaves H unchanged, or, for the
+    mirror, complex conjugation in the real modes, where H is real, which
+    negates every weight.  R, the spatial rotation by pi about x, turns
+    L_z into -L_z and fixes the colour rotations, so it negates the last
+    column.  For su2 with every direction retained, S, the colour-spatial
+    swap A[j, p] -> A[f^-1(p), f(j)] with f(j) = j + 1 mod 3, turns L_z
+    into ad(b_0) and back, so it swaps the two columns.  Each is a signed
+    permutation (see FockBasis.mapped_sectors)."""
+    maps = [-np.eye(rank, dtype=np.int64), np.diag([1] * (rank - 1) + [-1])]
+    if model.algebra == "su2" and model.sector == "full":
+        maps.append(np.array([[0, 1], [1, 0]]))
+    return maps
+
+
+def _orbits(basis, maps: list) -> tuple[np.ndarray, np.ndarray]:
+    """Per state of the weighted basis, whether its sector is the canonical
+    one of its orbit under the group the maps generate, the image of
+    largest code, and the orbit's size, the number of distinct images."""
+    group = [np.eye(basis.weights.shape[1], dtype=np.int64)]
+    for g in group:  # the closure: each element appended is visited too
+        for h in (m @ g for m in maps):
+            if not any((h == k).all() for k in group):
+                group.append(h)
+    images = np.sort(basis.mapped_sectors(group), axis=1)
+    return (basis.sectors == images[:, -1],
+            1 + np.count_nonzero(np.diff(images, axis=1), axis=1))
+
+
 def _level_operator(model: ModelSpec, sym: PolynomialSymbol,
-                    weights: np.ndarray) -> FockOperator:
-    """H compressed to the rows the levels read: weight code >= 0 (a
-    sector of code < 0 has its mirror's spectrum, see _block_eigenvalues)
-    and degree <= n_top, from the number-conserving terms alone, since a
-    term that changes N has no entry inside a degree block.  It holds no
-    more of H, so C* must never read it."""
+                    weights: np.ndarray) -> tuple[FockOperator, np.ndarray]:
+    """H compressed to the rows the levels read, with each row's orbit
+    size, the copies _block_eigenvalues counts.  The rows have degree <=
+    n_top and hold the canonical sector of each orbit of _weight_maps'
+    group (_orbits): whole sectors, each standing for its orbit.  Only the
+    number-conserving terms are quantized, since a term that changes N
+    has no entry inside a degree block.  It holds no more of H, so C* must
+    never read it."""
     conserving = PolynomialSymbol(sym.num_modes, {
         (alpha, beta): c for (alpha, beta), c in sym.terms.items()
         if sum(alpha) == sum(beta)})
     rows = build_basis(sym.num_modes, model.N_max, depth=model.n_top,
                        weights=weights)
-    return quantize(conserving, model.convention, rows.subset(rows.sectors >= 0))
+    canonical, sizes = _orbits(rows, _weight_maps(model, weights.shape[1]))
+    return (quantize(conserving, model.convention, rows.subset(canonical)),
+            sizes[canonical])
 
 
 def _zero_weight_operator(model: ModelSpec, sym: PolynomialSymbol,
@@ -200,27 +238,28 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
 
 
 def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
+                       copies: np.ndarray | None = None,
                        shift: np.ndarray | None = None,
                        parity: np.ndarray | None = None) -> np.ndarray:
     """All eigenvalues, ascending, of the Hermitian block
-    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, or, given
-    each row's N mod 2 as parity, only those of its sector 0.
+    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, each
+    sector's listed copies[i] times for its row i, or, given each row's N
+    mod 2 as parity, only those of its sector 0.
 
     sectors[i] is the sector of row i (FockBasis.sectors, all 0 for a
     basis without weights); with parity, each splits by N mod 2 unless a
     stored entry joins two parities.  H has no entry between sectors: an
     entry joining two, above 1e-12 of the block's largest |entry|, is a
     NumericalError.
-    The sector of code mu and its mirror -mu have the same spectrum: H is
-    real in the real modes, and complex conjugation there maps weight mu to
-    -mu.  So only the sectors of code >= 0 are solved, and each eigenvalue
-    of a sector of code > 0 is listed twice; a block may hold the sectors
-    of code < 0 or not.  Each sector, rows in basis order (a stable argsort
-    of the sector), is filled into a dense matrix, checked Hermitian against
-    that largest |entry|, and diagonalized completely by dense LAPACK, the
-    sectors of equal size in one stacked call: the result needs no start
-    vector and no certificate.  A block whose stored entries are all real
-    is solved as a real symmetric matrix.
+    copies[i] (default 1) is the number of sectors that row i's sector
+    stands for: the level rows hold one sector per orbit of sectors of the
+    same spectrum, and copies its orbit's size (see _level_operator).
+    Each sector, rows in basis order (a stable argsort of the sector), is
+    filled into a dense matrix, checked Hermitian against that largest
+    |entry|, and diagonalized completely by dense LAPACK, the sectors of
+    equal size in one stacked call: the result needs no start vector and
+    no certificate.  A block whose stored entries are all real is solved
+    as a real symmetric matrix.
     """
     dim = hi - lo
     key = sectors[lo:hi]
@@ -242,9 +281,10 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         raise NumericalError(f"an entry of {leak:.3e} joins two weight sectors")
     # the rows solved, grouped by sector, and each row's place in its sector
     order = np.argsort(key, kind="stable")
-    order = order[key[order] >= 0] if parity is None else order[key[order] // 2 == 0]
-    codes, starts, sizes = np.unique(key[order], return_index=True,
-                                     return_counts=True)
+    if parity is not None:
+        order = order[key[order] // 2 == 0]
+    _, starts, sizes = np.unique(key[order], return_index=True,
+                                 return_counts=True)
     if sizes.max() > DENSE_COMPONENT_CAP:
         raise ResourceError(
             f"a {dim}-dim block has a {sizes.max()}-dim sector, "
@@ -278,18 +318,19 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
             raise NumericalError(
                 f"block is not Hermitian (defect {defect:.3e})"
             )
-        copies = np.where((codes[stack] > 0) & (parity is None), 2, 1)
-        eigs.append(np.repeat(np.linalg.eigvalsh(d), copies, axis=0).ravel())
+        reps = 1 if copies is None else copies[lo + members[:, 0]]
+        eigs.append(np.repeat(np.linalg.eigvalsh(d), reps, axis=0).ravel())
     vals = np.concatenate(eigs)
     vals.sort()
     return vals
 
 
-def _lowest_level(matrix, lo: int, hi: int, tol: float,
-                  sectors: np.ndarray) -> tuple[float, int]:
+def _lowest_level(matrix, lo: int, hi: int, tol: float, sectors: np.ndarray,
+                  copies: np.ndarray | None = None) -> tuple[float, int]:
     """Lowest eigenvalue lam of matrix[lo:hi, lo:hi] and its multiplicity,
-    the number of eigenvalues at most lam + tol over all its sectors."""
-    vals = _block_eigenvalues(matrix, lo, hi, sectors)
+    the number of eigenvalues at most lam + tol over all its sectors, each
+    counted copies times (see _block_eigenvalues)."""
+    vals = _block_eigenvalues(matrix, lo, hi, sectors, copies)
     return float(vals[0]), int(np.count_nonzero(vals <= vals[0] + tol))
 
 
@@ -308,10 +349,11 @@ def bosonic_spectrum(model: ModelSpec) -> SpectrumReport:
     """
     n_top = model.n_top
     sym, weights = _cartan_model(model)
-    h = _level_operator(model, sym, weights)
+    h, copies = _level_operator(model, sym, weights)
     ns = list(range(n_top + 1))
     levels = [_lowest_level(h.matrix, *_degree_rows(h.basis, n),
-                            model.level_tol, h.basis.sectors) for n in ns]
+                            model.level_tol, h.basis.sectors, copies)
+              for n in ns]
     return SpectrumReport(
         ns=ns,
         lambdas=[lam for lam, _ in levels],
@@ -444,7 +486,7 @@ def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
     ModelSpec's 'model.n_max' refusal."""
     levels = validate_N_max_list(N_max_list)
     model = replace(model, N_max=levels[0], n_max=model.n_top)
-    h = _level_operator(model, *_cartan_model(model))
+    h, _ = _level_operator(model, *_cartan_model(model))
     ns = list(range(model.n_top + 1))
     lams = [float(_block_eigenvalues(
         h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0]) for n in ns]

@@ -39,7 +39,12 @@ whole safe basis by stars and bars, as fock.build_basis enumerated it,
 with the level and zero-weight rows picked by FockBasis.subset, and C*
 solved on the zero-weight rows without the N-parity split; the
 zero-weight row counts have their reference in a count by degree and
-weight.
+weight.  The level solve before the orbit rule is kept too: the rows of
+weight code >= 0, each sector of code > 0 counted twice for its mirror;
+the orbit rows have their reference in an orbit search over the weights,
+and the maps behind them in the real-mode rotation by pi about x and
+su2's colour-spatial swap, their weight action derived from how they
+conjugate the Cartan generators.
 So are evolve, its RK4 step and energy with every intermediate in a
 fresh array, as before the field pool, and the band-limited noise
 transformed as one array rather than component by component.
@@ -1501,17 +1506,76 @@ def safe_cartan_model(model):
                                 modes)
 
 
-def subset_level_operator(sym, convention, basis, n_top) -> FockOperator:
-    """spectrum._level_operator on the rows of weight code >= 0 and degree
-    <= n_top picked from the whole safe basis by FockBasis.subset."""
+def weight_orbits(weights: np.ndarray, maps) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of weights (one weight vector per state): whether it is
+    the canonical member of its orbit under the group the integer maps
+    generate, the largest in the order of the sector code (last column
+    first), and the orbit's size; each orbit is found by a search that
+    applies the maps until no new weight appears."""
+    distinct, inverse = np.unique(weights, axis=0, return_inverse=True)
+    canonical, sizes = [], []
+    for w in map(tuple, distinct.tolist()):
+        orbit, todo = {w}, [w]
+        while todo:
+            v = np.array(todo.pop())
+            for m in maps:
+                u = tuple((m @ v).tolist())
+                if u not in orbit:
+                    orbit.add(u)
+                    todo.append(u)
+        canonical.append(w == max(orbit, key=lambda u: u[::-1]))
+        sizes.append(len(orbit))
+    inverse = inverse.ravel()
+    return np.array(canonical)[inverse], np.array(sizes)[inverse]
+
+
+def subset_level_operator(sym, convention, basis, n_top, maps):
+    """spectrum._level_operator on the rows of degree <= n_top whose weight
+    is canonical in its orbit under the maps (weight_orbits), picked from
+    the whole safe basis by FockBasis.subset, with their orbit sizes."""
     from ymspec.fock import quantize
     from ymspec.symbols import PolynomialSymbol
 
     conserving = PolynomialSymbol(sym.num_modes, {
         (alpha, beta): c for (alpha, beta), c in sym.terms.items()
         if sum(alpha) == sum(beta)})
-    rows = (basis.sectors >= 0) & (basis.degrees <= n_top)
-    return quantize(conserving, convention, basis.subset(rows))
+    canonical, sizes = weight_orbits(basis.states @ basis.weights, maps)
+    rows = canonical & (basis.degrees <= n_top)
+    return quantize(conserving, convention, basis.subset(rows)), sizes[rows]
+
+
+def mirror_levels(model) -> tuple[list, list]:
+    """bosonic_spectrum's levels and multiplicities as they were solved
+    before the orbit rule, with the mirror mu -> -mu alone: H's
+    number-conserving terms on the rows of weight code >= 0 and degree <=
+    n_top, each sector solved densely from scipy fancy indexing, and the
+    eigenvalues of a sector of code > 0 counted twice."""
+    from ymspec.fock import quantize
+    from ymspec.spectrum import _cartan_model
+    from ymspec.symbols import PolynomialSymbol
+
+    sym, weights = _cartan_model(model)
+    conserving = PolynomialSymbol(sym.num_modes, {
+        (alpha, beta): c for (alpha, beta), c in sym.terms.items()
+        if sum(alpha) == sum(beta)})
+    rows = build_basis(sym.num_modes, model.N_max, depth=model.n_top,
+                       weights=weights)
+    h = quantize(conserving, model.convention, rows.subset(rows.sectors >= 0))
+    ref = to_csr(h)
+    if not ref.data.imag.any():
+        ref = ref.real
+    lams, mults = [], []
+    for n in range(model.n_top + 1):
+        idx = degree_indices(h.basis, n)
+        codes = h.basis.sectors[idx]
+        vals = []
+        for c in np.unique(codes):
+            members = idx[codes == c]
+            eig = np.linalg.eigvalsh(ref[np.ix_(members, members)].toarray())
+            vals += eig.tolist() * (2 if c > 0 else 1)
+        lams.append(min(vals))
+        mults.append(sum(v <= lams[-1] + model.level_tol for v in vals))
+    return lams, mults
 
 
 def subset_zero_weight_operator(sym, convention, basis) -> FockOperator:
@@ -1582,14 +1646,18 @@ def convergence_per_cutoff(model, N_max_list):
         ConvergenceStudy,
         _block_eigenvalues,
         _degree_rows,
+        _weight_maps,
     )
 
     levels = list(N_max_list)
     ns = list(range(model.n_top + 1))
     lambdas = {}
     for N in levels:
-        basis, sym = safe_cartan_model(replace(model, N_max=N))
-        h = subset_level_operator(sym, model.convention, basis, model.n_top)
+        cutoff = replace(model, N_max=N)
+        basis, sym = safe_cartan_model(cutoff)
+        maps = _weight_maps(cutoff, basis.weights.shape[1])
+        h, _ = subset_level_operator(sym, model.convention, basis,
+                                     model.n_top, maps)
         lambdas[N] = [float(_block_eigenvalues(
             h.matrix, *_degree_rows(h.basis, n), h.basis.sectors)[0])
                       for n in ns]
@@ -1701,3 +1769,81 @@ def generator_symbol(a: np.ndarray):
     return PolynomialSymbol(D, {(tuple(unit[m]), tuple(unit[mp])): a[m, mp]
                                 for m in range(D) for mp in range(D)
                                 if a[m, mp] != 0})
+
+
+# ---------------------------------------------------------------------------
+# the real-mode maps behind the level orbits: R, the spatial rotation by pi
+# about x, and su2's colour-spatial swap S, each a signed permutation P of
+# the real modes (z -> P z), and the integer action on the Cartan weights
+# derived from how P conjugates the Cartan generators
+# ---------------------------------------------------------------------------
+
+def rotation_by_pi_about_x(mode_map) -> np.ndarray:
+    """R = diag(1, -1, -1) on the spatial index j of every mode (j, p)."""
+    signs = (1.0, -1.0, -1.0)
+    return np.diag([signs[j] for j, _ in mode_map.labels])
+
+
+def colour_spatial_swap(mode_map) -> np.ndarray:
+    """S for a 3-dimensional algebra with every mode retained: mode (j, p)
+    takes the value of mode (f^-1(p), f(j)), f(j) = j + 1 mod 3, which
+    carries the spatial plane of L_z, (0, 1), onto the colour plane of
+    ad(b_0), (1, 2)."""
+    index = {label: m for m, label in enumerate(mode_map.labels)}
+    p = np.zeros((len(index), len(index)))
+    for (j, c), m in index.items():
+        p[m, index[(c - 1) % 3, (j + 1) % 3]] = 1.0
+    return p
+
+
+def cartan_generators(basis, mode_map) -> list:
+    """The real-mode generators of symbols.cartan_modes' weight columns, in
+    order: ad(b_i) for the basis elements it picks greedily (when every
+    direction is retained), then L_z; each scaled so that the smallest
+    nonzero |eigenvalue| of i G is 1, the unit of the weights."""
+    gens = dict(rotation_generators(basis, mode_map))
+    colour = len({p for _, p in mode_map.labels}) == basis.dim_g
+    c, picks = basis.structure_constants, []
+    for i in range(basis.dim_g if colour else 0):
+        if not np.abs(c[:, i, picks]).max(initial=0.0) > 1e-12:
+            picks.append(i)
+    out = []
+    for name in [f"ad(b_{i})" for i in picks] + ["L_z"]:
+        vals = np.abs(np.linalg.eigvalsh(1j * gens[name]))
+        out.append(gens[name] / vals[vals > 1e-9].min())
+    return out
+
+
+def weight_action(p: np.ndarray, gens: list) -> np.ndarray:
+    """The integer matrix A with P^T G_i P = sum_j A_ij G_j: a mode of
+    weight lambda (i G_i u = lambda_i u) is carried by P to one of weight
+    A lambda.  A NumericalError unless every conjugate lies in the span of
+    the generators with integer coefficients."""
+    span = np.array([g.ravel() for g in gens]).T
+    conj = np.array([(p.T @ g @ p).ravel() for g in gens]).T
+    coeffs = np.linalg.lstsq(span, conj, rcond=None)[0].T
+    a = np.rint(coeffs)
+    if (np.abs(span @ a.T - conj).max() > 1e-12
+            or np.abs(coeffs - a).max() > 1e-12):
+        raise NumericalError("the map does not permute the Cartan generators")
+    return a.astype(np.int64)
+
+
+def monomial_substituted_symbol(s, p: np.ndarray):
+    """substituted_symbol for a monomial p (one nonzero, a unit phase, per
+    row and column): z_m = p[m, k] w_k moves each power of mode m onto mode
+    k, times p[m, k] per z and its conjugate per z*; exact, since every
+    factor is a unit phase."""
+    from ymspec.symbols import PolynomialSymbol
+
+    target = np.argmax(np.abs(p) > 0, axis=1)
+    phase = p[np.arange(len(p)), target]
+    out = {}
+    for (alpha, beta), coeff in s.terms.items():
+        a, b = np.zeros(len(p), dtype=int), np.zeros(len(p), dtype=int)
+        a[target], b[target] = alpha, beta
+        value = coeff * np.prod(np.conj(phase) ** np.array(alpha)
+                                * phase ** np.array(beta))
+        key = (tuple(a.tolist()), tuple(b.tolist()))
+        out[key] = out.get(key, 0) + value
+    return PolynomialSymbol(len(p), out)

@@ -19,7 +19,7 @@ import scipy
 
 from ymspec.algebra import build_algebra
 from ymspec.fock import build_basis
-from ymspec.spectrum import ModelSpec
+from ymspec.spectrum import ModelSpec, _cartan_model, _level_operator
 from ymspec.symbols import cartan_modes, energy_symbol
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,12 +39,15 @@ CONFIGS = {
         "command": "converge", "algebra": "su2",
         "model": {"N_max": 4, "n_max": 2, "N_max_list": [4, 6, 8]},
     },
+    "spectrum-full": {
+        "command": "spectrum", "algebra": "su2", "model": {"N_max": 4},
+    },
 }
 
 
-def config_file(tmp_path, command) -> str:
-    config = tmp_path / f"{command}.json"
-    config.write_text(json.dumps(CONFIGS[command]))
+def config_file(tmp_path, name) -> str:
+    config = tmp_path / f"{name}.json"
+    config.write_text(json.dumps(CONFIGS[name]))
     return str(config)
 
 
@@ -62,11 +65,11 @@ def run_child(*args) -> subprocess.CompletedProcess:
     return proc
 
 
-def traced_run(tmp_path, command) -> dict:
-    record = tmp_path / f"{command}-record.json"
-    run_child(str(record), "1", "contract", command,
-              "--config", config_file(tmp_path, command),
-              "--out", str(tmp_path / command))
+def traced_run(tmp_path, name) -> dict:
+    record = tmp_path / f"{name}-record.json"
+    run_child(str(record), "1", "contract", CONFIGS[name]["command"],
+              "--config", config_file(tmp_path, name),
+              "--out", str(tmp_path / name))
     return json.loads(record.read_text())
 
 
@@ -88,7 +91,7 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
     assert expected <= set(names)
     if command == "spectrum":
         # one symbol per spectrum run, and one quantization per row set:
-        # the level rows (weight code >= 0, degree <= n_top), the one
+        # the level rows (one sector per orbit, degree <= n_top), the one
         # build_basis, with the number-conserving terms, then the
         # zero-weight rows, enumerated without it, with every term, for C*;
         # no safe basis is enumerated and no safe-basis operator assembled
@@ -127,6 +130,22 @@ def test_traced_child_records_layer_spans(tmp_path, command, expected):
         assert names.count("dynamics.curvature_magnetic") == 4 * steps + 1
         # one Gauss residual per record, taken at t = 0 and after each step
         assert names.count("lattice.constraint_residual") == steps + 1
+
+
+def test_traced_full_sector_spectrum_quantizes_orbit_rows(tmp_path):
+    # the abelian run has one weight column, on which R is the mirror, so
+    # only a full-sector run sees the orbit rule: the level span quantizes
+    # the canonical sector of each orbit, 1 + 3 + 14 of the 1 + 9 + 45
+    # states of degree <= 2, and records _level_operator's nonzeros
+    spans = traced_run(tmp_path, "spectrum-full")["spans"]
+    names = [span[0] for span in spans]
+    assert names.count("fock.build_basis") == 1
+    assert names.count("fock.quantize") == 2
+    level_span, _ = [s for s in spans if s[0] == "fock.quantize"]
+    model = ModelSpec(algebra="su2", N_max=4)
+    level, copies = _level_operator(model, *_cartan_model(model))
+    assert level.basis.size == 18 and copies.sum() == 55
+    assert level_span[5]["nnz"] == level.matrix.nnz
 
 
 def test_traced_converge_solves_once(tmp_path):

@@ -716,9 +716,9 @@ class TestRunners:
     def test_level_tol_sets_multiplicity_window(self, tmp_path, monkeypatch):
         tols = []
 
-        def spy(matrix, lo, hi, tol, sectors):
+        def spy(matrix, lo, hi, tol, sectors, copies):
             tols.append(tol)
-            return lowest_level(matrix, lo, hi, tol, sectors)
+            return lowest_level(matrix, lo, hi, tol, sectors, copies)
 
         lowest_level = spectrum._lowest_level
         monkeypatch.setattr(spectrum, "_lowest_level", spy)

@@ -37,7 +37,9 @@ from ymspec.symbols import ModeMap, cartan_modes, energy_symbol
 
 from oracles import (
     FockVector,
+    cartan_generators,
     certified_minimum,
+    colour_spatial_swap,
     component_block_eigenvalues,
     component_labels,
     convergence_per_cutoff,
@@ -51,9 +53,14 @@ from oracles import (
     is_zero,
     ladder_quantize,
     lanczos_lowest_level,
+    max_coefficient_diff,
+    mirror_levels,
+    mode_matrix,
+    monomial_substituted_symbol,
     number_operator,
     random_symbol,
     real_mode_hamiltonian,
+    rotation_by_pi_about_x,
     rotation_generators,
     safe_block_indices,
     safe_cartan_model,
@@ -65,8 +72,10 @@ from oracles import (
     sparse_quantize,
     subset_level_operator,
     subset_zero_weight_operator,
+    substituted_symbol,
     to_csr,
     unsplit_number_shift_bound,
+    weight_action,
 )
 
 
@@ -550,8 +559,9 @@ class TestComponentLabels:
 class TestDirectRows:
     """The level and zero-weight rows, enumerated directly, and H on them
     equal, bit for bit, the rows that FockBasis.subset picks from the whole
-    stars-and-bars safe basis and H quantized there; C*, split by N
-    parity, equals the unsplit solve to 1e-12 relative."""
+    stars-and-bars safe basis and H quantized there, and the level rows'
+    orbit sizes those of an orbit search; C*, split by N parity, equals the
+    unsplit solve to 1e-12 relative."""
 
     @pytest.mark.parametrize("algebra,N_max,n_max,sector", [
         ("su2", 6, None, "full"), ("su2", 8, None, "full"),
@@ -569,11 +579,15 @@ class TestDirectRows:
         basis, oracle_sym = safe_cartan_model(model)
         assert sym.terms == oracle_sym.terms
         assert np.array_equal(weights, basis.weights)
+        level, copies = spectrum._level_operator(model, sym, weights)
+        want_level, want_copies = subset_level_operator(
+            sym, model.convention, basis, model.n_top,
+            spectrum._weight_maps(model, weights.shape[1]))
+        assert np.array_equal(copies, want_copies)
         for got, want in (
             (spectrum._zero_weight_operator(model, sym, weights),
              subset_zero_weight_operator(sym, model.convention, basis)),
-            (spectrum._level_operator(model, sym, weights),
-             subset_level_operator(sym, model.convention, basis, model.n_top)),
+            (level, want_level),
         ):
             assert got.basis.size == want.basis.size > 0
             assert np.array_equal(got.basis.states, want.basis.states)
@@ -608,14 +622,18 @@ class TestDirectRows:
 class TestSectors:
     def test_stored_zero_is_no_leak(self, monkeypatch):
         # rows 0 and 1 lie in two sectors, joined only by stored zeros;
-        # sector 1 stands for itself and its mirror -1, so its eigenvalue
-        # is listed twice, and the two 1-row sectors take one stacked solve
+        # sector 1 stands for an orbit of two sectors, so its eigenvalue is
+        # listed twice, and the two 1-row sectors take one stacked solve
         seen = solver_dtypes(monkeypatch)
         zeros = Csr(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
                     np.array([2.0, 0.0, 0.0, 3.0], dtype=complex))
-        vals = spectrum._block_eigenvalues(zeros, 0, 2, np.array([0, 1]))
+        vals = spectrum._block_eigenvalues(zeros, 0, 2, np.array([0, 1]),
+                                           np.array([1, 2]))
         assert vals.tolist() == [2.0, 3.0, 3.0]
         assert len(seen) == 1
+        # without copies each sector is listed once
+        assert spectrum._block_eigenvalues(
+            zeros, 0, 2, np.array([0, 1])).tolist() == [2.0, 3.0]
 
     def test_entry_joining_sectors_is_numerical(self):
         joined = from_csr(np.array([[2.0, 1e-6], [1e-6, 3.0]]))
@@ -624,7 +642,7 @@ class TestSectors:
         # at most 1e-12 of the block's largest entry, it is roundoff
         tiny = from_csr(np.array([[2.0, 1e-12], [1e-12, 3.0]]))
         assert spectrum._block_eigenvalues(
-            tiny, 0, 2, np.array([0, 1])).tolist() == [2.0, 3.0, 3.0]
+            tiny, 0, 2, np.array([0, 1])).tolist() == [2.0, 3.0]
 
     @pytest.mark.parametrize("algebra,N_max", [("su2", 8), ("so4", 5)])
     def test_no_stored_entry_joins_sectors(self, algebra, N_max):
@@ -684,6 +702,38 @@ class TestSectors:
                     mirrored += 1
         assert mirrored > 0
 
+    @pytest.mark.parametrize("algebra,N_max,sector,n_top", [
+        ("su2", 8, "full", 5), ("su3", 4, "full", 2), ("so4", 5, "full", 3),
+        ("so5", 4, "full", 2), ("su2", 8, "abelian", 6),
+    ])
+    def test_mapped_sectors_share_spectrum(self, algebra, N_max, sector,
+                                           n_top):
+        # the premise of solving one sector per orbit: in every level block
+        # of the whole H, sector mu and sector g mu, each solved on its own,
+        # have the same eigenvalues, for each map g of _weight_maps; and
+        # FockBasis.mapped_sectors codes g mu as FockBasis.sectors does
+        model = ModelSpec(algebra=algebra, N_max=N_max, sector=sector)
+        h = safe_hamiltonian(model)
+        basis = h.basis
+        weights = basis.states @ basis.weights
+        code_of = dict(zip(map(tuple, weights.tolist()), basis.sectors.tolist()))
+        weight_of = {code: np.array(w) for w, code in code_of.items()}
+        maps = spectrum._weight_maps(model, basis.weights.shape[1])
+        assert len(maps) == (3 if (algebra, sector) == ("su2", "full") else 2)
+        for g, images in zip(maps, basis.mapped_sectors(maps).T):
+            assert np.array_equal(images, [
+                code_of[w] for w in map(tuple, (weights @ g.T).tolist())])
+        moved = 0
+        for n in range(n_top + 1):
+            eigs = sector_eigenvalues(h, n)
+            scale = max(np.abs(v).max() for v in eigs.values())
+            for g in maps:
+                for code, vals in eigs.items():
+                    image = code_of[tuple((g @ weight_of[code]).tolist())]
+                    assert np.abs(vals - eigs[image]).max() <= 1e-12 * scale
+                    moved += image != code
+        assert moved > 0
+
     def test_sector_cap(self, monkeypatch, su2_hamiltonian_nmax8):
         # the cap counts the rows of one sector, not of the block: the
         # degree-5 block has 1,287 rows and its largest sector 39
@@ -720,6 +770,105 @@ class TestRotationSymmetry:
             assert abs(g).max() > 0.5, name
             comm = big @ g - g @ big
             assert abs(comm).max() <= 1e-12 * scale, name
+
+
+_REAL_MODE_MAPS = [
+    ("su2", "full", "R"), ("su2", "full", "S"), ("su3", "full", "R"),
+    ("so4", "full", "R"), ("so5", "full", "R"), ("su2", "abelian", "R"),
+]
+
+
+def real_mode_map(name, mode_map):
+    return {"R": rotation_by_pi_about_x,
+            "S": colour_spatial_swap}[name](mode_map)
+
+
+class TestWeightMaps:
+    """The maps of _weight_maps come from real-mode maps that leave H
+    unchanged: R, the spatial rotation by pi about x, on every model, and
+    S, su2's colour-spatial swap; their action on the Cartan weights is
+    derived from how they conjugate the Cartan generators (L_z and the
+    picked ad(b_i)), and the mirror from complex conjugation."""
+
+    @pytest.mark.parametrize("algebra,sector,name", _REAL_MODE_MAPS)
+    def test_map_leaves_real_mode_symbol_unchanged(self, algebra, sector,
+                                                   name):
+        model = ModelSpec(algebra=algebra, sector=sector)
+        lie = build_algebra(algebra)
+        mode_map = model.mode_map(lie)
+        sym = energy_symbol(lie, mode_map)
+        p = real_mode_map(name, mode_map)
+        assert np.array_equal(np.abs(p) @ np.abs(p).T, np.eye(len(p)))
+        moved = monomial_substituted_symbol(sym, p)
+        assert max_coefficient_diff(moved, sym) == 0.0
+        if algebra == "su2":  # against the substitution in the symbol ring
+            assert max_coefficient_diff(substituted_symbol(sym, p), moved) == 0.0
+
+    @pytest.mark.parametrize("algebra,sector,name", _REAL_MODE_MAPS)
+    def test_map_acts_on_weights_as_listed(self, algebra, sector, name):
+        # P^T G_i P = sum_j A_ij G_j over the Cartan generators, in the
+        # units of the weights, gives the map A on the weights; in the
+        # Cartan modes P is monomial, carrying a mode of weight lambda to
+        # one of weight A lambda, and A is the map _weight_maps lists
+        model = ModelSpec(algebra=algebra, sector=sector)
+        lie = build_algebra(algebra)
+        mode_map = model.mode_map(lie)
+        modes = cartan_modes(lie, mode_map)
+        gens = cartan_generators(lie, mode_map)
+        u = mode_matrix(modes, mode_map)
+        for i, g in enumerate(gens):
+            assert np.abs(1j * g @ u - u * modes.weights[:, i]).max() < 1e-12
+        p = real_mode_map(name, mode_map)
+        a = weight_action(p, gens)
+        v = u.conj().T @ p @ u
+        on = np.abs(v) > 1e-9
+        assert (on.sum(axis=0) == 1).all() and (on.sum(axis=1) == 1).all()
+        assert np.abs(np.abs(v[on]) - 1).max() < 1e-12
+        image, source = np.nonzero(on)
+        assert np.array_equal(modes.weights[image],
+                              modes.weights[source] @ a.T)
+        maps = spectrum._weight_maps(model, modes.weights.shape[1])
+        assert np.array_equal(maps[{"R": 1, "S": 2}[name]], a)
+
+    @pytest.mark.parametrize("algebra,sector", [
+        ("su2", "full"), ("su3", "full"), ("so4", "full"), ("so5", "full"),
+        ("su2", "abelian"),
+    ])
+    def test_mirror_is_complex_conjugation(self, algebra, sector):
+        # the real-mode symbol is real, so complex conjugation in the real
+        # modes leaves H unchanged; it conjugates each Cartan mode
+        # (i G u = lambda u gives i G conj(u) = -lambda conj(u)), so it
+        # negates every weight
+        model = ModelSpec(algebra=algebra, sector=sector)
+        lie = build_algebra(algebra)
+        mode_map = model.mode_map(lie)
+        sym = energy_symbol(lie, mode_map)
+        assert not any(c.imag for c in sym.terms.values())
+        modes = cartan_modes(lie, mode_map)
+        u = mode_matrix(modes, mode_map)
+        bar = np.abs(u.T @ u) > 1e-9  # conj(u_k) = phase * u_bar(k)
+        image, source = np.nonzero(bar)
+        assert np.array_equal(modes.weights[image], -modes.weights[source])
+        rank = modes.weights.shape[1]
+        assert np.array_equal(spectrum._weight_maps(model, rank)[0],
+                              -np.eye(rank))
+
+    def test_swap_with_a_changed_phase_fails(self):
+        # negative control: S with a phase of i on one mode changes the
+        # symbol (coefficients by 0.5) and the quantized H on the states of
+        # degree <= 4 (entries by 5.2)
+        lie = build_algebra("su2")
+        mode_map = ModeMap.zero_momentum(3)
+        sym = energy_symbol(lie, mode_map)
+        p = colour_spatial_swap(mode_map).astype(complex)
+        p[:, 0] *= 1j
+        mutated = monomial_substituted_symbol(sym, p)
+        assert max_coefficient_diff(substituted_symbol(sym, p), mutated) == 0.0
+        assert max_coefficient_diff(mutated, sym) > 0.1
+        basis = build_basis(9, 6, depth=4)
+        defect = (to_csr(quantize(mutated, "antinormal", basis))
+                  - to_csr(quantize(sym, "antinormal", basis)))
+        assert abs(defect).max() > 1.0
 
 
 # the dense whole-block oracle is run on blocks of at most 2,002 rows, to
@@ -769,6 +918,30 @@ class TestAgainstOracles:
                      "normal", b)
         assert q.matrix.data.imag.any()
         _levels_against_oracles(q, range(5), 1e-8, 4)
+
+
+class TestOrbitLevels:
+    """The levels solved one sector per orbit equal the mirror-only solve
+    (weight code >= 0, code > 0 counted twice, tests/oracles.py):
+    multiplicities exactly and lambda_n to 1e-14 relative."""
+
+    @pytest.mark.parametrize("algebra,N_max,sector,convention", [
+        *[("su2", N, "full", "antinormal") for N in range(4, 13)],
+        ("su2", 8, "full", "normal"), ("su2", 8, "full", "weyl"),
+        ("su3", 4, "full", "antinormal"), ("su3", 5, "full", "antinormal"),
+        ("su3", 6, "full", "antinormal"), ("so4", 4, "full", "antinormal"),
+        ("so4", 5, "full", "antinormal"), ("so4", 6, "full", "antinormal"),
+        ("so5", 4, "full", "antinormal"), ("so5", 5, "full", "antinormal"),
+        ("su2", 8, "abelian", "antinormal"),
+    ])
+    def test_orbit_levels_match_mirror_levels(self, algebra, N_max, sector,
+                                              convention):
+        model = ModelSpec(algebra=algebra, N_max=N_max, sector=sector,
+                          convention=convention)
+        rep = bosonic_spectrum(model)
+        lams, mults = mirror_levels(model)
+        assert rep.multiplicities == mults
+        assert rep.lambdas == pytest.approx(lams, rel=1e-14, abs=0)
 
 
 class TestScipyBlockOracle:
@@ -1034,8 +1207,8 @@ class TestConvergenceStudy:
 
         def level_operator(N):
             cutoff = replace(model, N_max=N)
-            return spectrum._level_operator(cutoff,
-                                            *spectrum._cartan_model(cutoff))
+            return spectrum._level_operator(
+                cutoff, *spectrum._cartan_model(cutoff))[0]
 
         widest = level_operator(N_max_list[-1])
         for N in N_max_list[:-1]:
@@ -1071,7 +1244,7 @@ class TestConvergenceStudy:
 
     def test_one_eigensolve_per_level(self, monkeypatch):
         # one block solve per n, whatever the number of cutoffs, on the
-        # rows of weight code >= 0 (1, 5 and 25 of the 1, 9 and 45
+        # canonical sector of each orbit (1, 3 and 14 of the 1, 9 and 45
         # states); no multiplicity is counted
         calls = []
 
@@ -1087,7 +1260,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "_lowest_level", no_count)
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
         convergence_study(model, [4, 6])
-        assert calls == [1, 5, 25]
+        assert calls == [1, 3, 14]
 
     def test_one_symbol_for_every_level(self, monkeypatch):
         # the levels do not depend on N_max: one basis, at the first
