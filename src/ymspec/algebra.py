@@ -276,7 +276,6 @@ class StructureReport:
     closure: float
     total_antisymmetry: float
     jacobi: float
-    checked: dict = field(default_factory=dict)
 
     def max_violation(self) -> float:
         return max(self.orthonormality, self.skew_symmetry, self.closure,
@@ -328,5 +327,4 @@ def check_structure(basis: LieAlgebraBasis) -> StructureReport:
         closure=closure,
         total_antisymmetry=anti,
         jacobi=jacobi,
-        checked={"dim_g": basis.dim_g, "name": basis.name},
     )

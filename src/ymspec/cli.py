@@ -338,9 +338,8 @@ def abelian_wave_state(config: RunConfig,
     n = lattice.n
     x = np.arange(n)
     wave = config.random.amplitude * np.cos(2 * np.pi * x / n)
-    a_data = np.zeros((3, basis.dim_g, n, n, n))
-    a_data[1, 0] = wave[:, None, None]
-    a = VectorAlgebraField(lattice, basis, a_data)
+    a = VectorAlgebraField.zeros(lattice, basis)
+    a.data[1, 0] = wave[:, None, None]
     e = VectorAlgebraField.zeros(lattice, basis)
     return CauchyState(a, e, 0.0)
 

@@ -42,6 +42,7 @@ from .lattice import (
     VectorAlgebraField,
     _bracket,
     _diff,
+    _same_geometry,
     constraint_residual,
     field_norm,
 )
@@ -54,8 +55,7 @@ class CauchyState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.a.lattice != self.e.lattice or not self.a.basis.same_as(self.e.basis):
-            raise ConfigurationError("a and e must share a lattice and basis")
+        _same_geometry(self.a, self.e)
 
     @property
     def lattice(self) -> LatticeSpec:

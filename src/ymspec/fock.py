@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # no layer uses scipy; the bare package (no submodule loads with it) is
@@ -47,13 +47,12 @@ class FockBasis:
     D: int
     N_max: int
     states: np.ndarray  # (size, D) int64
-    degrees: np.ndarray  # (size,) int64
-    depth: int | None = None  # enumerated degree <= N_max; None: N_max
+    depth: int  # enumerated degree <= N_max
     weights: np.ndarray | None = None  # (D, r) integer mode weights, if any
+    degrees: np.ndarray = field(init=False, repr=False)  # each state's |mu|
 
     def __post_init__(self):
-        if self.depth is None:
-            self.depth = self.N_max
+        self.degrees = self.states.sum(axis=1)
         # mixed-radix key wrapping in uint64; the radix is odd because the
         # powers of an even one reach 0 mod 2**64, dropping the later modes
         radix = self.N_max + 1 + self.N_max % 2
@@ -95,8 +94,8 @@ class FockBasis:
         state of the same key, unless the subset holds every source: whole
         weights up to a degree hold those of a symbol that conserves weight
         (quantize checks it) and reaches no higher degree."""
-        return FockBasis(self.D, self.N_max, self.states[rows],
-                         self.degrees[rows], self.depth, self.weights)
+        return FockBasis(self.D, self.N_max, self.states[rows], self.depth,
+                         self.weights)
 
 
 def _sector_code(weights: np.ndarray, depth: int) -> np.ndarray:
@@ -121,27 +120,27 @@ def _lex_states(D: int, depth: int) -> np.ndarray:
 
 def _degree_major(D, N_max, states, depth, weights) -> FockBasis:
     states = states[np.argsort(states.sum(axis=1), kind="stable")]
-    return FockBasis(D, N_max, states, states.sum(axis=1), depth, weights)
+    return FockBasis(D, N_max, states, depth, weights)
 
 
-def check_basis_size(D: int, depth: int, cap: int = DEFAULT_BASIS_CAP):
+def check_basis_size(D: int, depth: int):
+    """Refuse a basis over D modes to degree depth past DEFAULT_BASIS_CAP."""
     size = math.comb(D + depth, D)
-    if size > cap:
+    if size > DEFAULT_BASIS_CAP:
         raise ResourceError(f"basis size {size} for D={D}, depth={depth} "
-                            f"exceeds cap {cap}")
+                            f"exceeds cap {DEFAULT_BASIS_CAP}")
 
 
-def build_basis(D: int, N_max: int, cap: int = DEFAULT_BASIS_CAP,
-                depth: int | None = None,
+def build_basis(D: int, N_max: int, depth: int | None = None,
                 weights: np.ndarray | None = None) -> FockBasis:
     """Enumerate the occupation states with |mu| <= depth (default N_max),
-    over modes with the given weights (see FockBasis.sectors)."""
+    over modes with the given weights (see FockBasis.sectors), within the cap."""
     depth = N_max if depth is None else depth
     if D < 1:
         raise ConfigurationError("mode count D must be >= 1")
     if not 0 <= depth <= N_max:
         raise ConfigurationError(f"need 0 <= depth={depth} <= N_max={N_max}")
-    check_basis_size(D, depth, cap)
+    check_basis_size(D, depth)
     return _degree_major(D, N_max, _lex_states(D, depth), depth, weights)
 
 

@@ -32,6 +32,7 @@ Array layout: scalar fields (dim_g, n, n, n), vector fields
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,45 +69,39 @@ class LatticeSpec:
 
 
 @dataclass
-class ScalarAlgebraField:
+class _AlgebraField:
+    """Lie-algebra coefficients at every site: data has the subclass's
+    leading axes, lead, then (dim_g, n, n, n)."""
+
     lattice: LatticeSpec
     basis: LieAlgebraBasis
-    data: np.ndarray  # (dim_g, n, n, n)
+    data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
-        n = self.lattice.n
-        if self.data.shape != (self.basis.dim_g, n, n, n):
+        shape = self.shape(self.lattice, self.basis)
+        if self.data.shape != shape:
             raise DimensionMismatchError(
-                f"scalar field shape {self.data.shape} does not match "
-                f"(dim_g, n, n, n) = ({self.basis.dim_g}, {n}, {n}, {n})"
+                f"{type(self).__name__} shape {self.data.shape} does not match "
+                f"{shape}, leading axes + (dim_g, n, n, n)"
             )
 
     @classmethod
-    def zeros(cls, lattice, basis) -> "ScalarAlgebraField":
+    def shape(cls, lattice, basis) -> tuple:
         n = lattice.n
-        return cls(lattice, basis, np.zeros((basis.dim_g, n, n, n)))
-
-
-@dataclass
-class VectorAlgebraField:
-    lattice: LatticeSpec
-    basis: LieAlgebraBasis
-    data: np.ndarray  # (3, dim_g, n, n, n)
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        n = self.lattice.n
-        if self.data.shape != (3, self.basis.dim_g, n, n, n):
-            raise DimensionMismatchError(
-                f"vector field shape {self.data.shape} does not match "
-                f"(3, dim_g, n, n, n) = (3, {self.basis.dim_g}, {n}, {n}, {n})"
-            )
+        return (*cls.lead, basis.dim_g, n, n, n)
 
     @classmethod
-    def zeros(cls, lattice, basis) -> "VectorAlgebraField":
-        n = lattice.n
-        return cls(lattice, basis, np.zeros((3, basis.dim_g, n, n, n)))
+    def zeros(cls, lattice, basis):
+        return cls(lattice, basis, np.zeros(cls.shape(lattice, basis)))
+
+
+class ScalarAlgebraField(_AlgebraField):
+    lead = ()
+
+
+class VectorAlgebraField(_AlgebraField):
+    lead = (3,)  # the spatial component
 
 
 def _same_geometry(x, y):
@@ -398,7 +393,8 @@ def save_field(path, field) -> None:
     """Write a field as a JSON header line plus little-endian float64 payload.
 
     Payload order is site-major, then spatial component (vector fields),
-    then algebra index: axes (x, y, z[, component], algebra).
+    then algebra index: axes (x, y, z[, component], algebra), the data's
+    site axes moved first.
     """
     kind = "vector" if isinstance(field, VectorAlgebraField) else "scalar"
     header = {
@@ -407,28 +403,28 @@ def save_field(path, field) -> None:
         "algebra": field.basis.name,
         "field_kind": kind,
     }
-    if kind == "vector":
-        payload = np.ascontiguousarray(field.data.transpose(2, 3, 4, 0, 1))
-    else:
-        payload = np.ascontiguousarray(field.data.transpose(1, 2, 3, 0))
+    payload = np.ascontiguousarray(np.moveaxis(field.data, (-3, -2, -1), (0, 1, 2)))
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n")
         fh.write(payload.astype("<f8").tobytes())
 
 
 def load_field(path):
-    """Inverse of save_field."""
+    """Inverse of save_field; a payload whose length does not match its
+    header is refused."""
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    n = header["n"]
-    lattice = LatticeSpec(n=n, spacing=header["spacing"])
+        raw = fh.read()
+    lattice = LatticeSpec(n=header["n"], spacing=header["spacing"])
     basis = build_algebra(header["algebra"])
     kind = header["field_kind"]
-    if kind == "vector":
-        data = raw.reshape(n, n, n, 3, basis.dim_g).transpose(3, 4, 0, 1, 2)
-    elif kind == "scalar":
-        data = raw.reshape(n, n, n, basis.dim_g).transpose(3, 0, 1, 2)
-    else:
+    if kind not in _FIELD_KINDS:
         raise ConfigurationError(f"unknown field_kind '{kind}'")
-    return _FIELD_KINDS[kind](lattice, basis, data.copy())
+    cls = _FIELD_KINDS[kind]
+    shape = cls.shape(lattice, basis)
+    if len(raw) != 8 * math.prod(shape):
+        raise DimensionMismatchError(
+            f"{path}: payload holds {len(raw) / 8:g} values, its header asks "
+            f"for {math.prod(shape)}")
+    data = np.frombuffer(raw, dtype="<f8").reshape(shape[-3:] + shape[:-3])
+    return cls(lattice, basis, np.moveaxis(data, (0, 1, 2), (-3, -2, -1)).copy())

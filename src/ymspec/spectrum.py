@@ -239,15 +239,14 @@ def n_boson_block(q: FockOperator, n: int) -> np.ndarray:
 
 def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
                        copies: np.ndarray | None = None,
-                       shift: np.ndarray | None = None,
-                       parity: np.ndarray | None = None) -> np.ndarray:
+                       number: np.ndarray | None = None) -> np.ndarray:
     """All eigenvalues, ascending, of the Hermitian block
-    sub = matrix[lo:hi, lo:hi] - diag(shift) of the Csr matrix, each
-    sector's listed copies[i] times for its row i, or, given each row's N
-    mod 2 as parity, only those of its sector 0.
+    sub = matrix[lo:hi, lo:hi] of the Csr matrix, each sector's listed
+    copies[i] times for its row i, or, given each row's boson number N as
+    number, only those of sub - diag(number) in its sector 0.
 
     sectors[i] is the sector of row i (FockBasis.sectors, all 0 for a
-    basis without weights); with parity, each splits by N mod 2 unless a
+    basis without weights); with number, each splits by N mod 2 unless a
     stored entry joins two parities.  H has no entry between sectors: an
     entry joining two, above 1e-12 of the block's largest |entry|, is a
     NumericalError.
@@ -264,15 +263,16 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
     dim = hi - lo
     key = sectors[lo:hi]
     rows, cols, vals = matrix.rows(lo, hi)
-    if parity is not None:
+    if number is not None:
+        parity = number % 2
         key = 2 * key + (0 if (parity[rows] != parity[cols]).any() else parity)
     if not vals.imag.any():
         vals = vals.real
     on = rows == cols
     diagonal = np.zeros(dim, dtype=vals.dtype)
     diagonal[rows[on]] = vals[on]
-    if shift is not None:
-        diagonal -= shift
+    if number is not None:
+        diagonal -= number
     scale = max(1.0, np.abs(vals[~on]).max(initial=0.0),
                 np.abs(diagonal).max(initial=0.0))
     joins = key[rows] != key[cols]
@@ -281,7 +281,7 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         raise NumericalError(f"an entry of {leak:.3e} joins two weight sectors")
     # the rows solved, grouped by sector, and each row's place in its sector
     order = np.argsort(key, kind="stable")
-    if parity is not None:
+    if number is not None:
         order = order[key[order] // 2 == 0]
     _, starts, sizes = np.unique(key[order], return_index=True,
                                  return_counts=True)
@@ -306,8 +306,8 @@ def _block_eigenvalues(matrix, lo: int, hi: int, sectors: np.ndarray,
         mine = layer[rows] >= 0
         d = np.zeros((stack.size, size, size), dtype=vals.dtype)
         d[layer[rows[mine]], pos[rows[mine]], pos[cols[mine]]] = vals[mine]
-        if shift is not None:
-            d[:, np.arange(size), np.arange(size)] -= shift[members]
+        if number is not None:
+            d[:, np.arange(size), np.arange(size)] -= number[members]
         # |d - d^H| by row blocks of about 2^18 entries, so that the check
         # holds no copy of the whole stack
         step = max(1, (1 << 18) // (stack.size * size))
@@ -418,8 +418,8 @@ def number_shift_bound(h: FockOperator,
     satisfies <H> >= <N> + C*.  Only the block's zero-weight sector is
     solved, which holds every eigenvalue of a rotation-invariant H (see
     the module docstring); without weights the sector is the whole block.
-    Each N parity is solved apart if H conserves it, as the even-degree
-    energy symbol does.
+    Each N parity (N is a row's degree) is solved apart if H conserves it,
+    as the even-degree energy symbol does.
     """
     basis = h.basis
     top = basis.N_max - margin_degree
@@ -428,13 +428,12 @@ def number_shift_bound(h: FockOperator,
             f"margin_degree={margin_degree} asks for degrees <= {top}, but "
             f"the basis holds only degrees <= {basis.depth}"
         )
-    # the safe block is a prefix of the degree-major basis
-    hi = int(np.searchsorted(basis.degrees, top, side="right"))
+    # the safe block is a prefix of the degree-major basis, up to degree top
+    _, hi = _degree_rows(basis, top)
     if hi == 0:
         raise ConfigurationError("safe block is empty at this truncation")
     return float(_block_eigenvalues(h.matrix, 0, hi, basis.sectors,
-                                    shift=basis.degrees[:hi],
-                                    parity=basis.degrees[:hi] % 2)[0])
+                                    number=basis.degrees[:hi])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1104,7 +1104,7 @@ def stars_and_bars_basis(D, N_max, depth=None, weights=None) -> FockBasis:
                            count * (D - 1)).reshape(count, D - 1)
         shells.append(np.diff(bars, axis=1, prepend=-1, append=n + D - 1) - 1)
     states = np.concatenate(shells)
-    return FockBasis(D, N_max, states, states.sum(axis=1), depth, weights)
+    return FockBasis(D, N_max, states, depth, weights)
 
 
 def index_of(basis, states):

@@ -18,6 +18,7 @@ from ymspec.dynamics import (
 )
 from ymspec.errors import (
     ConfigurationError,
+    DimensionMismatchError,
     DivergenceError,
     ResourceError,
     StabilityError,
@@ -167,6 +168,15 @@ class TestInPlaceKernels:
                            for j, k in ((0, 1), (0, 2), (1, 2))]))
         close(dynamics._force(sa, layout(f)),
               reference_force(basis, h, a.data))
+
+
+class TestCauchyState:
+    def test_mismatched_geometry_refused(self, su2, su3, lat4, lat8):
+        a = VectorAlgebraField.zeros(lat8, su2)
+        for e in (VectorAlgebraField.zeros(lat4, su2),
+                  VectorAlgebraField.zeros(lat8, su3)):
+            with pytest.raises(DimensionMismatchError, match="different lattices"):
+                CauchyState(a, e)
 
 
 class TestEnergy:

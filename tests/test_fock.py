@@ -80,9 +80,10 @@ class TestBasis:
         expected = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
         assert [tuple(s) for s in b.states] == expected
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(fock, "DEFAULT_BASIS_CAP", 1000)
         with pytest.raises(ResourceError):
-            build_basis(9, 8, cap=1000)
+            build_basis(9, 8)
 
     def test_invalid_args(self):
         with pytest.raises(ConfigurationError):
@@ -101,10 +102,12 @@ class TestBasis:
         assert np.array_equal(reduced.states, full.states[:reduced.size])
         assert full.degrees[reduced.size - 1] == 4 < full.degrees[reduced.size]
 
-    def test_cap_applies_to_depth(self):
-        assert build_basis(9, 40, cap=5005, depth=6).size == 5005
+    def test_cap_applies_to_depth(self, monkeypatch):
+        monkeypatch.setattr(fock, "DEFAULT_BASIS_CAP", 5005)
+        assert build_basis(9, 40, depth=6).size == 5005
+        monkeypatch.setattr(fock, "DEFAULT_BASIS_CAP", 5004)
         with pytest.raises(ResourceError):
-            build_basis(9, 40, cap=5004, depth=6)
+            build_basis(9, 40, depth=6)
 
     def test_index_lookup_round_trip(self):
         b = build_basis(3, 5)
@@ -127,7 +130,7 @@ class TestBasis:
     def test_colliding_keys_refused(self):
         states = np.array([[0, 0], [1, 0], [0, 1], [1, 0]])
         with pytest.raises(NumericalError, match="D=2, N_max=1"):
-            FockBasis(D=2, N_max=1, states=states, degrees=states.sum(axis=1))
+            FockBasis(D=2, N_max=1, states=states, depth=1)
 
     @pytest.mark.parametrize("D,N_max", [
         (1, 0), (1, 6), (2, 0), (2, 7), (3, 5), (9, 4), (30, 2),

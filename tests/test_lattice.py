@@ -612,6 +612,45 @@ class TestFieldSerialization:
         assert isinstance(back, ScalarAlgebraField)
         assert np.array_equal(back.data, u.data)
 
+    @staticmethod
+    def _payload(field, path):
+        save_field(path, field)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+            return header, np.frombuffer(fh.read(), dtype="<f8")
+
+    def test_vector_payload_order(self, su2, rng, tmp_path):
+        # read the bytes, not a round trip, which a change made alike on
+        # write and read would pass: axes (x, y, z, component, algebra)
+        lat = LatticeSpec(n=3, spacing=0.5)
+        a = random_vector_field(rng, lat, su2)
+        header, payload = self._payload(a, tmp_path / "a.field")
+        assert header["field_kind"] == "vector"
+        payload = payload.reshape(3, 3, 3, 3, su2.dim_g)
+        for x, y, z, k, g in np.ndindex(payload.shape):
+            assert payload[x, y, z, k, g] == a.data[k, g, x, y, z]
+
+    def test_scalar_payload_order(self, su2, rng, tmp_path):
+        lat = LatticeSpec(n=3, spacing=0.5)
+        u = random_scalar_field(rng, lat, su2)
+        header, payload = self._payload(u, tmp_path / "u.field")
+        assert header["field_kind"] == "scalar"
+        payload = payload.reshape(3, 3, 3, su2.dim_g)
+        for x, y, z, g in np.ndindex(payload.shape):
+            assert payload[x, y, z, g] == u.data[g, x, y, z]
+
+    def test_truncated_payload_refused(self, su2, rng, tmp_path):
+        # a su2 3^3 vector field holds 243 values; the last one is cut off
+        path = tmp_path / "a.field"
+        save_field(path, random_vector_field(rng, LatticeSpec(n=3, spacing=0.5), su2))
+        with open(path, "r+b") as fh:
+            fh.truncate(path.stat().st_size - 8)
+        with pytest.raises(DimensionMismatchError) as info:
+            load_field(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert "242 values" in message and "243" in message
+
 
 class TestSeededFields:
     def test_contiguous_and_bit_identical_to_strided(self, su2, lat4, rng):
