@@ -4,13 +4,14 @@ Usage: ymspec <command> --config <path> [--out <dir>]
 
 Commands: check-algebra, project, evolve, transform, spectrum, converge.
 Configuration is a single strict-schema JSON document, checked against
-the annotations of the config dataclasses below: unknown or duplicate
+the annotations of RunConfig and its sections, two of which are library
+types (lattice.LatticeSpec, spectrum.ModelSection): unknown or duplicate
 keys and mistyped values are rejected by key path.  Numbers are finite
 (NaN and Infinity are rejected) and positive, except ``seed``,
 ``random.max_mode`` and ``model.n_max``, which may be zero; ``bool``
-never counts as a number.  LatticeSpec and ModelSpec check the
-``lattice`` and ``model`` sections, _check_values the algebra and each
-command's levels, all by key path.  ``--out`` (not a config key) names
+never counts as a number.  LatticeSpec and ModelSection check their
+sections as each is read, then _check_values the algebra, each
+command's levels and cg_tol, all by key path.  ``--out`` (not a config key) names
 the output directory; its nearest existing ancestor, itself if it
 exists, must be a directory.  Every run writes CSV data files whose
 bytes depend only on the configuration and seed, plus a JSON summary
@@ -73,13 +74,13 @@ from .lattice import (
 )
 from .spectrum import (
     DEGREE_MARGIN,
+    ModelSection,
     ModelSpec,
     bosonic_spectrum,
     convergence_study,
     gap_analysis,
     number_shift_bound,
     spectrum_summary_json,
-    validate_N_max_list,
 )
 from .symbols import (
     ModeMap,
@@ -88,9 +89,6 @@ from .symbols import (
     energy_symbol,
     number_symbol,
 )
-
-COMMANDS = ("check-algebra", "project", "evolve", "transform", "spectrum", "converge")
-
 
 class PhysicsAssertionError(YmspecError):
     """A configured physics check failed (CLI exit code 1)."""
@@ -101,27 +99,10 @@ class PhysicsAssertionError(YmspecError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class LatticeConfig:
-    n: int = 8
-    spacing: float = 1.0
-
-
-@dataclass
 class EvolutionConfig:
     T: float = 1.0
     h: float = 0.05
-    preset: str = "random"  # "random" | "abelian-wave"
-
-
-@dataclass
-class ModelConfig:
-    momentum: str = "zero"
-    sector: str = "full"
-    N_max: int = 6
-    n_max: int | None = None
-    convention: str = "antinormal"
-    include_magnetic: bool = True
-    N_max_list: list[int] = field(default_factory=lambda: [6, 8])
+    preset: str = "random"  # a key of _START_STATES
 
 
 @dataclass
@@ -151,9 +132,9 @@ class RandomConfig:
 class RunConfig:
     command: str = "check-algebra"
     algebra: str = "su2"
-    lattice: LatticeConfig = field(default_factory=LatticeConfig)
+    lattice: LatticeSpec = field(default_factory=LatticeSpec)
     evolution: EvolutionConfig = field(default_factory=EvolutionConfig)
-    model: ModelConfig = field(default_factory=ModelConfig)
+    model: ModelSection = field(default_factory=ModelSection)
     tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     random: RandomConfig = field(default_factory=RandomConfig)
     seed: int = 0
@@ -162,27 +143,15 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            algebra=self.algebra,
-            momentum=self.model.momentum,
-            sector=self.model.sector,
-            N_max=self.model.N_max,
-            n_max=self.model.n_max,
-            convention=self.model.convention,
-            include_magnetic=self.model.include_magnetic,
-            level_tol=self.tolerances.level_tol,
-        )
-
-    def lattice_spec(self) -> LatticeSpec:
-        return LatticeSpec(n=self.lattice.n, spacing=self.lattice.spacing)
+        return ModelSpec(**dataclasses.asdict(self.model), algebra=self.algebra,
+                         level_tol=self.tolerances.level_tol)
 
 
 # The constraint table: every number is positive except the key paths in
-# _NONNEGATIVE, which may also be zero; the keys in _CHOICES take one of
-# the listed strings.  Types come from the dataclass annotations above;
-# the rest is checked by _check_values.
+# _NONNEGATIVE, which may also be zero; the keys in _CHOICES (after
+# _RUNNERS) take one of the listed strings.  Types come from the section
+# annotations; LatticeSpec, ModelSection and _check_values check the rest.
 _NONNEGATIVE = ("seed", "random.max_mode", "model.n_max")
-_CHOICES = {"command": COMMANDS, "evolution.preset": ("random", "abelian-wave")}
 
 # per annotated scalar type: the JSON value types it accepts, and its name
 _SCALARS = {
@@ -197,7 +166,10 @@ _SCALARS = {
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _fill_dataclass(cls, doc: dict, path: str):
+def _fill_dataclass(cls, doc: _JSONObject, path: str):
+    if doc.repeated is not None:
+        raise ConfigurationError(
+            f"duplicate configuration key '{path}{doc.repeated}'")
     hints = _type_hints(cls)
     for key in doc:
         if key not in hints:
@@ -250,28 +222,26 @@ def _checked(tp, value, key: str, item: str = ""):
 
 
 def _check_values(config: RunConfig) -> RunConfig:
-    """The checks the constraint table cannot express, each naming its
-    key path: the algebra identifier, the ``lattice`` and ``model``
-    sections (LatticeSpec and ModelSpec check them on construction), the
-    levels spectrum and converge need, and the CG tolerance."""
+    """The checks on the whole document that no section type makes, each
+    naming its key path: the algebra identifier, the levels spectrum and
+    converge need, and the CG tolerance.  They run after LatticeSpec and
+    ModelSection have checked the ``lattice`` and ``model`` sections."""
     try:
         algebra_name(config.algebra)
     except ConfigurationError as exc:
         raise ConfigurationError(f"'algebra': {exc}") from None
-    config.lattice_spec()
     model = config.model
-    n_top = config.model_spec().n_top
+    n_top = model.n_top
     if config.command == "spectrum" and n_top < 2:
         key = "N_max" if model.n_max is None else "n_max"
         raise ConfigurationError(
             f"'model.{key}' must leave the gap analysis at least 3 levels "
             f"(n = 0..2), got {getattr(model, key)}"
         )
-    levels = validate_N_max_list(model.N_max_list)
-    if config.command == "converge" and n_top > levels[0] - DEGREE_MARGIN:
+    if config.command == "converge" and n_top > model.N_max_list[0] - DEGREE_MARGIN:
         raise ConfigurationError(
             f"'model.N_max_list' must start at n_max + {DEGREE_MARGIN} = "
-            f"{n_top + DEGREE_MARGIN} or above, got {levels}"
+            f"{n_top + DEGREE_MARGIN} or above, got {model.N_max_list}"
         )
     if config.tolerances.cg_tol >= 1:
         # a relative residual tolerance of 1 accepts x = 0
@@ -281,11 +251,15 @@ def _check_values(config: RunConfig) -> RunConfig:
     return config
 
 
-def _unique_keys(pairs) -> dict:
-    doc = {}
+class _JSONObject(dict):
+    repeated = None  # the first key the object repeats, refused with its path
+
+
+def _json_object(pairs) -> _JSONObject:
+    doc = _JSONObject()
     for key, value in pairs:
-        if key in doc:
-            raise ConfigurationError(f"duplicate configuration key '{key}'")
+        if key in doc and doc.repeated is None:
+            doc.repeated = key
         doc[key] = value
     return doc
 
@@ -293,7 +267,7 @@ def _unique_keys(pairs) -> dict:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration document."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
+        doc = json.loads(text, object_pairs_hook=_json_object)
     except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ConfigurationError(f"configuration is not valid JSON: {exc}")
     if not isinstance(doc, dict):
@@ -310,7 +284,7 @@ def _seeded_fields(config: RunConfig, basis: LieAlgebraBasis | None = None):
     ``basis``, the config's algebra (built here if None)."""
     if basis is None:
         basis = build_algebra(config.algebra)
-    lattice = config.lattice_spec()
+    lattice = config.lattice
     rng = np.random.default_rng(config.seed)
     return tuple(
         random_vector_field(
@@ -334,7 +308,7 @@ def abelian_wave_state(config: RunConfig,
     ``basis``, the config's algebra (built here if None)."""
     if basis is None:
         basis = build_algebra(config.algebra)
-    lattice = config.lattice_spec()
+    lattice = config.lattice
     n = lattice.n
     x = np.arange(n)
     wave = config.random.amplitude * np.cos(2 * np.pi * x / n)
@@ -342,6 +316,10 @@ def abelian_wave_state(config: RunConfig,
     a.data[1, 0] = wave[:, None, None]
     e = VectorAlgebraField.zeros(lattice, basis)
     return CauchyState(a, e, 0.0)
+
+
+# evolution.preset -> the start state it names
+_START_STATES = {"random": seeded_random_state, "abelian-wave": abelian_wave_state}
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +414,7 @@ def _run_evolve(config: RunConfig, outdir: str):
     # an oversize run is refused before its start state is built
     step_sizes(config.evolution.T, config.evolution.h,
                config.lattice.n ** 3 * basis.dim_g)
-    abelian = config.evolution.preset == "abelian-wave"
-    start = [(abelian_wave_state if abelian else seeded_random_state)(config, basis)]
+    start = [_START_STATES[config.evolution.preset](config, basis)]
     bound = cfl_bound(start[0].lattice)
     e_scale = max(field_norm(start[0].e), 1e-300)
     # popped, so that evolve holds the only reference to the start state
@@ -577,8 +554,7 @@ def _run_spectrum(config: RunConfig, outdir: str):
 
 
 def _run_converge(config: RunConfig, outdir: str):
-    model = config.model_spec()
-    study = convergence_study(model, config.model.N_max_list)
+    study = convergence_study(config.model_spec())
     _write(outdir, "convergence.csv", study.to_csv())
     changes = {
         f"{a}->{b}": vals for (a, b), vals in study.rel_changes.items()
@@ -606,6 +582,8 @@ _RUNNERS = {
     "spectrum": _run_spectrum,
     "converge": _run_converge,
 }
+COMMANDS = tuple(_RUNNERS)
+_CHOICES = {"command": COMMANDS, "evolution.preset": tuple(_START_STATES)}
 
 
 def run(config: RunConfig, outdir: str = "."):

@@ -49,10 +49,10 @@ from .errors import (
 @dataclass(frozen=True)
 class LatticeSpec:
     """Periodic cubic lattice with n sites per dimension: a config's
-    ``lattice`` section, checked on construction by key path."""
+    ``lattice`` section and its defaults, checked by key path when built."""
 
-    n: int
-    spacing: float
+    n: int = 8
+    spacing: float = 1.0
 
     def __post_init__(self):
         if self.n < 2:

@@ -63,18 +63,18 @@ SECTORS = ("full", "abelian")
 
 
 @dataclass
-class ModelSpec:
-    """A truncated quantization model, a config's ``model`` section with its
-    algebra and level tolerance, checked on construction by key path."""
+class ModelSection:
+    """A config's ``model`` section, with its defaults.  Every check on it
+    is made here on construction, by key path, so that a library caller
+    gets the CLI's diagnostic word for word."""
 
-    algebra: str = "su2"
     momentum: str = "zero"          # spatially-constant sector only
     sector: str = "full"            # "full" or "abelian" (single direction)
-    N_max: int = 8
+    N_max: int = 6
     n_max: int | None = None
     convention: str = "antinormal"
     include_magnetic: bool = True
-    level_tol: float = 1e-8
+    N_max_list: list[int] = field(default_factory=lambda: [6, 8])
 
     def __post_init__(self):
         for key, allowed in (("momentum", ("zero",)), ("sector", SECTORS),
@@ -94,6 +94,24 @@ class ModelSpec:
                 f"{self.N_max - DEGREE_MARGIN}, got {self.n_max}; "
                 "truncation-edge blocks are not trustworthy"
             )
+        levels = self.N_max_list
+        if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ConfigurationError("'model.N_max_list' must be non-empty and "
+                                     f"strictly increasing, got {levels}")
+
+    @property
+    def n_top(self) -> int:
+        """Highest boson number reported: n_max, or N_max - DEGREE_MARGIN."""
+        return self.N_max - DEGREE_MARGIN if self.n_max is None else self.n_max
+
+
+@dataclass
+class ModelSpec(ModelSection):
+    """A truncated quantization model: a checked ``model`` section with the
+    config's algebra and level tolerance."""
+
+    algebra: str = "su2"
+    level_tol: float = 1e-8
 
     def mode_map(self, basis: LieAlgebraBasis | None = None) -> ModeMap:
         """The retained modes; ``basis`` is this model's algebra if it is
@@ -103,11 +121,6 @@ class ModelSpec:
         if self.sector == "abelian":
             return ModeMap.abelian(basis.dim_g)
         return ModeMap.zero_momentum(basis.dim_g)
-
-    @property
-    def n_top(self) -> int:
-        """Highest boson number reported: n_max, or N_max - DEGREE_MARGIN."""
-        return self.N_max - DEGREE_MARGIN if self.n_max is None else self.n_max
 
 
 @dataclass
@@ -466,24 +479,15 @@ class ConvergenceStudy:
         return float(np.max(changes, initial=0.0))
 
 
-def validate_N_max_list(N_max_list) -> list:
-    """N_max_list as a list, refused unless non-empty and increasing."""
-    levels = list(N_max_list)
-    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("'model.N_max_list' must be non-empty and "
-                                 f"strictly increasing, got {levels}")
-    return levels
-
-
-def convergence_study(model: ModelSpec, N_max_list) -> ConvergenceStudy:
-    """lambda_n, n = 0..model.n_top, per cutoff in N_max_list.  Each level
-    is exact at every cutoff (see bosonic_spectrum), so the levels are
-    solved once, on the first cutoff's level rows, the only cutoff capped:
-    each relative change is 0 by construction, and convergence_gate
-    is only a guard.  The tests check the truncation against a rebuild at
-    each cutoff.  A list that starts below n_top + DEGREE_MARGIN gets
-    ModelSpec's 'model.n_max' refusal."""
-    levels = validate_N_max_list(N_max_list)
+def convergence_study(model: ModelSpec) -> ConvergenceStudy:
+    """lambda_n, n = 0..model.n_top, per cutoff in model.N_max_list.  Each
+    level is exact at every cutoff (see bosonic_spectrum), so the levels
+    are solved once, on the first cutoff's level rows, the only cutoff
+    capped: each relative change is 0 by construction, and
+    convergence_gate is only a guard.  The tests check the truncation
+    against a rebuild at each cutoff.  A list that starts below n_top +
+    DEGREE_MARGIN gets ModelSection's 'model.n_max' refusal."""
+    levels = model.N_max_list
     model = replace(model, N_max=levels[0], n_max=model.n_top)
     h, _ = _level_operator(model, *_cartan_model(model))
     ns = list(range(model.n_top + 1))

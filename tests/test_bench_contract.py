@@ -18,6 +18,7 @@ import pytest
 import scipy
 
 from ymspec.algebra import build_algebra
+from ymspec.cli import parse_config
 from ymspec.fock import build_basis
 from ymspec.spectrum import ModelSpec, _cartan_model, _level_operator
 from ymspec.symbols import cartan_modes, energy_symbol
@@ -181,3 +182,21 @@ def test_layer_names_and_counter_parameters_resolve():
         layer, function = name.split(".")
         fn = getattr(importlib.import_module(f"ymspec.{layer}"), function)
         assert set(params) <= set(inspect.signature(fn).parameters), name
+
+
+def test_workload_configs_parse(monkeypatch):
+    # every config bench/workloads.py generates passes the schema, so a
+    # schema change that breaks a benchmarked workload fails here, not
+    # only as a failed benchmark run; its dataclasses need the module
+    # registered, and no bytecode is written under bench/
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            config = parse_config(json.dumps(workload.config(seed)))
+            assert config.command == workload.command, name
+            assert config.seed == seed, name

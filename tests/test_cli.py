@@ -19,6 +19,7 @@ from ymspec import cli, spectrum
 from ymspec.cli import (
     COMMANDS,
     RunConfig,
+    ToleranceConfig,
     abelian_wave_state,
     main,
     parse_config,
@@ -26,7 +27,7 @@ from ymspec.cli import (
 )
 from ymspec.errors import ConfigurationError, InsufficientDataError
 from ymspec.lattice import LatticeSpec, constraint_residual, field_norm, load_field
-from ymspec.spectrum import ModelSpec
+from ymspec.spectrum import ModelSection, ModelSpec
 
 
 def config_json(cfg: RunConfig) -> str:
@@ -41,6 +42,14 @@ class TestParseConfig:
         assert cfg.lattice.n == 8
         assert cfg.tolerances.cg_tol == 1e-10
         assert cfg.seed == 0
+
+    def test_one_set_of_defaults(self):
+        # the config sections are the library types, so a section left out
+        # and a type built bare agree
+        cfg = RunConfig()
+        assert LatticeSpec() == cfg.lattice
+        assert ModelSection() == cfg.model
+        assert cfg.model_spec() == ModelSpec(level_tol=ToleranceConfig().level_tol)
 
     def test_unknown_command(self):
         with pytest.raises(ConfigurationError) as info:
@@ -351,7 +360,7 @@ class TestMainExitCodes:
         assert (out / "algebra_report.csv").exists()
 
     def test_N_max_list_checked_in_one_place(self, tmp_path):
-        # convergence_study refuses a bad list with the CLI's diagnostic
+        # ModelSpec refuses a bad list with the CLI's diagnostic
         for levels in ([6, 4], [], [4, 4]):
             path = write_config(tmp_path, {"command": "converge",
                                            "model": {"N_max_list": levels}})
@@ -359,7 +368,7 @@ class TestMainExitCodes:
                          "--out", str(tmp_path)]) == 2
             diag = json.loads((tmp_path / "diagnostics.json").read_text())
             with pytest.raises(ConfigurationError) as info:
-                spectrum.convergence_study(ModelSpec(N_max=6), levels)
+                ModelSpec(N_max=6, N_max_list=levels)
             assert str(info.value) == diag["message"]
             assert "'model.N_max_list'" in diag["message"]
 
@@ -485,12 +494,29 @@ class TestMainExitCodes:
 
     def test_duplicate_key_exits_2(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text('{"command": "spectrum", "seed": 1, "seed": 2}')
         args = ["spectrum", "--config", str(path), "--out", str(tmp_path)]
-        assert main(args) == 2
+        for text, key in (
+            ('{"command": "spectrum", "seed": 1, "seed": 2}', "seed"),
+            ('{"command": "spectrum", "lattice": {"n": 4, "n": 5}}', "lattice.n"),
+        ):
+            path.write_text(text)
+            assert main(args) == 2
+            diag = json.loads((tmp_path / "diagnostics.json").read_text())
+            assert diag["error_type"] == "ConfigurationError"
+            assert diag["message"] == f"duplicate configuration key '{key}'"
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"algebra": "foo", "lattice": {"n": 1}}, "lattice.n"),
+        ({"algebra": "foo", "model": {"N_max_list": []}}, "model.N_max_list"),
+        ({"algebra": "foo", "tolerances": {"cg_tol": 2}}, "algebra"),
+    ])
+    def test_several_errors_reported_in_order(self, tmp_path, doc, key):
+        # the lattice and model sections are checked when read, the
+        # algebra and cg_tol after the whole document (see the README)
+        path = write_config(tmp_path, {"command": "spectrum", **doc})
+        assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 2
         diag = json.loads((tmp_path / "diagnostics.json").read_text())
-        assert diag["error_type"] == "ConfigurationError"
-        assert "'seed'" in diag["message"]
+        assert diag["message"].startswith(f"'{key}'")
 
     def test_unexpected_error_is_diagnosed(self, tmp_path, monkeypatch):
         def broken(config, outdir):
@@ -514,7 +540,7 @@ class TestMainExitCodes:
             if kind == "key":
                 nested()
             if kind == "config":
-                spectrum.convergence_study(ModelSpec(N_max=6), [])
+                ModelSpec(N_max=6, N_max_list=[])
             raise RuntimeError("boom")
 
         for kind in ("key", "config", "runtime"):
@@ -527,7 +553,7 @@ class TestMainExitCodes:
             assert diag["raised_at"] == (f"{os.path.basename(frame.filename)}:"
                                          f"{frame.lineno} in {frame.name}")
             assert diag["raised_at"].endswith(
-                {"key": " in nested", "config": " in validate_N_max_list",
+                {"key": " in nested", "config": " in __post_init__",
                  "runtime": " in raising"}[kind])
 
 

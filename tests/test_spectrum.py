@@ -1191,7 +1191,7 @@ class TestConvergenceStudy:
         first = N_max_list[0]
         model = ModelSpec(algebra=algebra, sector=sector, N_max=first,
                           n_max=first - 2, convention=convention)
-        study = convergence_study(model, N_max_list)
+        study = convergence_study(replace(model, N_max_list=N_max_list))
         reference = convergence_per_cutoff(model, N_max_list)
         assert study.lambdas == reference.lambdas
         assert study.rel_changes == reference.rel_changes
@@ -1259,7 +1259,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "_block_eigenvalues", spy)
         monkeypatch.setattr(spectrum, "_lowest_level", no_count)
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
-        convergence_study(model, [4, 6])
+        convergence_study(replace(model, N_max_list=[4, 6]))
         assert calls == [1, 3, 14]
 
     def test_one_symbol_for_every_level(self, monkeypatch):
@@ -1278,7 +1278,7 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "build_basis",
                             spy("basis", spectrum.build_basis))
         model = ModelSpec(algebra="su2", N_max=4, n_max=2)
-        study = convergence_study(model, [4, 6])
+        study = convergence_study(replace(model, N_max_list=[4, 6]))
         assert calls == {"symbol": 1, "basis": 1}
         for N in (4, 6):
             h = safe_hamiltonian(model, N_max=N)
@@ -1291,24 +1291,24 @@ class TestConvergenceStudy:
         monkeypatch.setattr(spectrum, "energy_symbol",
                             lambda *args: calls.append(args))
         with pytest.raises(ResourceError):
-            convergence_study(ModelSpec(algebra="so5", N_max=4, n_max=2),
-                              [12, 14])
+            convergence_study(ModelSpec(algebra="so5", N_max=4, n_max=2,
+                                        N_max_list=[12, 14]))
         assert calls == []
 
     def test_single_entry_list(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
-        study = convergence_study(model, [4])
+        study = convergence_study(replace(model, N_max_list=[4]))
         assert study.rel_changes == {}
         assert len(study.lambdas[4]) == 3
 
     def test_non_increasing_list_rejected(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
         with pytest.raises(ConfigurationError):
-            convergence_study(model, [6, 4])
+            convergence_study(replace(model, N_max_list=[6, 4]))
 
     def test_csv_shape(self):
         model = ModelSpec(algebra="su2", sector="abelian", N_max=4, n_max=2)
-        study = convergence_study(model, [4, 6])
+        study = convergence_study(replace(model, N_max_list=[4, 6]))
         lines = study.to_csv().strip().split("\n")
         assert lines[0] == "n,lambda_Nmax4,lambda_Nmax6"
         assert len(lines) == 4
