@@ -83,6 +83,7 @@ from .spectrum import (
     spectrum_summary_json,
 )
 from .symbols import (
+    ORDERINGS,
     ModeMap,
     PolynomialSymbol,
     convert,
@@ -454,30 +455,25 @@ def _run_transform(config: RunConfig, outdir: str):
     D = mode_map.num_modes
 
     # ordering-resolved symbol table of the number operator
-    resolved = {
-        conv: number_symbol(1, conv).coefficient((0,), (0,)).real
-        for conv in ("normal", "weyl", "antinormal")
-    }
+    resolved = {conv: number_symbol(1, conv).coefficient((0,), (0,)).real
+                for conv in ORDERINGS}
     # the quadratic's Weyl transform (the anti-normally quantized quadratic)
     zz = PolynomialSymbol.zstar(1, 0) * PolynomialSymbol.z(1, 0)
     quad_weyl_const = convert(zz, "antinormal", "weyl").coefficient((0,), (0,)).real
 
-    quartic = energy_symbol(basis, mode_map, include_magnetic=True) - energy_symbol(
-        basis, mode_map, include_magnetic=False
-    )
+    # at zero momentum the magnetic term is the symbol's whole quartic
+    quartic = PolynomialSymbol(D, {
+        (a, b): c for (a, b), c in energy_symbol(basis, mode_map).terms.items()
+        if sum(a) + sum(b) == 4})
     smoothed = convert(quartic, "antinormal", "weyl")
     diff = smoothed - quartic
     kappa = np.zeros((D, D))
-    for m in range(D):
-        for mp in range(D):
-            alpha = tuple(1 if i == m else 0 for i in range(D))
-            beta = tuple(1 if i == mp else 0 for i in range(D))
-            kappa[m, mp] = diff.coefficient(alpha, beta).real
+    for (a, b), c in diff.terms.items():
+        if sum(a) == sum(b) == 1:
+            kappa[a.index(1), b.index(1)] = c.real
     const = diff.coefficient((0,) * D, (0,) * D).real
     eigs = np.linalg.eigvalsh(kappa)
-    residual_degree = max(
-        (sum(a) + sum(b) for (a, b) in diff.terms), default=0
-    )
+    residual_degree = diff.degree
 
     # operator-level ordering oracle: direct anti-normal placement vs
     # flow-to-normal-form, compared on the truncation-safe sub-block

@@ -230,8 +230,8 @@ def _slots(powers: np.ndarray) -> np.ndarray:
 
 
 def _meets(states: np.ndarray, modes: np.ndarray, need: np.ndarray) -> np.ndarray:
-    """meets[l, i]: states[i] holds at least need[l, k] quanta in mode
-    modes[l, k], for every slot k."""
+    """meets[t, i]: states[i] holds at least need[t, k] quanta in mode
+    modes[t, k], for every slot k."""
     # holds[v * D + m, i]: states[i] holds at least v quanta in mode m
     levels = np.arange(need.max(initial=0) + 1)[:, None, None]
     holds = (states.T >= levels).reshape(levels.size * states.shape[1], -1)
@@ -243,20 +243,20 @@ def _meets(states: np.ndarray, modes: np.ndarray, need: np.ndarray) -> np.ndarra
 
 
 def _candidates(basis: FockBasis, modes: np.ndarray, need: np.ndarray,
-                group: np.ndarray, top: np.ndarray):
+                top: np.ndarray):
     """quantize's (term, row) candidates, a chunk of rows at a time: term
-    t targets row i if the state meets its lift (modes and need at row
-    group[t]) and has degree <= top[t].  Each chunk's candidates come
-    term-major, so each entry's terms stay in sorted order, and a chunk
-    ends where the running count passes a multiple of CHUNK_ENTRIES, so it
-    holds at most CHUNK_ENTRIES candidates plus one row's.  The masks,
-    some bytes per term and mode for each row, are formed in blocks of
-    about 32 * CHUNK_ENTRIES bytes, below a chunk's working set, and no
-    chunk straddles two blocks."""
-    block = max(1, 32 * CHUNK_ENTRIES // (len(group) + basis.D))
+    t targets row i if the state holds at least need[t, k] quanta in mode
+    modes[t, k], for every slot k, and has degree <= top[t].  Each chunk's
+    candidates come term-major, so each entry's terms stay in sorted
+    order, and a chunk ends where the running count passes a multiple of
+    CHUNK_ENTRIES, so it holds at most CHUNK_ENTRIES candidates plus one
+    row's.  The masks, some bytes per term and mode for each row, are
+    formed in blocks of about 32 * CHUNK_ENTRIES bytes, below a chunk's
+    working set, and no chunk straddles two blocks."""
+    block = max(1, 32 * CHUNK_ENTRIES // (len(top) + basis.D))
     for start in range(0, basis.size, block):
         stop = min(basis.size, start + block)
-        targets = _meets(basis.states[start:stop], modes, need)[group]
+        targets = _meets(basis.states[start:stop], modes, need)
         targets &= basis.degrees[start:stop] <= top[:, None]
         chunk = (np.cumsum(targets.sum(axis=0)) - 1) // CHUNK_ENTRIES
         cuts = np.r_[0, np.flatnonzero(chunk[1:] != chunk[:-1]) + 1, stop - start]
@@ -288,13 +288,15 @@ def quantize(
     that changes them is a NumericalError.  Normal ordering annihilates
     first, so only its final state can leave the cutoff; anti-normal
     ordering creates first, so its intermediate state must stay inside.
-    So a monomial's sources are the states mu >= lift, lift = b (normal) or
-    max(b - a, 0) (anti-normal), of degree <= bound, with the final state of
-    degree <= depth, and its targets mu + a - b.  Every row is a target:
-    the (term, row) candidates are formed per distinct target lift.  A
-    diagonal term's source is its target; any other source is found by its
-    key, key(mu + a - b) - key(a - b), since the keys are linear mod 2**64,
-    and a source the basis does not hold is dropped.
+    So a monomial's sources are the states mu >= b (normal) or mu >=
+    max(b - a, 0) (anti-normal) of degree <= bound, with the final state of
+    degree <= depth, and its targets mu + a - b.  One rule gives the (term,
+    row) candidates: a term targets the rows that hold at least need quanta
+    on the modes it acts on, need = a (normal) or max(a - b, 0)
+    (anti-normal), and have degree <= bound + |a| - |b|.  Each candidate's
+    source is found by its key, key(mu + a - b) - key(a - b), since the
+    keys are linear mod 2**64 (a diagonal term's shift is 0, so its source
+    is the row itself), and a source the basis does not hold is dropped.
     Amplitudes are products of ladder factors, exact below 2**53, then two
     square roots.
 
@@ -324,24 +326,18 @@ def quantize(
         raise NumericalError("a symbol term changes the basis's mode weights")
     da, db = alpha.sum(axis=1), beta.sum(axis=1)
     normal = convention == "normal"
-    if normal:
-        lift, bound = beta, basis.N_max + db - da
-    else:
-        lift, bound = np.maximum(beta - alpha, 0), basis.N_max - da
+    bound = basis.N_max + db - da if normal else basis.N_max - da
     bound = np.minimum(bound, np.minimum(basis.depth - da + db, basis.depth))
-    # targets hold at least tlift quanta and have degree <= top
-    tlift, top = lift + alpha - beta, bound + da - db
-    lifts, group = np.unique(tlift, axis=0, return_inverse=True)
-    lift_modes = _slots(lifts)
-    lift_need = np.take_along_axis(lifts, lift_modes, axis=1)
     # per term, the modes it acts on (slots) and, for a target occupation
     # x on a slot, the entries x * width + c of the two ladder products
     # in the falling-factorial table: the source mu = x - a + b holds
     # fall[mu, b] * fall[x, a] (normal), fall[mu + a, a] * fall[mu + a, b]
     # (anti-normal), mu + a = x + b
-    modes = _slots(alpha + beta)
-    a = np.take_along_axis(alpha, modes, axis=1)
-    b = np.take_along_axis(beta, modes, axis=1)
+    slots = _slots(alpha + beta)
+    a = np.take_along_axis(alpha, slots, axis=1)
+    b = np.take_along_axis(beta, slots, axis=1)
+    # targets hold at least need quanta on the slots, degree <= top
+    need, top = a if normal else np.maximum(a - b, 0), bound + da - db
     fall = _falling_factorials(basis.N_max, max(1, np.max(alpha, initial=0),
                                                 np.max(beta, initial=0)))
     width = fall.shape[1]
@@ -349,7 +345,7 @@ def quantize(
         c1, c2 = (b - a) * width + b, a
     else:
         c1, c2 = b * width + a, b * width + b
-    modes, c1, c2 = modes.T.copy(), c1.T.copy(), c2.T.copy()
+    modes, c1, c2 = slots.T.copy(), c1.T.copy(), c2.T.copy()
     fall, flat_states = fall.ravel(), basis.states.ravel()
     shift = alpha.astype(np.uint64) @ basis._powers - beta.astype(np.uint64) @ basis._powers
     on_diagonal = (alpha == beta).all(axis=1)
@@ -357,14 +353,11 @@ def quantize(
 
     diagonal = np.zeros(size, dtype=complex)
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))]
-    for t, rows in _candidates(basis, lift_modes, lift_need, group, top):
-        # a diagonal term's source is its target; only the others are sought
-        off = ~on_diagonal[t]
-        src_key = basis._keys[rows[off]] - shift[t[off]]
+    for t, rows in _candidates(basis, slots, need, top):
+        src_key = basis._keys[rows] - shift[t]
         at = np.minimum(np.searchsorted(sorted_keys, src_key), size - 1)
-        held, cols = np.ones(t.size, dtype=bool), rows.copy()
-        held[off], cols[off] = sorted_keys[at] == src_key, order[at]
-        t, rows, cols = t[held], rows[held], cols[held]
+        held = sorted_keys[at] == src_key
+        t, rows, cols = t[held], rows[held], order[at[held]]
         f1, f2 = np.ones(t.size), np.ones(t.size)
         for slot, s1, s2 in zip(modes, c1, c2):
             x = flat_states[rows * basis.D + slot[t]] * width

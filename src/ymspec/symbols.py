@@ -236,9 +236,9 @@ class ModeMap:
         return cls(dim_g, tuple((j, p) for j in range(3) for p in range(dim_g)))
 
     @classmethod
-    def abelian(cls, dim_g: int, direction: int = 0) -> "ModeMap":
-        """Single algebra direction: the quartic term vanishes identically."""
-        return cls(dim_g, tuple((j, direction) for j in range(3)))
+    def abelian(cls, dim_g: int) -> "ModeMap":
+        """Algebra direction 0 alone: the quartic term vanishes identically."""
+        return cls(dim_g, tuple((j, 0) for j in range(3)))
 
 
 # fixed irrational weights mixing the Cartan generators into one matrix

@@ -380,8 +380,16 @@ class TestQuantize:
     ])
     def test_energy_symbol_matches_full_width_mask(self, name, N_max):
         algebra = build_algebra(name)
-        s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
+        mode_map = ModeMap.zero_momentum(algebra.dim_g)
+        s = energy_symbol(algebra, mode_map, True)
         assert_full_width_identical(s, build_basis(s.num_modes, N_max))
+        # the Cartan-mode symbol, many of whose terms act on the same modes,
+        # on the plain basis and on the same basis with the mode weights
+        modes = cartan_modes(algebra, mode_map)
+        s = energy_symbol(algebra, mode_map, True, modes)
+        for weights in (None, modes.weights):
+            assert_full_width_identical(
+                s, build_basis(s.num_modes, N_max, weights=weights))
 
     @pytest.mark.parametrize("name,N_max", [
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
