@@ -410,16 +410,23 @@ def save_field(path, field) -> None:
 
 
 def load_field(path):
-    """Inverse of save_field; a payload whose length does not match its
-    header is refused."""
+    """Inverse of save_field; a header that is not a JSON object with every
+    key save_field writes, or a payload whose length does not match its
+    header, is refused."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        raw = fh.read()
+        line, raw = fh.readline(), fh.read()
+    try:
+        header = json.loads(line)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        raise ConfigurationError(f"{path}: field header is not JSON: {exc}")
+    for key in ("n", "spacing", "algebra", "field_kind"):
+        if not isinstance(header, dict) or key not in header:
+            raise ConfigurationError(f"{path}: field header has no '{key}'")
     lattice = LatticeSpec(n=header["n"], spacing=header["spacing"])
     basis = build_algebra(header["algebra"])
     kind = header["field_kind"]
     if kind not in _FIELD_KINDS:
-        raise ConfigurationError(f"unknown field_kind '{kind}'")
+        raise ConfigurationError(f"{path}: unknown field_kind '{kind}'")
     cls = _FIELD_KINDS[kind]
     shape = cls.shape(lattice, basis)
     if len(raw) != 8 * math.prod(shape):

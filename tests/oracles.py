@@ -1,60 +1,45 @@
 """Independent reference computations used by the test suite.
 
-Each oracle deliberately avoids the code path it checks: brackets via
-dense matrix commutators, the lattice kernels and the RK4 step via the
-dense einsum bracket and np.roll differences they replaced, the Gauss
-projection's Laplacian solve via the plain CG that the flat-Laplacian
-preconditioner replaced, with the a = 0 null modes as the real-space
-sign patterns that the preconditioner's zeroed Fourier modes replaced,
-the gauge action (no command transforms a field, so only the tests
-carry it) via site-wise orthogonal matrices,
-np.roll differences and a scipy matrix exponential of ad(phi), so the
-covariance tests share no kernel with the stencils they check, the
-curvature pairs via the nine-block antisymmetric layout, the Helmholtz
-projector via FFT symbols, the Gaussian smoothing via finite-difference
-stencils on point evaluations, the energy symbol via products and sums
-in the symbol ring, quantization via explicit ladder-matrix products,
-via the full-width feasibility mask and term by term on the raise tables
-of an enumerated basis, as fock.quantize computed it before it took
-every term at once on any subset of states (with the whole safe-basis H
-and its weight sectors built that way), the Fock basis via recursive
-enumeration and its state index via a dictionary of occupation rows, the
-lowest block levels and their multiplicities via the full dense spectrum
-and via Lanczos with a Sylvester inertia certificate from a symmetric
-sparse LU, and wave evolution via the dispersion relation of the
-spatially discrete system. The scipy.sparse path that the numpy Csr
-operators replaced is kept as the reference for them: quantization
-summed into a scipy CSR matrix, and block eigenvalues from scipy fancy
-indexing with components labelled on the symmetrized sparse pattern. The
-real-mode spectrum path that the Cartan weight sectors replaced is kept
-too: H quantized in the real modes and each block split into the
-connected components of its sparsity graph. The Cartan-mode energy
-symbol has its reference in substitution z = U w into the real-mode one,
-term by term in the symbol ring, and the rotation symmetry behind the
-zero-weight C* in the quantized generators of the colour and spatial
-rotations. The truncation study that convergence_study replaced with one
-solve is kept as well: the levels rebuilt and solved at every cutoff. So
-is the spectrum path before it enumerated its row sets directly: the
-whole safe basis by stars and bars, as fock.build_basis enumerated it,
-with the level and zero-weight rows picked by FockBasis.subset, and C*
-solved on the zero-weight rows without the N-parity split; the
-zero-weight row counts have their reference in a count by degree and
-weight.  The level solve before the orbit rule is kept too: the rows of
-weight code >= 0, each sector of code > 0 counted twice for its mirror;
-the orbit rows have their reference in an orbit search over the weights,
-and the maps behind them in the real-mode rotation by pi about x and
-su2's colour-spatial swap, their weight action derived from how they
-conjugate the Cartan generators.
-So are evolve, its RK4 step and energy with every intermediate in a
-fresh array, as before the field pool, and the band-limited noise
-transformed as one array rather than component by component.
-It also holds the lattice helpers that only tests use: the inner product
-field_dot, the stencil's Fourier eigenvalues and random scalar fields;
-the Fock helpers that only tests use, each built on scipy.sparse:
-the state index by occupation keys, ladder and number operators, vectors
-and expectations, the Hermiticity defect and the operator text format,
-plus the states of one degree and the safe block; and the symbol helpers that only tests use: comparison,
-point evaluation and the symbol JSON format.
+Each oracle avoids the code path it checks.  Per concept, the definitional
+reference, then the path the current code replaced:
+
+- Lie bracket: dense matrix commutators.
+- Lattice kernels, force and RK4 step: np.roll differences and the dense
+  einsum bracket over all nine curvature blocks; replaced: evolve, its
+  step and energy with every intermediate in a fresh array (before the
+  field pool), and band-limited noise transformed as one array.
+- Gauss projection: the Helmholtz projector by FFT symbols; replaced:
+  plain CG without the flat-Laplacian preconditioner, the a = 0 null
+  modes as real-space sign patterns.
+- Gauge action (only tests transform fields): site-wise orthogonal
+  matrices, np.roll differences and a scipy exponential of ad(phi).
+- Gaussian smoothing: finite-difference stencils on point evaluations.
+- Energy symbol: products and sums in the symbol ring; the Cartan-mode
+  symbol by substituting z = U w into the real-mode one.
+- Quantization: ladder-matrix products (ladder_quantize); replaced: term
+  by term on the raise tables of an enumerated basis
+  (raise_table_quantize).
+- Fock basis: recursive compositions; replaced: stars and bars.  Its
+  index: a dictionary of occupation rows.
+- Eigenvalues: the whole dense spectrum of a block (dense_lowest_level,
+  sector_eigenvalues); replaced: the real-mode path, each block solved
+  one connected component at a time (component_block_eigenvalues), the
+  levels before the orbit rule (mirror_levels) and C* before the N-parity
+  split (unsplit_number_shift_bound).
+- Spectrum rows: a count by degree and weight; replaced: the whole safe
+  basis, the rows picked by FockBasis.subset (safe_hamiltonian,
+  subset_level_operator, subset_zero_weight_operator).
+- Truncation study: replaced: the levels rebuilt at every cutoff.
+- Symmetries: an orbit search over the weights; the rotation generators
+  quantized; R and su2's S as real-mode signed permutations, their weight
+  action from how they conjugate the Cartan generators.
+- Abelian waves: the dispersion relation of the spatially discrete system.
+
+It also holds the helpers only tests use: for lattices, field_dot, the
+stencil's Fourier eigenvalues and random scalar fields; for Fock spaces,
+on scipy.sparse, ladder and number operators, vectors, expectations, the
+Hermiticity defect, the operator text format and the degree and safe-block
+indices; for symbols, comparison, point evaluation and the JSON format.
 """
 
 import itertools
@@ -65,7 +50,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sparse
-import scipy.sparse.linalg as spla
 
 from ymspec.algebra import LieAlgebraBasis
 from ymspec.errors import (
@@ -742,9 +726,9 @@ def operator_from_text(text: str, basis: FockBasis | None = None):
 
 
 # ---------------------------------------------------------------------------
-# quantization via explicit ladder-matrix products or the full-width
-# feasibility mask; the Fock basis by recursive enumeration, its index by
-# a dictionary
+# quantization via explicit ladder-matrix products, and term by term on the
+# raise tables of an enumerated basis; the Fock basis by recursive
+# enumeration and by stars and bars, its index by a dictionary
 # ---------------------------------------------------------------------------
 
 def ladder_quantize(symbol, convention, basis):
@@ -796,10 +780,10 @@ def _ladder_amplitudes(occ: np.ndarray, multi: tuple, raise_op: bool) -> np.ndar
     return np.sqrt(amp)
 
 
-def monomial_entries(basis, alpha, beta, convention, raised=None):
+def monomial_entries(basis, alpha, beta, convention, raised):
     """(rows, cols, amplitudes) of one monomial z*^alpha z^beta under a
     convention, as fock.quantize took them from the raise tables ``raised``
-    (raise_tables(basis) if None) of an enumerated basis, one term at a time.
+    of an enumerated basis, one term at a time.
 
     Normal ordering annihilates first, so only its final state can leave
     the cutoff; anti-normal ordering creates first, so its intermediate
@@ -810,20 +794,21 @@ def monomial_entries(basis, alpha, beta, convention, raised=None):
     targets are states[:end] + tlift, tlift = alpha or max(alpha - beta, 0),
     so both index arrays come from the raise tables, in basis order.
     """
-    if raised is None:
-        raised = raise_tables(basis)
-    # only the modes the monomial acts on
-    modes = [m for m, pair in enumerate(zip(alpha, beta)) if any(pair)]
-    a = np.array([alpha[m] for m in modes], dtype=np.int64)
-    b = np.array([beta[m] for m in modes], dtype=np.int64)
+    da, db = sum(alpha), sum(beta)
     normal = convention == "normal"
+    bound = basis.N_max + db - da if normal else basis.N_max - da
+    bound = min(bound, basis.depth - da + db, basis.depth)
+    if bound < 0:
+        return None
+    # only the modes the monomial acts on, their powers as Python ints
+    modes = [m for m in range(basis.D) if alpha[m] or beta[m]]
+    a, b = [alpha[m] for m in modes], [beta[m] for m in modes]
     if normal:
-        bound, lift, tlift = basis.N_max + b.sum() - a.sum(), b, a
+        lift, tlift = b, a
     else:
-        bound = basis.N_max - a.sum()
-        lift, tlift = np.maximum(b - a, 0), np.maximum(a - b, 0)
-    bound = min(bound, basis.depth - a.sum() + b.sum(), basis.depth)
-    end = np.searchsorted(basis.degrees, bound - lift.sum(), side="right")
+        lift = [max(y - x, 0) for x, y in zip(a, b)]
+        tlift = [max(x - y, 0) for x, y in zip(a, b)]
+    end = np.searchsorted(basis.degrees, bound - sum(lift), side="right")
     if end == 0:
         return None
     src, tgt = np.arange(end), np.arange(end)
@@ -832,13 +817,15 @@ def monomial_entries(basis, alpha, beta, convention, raised=None):
             src = raised[m, src]
         for _ in range(down):
             tgt = raised[m, tgt]
-    occ = basis.states[:end, modes] + lift
+    occ = basis.states[:end, modes] + np.array(lift, dtype=np.int64)
     if normal:
         amp = _ladder_amplitudes(occ, b, raise_op=False)
-        amp *= _ladder_amplitudes(occ - b, a, raise_op=True)
+        amp *= _ladder_amplitudes(occ - np.array(b, dtype=np.int64), a,
+                                  raise_op=True)
     else:
         amp = _ladder_amplitudes(occ, a, raise_op=True)
-        amp *= _ladder_amplitudes(occ + a, b, raise_op=False)
+        amp *= _ladder_amplitudes(occ + np.array(a, dtype=np.int64), b,
+                                  raise_op=False)
     return tgt, src, amp
 
 
@@ -862,13 +849,13 @@ def _merge(total, chunks):
     return summed if total[0].size == 0 else _summed_entries([total, summed])
 
 
-def raise_table_quantize(s, convention, basis, entries=None,
+def raise_table_quantize(s, convention, basis,
                          chunk_entries=4_000_000) -> FockOperator:
     """fock.quantize as it was on an enumerated basis: term by term through
-    ``entries`` (monomial_entries on the raise tables if None), the
-    diagonal terms added into a dense vector in sorted term order, the
-    other entries summed by a stable key sort and reduceat, chunk_entries
-    entries at a time, each chunk's sums merged into the running total."""
+    monomial_entries on the raise tables, the diagonal terms added into a
+    dense vector in sorted term order, the other entries summed by a stable
+    key sort and reduceat, chunk_entries entries at a time, each chunk's
+    sums merged into the running total."""
     from ymspec.symbols import convert, validate_ordering
 
     validate_ordering(convention)
@@ -878,19 +865,14 @@ def raise_table_quantize(s, convention, basis, entries=None,
         )
     if convention == "weyl":
         return raise_table_quantize(convert(s, "weyl", "normal"), "normal",
-                                    basis, entries, chunk_entries)
-    if entries is None:
-        raised = raise_tables(basis)
-
-        def entries(basis, alpha, beta, convention):
-            return monomial_entries(basis, alpha, beta, convention, raised)
-
+                                    basis, chunk_entries)
+    raised = raise_tables(basis)
     size = basis.size
     diagonal = np.zeros(size, dtype=complex)
     total = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
     chunks, pending = [], 0
     for (alpha, beta), coeff in sorted(s.terms.items()):
-        found = entries(basis, alpha, beta, convention)
+        found = monomial_entries(basis, alpha, beta, convention, raised)
         if found is None:
             continue
         rows, cols, amp = found
@@ -910,167 +892,6 @@ def raise_table_quantize(s, convention, basis, entries=None,
     keys, vals = keys[stored], vals[stored]
     indptr = np.searchsorted(keys, np.arange(size + 1) * size)
     return FockOperator(basis, Csr(indptr, keys % size, vals))
-
-
-def full_width_monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, vals) of one monomial, as monomial_entries first
-    computed them: the cutoff and occupation tests on every basis state
-    and every mode, one branch per convention."""
-    states = basis.states
-    degrees = basis.degrees
-    da, db = sum(alpha), sum(beta)
-    alpha_arr = np.array(alpha, dtype=np.int64)
-    beta_arr = np.array(beta, dtype=np.int64)
-
-    if convention == "normal":
-        # annihilate first, then create; only the final state can leave the cutoff
-        mask = (degrees - db + da <= basis.N_max) & np.all(
-            states >= beta_arr, axis=1
-        )
-        src = np.flatnonzero(mask)
-        if src.size == 0:
-            return None
-        lowered = states[src] - beta_arr
-        amp = _ladder_amplitudes(states[src], beta, raise_op=False)
-        amp *= _ladder_amplitudes(lowered, alpha, raise_op=True)
-        final = lowered + alpha_arr
-    else:  # antinormal: create first (may leave the cutoff), then annihilate
-        mask = (degrees + da <= basis.N_max) & np.all(
-            states + alpha_arr >= beta_arr, axis=1
-        )
-        src = np.flatnonzero(mask)
-        if src.size == 0:
-            return None
-        raised = states[src] + alpha_arr
-        amp = _ladder_amplitudes(states[src], alpha, raise_op=True)
-        amp *= _ladder_amplitudes(raised, beta, raise_op=False)
-        final = raised - beta_arr
-
-    rows = index_of(basis, final)
-    return rows, src, amp
-
-
-def _keyed_monomial_entries(basis, alpha, beta, convention):
-    """(rows, cols, vals) of one monomial z*^alpha z^beta under a convention,
-    as monomial_entries computed them before the raise tables: a
-    per-term occupation mask on the degree prefix, and the target rows
-    looked up by key.
-
-    Normal ordering annihilates first, so only its final state can leave
-    the cutoff; anti-normal ordering creates first, so its intermediate
-    state must stay inside; either way the final state has degree <= depth.
-    The degree bounds select a prefix of the basis; in it, a source state
-    holds at least ``need`` quanta on each mode where ``need`` is positive.
-    """
-    alpha_arr = np.array(alpha, dtype=np.int64)
-    beta_arr = np.array(beta, dtype=np.int64)
-    normal = convention == "normal"
-    if normal:
-        bound, need = basis.N_max + sum(beta) - sum(alpha), beta_arr
-    else:
-        bound, need = basis.N_max - sum(alpha), beta_arr - alpha_arr
-    bound = min(bound, basis.depth - sum(alpha) + sum(beta))
-    end = np.searchsorted(basis.degrees, bound, side="right")
-    support = np.flatnonzero(need > 0)
-    src = np.flatnonzero(
-        np.all(basis.states[:end, support] >= need[support], axis=1)
-    )
-    if src.size == 0:
-        return None
-    occ = basis.states[src]
-    if normal:
-        amp = _ladder_amplitudes(occ, beta, raise_op=False)
-        amp *= _ladder_amplitudes(occ - beta_arr, alpha, raise_op=True)
-    else:
-        amp = _ladder_amplitudes(occ, alpha, raise_op=True)
-        amp *= _ladder_amplitudes(occ + alpha_arr, beta, raise_op=False)
-    rows = index_of(basis, occ + (alpha_arr - beta_arr))
-    return rows, src, amp
-
-
-def sparse_chunk_matrix(chunks, size: int) -> sparse.csr_matrix:
-    """Sum of the (keys, vals) entry lists, key = row * size + col, as one
-    CSR matrix; a stable sort keeps each entry's duplicates in list order,
-    and reduceat sums them in an order fixed by that run alone."""
-    keys, vals = (np.concatenate(part) for part in zip(*chunks))
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    indptr = np.searchsorted(keys[first], np.arange(size + 1) * size)
-    return sparse.csr_matrix(
-        (np.add.reduceat(vals, first), keys[first] % size, indptr),
-        shape=(size, size))
-
-
-def keyed_quantize(s, convention, basis) -> sparse.csr_matrix:
-    """fock.quantize before the raise tables and the dense diagonal: every
-    term, diagonal ones included, goes through the key sort and reduceat,
-    and its target rows through index_of.  Returns the scipy
-    CSR matrix.
-
-    normal:     z*^a z^b  ->  (creators)^a (annihilators)^b
-    antinormal: z*^a z^b  ->  (annihilators)^b (creators)^a
-    weyl:       convert the symbol to normal form, then quantize normally.
-    Terms are summed in sorted key order: the matrix depends only on the
-    symbol's content."""
-    from ymspec.symbols import convert, validate_ordering
-
-    validate_ordering(convention)
-    if s.num_modes != basis.D:
-        raise DimensionMismatchError(
-            f"symbol has {s.num_modes} modes but basis has D={basis.D}"
-        )
-    if convention == "weyl":
-        return keyed_quantize(convert(s, "weyl", "normal"), "normal", basis)
-
-    size = basis.size
-    total = sparse.csr_matrix((size, size), dtype=complex)
-    chunks, pending = [], 0
-    for (alpha, beta), coeff in sorted(s.terms.items()):
-        entries = _keyed_monomial_entries(basis, alpha, beta, convention)
-        if entries is None:
-            continue
-        rows, cols, amp = entries
-        chunks.append((rows * size + cols, amp * coeff))
-        pending += rows.size
-        if pending >= 4_000_000:
-            total, chunks, pending = total + sparse_chunk_matrix(chunks, size), [], 0
-    if pending:
-        total = total + sparse_chunk_matrix(chunks, size)
-    return total
-
-
-def sparse_quantize(s, convention, basis,
-                    chunk_entries=4_000_000) -> sparse.csr_matrix:
-    """fock.quantize as it summed into scipy CSR matrices: the entries of
-    the off-diagonal terms by sparse_chunk_matrix, one chunk of at least
-    chunk_entries entries at a time, the dense diagonal added as a sparse
-    diagonal matrix, exact zeros dropped by the sparse sums."""
-    from ymspec.symbols import convert
-
-    if convention == "weyl":
-        return sparse_quantize(convert(s, "weyl", "normal"), "normal", basis,
-                               chunk_entries)
-    size = basis.size
-    diagonal = np.zeros(size, dtype=complex)
-    total = sparse.csr_matrix((size, size), dtype=complex)
-    chunks, pending = [], 0
-    raised = raise_tables(basis)
-    for (alpha, beta), coeff in sorted(s.terms.items()):
-        entries = monomial_entries(basis, alpha, beta, convention, raised)
-        if entries is None:
-            continue
-        rows, cols, amp = entries
-        if alpha == beta:
-            diagonal[cols] += amp * coeff
-            continue
-        chunks.append((rows * size + cols, amp * coeff))
-        pending += rows.size
-        if pending >= chunk_entries:
-            total, chunks, pending = total + sparse_chunk_matrix(chunks, size), [], 0
-    if pending:
-        total = total + sparse_chunk_matrix(chunks, size)
-    return total + sparse.diags(diagonal, format="csr")
 
 
 def recursive_compositions(total, parts):
@@ -1210,70 +1031,8 @@ def ring_energy_symbol(basis, mode_map, include_magnetic=True):
 
 
 # ---------------------------------------------------------------------------
-# lowest level of a Hermitian compression by Lanczos, certified by a
-# Sylvester inertia count (the solver the component-wise dense solve
-# replaced), and from its whole dense spectrum
+# lowest level of a Hermitian compression from its whole dense spectrum
 # ---------------------------------------------------------------------------
-
-def count_below(sub, sigma: float) -> int:
-    """Number of eigenvalues of the Hermitian sparse matrix sub below sigma:
-    by Sylvester's law of inertia, the negative pivots of a symmetric
-    factorization P (sub - sigma) P^T = L D L^H.  A factor that pivoted
-    off the diagonal, or a singular one, proves nothing."""
-    shifted = (sub - sigma * sparse.identity(sub.shape[0], sub.dtype)).tocsc()
-    try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0, options={"SymmetricMode": True})
-    except RuntimeError as exc:
-        raise NumericalError(f"inertia factor at {sigma!r} failed: {exc}")
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise NumericalError(f"inertia factor at {sigma!r} pivoted")
-    return int(np.count_nonzero(lu.U.diagonal().real < 0))
-
-
-def certified_minimum(matrix, idx: np.ndarray, tol: float):
-    """(lam, sub): lowest eigenvalue of the Hermitian compression
-    sub = matrix[idx, idx], certified by a zero inertia count below lam - tol.
-
-    Lanczos finds lam from a fixed start vector with seeded restarts (a
-    block with few distinct eigenvalues exhausts its Krylov space), so the
-    digits repeat run to run; a block of at most two rows, below
-    Lanczos's reach, is read densely.  A compression whose stored entries
-    are all real is solved as a real symmetric matrix.
-    """
-    sub = matrix[np.ix_(idx, idx)]
-    dim = idx.size
-    herm_defect = abs(sub - sub.conj().T).max()
-    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
-        raise NumericalError(
-            f"block is not Hermitian (defect {herm_defect:.3e})"
-        )
-    if not sub.data.imag.any():
-        sub = sub.real
-    if dim <= 2:  # eigsh needs k < dim - 1 for complex blocks
-        lam = float(np.linalg.eigvalsh(sub.toarray())[0])
-    else:
-        try:
-            lam = float(spla.eigsh(sub, k=1, which="SA", v0=np.ones(dim),
-                                   rng=0, return_eigenvectors=False)[0])
-        except spla.ArpackError as exc:
-            raise NumericalError(
-                f"eigensolver failed on a {dim}-dim block: {exc}")
-    below = count_below(sub, lam - tol)
-    if below:
-        raise NumericalError(
-            f"{below} eigenvalues of a {dim}-dim block lie below the "
-            f"Lanczos minimum {lam!r} by more than {tol}"
-        )
-    return lam, sub
-
-
-def lanczos_lowest_level(matrix, idx: np.ndarray, tol: float):
-    """Certified lowest eigenvalue lam of matrix[idx, idx] and its
-    multiplicity, the inertia count of eigenvalues below lam + tol."""
-    lam, sub = certified_minimum(matrix, idx, tol)
-    return lam, count_below(sub, lam + tol)
-
 
 def dense_lowest_level(matrix, idx, tol):
     """(lam, multiplicity) of the compression matrix[idx, idx]: the lowest
@@ -1284,49 +1043,6 @@ def dense_lowest_level(matrix, idx, tol):
         sub = sub.real
     vals = la.eigh(sub, eigvals_only=True)
     return float(vals[0]), int(np.sum(vals <= vals[0] + tol))
-
-
-def sparse_component_labels(sub) -> np.ndarray:
-    """spectrum._component_labels on a scipy matrix: the connected
-    component of each row, on the symmetric pattern of sub != 0, numbered
-    in the order of each component's smallest row, by the same min-label
-    rounds with pointer jumping over the CSR graph pattern + pattern.T + I."""
-    pattern = sub != 0
-    graph = (pattern + pattern.T + sparse.identity(
-        sub.shape[0], dtype=bool, format="csr")).tocsr()
-    labels = np.arange(sub.shape[0])
-    while True:
-        new = np.minimum.reduceat(labels[graph.indices], graph.indptr[:-1])
-        new = new[new]
-        if np.array_equal(new, labels):
-            return np.unique(labels, return_inverse=True)[1]
-        labels = new
-
-
-def sparse_block_eigenvalues(matrix, idx: np.ndarray) -> np.ndarray:
-    """spectrum._block_eigenvalues on a scipy matrix: all eigenvalues,
-    ascending, of sub = matrix[idx, idx], taken by scipy fancy indexing,
-    permuted into component-major order and diagonalized one dense
-    component at a time."""
-    sub = matrix[np.ix_(idx, idx)]
-    herm_defect = abs(sub - sub.conj().T).max()
-    if herm_defect > 1e-10 * max(1.0, abs(sub).max()):
-        raise NumericalError(
-            f"block is not Hermitian (defect {herm_defect:.3e})"
-        )
-    if not sub.data.imag.any():
-        sub = sub.real
-    labels = sparse_component_labels(sub)
-    sizes = np.bincount(labels)
-    order = np.argsort(labels, kind="stable")
-    sub = sub[np.ix_(order, order)]
-    ends = np.cumsum(sizes)
-    vals = np.concatenate([
-        np.linalg.eigvalsh(sub[a:b, a:b].toarray())
-        for a, b in zip(ends - sizes, ends)
-    ])
-    vals.sort()
-    return vals
 
 
 # ---------------------------------------------------------------------------

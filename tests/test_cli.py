@@ -69,6 +69,11 @@ class TestParseConfig:
     def test_malformed_json(self):
         with pytest.raises(ConfigurationError):
             parse_config("{not json")
+        # JSON, but not an object
+        for text in ("[]", "1"):
+            with pytest.raises(ConfigurationError,
+                               match="must be a JSON object"):
+                parse_config(text)
 
     def test_overlong_integer_is_a_schema_error(self):
         # json.loads raises a plain ValueError past Python's digit limit

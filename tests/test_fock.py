@@ -15,7 +15,7 @@ from ymspec.errors import (
     NumericalError,
     ResourceError,
 )
-from ymspec.fock import FockBasis, build_basis, quantize
+from ymspec.fock import FockBasis, FockOperator, build_basis, quantize
 from ymspec.spectrum import (
     ModelSpec,
     _cartan_model,
@@ -35,10 +35,8 @@ from oracles import (
     dict_index_of,
     expectation,
     from_csr,
-    full_width_monomial_entries,
     hermiticity_defect,
     index_of,
-    keyed_quantize,
     ladder,
     ladder_quantize,
     number_operator,
@@ -53,7 +51,6 @@ from oracles import (
     stars_and_bars_basis,
     symbol_from_json,
     symbol_to_json,
-    sparse_quantize,
     to_csr,
     zero_weight_counts,
 )
@@ -311,22 +308,17 @@ def assert_identical(got, want):
     assert np.array_equal(got.data, want.data)
 
 
-def assert_full_width_identical(s, basis):
-    """quantize gives the same CSR arrays, bit for bit, as the term-by-term
-    path with the full-width feasibility mask, under every convention."""
-    for conv in ("normal", "antinormal", "weyl"):
-        fast = quantize(s, conv, basis).matrix
-        slow = raise_table_quantize(s, conv, basis,
-                                    entries=full_width_monomial_entries).matrix
-        assert fast.nnz > 0
-        assert_identical(fast, slow)
-
-
-def assert_matches_keyed(got, want):
-    """Same stored entries, and values within 1e-13 of the largest."""
-    assert got.nnz == want.nnz > 0
-    assert not (got.data == 0).any()
-    assert abs(got - want).max() <= 1e-13 * abs(want).max()
+def assert_raise_table_identical(s, *bases,
+                                 conventions=("normal", "antinormal", "weyl")):
+    """quantize gives the same CSR arrays, bit for bit, on each of the
+    bases, which hold the same states, as the term-by-term raise-table path
+    on the first, under each convention, and stores no zero."""
+    for conv in conventions:
+        want = raise_table_quantize(s, conv, bases[0]).matrix
+        assert want.nnz > 0
+        assert not (want.data == 0).any()
+        for basis in bases:
+            assert_identical(quantize(s, conv, basis).matrix, want)
 
 
 class TestQuantize:
@@ -365,6 +357,10 @@ class TestQuantize:
         b = build_basis(2, 3)
         with pytest.raises(DimensionMismatchError):
             quantize(zz(1), "normal", b)
+        # nor does an operator take a matrix of another basis's size
+        other = quantize(zz(2), "normal", build_basis(2, 2)).matrix
+        with pytest.raises(DimensionMismatchError, match="basis size 10"):
+            FockOperator(b, other)
 
     def test_matches_ladder_oracle(self, rng):
         b = build_basis(2, 6)
@@ -375,6 +371,10 @@ class TestQuantize:
                 slow = ladder_quantize(s, conv, b)
                 assert (abs(fast - slow)).max() < 1e-12
 
+    # these tests keep the names of the references they were first checked
+    # against, a full-width feasibility mask and a keyed term-by-term sum;
+    # the raise-table path gave the same bits on all their cases
+
     @pytest.mark.parametrize("name,N_max", [
         ("su2", 4), ("su3", 2), ("so4", 3), ("so5", 2),
     ])
@@ -382,14 +382,14 @@ class TestQuantize:
         algebra = build_algebra(name)
         mode_map = ModeMap.zero_momentum(algebra.dim_g)
         s = energy_symbol(algebra, mode_map, True)
-        assert_full_width_identical(s, build_basis(s.num_modes, N_max))
+        assert_raise_table_identical(s, build_basis(s.num_modes, N_max))
         # the Cartan-mode symbol, many of whose terms act on the same modes,
         # on the plain basis and on the same basis with the mode weights
         modes = cartan_modes(algebra, mode_map)
         s = energy_symbol(algebra, mode_map, True, modes)
-        for weights in (None, modes.weights):
-            assert_full_width_identical(
-                s, build_basis(s.num_modes, N_max, weights=weights))
+        assert_raise_table_identical(
+            s, build_basis(s.num_modes, N_max),
+            build_basis(s.num_modes, N_max, weights=modes.weights))
 
     @pytest.mark.parametrize("name,N_max", [
         ("su2", 8), ("su3", 4), ("so4", 5), ("so5", 4),
@@ -397,22 +397,25 @@ class TestQuantize:
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
     def test_energy_symbol_matches_keyed_oracle(self, name, N_max,
                                                 convention):
-        # the diagonal terms are summed in another order than the keyed
-        # path's reduceat, so entries agree to roundoff: su3 at N_max = 6
-        # differs by 1.9e-13 at an entry of modulus 47.7
         algebra = build_algebra(name)
         s = energy_symbol(algebra, ModeMap.zero_momentum(algebra.dim_g), True)
         basis = build_basis(s.num_modes, N_max, depth=N_max - 2)
-        got = to_csr(quantize(s, convention, basis))
-        assert_matches_keyed(got, keyed_quantize(s, convention, basis))
+        assert_raise_table_identical(s, basis, conventions=[convention])
 
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
     def test_complex_symbols_match_keyed_oracle(self, convention, rng):
         for basis in (build_basis(3, 5), build_basis(3, 6, depth=4)):
             for _ in range(5):
-                s = random_symbol(rng, 3, 4, n_terms=12)
-                assert_matches_keyed(to_csr(quantize(s, convention, basis)),
-                                     keyed_quantize(s, convention, basis))
+                assert_raise_table_identical(
+                    random_symbol(rng, 3, 4, n_terms=12), basis,
+                    conventions=[convention])
+
+    def test_complex_symbols_match_full_width_mask(self, rng):
+        # symbols of degree up to 6, past the cutoff, under every convention
+        b = build_basis(3, 5)
+        for _ in range(5):
+            assert_raise_table_identical(
+                random_symbol(rng, 3, 6, n_terms=12), b)
 
     def test_independent_of_term_order(self, su2):
         # duplicate (row, col) entries are summed in sorted term order, so
@@ -434,12 +437,6 @@ class TestQuantize:
         new = quantize(energy_symbol(su2, mm), "antinormal", basis).matrix
         old = quantize(ring_energy_symbol(su2, mm), "antinormal", basis).matrix
         assert_identical(new, old)
-
-    def test_complex_symbols_match_full_width_mask(self, rng):
-        b = build_basis(3, 5)
-        for _ in range(5):
-            s = random_symbol(rng, 3, 4, n_terms=12)
-            assert_full_width_identical(s, b)
 
     def test_antinormal_route_equivalence(self, rng):
         # direct anti-normal ordering vs flow to normal form, on the safe block
@@ -525,37 +522,33 @@ class TestSubsetQuantize:
         assert np.array_equal(index_of(sub, sub.states), np.arange(sub.size))
 
 
-def assert_matches_scipy_sum(got, want):
-    """The Csr arrays of quantize equal, bit for bit, the scipy CSR matrix
-    that summed the same entries."""
-    assert got.nnz == want.nnz > 0
-    assert_identical(got, want)
-
-
 class TestScipySumOracle:
     """quantize's keyed sum, with the diagonal inserted and exact zeros
-    dropped, stores the entries the scipy.sparse sums stored."""
+    dropped, stores the entries that the scipy.sparse sums stored, which
+    the raise-table path reproduces bit for bit; with its rows taken a few
+    candidates at a time, it stores the same."""
 
     @pytest.mark.parametrize("name,N_max,sector", [
         ("su2", 8, "full"), ("su3", 4, "full"), ("so4", 5, "full"),
         ("so5", 4, "full"), ("su2", 8, "abelian"),
     ])
-    def test_energy_symbol(self, name, N_max, sector):
+    def test_energy_symbol(self, name, N_max, sector, monkeypatch):
         algebra = build_algebra(name)
         mode_map = (ModeMap.abelian(algebra.dim_g) if sector == "abelian"
                     else ModeMap.zero_momentum(algebra.dim_g))
         s = energy_symbol(algebra, mode_map, True)
         basis = build_basis(s.num_modes, N_max, depth=N_max - 2)
-        assert_matches_scipy_sum(quantize(s, "antinormal", basis).matrix,
-                                 sparse_quantize(s, "antinormal", basis))
+        monkeypatch.setattr(fock, "CHUNK_ENTRIES", SMALL_CHUNK)
+        assert_raise_table_identical(s, basis, conventions=["antinormal"])
 
     @pytest.mark.parametrize("convention", ["normal", "antinormal", "weyl"])
-    def test_complex_symbols(self, convention, rng):
+    def test_complex_symbols(self, convention, rng, monkeypatch):
+        monkeypatch.setattr(fock, "CHUNK_ENTRIES", SMALL_CHUNK)
         for basis in (build_basis(3, 5), build_basis(3, 6, depth=4)):
             for _ in range(5):
-                s = random_symbol(rng, 3, 4, n_terms=12)
-                assert_matches_scipy_sum(quantize(s, convention, basis).matrix,
-                                         sparse_quantize(s, convention, basis))
+                s = random_symbol(rng, 3, 4, hermitian=True, n_terms=12)
+                assert_raise_table_identical(s, basis,
+                                             conventions=[convention])
 
     def test_cancelling_entries_dropped(self):
         # normal order: z0* z0 - 1 vanishes on n0 = 1, and so does
@@ -563,33 +556,32 @@ class TestScipySumOracle:
         s = PolynomialSymbol(2, {((1, 0), (1, 0)): 1.0, ((0, 0), (0, 0)): -1.0,
                                  ((2, 0), (1, 1)): 1.0, ((1, 0), (0, 1)): -1.0})
         b = build_basis(2, 6)
+        assert_raise_table_identical(s, b, conventions=["normal"])
         q = quantize(s, "normal", b).matrix
-        assert_matches_scipy_sum(q, sparse_quantize(s, "normal", b))
-        assert not (q.data == 0).any()
         i, j = index_of(b, np.array([[1, 2], [2, 1]]))
         assert q.toarray()[i, i] == q.toarray()[j, i] == 0
 
     def test_chunked_sum(self, monkeypatch, su2):
         # one chunk against a few hundred candidates at a time, one row
         # per chunk: each entry's duplicates lie in one chunk, so the bits
-        # are those of one chunk, and those of the scipy sum; the
-        # term-by-term path's chunked merges differ from both by roundoff
-        # only
+        # are those of one chunk, and those of the raise-table path in one
+        # chunk; its chunked merges differ from both by roundoff only
         s = energy_symbol(su2, ModeMap.zero_momentum(3))
         basis = build_basis(9, 6, depth=4)
         monkeypatch.setattr(fock, "CHUNK_ENTRIES", UNBOUNDED)
         whole = quantize(s, "antinormal", basis).matrix
-        monkeypatch.setattr(fock, "CHUNK_ENTRIES", 300)
+        monkeypatch.setattr(fock, "CHUNK_ENTRIES", SMALL_CHUNK)
         got = quantize(s, "antinormal", basis).matrix
         assert_identical(got, whole)
-        assert_matches_scipy_sum(got, sparse_quantize(s, "antinormal", basis))
+        assert_identical(got,
+                         raise_table_quantize(s, "antinormal", basis).matrix)
         merged = raise_table_quantize(s, "antinormal", basis,
-                                      chunk_entries=300).matrix
-        assert_matches_scipy_sum(merged, sparse_quantize(
-            s, "antinormal", basis, chunk_entries=300))
+                                      chunk_entries=SMALL_CHUNK).matrix
         assert np.allclose(got.data, merged.data, rtol=1e-13, atol=0)
 
 
+# a chunk budget of a few hundred candidates: about one row per chunk
+SMALL_CHUNK = 300
 # a chunk budget above any candidate count here: one chunk per mask block
 UNBOUNDED = 1 << 40
 

@@ -651,6 +651,25 @@ class TestFieldSerialization:
         assert str(path) in message
         assert "242 values" in message and "243" in message
 
+    @pytest.mark.parametrize("edit,match", [
+        pytest.param(lambda h: json.dumps(
+            {k: v for k, v in h.items() if k != "field_kind"}),
+            "has no 'field_kind'", id="no-field-kind"),
+        pytest.param(lambda h: json.dumps({**h, "field_kind": "tensor"}),
+                     "unknown field_kind 'tensor'", id="unknown-field-kind"),
+        pytest.param(lambda h: json.dumps([h]), "has no 'n'", id="array"),
+        pytest.param(lambda h: "n=4 spacing=1.0", "not JSON", id="not-json"),
+    ])
+    def test_malformed_header_refused(self, su2, lat4, rng, tmp_path, edit,
+                                      match):
+        header, payload = self._payload(random_vector_field(rng, lat4, su2),
+                                        tmp_path / "a.field")
+        path = tmp_path / "b.field"
+        path.write_bytes(edit(header).encode() + b"\n" + payload.tobytes())
+        with pytest.raises(ConfigurationError, match=match) as info:
+            load_field(path)
+        assert str(path) in str(info.value)
+
 
 class TestSeededFields:
     def test_contiguous_and_bit_identical_to_strided(self, su2, lat4, rng):

@@ -9,7 +9,6 @@ import pytest
 import scipy.linalg as la
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from ymspec import spectrum
@@ -38,12 +37,10 @@ from ymspec.symbols import ModeMap, cartan_modes, energy_symbol
 from oracles import (
     FockVector,
     cartan_generators,
-    certified_minimum,
     colour_spatial_swap,
     component_block_eigenvalues,
     component_labels,
     convergence_per_cutoff,
-    count_below,
     degree_indices,
     dense_lowest_level,
     expectation,
@@ -52,12 +49,12 @@ from oracles import (
     hermiticity_defect,
     is_zero,
     ladder_quantize,
-    lanczos_lowest_level,
     max_coefficient_diff,
     mirror_levels,
     mode_matrix,
     monomial_substituted_symbol,
     number_operator,
+    raise_table_quantize,
     random_symbol,
     real_mode_hamiltonian,
     rotation_by_pi_about_x,
@@ -67,9 +64,6 @@ from oracles import (
     safe_hamiltonian,
     sector_eigenvalues,
     smoothed_value_fd,
-    sparse_block_eigenvalues,
-    sparse_component_labels,
-    sparse_quantize,
     subset_level_operator,
     subset_zero_weight_operator,
     substituted_symbol,
@@ -452,37 +446,6 @@ class TestLowestLevel:
         lam, mult = spectrum._lowest_level(h.matrix, 0, 1, 1e-8, h.basis.sectors)
         assert (lam, mult) == (to_csr(h)[0, 0].real, 1)
 
-    # the Lanczos oracle's certificate: a wrong minimum, a pivoted or
-    # singular inertia factor are each a NumericalError
-
-    def test_wrong_minimum_is_numerical(self, monkeypatch,
-                                        su2_hamiltonian_nmax8):
-        # a Lanczos value above the true minimum fails the inertia check
-        idx = degree_indices(su2_hamiltonian_nmax8.basis, 3)  # lambda = 20.5
-        monkeypatch.setattr(spla, "eigsh",
-                            lambda *args, **kwargs: np.array([21.0]))
-        with pytest.raises(NumericalError, match="51 eigenvalues"):
-            lanczos_lowest_level(to_csr(su2_hamiltonian_nmax8), idx, 1e-8)
-
-    def test_count_below_is_inertia(self, rng):
-        vals = np.array([-2.0, -1.0, 0.5, 0.5, 3.0])
-        q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
-        a = sparse.csr_matrix((q * vals) @ q.T)
-        counts = [count_below(a, s) for s in (-3, -1.5, 0, 1, 4)]
-        assert counts == [0, 1, 2, 4, 5]
-
-    def test_pivoted_factor_is_numerical(self):
-        # a zero diagonal forces SuperLU off the diagonal, which breaks the
-        # symmetric factorization the inertia count relies on
-        swap = sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(NumericalError, match="pivoted"):
-            count_below(swap, 0.0)
-
-    def test_singular_factor_is_numerical(self):
-        diag = sparse.diags([1.0, 2.0]).tocsr()
-        with pytest.raises(NumericalError, match="failed"):
-            count_below(diag, 1.0)
-
     def test_su2_multiplicities_pinned(self, su2_hamiltonian_nmax10):
         lams, mults = block_levels(su2_hamiltonian_nmax10, range(9), 1e-8)
         closed_form = [13.5 + 2.25 * n + 0.25 * (n % 2) for n in range(9)]
@@ -543,17 +506,13 @@ class TestComponentLabels:
 
     @pytest.mark.parametrize("N_max", [8, 10])
     def test_su2_number_shift_block(self, N_max, su2_model_nmax8):
-        # the real-mode safe block splits into the 32 GF(2) parity sectors,
-        # on the edge arrays and on the scipy pattern of H - N, where N's
-        # diagonal joins no rows
+        # the real-mode safe block splits into the 32 GF(2) parity sectors
         h = real_mode_hamiltonian(su2_model_nmax8, N_max)
         idx = safe_block_indices(h.basis, 2)
         rows, cols, _ = h.matrix.rows(0, idx.size)
         labels = component_labels(rows, cols, idx.size)
         assert labels.max() + 1 == 32
         assert np.array_equal(labels, csgraph_labels(rows, cols, idx.size))
-        sub = (to_csr(h) - to_csr(number_operator(h.basis)))[np.ix_(idx, idx)]
-        assert np.array_equal(labels, sparse_component_labels(sub))
 
 
 class TestDirectRows:
@@ -874,18 +833,17 @@ class TestWeightMaps:
 # the dense whole-block oracle is run on blocks of at most 2,002 rows, to
 # keep the suite fast: on su2 N_max = 8 that leaves out the n = 6 block,
 # 3,003 rows, which test_su2_levels_closed_form_and_dense_multiplicities
-# reads densely, and C*'s 5,005-row safe block (about 14 s dense)
+# reads densely, and C*'s 5,005-row safe block (about 14 s dense), which
+# TestScipyBlockOracle solves one component at a time
 _DENSE_ORACLE_ROWS = 2002
 
 
 def _against_oracles(matrix, idx, tol, lam, mult=None):
-    """lam, and mult if given, against the Lanczos oracle and, on blocks
-    of at most _DENSE_ORACLE_ROWS rows, the dense one, on the scipy
-    compression matrix[idx, idx]."""
-    oracles = [lanczos_lowest_level(matrix, idx, tol)]
+    """lam, and mult if given, against the dense oracle on the scipy
+    compression matrix[idx, idx], if it has at most _DENSE_ORACLE_ROWS
+    rows."""
     if idx.size <= _DENSE_ORACLE_ROWS:
-        oracles.append(dense_lowest_level(matrix, idx, tol))
-    for ref_lam, ref_mult in oracles:
+        ref_lam, ref_mult = dense_lowest_level(matrix, idx, tol)
         assert lam == pytest.approx(ref_lam, rel=1e-12, abs=0)
         assert mult in (None, ref_mult)
 
@@ -946,11 +904,12 @@ class TestOrbitLevels:
 
 class TestScipyBlockOracle:
     """The levels, their multiplicities and C* of the Cartan sector path
-    equal, to 1e-12 relative, those of the real-mode scipy.sparse path: H
-    summed into a scipy matrix in the real modes, its blocks taken by scipy
-    fancy indexing and split into the components of their pattern, C*
-    solved on every component of the whole safe block.  The two operators
-    are unitarily equivalent, not equal, so the last digits may differ."""
+    equal, to 1e-12 relative, those of the real-mode path it replaced: H
+    quantized term by term in the real modes, its blocks split into the
+    components of their pattern, C* solved on every component of the whole
+    safe block.  That path first ran on scipy.sparse, and its numpy form
+    gave the same bits.  The two operators are unitarily equivalent, not
+    equal, so the last digits may differ."""
 
     @pytest.mark.parametrize("algebra,N_max,sector", [
         ("su2", 8, "full"), ("su3", 4, "full"), ("su3", 5, "full"),
@@ -961,13 +920,15 @@ class TestScipyBlockOracle:
         rep = bosonic_spectrum(model)
         basis = build_basis(rep.D, N_max, depth=N_max - 2)
         sym = energy_symbol(build_algebra(algebra), model.mode_map())
-        ref = sparse_quantize(sym, model.convention, basis)
+        ref = raise_table_quantize(sym, model.convention, basis).matrix
         for n, lam, mult in zip(rep.ns, rep.lambdas, rep.multiplicities):
-            vals = sparse_block_eigenvalues(ref, degree_indices(basis, n))
+            idx = degree_indices(basis, n)
+            vals = component_block_eigenvalues(ref, idx[0], idx[-1] + 1)
             assert lam == pytest.approx(vals[0], rel=1e-12, abs=1e-12)
             assert mult == np.count_nonzero(vals <= vals[0] + model.level_tol)
-        shifted = ref - to_csr(number_operator(basis))
-        want = sparse_block_eigenvalues(shifted, safe_block_indices(basis, 2))
+        hi = safe_block_indices(basis, 2).size
+        want = component_block_eigenvalues(ref, 0, hi,
+                                           shift=basis.degrees[:hi])
         assert number_shift_bound(rep.hamiltonian) == pytest.approx(
             want[0], rel=1e-12, abs=1e-12)
 
@@ -977,31 +938,16 @@ class TestScipyBlockOracle:
         s = random_symbol(rng, 3, 4, hermitian=True, n_terms=12)
         q = quantize(s, "normal", b)
         assert q.matrix.data.imag.any()
-        ref = sparse_quantize(s, "normal", b)
+        ref = raise_table_quantize(s, "normal", b).matrix
         for n in range(5):
             got = spectrum._block_eigenvalues(
                 q.matrix, *spectrum._degree_rows(b, n), b.sectors)
-            want = sparse_block_eigenvalues(ref, degree_indices(b, n))
+            idx = degree_indices(b, n)
+            want = component_block_eigenvalues(ref, idx[0], idx[-1] + 1)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        shifted = ref - to_csr(number_operator(b))
-        want = sparse_block_eigenvalues(shifted, safe_block_indices(b, 4))
+        hi = safe_block_indices(b, 4).size
+        want = component_block_eigenvalues(ref, 0, hi, shift=b.degrees[:hi])
         assert number_shift_bound(q, 4) == pytest.approx(want[0], rel=1e-12)
-
-    def test_numpy_components_match_scipy(self, su2_model_nmax8):
-        # the real-mode path in numpy is bit for bit its scipy form
-        h = real_mode_hamiltonian(su2_model_nmax8)
-        ref = to_csr(h)
-        for n in range(6):
-            idx = degree_indices(h.basis, n)
-            assert np.array_equal(
-                component_block_eigenvalues(h.matrix, idx[0], idx[-1] + 1),
-                sparse_block_eigenvalues(ref, idx))
-        shifted = ref - to_csr(number_operator(h.basis))
-        safe = safe_block_indices(h.basis, 2)
-        assert np.array_equal(
-            component_block_eigenvalues(h.matrix, 0, safe.size,
-                                        shift=h.basis.degrees[:safe.size]),
-            sparse_block_eigenvalues(shifted, safe))
 
 
 class TestSafeBlockTruncationConvergence:
@@ -1031,13 +977,15 @@ class TestNumberShiftBound:
         with pytest.raises(NumericalError):
             number_shift_bound(FockOperator(basis, from_csr(skew)))
 
-    @pytest.mark.parametrize("margin", [0, 1])
+    @pytest.mark.parametrize("margin", [0, 1, 7, 9])
     def test_margin_past_basis_depth_rejected(self, margin):
         # the safe basis at N_max = 6 holds degree <= 4: margins 0 and 1
-        # would bound degrees 6 and 5, which it does not hold
+        # would bound degrees 6 and 5, which it does not hold; margins past
+        # N_max leave no degree at all
         h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=6))
         assert h.basis.depth == 4
-        with pytest.raises(ConfigurationError, match="degrees <= 4"):
+        match = "degrees <= 4" if margin < 2 else "safe block is empty"
+        with pytest.raises(ConfigurationError, match=match):
             number_shift_bound(h, margin)
         assert number_shift_bound(h, 2) == pytest.approx(10.97194494150641,
                                                          rel=1e-12)
@@ -1055,17 +1003,6 @@ class TestNumberShiftBound:
         lams, mults = block_levels(h, range(4), model.level_tol)
         assert lams == pytest.approx([lam for lam, _ in oracle], rel=1e-10)
         assert mults == [mult for _, mult in oracle]
-
-    def test_arpack_failure_is_numerical(self, monkeypatch):
-        # in the Lanczos oracle
-        def no_convergence(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", [], [])
-
-        h = assemble_hamiltonian(ModelSpec(algebra="su2", N_max=5))
-        shifted = to_csr(h) - to_csr(number_operator(h.basis))
-        monkeypatch.setattr(spla, "eigsh", no_convergence)
-        with pytest.raises(NumericalError):
-            certified_minimum(shifted, safe_block_indices(h.basis, 2), 1e-8)
 
     def test_inequality_on_safe_block(self, su2_hamiltonian_nmax8, rng):
         h = su2_hamiltonian_nmax8
